@@ -4,10 +4,11 @@
 //! Run one: `cargo bench --bench figures -- fig2a`
 //! Quick pass: `PVTM_EFFORT=quick cargo bench --bench figures`
 //!
-//! Results are printed as tables and written to `results/<id>.json`, plus
-//! one JSONL record per figure in `results/figures.jsonl`. With
-//! `PVTM_TELEMETRY=full` each figure also writes a
-//! `results/<id>.telemetry.json` sidecar (spans, solver counters,
+//! Results are printed as tables and written to `results/<id>.json` at the
+//! repository root, plus one JSONL record per figure in
+//! `results/figures.jsonl`; a relative `PVTM_RESULTS_DIR` is also taken
+//! from the repository root. With `PVTM_TELEMETRY=full` each figure also
+//! writes a `results/<id>.telemetry.json` sidecar (spans, solver counters,
 //! Monte-Carlo convergence traces); `PVTM_QUIET=1` suppresses the
 //! human-readable tables.
 
@@ -19,6 +20,10 @@ fn wants(filter: &Option<String>, id: &str) -> bool {
 }
 
 fn main() {
+    // Cargo runs benches in the package directory; resolve `results/`
+    // against the repository root instead.
+    std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .expect("the repository root is readable");
     // Criterion-style CLI compatibility: ignore --bench and take the first
     // free argument as a substring filter.
     let filter: Option<String> = std::env::args().skip(1).find(|a| !a.starts_with("--"));

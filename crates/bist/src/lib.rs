@@ -12,7 +12,7 @@
 //!   fire only above a per-cell source-bias level — the physical fault
 //!   class the calibration loop hunts),
 //! - [`march`] — a March-test DSL with the classic algorithms (MATS+,
-//!   March C−, March A),
+//!   March C−, March A, March SS),
 //! - [`bist`] — the controller: runs a test, latches per-column fault
 //!   flags, counts faulty columns,
 //! - [`dac`] — an n-bit DAC model with optional nonlinearity.

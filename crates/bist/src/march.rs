@@ -4,7 +4,8 @@
 //! address in a prescribed order applying a fixed sequence of read/write
 //! operations. The classics provided here cover the fault classes of the
 //! behavioural memory model: MATS+ (stuck-at), March C− (stuck-at,
-//! transition, coupling) and March A (linked coupling faults).
+//! transition, coupling), March A (linked coupling faults) and March SS
+//! (simple static faults).
 
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +54,34 @@ impl MarchElement {
     pub fn new(order: Order, ops: Vec<Op>) -> Self {
         assert!(!ops.is_empty(), "march element needs operations");
         Self { order, ops }
+    }
+
+    /// Applies the operations at one address, recording each read
+    /// mismatch as a failure of element `ei`.
+    fn apply(
+        &self,
+        ei: usize,
+        row: usize,
+        col: usize,
+        memory: &mut MemoryModel,
+        failures: &mut Vec<MarchFailure>,
+    ) {
+        for (oi, op) in self.ops.iter().enumerate() {
+            match op {
+                Op::W0 => memory.write(row, col, false),
+                Op::W1 => memory.write(row, col, true),
+                Op::R0 | Op::R1 => {
+                    if memory.read(row, col) != (*op == Op::R1) {
+                        failures.push(MarchFailure {
+                            row,
+                            col,
+                            element: ei,
+                            op: oi,
+                        });
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -184,35 +213,26 @@ impl MarchTest {
         )
     }
 
-    /// Runs the test on a memory, returning every read mismatch.
+    /// Runs the test on a memory, returning every read mismatch. Addresses
+    /// are row-major: ascending walks rows and columns up, descending walks
+    /// both down.
     pub fn run(&self, memory: &mut MemoryModel) -> MarchResult {
-        let rows = memory.rows();
-        let cols = memory.cols();
-        let n = rows * cols;
+        let (rows, cols) = (memory.rows(), memory.cols());
         let mut failures = Vec::new();
-        let mut operations = 0u64;
         for (ei, element) in self.elements.iter().enumerate() {
-            let addresses: Box<dyn Iterator<Item = usize>> = match element.order {
-                Order::Up | Order::Either => Box::new(0..n),
-                Order::Down => Box::new((0..n).rev()),
-            };
-            for addr in addresses {
-                let (row, col) = (addr / cols, addr % cols);
-                for (oi, op) in element.ops.iter().enumerate() {
-                    operations += 1;
-                    match op {
-                        Op::W0 => memory.write(row, col, false),
-                        Op::W1 => memory.write(row, col, true),
-                        Op::R0 | Op::R1 => {
-                            let expected = matches!(op, Op::R1);
-                            if memory.read(row, col) != expected {
-                                failures.push(MarchFailure {
-                                    row,
-                                    col,
-                                    element: ei,
-                                    op: oi,
-                                });
-                            }
+            let mut visit = |row, col| element.apply(ei, row, col, memory, &mut failures);
+            match element.order {
+                Order::Up | Order::Either => {
+                    for row in 0..rows {
+                        for col in 0..cols {
+                            visit(row, col);
+                        }
+                    }
+                }
+                Order::Down => {
+                    for row in (0..rows).rev() {
+                        for col in (0..cols).rev() {
+                            visit(row, col);
                         }
                     }
                 }
@@ -220,7 +240,7 @@ impl MarchTest {
         }
         MarchResult {
             failures,
-            operations,
+            operations: (self.ops_per_cell() * rows * cols) as u64,
         }
     }
 }

@@ -1,7 +1,33 @@
 //! Behavioural memory array with fault injection.
+//!
+//! Every cell is one byte of state: the stored bit plus three flags that
+//! say which fault maps an access to the cell must consult.
+//!
+//! - `FAULTY`: the cell has a stuck-at, transition or address-alias
+//!   fault, so its reads and writes look it up in `faults`.
+//! - `AGGRESSOR`: the cell is the aggressor of an inversion coupling, so
+//!   a transition of it looks up its victims in `coupling`.
+//! - `EXPOSED`: a retention fault of the cell is active at the current
+//!   source bias, so a stored 1 decays.
+//!
+//! The maps stay the source of truth; the flags are derived from them and
+//! from `vsb`. [`MemoryModel::inject`] sets the flags of the cells a new
+//! fault touches and [`MemoryModel::set_vsb`] recomputes `EXPOSED` for
+//! every faulty cell. Those are the only two places where the flags'
+//! inputs change. Reads and writes of clean and retention-only cells (every
+//! cell of an ASB die) therefore never touch a map.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// Stored bit of a cell's state byte.
+const VALUE: u8 = 1;
+/// The cell has a stuck-at, transition or alias fault.
+const FAULTY: u8 = 1 << 1;
+/// The cell is a coupling aggressor.
+const AGGRESSOR: u8 = 1 << 2;
+/// A retention fault of the cell is active at the current source bias.
+const EXPOSED: u8 = 1 << 3;
 
 /// A functional fault attached to one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,13 +76,14 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
-/// A behavioural memory array (one bit per cell) with injected faults and a
-/// source-bias state that gates retention faults.
+/// A behavioural memory array (one bit of data per cell) with injected
+/// faults and a source-bias state that gates retention faults.
 #[derive(Debug, Clone)]
 pub struct MemoryModel {
     rows: usize,
     cols: usize,
-    data: Vec<bool>,
+    /// One state byte per cell, row-major: the stored bit plus the flags.
+    cells: Vec<u8>,
     faults: BTreeMap<(usize, usize), Vec<FaultKind>>,
     /// victim lists per aggressor cell.
     coupling: BTreeMap<(usize, usize), Vec<(usize, usize)>>,
@@ -76,7 +103,7 @@ impl MemoryModel {
         Self {
             rows,
             cols,
-            data: vec![false; rows * cols],
+            cells: vec![0; rows * cols],
             faults: BTreeMap::new(),
             coupling: BTreeMap::new(),
             vsb: 0.0,
@@ -122,25 +149,41 @@ impl MemoryModel {
             fault.row,
             fault.col
         );
-        if let FaultKind::CouplingInv { agg_row, agg_col } = fault.kind {
-            assert!(
-                agg_row < self.rows && agg_col < self.cols,
-                "aggressor ({agg_row}, {agg_col}) out of bounds"
-            );
-            self.coupling
-                .entry((agg_row, agg_col))
-                .or_default()
-                .push((fault.row, fault.col));
-        }
-        if let FaultKind::AddressAlias { to_row, to_col } = fault.kind {
-            assert!(
-                to_row < self.rows && to_col < self.cols,
-                "alias target ({to_row}, {to_col}) out of bounds"
-            );
-            assert!(
-                (to_row, to_col) != (fault.row, fault.col),
-                "alias must point elsewhere"
-            );
+        let cell = self.idx(fault.row, fault.col);
+        match fault.kind {
+            FaultKind::CouplingInv { agg_row, agg_col } => {
+                assert!(
+                    agg_row < self.rows && agg_col < self.cols,
+                    "aggressor ({agg_row}, {agg_col}) out of bounds"
+                );
+                self.coupling
+                    .entry((agg_row, agg_col))
+                    .or_default()
+                    .push((fault.row, fault.col));
+                let aggressor = self.idx(agg_row, agg_col);
+                self.cells[aggressor] |= AGGRESSOR;
+            }
+            FaultKind::AddressAlias { to_row, to_col } => {
+                assert!(
+                    to_row < self.rows && to_col < self.cols,
+                    "alias target ({to_row}, {to_col}) out of bounds"
+                );
+                assert!(
+                    (to_row, to_col) != (fault.row, fault.col),
+                    "alias must point elsewhere"
+                );
+                self.cells[cell] |= FAULTY;
+            }
+            FaultKind::StuckAt(_) | FaultKind::TransitionUp | FaultKind::TransitionDown => {
+                self.cells[cell] |= FAULTY;
+            }
+            // Exposed now, but a stored 1 decays only at its next access or
+            // the next `set_vsb`.
+            FaultKind::Retention { min_vsb } => {
+                if self.vsb >= min_vsb {
+                    self.cells[cell] |= EXPOSED;
+                }
+            }
         }
         self.faults
             .entry((fault.row, fault.col))
@@ -159,19 +202,17 @@ impl MemoryModel {
     pub fn set_vsb(&mut self, vsb: f64) {
         assert!(vsb.is_finite() && vsb >= 0.0, "invalid vsb {vsb}");
         self.vsb = vsb;
-        // Standby decay of exposed cells.
-        let decayed: Vec<(usize, usize)> = self
-            .faults
-            .iter()
-            .filter(|((_, _), kinds)| {
-                kinds
-                    .iter()
-                    .any(|k| matches!(k, FaultKind::Retention { min_vsb } if vsb >= *min_vsb))
-            })
-            .map(|(&loc, _)| loc)
-            .collect();
-        for (r, c) in decayed {
-            self.data[r * self.cols + c] = false;
+        for (&(row, col), kinds) in &self.faults {
+            let exposed = kinds
+                .iter()
+                .any(|k| matches!(k, FaultKind::Retention { min_vsb } if vsb >= *min_vsb));
+            let state = &mut self.cells[row * self.cols + col];
+            // Standby decay of exposed cells.
+            *state = if exposed {
+                (*state | EXPOSED) & !VALUE
+            } else {
+                *state & !EXPOSED
+            };
         }
     }
 
@@ -187,16 +228,23 @@ impl MemoryModel {
         row * self.cols + col
     }
 
+    /// The faults of a `FAULTY` cell (empty for any other cell).
+    fn faults_of(&self, row: usize, col: usize) -> &[FaultKind] {
+        if self.cells[self.idx(row, col)] & FAULTY == 0 {
+            return &[];
+        }
+        self.faults.get(&(row, col)).map_or(&[], Vec::as_slice)
+    }
+
     /// Resolves address-decoder aliasing: the cell actually accessed.
     fn resolve(&self, row: usize, col: usize) -> (usize, usize) {
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                if let FaultKind::AddressAlias { to_row, to_col } = k {
-                    return (*to_row, *to_col);
-                }
-            }
-        }
-        (row, col)
+        self.faults_of(row, col)
+            .iter()
+            .find_map(|k| match *k {
+                FaultKind::AddressAlias { to_row, to_col } => Some((to_row, to_col)),
+                _ => None,
+            })
+            .unwrap_or((row, col))
     }
 
     /// Writes one bit.
@@ -208,26 +256,23 @@ impl MemoryModel {
         assert!(row < self.rows && col < self.cols, "address out of bounds");
         self.writes += 1;
         let (row, col) = self.resolve(row, col);
-        let old = self.data[self.idx(row, col)];
+        let i = self.idx(row, col);
+        let state = self.cells[i];
+        let old = state & VALUE != 0;
         let mut new = value;
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                match k {
-                    FaultKind::StuckAt(v) => new = *v,
-                    FaultKind::TransitionUp if !old && value => new = old,
-                    FaultKind::TransitionDown if old && !value => new = old,
-                    _ => {}
-                }
+        for k in self.faults_of(row, col) {
+            match k {
+                FaultKind::StuckAt(v) => new = *v,
+                FaultKind::TransitionUp if !old && value => new = old,
+                FaultKind::TransitionDown if old && !value => new = old,
+                _ => {}
             }
         }
-        let i = self.idx(row, col);
-        let transitioned = self.data[i] != new;
-        self.data[i] = new;
-        // Retention faults swallow a freshly written 1 at high bias.
-        if new && self.retention_exposed(row, col) {
-            self.data[i] = false;
-        }
-        if transitioned {
+        // Retention faults swallow a freshly written 1 at high bias; the
+        // write still counts as a transition for coupling.
+        let kept = new && state & EXPOSED == 0;
+        self.cells[i] = (state & !VALUE) | u8::from(kept);
+        if old != new && state & AGGRESSOR != 0 {
             self.fire_coupling(row, col);
         }
     }
@@ -242,36 +287,22 @@ impl MemoryModel {
         self.reads += 1;
         let (row, col) = self.resolve(row, col);
         let i = self.idx(row, col);
-        if self.data[i] && self.retention_exposed(row, col) {
-            self.data[i] = false;
+        if self.cells[i] & EXPOSED != 0 {
+            self.cells[i] &= !VALUE;
         }
-        let mut v = self.data[i];
-        if let Some(kinds) = self.faults.get(&(row, col)) {
-            for k in kinds {
-                if let FaultKind::StuckAt(s) = k {
-                    v = *s;
-                }
-            }
-        }
-        v
-    }
-
-    fn retention_exposed(&self, row: usize, col: usize) -> bool {
-        self.faults
-            .get(&(row, col))
-            .map(|kinds| {
-                kinds
-                    .iter()
-                    .any(|k| matches!(k, FaultKind::Retention { min_vsb } if self.vsb >= *min_vsb))
+        let stored = self.cells[i] & VALUE != 0;
+        self.faults_of(row, col)
+            .iter()
+            .fold(stored, |v, k| match *k {
+                FaultKind::StuckAt(s) => s,
+                _ => v,
             })
-            .unwrap_or(false)
     }
 
     fn fire_coupling(&mut self, row: usize, col: usize) {
-        if let Some(victims) = self.coupling.get(&(row, col)).cloned() {
-            for (vr, vc) in victims {
-                let i = self.idx(vr, vc);
-                self.data[i] = !self.data[i];
+        if let Some(victims) = self.coupling.get(&(row, col)) {
+            for &(vr, vc) in victims {
+                self.cells[vr * self.cols + vc] ^= VALUE;
             }
         }
     }
