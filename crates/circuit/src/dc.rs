@@ -172,6 +172,9 @@ pub struct DcWorkspace {
     res: Vec<f64>,
     rhs: Vec<f64>,
     x_old: Vec<f64>,
+    /// Drain current of each MOSFET (netlist order) at the state of the
+    /// last residual pass, where the Jacobian pass differences from.
+    ids: Vec<f64>,
     /// Counters accumulated by every solve run through this workspace.
     pub stats: SolverStats,
 }
@@ -182,14 +185,16 @@ impl DcWorkspace {
         Self::default()
     }
 
-    /// Resizes the scratch buffers for a system of `n` unknowns.
-    fn ensure(&mut self, n: usize) {
+    /// Resizes the scratch buffers for a system of `n` unknowns and
+    /// `num_mosfets` transistors.
+    fn ensure(&mut self, n: usize, num_mosfets: usize) {
         if self.jac.n() != n {
             self.jac = Matrix::zeros(n);
             self.res = vec![0.0; n];
             self.rhs = vec![0.0; n];
             self.x_old = vec![0.0; n];
         }
+        self.ids.resize(num_mosfets, 0.0);
     }
 
     /// Resets the statistics counters.
@@ -244,10 +249,16 @@ impl DcSolution {
 ///
 /// Construction is allocation-free: voltage-source branch rows are laid out
 /// sequentially after the free nodes, so only a count is needed.
+///
+/// Assembly runs in two passes over the elements: [`Self::residual`] at
+/// every point Newton evaluates, and [`Self::jacobian`] only at the points
+/// it factorizes, so a line-search trial that Newton rejects costs no
+/// Jacobian.
 pub(crate) struct System<'a> {
     netlist: &'a Netlist,
     pub(crate) num_free_nodes: usize,
     pub(crate) num_unknowns: usize,
+    num_mosfets: usize,
 }
 
 /// Backward-Euler companion data for transient steps.
@@ -261,15 +272,19 @@ pub(crate) struct Companion<'a> {
 impl<'a> System<'a> {
     pub(crate) fn new(netlist: &'a Netlist) -> Self {
         let num_free_nodes = netlist.num_nodes() - 1;
-        let num_vsources = netlist
-            .elements()
-            .iter()
-            .filter(|(_, e)| matches!(e, Element::Vsource { .. }))
-            .count();
+        let (mut num_vsources, mut num_mosfets) = (0, 0);
+        for (_, e) in netlist.elements() {
+            match e {
+                Element::Vsource { .. } => num_vsources += 1,
+                Element::Mosfet { .. } => num_mosfets += 1,
+                _ => {}
+            }
+        }
         Self {
             netlist,
             num_free_nodes,
             num_unknowns: num_free_nodes + num_vsources,
+            num_mosfets,
         }
     }
 
@@ -306,34 +321,36 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Assembles the residual `f(x)` and Jacobian `df/dx` at state `x`.
+    /// Assembles the residual `f(x)` at state `x`, keeping each MOSFET's
+    /// drain current in `ids` (netlist order) for a [`Self::jacobian`] pass
+    /// at the same `x`.
     ///
     /// `gmin` adds a conductance from every free node to ground.
     /// `vsource_scale` multiplies every voltage-source value (the
     /// source-stepping knob; 1.0 for a normal solve). When `companion` is
     /// provided, capacitors are stamped with their backward-Euler companion
     /// model; otherwise they are open circuits.
-    pub(crate) fn assemble(
+    pub(crate) fn residual(
         &self,
         x: &[f64],
         gmin: f64,
         vsource_scale: f64,
         companion: Option<&Companion<'_>>,
-        jac: &mut Matrix,
         res: &mut [f64],
+        ids: &mut [f64],
     ) {
         debug_assert_eq!(x.len(), self.num_unknowns);
-        jac.clear();
+        debug_assert_eq!(ids.len(), self.num_mosfets);
         res.fill(0.0);
         let temp = self.netlist.temperature();
 
         // Gmin to ground on every free node.
         for i in 0..self.num_free_nodes {
             res[i] += -gmin * x[i];
-            jac.add(i, i, -gmin);
         }
 
         let mut vsrc_idx = 0usize;
+        let mut mos_idx = 0usize;
         for (_, el) in self.netlist.elements() {
             match el {
                 Element::Resistor { a, b, ohms } => {
@@ -341,7 +358,6 @@ impl<'a> System<'a> {
                     let i_ab = (self.v(x, *a) - self.v(x, *b)) * g;
                     Self::kcl(res, *a, -i_ab);
                     Self::kcl(res, *b, i_ab);
-                    self.stamp_conductance(jac, *a, *b, g);
                 }
                 Element::Capacitor { a, b, farads } => {
                     if let Some(c) = companion {
@@ -352,7 +368,6 @@ impl<'a> System<'a> {
                         let i_ab = g * (vab - vab_prev);
                         Self::kcl(res, *a, -i_ab);
                         Self::kcl(res, *b, i_ab);
-                        self.stamp_conductance(jac, *a, *b, g);
                     }
                 }
                 Element::Vsource { pos, neg, volts } => {
@@ -364,16 +379,8 @@ impl<'a> System<'a> {
                     // The source delivers i_branch into `pos`.
                     Self::kcl(res, *pos, i_branch);
                     Self::kcl(res, *neg, -i_branch);
-                    Self::jac_add(jac, *pos, row, 1.0);
-                    Self::jac_add(jac, *neg, row, -1.0);
                     // Constraint: v(pos) - v(neg) - scale·V = 0.
                     res[row] = self.v(x, *pos) - self.v(x, *neg) - volts * vsource_scale;
-                    if !pos.is_ground() {
-                        jac.add(row, pos.index() - 1, 1.0);
-                    }
-                    if !neg.is_ground() {
-                        jac.add(row, neg.index() - 1, -1.0);
-                    }
                 }
                 Element::Isource { from, to, amps } => {
                     Self::kcl(res, *from, -amps);
@@ -382,11 +389,73 @@ impl<'a> System<'a> {
                 Element::Mosfet { d, g, s, b, device } => {
                     let bias =
                         Bias::new(self.v(x, *g), self.v(x, *d), self.v(x, *s), self.v(x, *b));
-                    let id = device.ids(bias, temp);
+                    let id = device.at(temp).ids(bias);
+                    ids[mos_idx] = id;
+                    mos_idx += 1;
                     // The channel draws `id` out of the drain node and
                     // returns it at the source node.
                     Self::kcl(res, *d, -id);
                     Self::kcl(res, *s, id);
+                }
+            }
+        }
+    }
+
+    /// Assembles the Jacobian `df/dx` at the state `x` of the last
+    /// [`Self::residual`] pass, whose drain currents `ids` anchor the
+    /// MOSFETs' forward differences. Companion capacitors need only `dt`.
+    ///
+    /// Entries accumulate in a fixed order, the Gmin diagonal first and
+    /// then the elements in netlist order, so every entry is the same sum
+    /// of the same terms at every call.
+    pub(crate) fn jacobian(
+        &self,
+        x: &[f64],
+        gmin: f64,
+        companion: Option<&Companion<'_>>,
+        ids: &[f64],
+        jac: &mut Matrix,
+    ) {
+        debug_assert_eq!(x.len(), self.num_unknowns);
+        debug_assert_eq!(ids.len(), self.num_mosfets);
+        jac.clear();
+        let temp = self.netlist.temperature();
+
+        for i in 0..self.num_free_nodes {
+            jac.add(i, i, -gmin);
+        }
+
+        let mut vsrc_idx = 0usize;
+        let mut mos_idx = 0usize;
+        for (_, el) in self.netlist.elements() {
+            match el {
+                Element::Resistor { a, b, ohms } => {
+                    self.stamp_conductance(jac, *a, *b, 1.0 / ohms);
+                }
+                Element::Capacitor { a, b, farads } => {
+                    if let Some(c) = companion {
+                        self.stamp_conductance(jac, *a, *b, farads / c.dt);
+                    }
+                }
+                Element::Vsource { pos, neg, .. } => {
+                    let row = self.num_free_nodes + vsrc_idx;
+                    vsrc_idx += 1;
+                    Self::jac_add(jac, *pos, row, 1.0);
+                    Self::jac_add(jac, *neg, row, -1.0);
+                    if !pos.is_ground() {
+                        jac.add(row, pos.index() - 1, 1.0);
+                    }
+                    if !neg.is_ground() {
+                        jac.add(row, neg.index() - 1, -1.0);
+                    }
+                }
+                Element::Isource { .. } => {}
+                Element::Mosfet { d, g, s, b, device } => {
+                    let at = device.at(temp);
+                    let bias =
+                        Bias::new(self.v(x, *g), self.v(x, *d), self.v(x, *s), self.v(x, *b));
+                    let id = ids[mos_idx];
+                    mos_idx += 1;
 
                     // Numeric partial derivatives wrt each terminal.
                     const DV: f64 = 1e-6;
@@ -402,7 +471,7 @@ impl<'a> System<'a> {
                             2 => pb.vs += DV,
                             _ => pb.vb += DV,
                         }
-                        let did = (device.ids(pb, temp) - id) / DV;
+                        let did = (at.ids(pb) - id) / DV;
                         let col = node.index() - 1;
                         Self::jac_add(jac, *d, col, -did);
                         Self::jac_add(jac, *s, col, did);
@@ -431,8 +500,10 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Infinity norm of the KCL rows of the residual (the convergence
-    /// metric; constraint rows are driven to machine precision anyway).
+    /// Infinity norm of the residual over all rows (the convergence
+    /// metric): the KCL rows \[A\] and the voltage-source constraint rows
+    /// \[V\] alike, both held to `current_tol`. The constraint rows are
+    /// linear, so every undamped Newton step satisfies them to rounding.
     pub(crate) fn kcl_norm(&self, res: &[f64]) -> f64 {
         res.iter().fold(0.0f64, |m, r| m.max(r.abs()))
     }
@@ -451,16 +522,17 @@ impl<'a> System<'a> {
         ws: &mut DcWorkspace,
     ) -> Result<f64, CircuitError> {
         let n = self.num_unknowns;
-        ws.ensure(n);
+        ws.ensure(n, self.num_mosfets);
         let DcWorkspace {
             jac,
             res,
             rhs,
             x_old,
+            ids,
             stats,
         } = ws;
 
-        self.assemble(x, gmin, vsource_scale, companion, jac, res);
+        self.residual(x, gmin, vsource_scale, companion, res, ids);
         let mut norm = self.kcl_norm(res);
         debug_assert!(
             norm.is_finite(),
@@ -473,7 +545,8 @@ impl<'a> System<'a> {
             }
             stats.newton_iterations += 1;
             stats.lu_factorizations += 1;
-            // Solve J Δx = -f.
+            // Solve J Δx = -f, with J taken where `res` was: at `x`.
+            self.jacobian(x, gmin, companion, ids, jac);
             for i in 0..n {
                 rhs[i] = -res[i];
             }
@@ -506,7 +579,7 @@ impl<'a> System<'a> {
                 for xi in x.iter_mut().take(self.num_free_nodes) {
                     *xi = xi.clamp(-10.0, 10.0);
                 }
-                self.assemble(x, gmin, vsource_scale, companion, jac, res);
+                self.residual(x, gmin, vsource_scale, companion, res, ids);
                 let new_norm = self.kcl_norm(res);
                 if new_norm < norm || new_norm < opts.current_tol {
                     norm = new_norm;
@@ -782,6 +855,10 @@ fn source_ramp(
 }
 
 #[cfg(test)]
+#[path = "tests/kernel_oracle.rs"]
+mod kernel_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pvtm_device::{Mosfet, Technology};
@@ -912,9 +989,9 @@ mod tests {
         let opts = DcOptions::default();
         let sol = solve(&ckt, &opts).unwrap();
         let sys = System::new(&ckt);
-        let mut jac = Matrix::zeros(sys.num_unknowns);
         let mut res = vec![0.0; sys.num_unknowns];
-        sys.assemble(sol.state(), opts.gmin_final, 1.0, None, &mut jac, &mut res);
+        let mut ids = vec![0.0; sys.num_mosfets];
+        sys.residual(sol.state(), opts.gmin_final, 1.0, None, &mut res, &mut ids);
         assert!(sys.kcl_norm(&res) < 1e-9);
     }
 
@@ -1017,8 +1094,10 @@ mod tests {
         let n = sys.num_unknowns;
         let (mut ja, mut jb) = (Matrix::zeros(n), Matrix::zeros(n));
         let (mut ra, mut rb) = (vec![0.0; n], vec![0.0; n]);
-        sys.assemble(&x, 1e-12, 0.25, None, &mut ja, &mut ra);
-        sys_scaled.assemble(&x, 1e-12, 1.0, None, &mut jb, &mut rb);
+        sys.residual(&x, 1e-12, 0.25, None, &mut ra, &mut []);
+        sys_scaled.residual(&x, 1e-12, 1.0, None, &mut rb, &mut []);
+        sys.jacobian(&x, 1e-12, None, &[], &mut ja);
+        sys_scaled.jacobian(&x, 1e-12, None, &[], &mut jb);
         assert_eq!(ra, rb);
         assert_eq!(ja, jb);
     }

@@ -51,6 +51,14 @@ impl Matrix {
     /// Solves `A x = b` in place via LU with partial pivoting; `b` becomes
     /// the solution. The matrix is destroyed.
     ///
+    /// Elimination skips the exact zeros of each pivot row: MNA matrices
+    /// are mostly zeros, and subtracting `factor · 0` leaves an entry as it
+    /// was (for a finite factor and any entry but −0.0, which assembly
+    /// never produces). Every other operation runs in the same order as a
+    /// dense elimination, so the result is the dense result bit for bit.
+    /// Back substitution skips nothing: `sum − 0·x` turns a −0.0 sum into
+    /// +0.0 when `x < 0`, and the right-hand side can hold −0.0.
+    ///
     /// # Errors
     ///
     /// Returns [`SingularMatrix`] when a pivot collapses below 1e-300
@@ -59,7 +67,6 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `b.len() != n`.
-    #[allow(clippy::needless_range_loop)] // index loops mirror the LU algebra
     pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), SingularMatrix> {
         let n = self.n;
         assert_eq!(b.len(), n, "rhs length mismatch");
@@ -82,37 +89,39 @@ impl Matrix {
                 max.is_finite(),
                 "non-finite pivot {max} in column {k}: the stamped matrix is corrupt"
             );
+            let (above, below) = self.data.split_at_mut((k + 1) * n);
+            let pivot_row = &mut above[k * n..];
             if p != k {
-                for j in 0..n {
-                    let a = self.get(k, j);
-                    let c = self.get(p, j);
-                    self.set(k, j, c);
-                    self.set(p, j, a);
-                }
+                let q = (p - k - 1) * n;
+                pivot_row.swap_with_slice(&mut below[q..q + n]);
                 b.swap(k, p);
             }
-            let pivot = self.get(k, k);
-            for i in (k + 1)..n {
-                let factor = self.get(i, k) / pivot;
+            let pivot = pivot_row[k];
+            let pivot_tail = &pivot_row[k + 1..];
+            for (i, row) in ((k + 1)..n).zip(below.chunks_exact_mut(n)) {
+                let factor = row[k] / pivot;
                 // pvtm-lint: allow(no-float-eq) exact structural zero skips a no-op elimination row; rounding residue must still be eliminated
                 if factor == 0.0 {
                     continue;
                 }
-                self.set(i, k, 0.0);
-                for j in (k + 1)..n {
-                    let v = self.get(i, j) - factor * self.get(k, j);
-                    self.set(i, j, v);
+                row[k] = 0.0;
+                for (a, &u) in row[k + 1..].iter_mut().zip(pivot_tail) {
+                    // pvtm-lint: allow(no-float-eq) an exact zero in the pivot row leaves the entry unchanged; any other value is eliminated
+                    if u != 0.0 {
+                        *a -= factor * u;
+                    }
                 }
                 b[i] -= factor * b[k];
             }
         }
         // Back substitution.
         for i in (0..n).rev() {
+            let row = &self.data[i * n..(i + 1) * n];
             let mut sum = b[i];
-            for j in (i + 1)..n {
-                sum -= self.get(i, j) * b[j];
+            for (&u, &x) in row[i + 1..].iter().zip(&b[i + 1..]) {
+                sum -= u * x;
             }
-            b[i] = sum / self.get(i, i);
+            b[i] = sum / row[i];
             debug_assert!(
                 b[i].is_finite(),
                 "non-finite solution component {} at row {i}: NaN/Inf leaked through the \

@@ -35,7 +35,7 @@ pub mod tech;
 pub mod variation;
 
 pub use leakage::LeakageComponents;
-pub use mosfet::{Bias, Mosfet};
+pub use mosfet::{Bias, Mosfet, MosfetAt};
 pub use params::{Polarity, TransistorParams};
 pub use tech::Technology;
 pub use variation::VariationModel;

@@ -162,31 +162,37 @@ impl Mosfet {
         self.params.avt / (self.w * self.l).sqrt()
     }
 
-    /// Effective threshold voltage (own-polarity magnitude convention) for
-    /// an NMOS-space bias with `vd >= vs`.
-    fn vt_eff(&self, vd: f64, vs: f64, vb: f64, temp_k: f64) -> f64 {
+    /// The model constants of this device at `temp_k`, for evaluating it
+    /// at many bias points: the DC assembler evaluates each MOSFET five
+    /// times per Newton iteration at one temperature.
+    ///
+    /// `self.at(t).ids(b)` is bitwise equal to `self.ids(b, t)`; both run
+    /// the same expressions in the same order.
+    #[inline]
+    pub fn at(&self, temp_k: f64) -> MosfetAt {
         let p = &self.params;
-        // Body effect: reverse body bias (vs > vb) raises Vt.
-        let arg = (p.phi_s + (vs - vb)).max(0.01);
-        let body = p.gamma * (arg.sqrt() - p.phi_s.sqrt());
-        let dibl = p.dibl * (vd - vs);
-        let tshift = p.vt_tc * (temp_k - 300.0);
-        p.vt0 + self.delta_vt + body - dibl - tshift
+        let vt_therm = thermal_voltage(temp_k);
+        let n = p.n_sub;
+        let mu_cox = p.mu_cox * (temp_k / 300.0).powf(-p.mu_exp);
+        MosfetAt {
+            polarity: self.polarity,
+            vt_base: p.vt0 + self.delta_vt,
+            phi_s: p.phi_s,
+            sqrt_phi_s: p.phi_s.sqrt(),
+            gamma: p.gamma,
+            dibl: p.dibl,
+            tshift: p.vt_tc * (temp_k - 300.0),
+            n,
+            two_n_vt: 2.0 * n * vt_therm,
+            ispec: 2.0 * n * mu_cox * vt_therm * vt_therm * (self.w / self.l),
+            lambda: p.lambda,
+        }
     }
 
     /// Threshold voltage at a bias point (own-polarity magnitude),
     /// exposing the body-bias dependence used by the self-repair analyses.
     pub fn vt(&self, bias: Bias, temp_k: f64) -> f64 {
-        let b = match self.polarity {
-            Polarity::Nmos => bias,
-            Polarity::Pmos => bias.reflected(),
-        };
-        let (vd, vs) = if b.vd >= b.vs {
-            (b.vd, b.vs)
-        } else {
-            (b.vs, b.vd)
-        };
-        self.vt_eff(vd, vs, b.vb, temp_k)
+        self.at(temp_k).vt(bias)
     }
 
     /// Drain current \[A\], positive *into* the drain terminal.
@@ -205,38 +211,7 @@ impl Mosfet {
     /// assert!(fwd > 0.0 && rev < 0.0);
     /// ```
     pub fn ids(&self, bias: Bias, temp_k: f64) -> f64 {
-        match self.polarity {
-            Polarity::Nmos => self.ids_nspace(bias, temp_k),
-            Polarity::Pmos => -self.ids_nspace(bias.reflected(), temp_k),
-        }
-    }
-
-    /// NMOS-space current with automatic drain/source ordering.
-    fn ids_nspace(&self, b: Bias, temp_k: f64) -> f64 {
-        if b.vd >= b.vs {
-            self.ids_ordered(b.vg, b.vd, b.vs, b.vb, temp_k)
-        } else {
-            -self.ids_ordered(b.vg, b.vs, b.vd, b.vb, temp_k)
-        }
-    }
-
-    /// Core EKV evaluation with `vd >= vs` guaranteed (source-referenced
-    /// interpolation between weak and strong inversion).
-    fn ids_ordered(&self, vg: f64, vd: f64, vs: f64, vb: f64, temp_k: f64) -> f64 {
-        let p = &self.params;
-        let vt_therm = thermal_voltage(temp_k);
-        let vt = self.vt_eff(vd, vs, vb, temp_k);
-        let n = p.n_sub;
-        let vgs = vg - vs;
-        let vds = vd - vs;
-        let mu_cox = p.mu_cox * (temp_k / 300.0).powf(-p.mu_exp);
-        let ispec = 2.0 * n * mu_cox * vt_therm * vt_therm * (self.w / self.l);
-        // Forward/reverse inversion charges: weak inversion asymptotes to
-        // exp((vgs - vt)/(n·vT))·(1 - exp(-vds/vT)), strong inversion to the
-        // square law with slope factor n.
-        let i_f = softplus((vgs - vt) / (2.0 * n * vt_therm)).powi(2);
-        let i_r = softplus((vgs - vt - n * vds) / (2.0 * n * vt_therm)).powi(2);
-        ispec * (i_f - i_r) * (1.0 + p.lambda * vds)
+        self.at(temp_k).ids(bias)
     }
 
     /// Subthreshold (off-state channel) leakage for the device biased off
@@ -254,9 +229,94 @@ impl Mosfet {
     }
 }
 
+/// A [`Mosfet`]'s model constants at one temperature ([`Mosfet::at`]):
+/// the mobility power law, `√φs`, `kT/q`, the specific current and the
+/// threshold's temperature shift, evaluated once for many bias points.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosfetAt {
+    polarity: Polarity,
+    /// `vt0 + ΔVt` \[V\].
+    vt_base: f64,
+    phi_s: f64,
+    sqrt_phi_s: f64,
+    gamma: f64,
+    dibl: f64,
+    /// `vt_tc · (T − 300 K)` \[V\].
+    tshift: f64,
+    n: f64,
+    /// `2·n·kT/q` \[V\].
+    two_n_vt: f64,
+    /// `2·n·µCox(T)·(kT/q)²·W/L` \[A\].
+    ispec: f64,
+    lambda: f64,
+}
+
+impl MosfetAt {
+    /// Effective threshold voltage (own-polarity magnitude convention) for
+    /// an NMOS-space bias with `vd >= vs`.
+    #[inline]
+    fn vt_eff(&self, vd: f64, vs: f64, vb: f64) -> f64 {
+        // Body effect: reverse body bias (vs > vb) raises Vt.
+        let arg = (self.phi_s + (vs - vb)).max(0.01);
+        let body = self.gamma * (arg.sqrt() - self.sqrt_phi_s);
+        let dibl = self.dibl * (vd - vs);
+        self.vt_base + body - dibl - self.tshift
+    }
+
+    /// [`Mosfet::vt`] at this temperature.
+    pub fn vt(&self, bias: Bias) -> f64 {
+        let b = match self.polarity {
+            Polarity::Nmos => bias,
+            Polarity::Pmos => bias.reflected(),
+        };
+        let (vd, vs) = if b.vd >= b.vs {
+            (b.vd, b.vs)
+        } else {
+            (b.vs, b.vd)
+        };
+        self.vt_eff(vd, vs, b.vb)
+    }
+
+    /// [`Mosfet::ids`] at this temperature.
+    #[inline]
+    pub fn ids(&self, bias: Bias) -> f64 {
+        match self.polarity {
+            Polarity::Nmos => self.ids_nspace(bias),
+            Polarity::Pmos => -self.ids_nspace(bias.reflected()),
+        }
+    }
+
+    /// NMOS-space current with automatic drain/source ordering.
+    #[inline]
+    fn ids_nspace(&self, b: Bias) -> f64 {
+        if b.vd >= b.vs {
+            self.ids_ordered(b.vg, b.vd, b.vs, b.vb)
+        } else {
+            -self.ids_ordered(b.vg, b.vs, b.vd, b.vb)
+        }
+    }
+
+    /// Core EKV evaluation with `vd >= vs` guaranteed (source-referenced
+    /// interpolation between weak and strong inversion).
+    #[inline]
+    fn ids_ordered(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> f64 {
+        let vt = self.vt_eff(vd, vs, vb);
+        let n = self.n;
+        let vgs = vg - vs;
+        let vds = vd - vs;
+        // Forward/reverse inversion charges: weak inversion asymptotes to
+        // exp((vgs - vt)/(n·vT))·(1 - exp(-vds/vT)), strong inversion to the
+        // square law with slope factor n.
+        let i_f = softplus((vgs - vt) / self.two_n_vt).powi(2);
+        let i_r = softplus((vgs - vt - n * vds) / self.two_n_vt).powi(2);
+        self.ispec * (i_f - i_r) * (1.0 + self.lambda * vds)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tech() -> Technology {
         Technology::predictive_70nm()
@@ -417,5 +477,97 @@ mod tests {
         assert_eq!(softplus(100.0), 100.0);
         assert!(softplus(-100.0) < 1e-40);
         assert!((softplus(0.0) - std::f64::consts::LN_2).abs() < 1e-12);
+    }
+
+    /// The per-call EKV formula as it stood before [`Mosfet::at`], kept
+    /// verbatim as the oracle for [`MosfetAt`].
+    mod reference {
+        use super::super::*;
+
+        fn vt_eff(m: &Mosfet, vd: f64, vs: f64, vb: f64, temp_k: f64) -> f64 {
+            let p = &m.params;
+            // Body effect: reverse body bias (vs > vb) raises Vt.
+            let arg = (p.phi_s + (vs - vb)).max(0.01);
+            let body = p.gamma * (arg.sqrt() - p.phi_s.sqrt());
+            let dibl = p.dibl * (vd - vs);
+            let tshift = p.vt_tc * (temp_k - 300.0);
+            p.vt0 + m.delta_vt + body - dibl - tshift
+        }
+
+        pub fn vt(m: &Mosfet, bias: Bias, temp_k: f64) -> f64 {
+            let b = match m.polarity {
+                Polarity::Nmos => bias,
+                Polarity::Pmos => bias.reflected(),
+            };
+            let (vd, vs) = if b.vd >= b.vs {
+                (b.vd, b.vs)
+            } else {
+                (b.vs, b.vd)
+            };
+            vt_eff(m, vd, vs, b.vb, temp_k)
+        }
+
+        pub fn ids(m: &Mosfet, bias: Bias, temp_k: f64) -> f64 {
+            match m.polarity {
+                Polarity::Nmos => ids_nspace(m, bias, temp_k),
+                Polarity::Pmos => -ids_nspace(m, bias.reflected(), temp_k),
+            }
+        }
+
+        fn ids_nspace(m: &Mosfet, b: Bias, temp_k: f64) -> f64 {
+            if b.vd >= b.vs {
+                ids_ordered(m, b.vg, b.vd, b.vs, b.vb, temp_k)
+            } else {
+                -ids_ordered(m, b.vg, b.vs, b.vd, b.vb, temp_k)
+            }
+        }
+
+        fn ids_ordered(m: &Mosfet, vg: f64, vd: f64, vs: f64, vb: f64, temp_k: f64) -> f64 {
+            let p = &m.params;
+            let vt_therm = thermal_voltage(temp_k);
+            let vt = vt_eff(m, vd, vs, vb, temp_k);
+            let n = p.n_sub;
+            let vgs = vg - vs;
+            let vds = vd - vs;
+            let mu_cox = p.mu_cox * (temp_k / 300.0).powf(-p.mu_exp);
+            let ispec = 2.0 * n * mu_cox * vt_therm * vt_therm * (m.w / m.l);
+            let i_f = softplus((vgs - vt) / (2.0 * n * vt_therm)).powi(2);
+            let i_r = softplus((vgs - vt - n * vds) / (2.0 * n * vt_therm)).powi(2);
+            ispec * (i_f - i_r) * (1.0 + p.lambda * vds)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn at_matches_the_per_call_formula_bitwise(
+            pmos in any::<bool>(),
+            w_nm in 70.0f64..400.0,
+            dvt in -0.2f64..0.2,
+            vg in -1.5f64..1.5,
+            vd in -1.5f64..1.5,
+            vs in -1.5f64..1.5,
+            vb in -1.5f64..1.5,
+            temp in 250.0f64..=400.0,
+        ) {
+            let t = tech();
+            let dev = if pmos {
+                Mosfet::pmos(&t, w_nm * 1e-9, t.lmin())
+            } else {
+                Mosfet::nmos(&t, w_nm * 1e-9, t.lmin())
+            }
+            .with_delta_vt(dvt);
+            let at = dev.at(temp);
+            // Both terminal orders, so `vd < vs` is covered for every draw.
+            for b in [Bias::new(vg, vd, vs, vb), Bias::new(vg, vs, vd, vb)] {
+                let want = reference::ids(&dev, b, temp).to_bits();
+                prop_assert_eq!(at.ids(b).to_bits(), want);
+                prop_assert_eq!(dev.ids(b, temp).to_bits(), want);
+                let want_vt = reference::vt(&dev, b, temp).to_bits();
+                prop_assert_eq!(at.vt(b).to_bits(), want_vt);
+                prop_assert_eq!(dev.vt(b, temp).to_bits(), want_vt);
+            }
+        }
     }
 }

@@ -351,9 +351,10 @@ impl Collector {
 
 impl Drop for Collector {
     fn drop(&mut self) {
-        // Worker threads flush here as they exit (the rayon shim joins its
-        // scoped workers before a parallel call returns, so totals are
-        // complete by the time the caller can snapshot).
+        // Worker threads flush here as they exit (the rayon shim joins each
+        // worker thread, which waits for its thread-local destructors,
+        // before a parallel call returns, so totals are complete by the
+        // time the caller can snapshot).
         self.merge_into(&mut global());
     }
 }

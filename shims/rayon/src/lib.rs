@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
 
 /// Number of worker threads used for parallel maps.
 pub fn current_num_threads() -> usize {
@@ -19,41 +20,29 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Joins every worker of a scope before it closes, then re-raises the
+/// first worker panic with its original payload.
+///
+/// The implicit join of `std::thread::scope` returns once each worker's
+/// closure has finished, which can be before the worker's thread-local
+/// destructors have run; `join` waits for the thread to exit. Telemetry
+/// merges each worker's thread-local counters in such a destructor, so a
+/// caller that reads totals right after a parallel call needs this wait.
+fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
+    let mut panic = None;
+    for h in handles {
+        if let Err(payload) = h.join() {
+            panic.get_or_insert(payload);
+        }
+    }
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+}
+
 /// Order-preserving parallel map with dynamic load balancing.
 fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let threads = current_num_threads().min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let x = slots[i]
-                    .lock()
-                    .expect("input slot poisoned")
-                    .take()
-                    .expect("slot taken twice");
-                let r = f(x);
-                *results[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker skipped a slot")
-        })
-        .collect()
+    par_map_vec_init(items, || (), |_, x| f(x))
 }
 
 /// Order-preserving parallel map with per-worker state: `init` runs once
@@ -74,24 +63,27 @@ fn par_map_vec_init<T: Send, S, R: Send>(
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let workers = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let x = slots[i]
+                            .lock()
+                            .expect("input slot poisoned")
+                            .take()
+                            .expect("slot taken twice");
+                        let r = f(&mut state, x);
+                        *results[i].lock().expect("result slot poisoned") = Some(r);
                     }
-                    let x = slots[i]
-                        .lock()
-                        .expect("input slot poisoned")
-                        .take()
-                        .expect("slot taken twice");
-                    let r = f(&mut state, x);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        join_all(workers);
     });
     results
         .into_iter()
@@ -290,6 +282,66 @@ mod tests {
         }
         // One init per worker, not per element.
         assert!(inits.load(Ordering::Relaxed) <= super::current_num_threads());
+    }
+
+    #[test]
+    fn workers_run_thread_local_destructors_before_the_call_returns() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static FLUSHED: AtomicUsize = AtomicUsize::new(0);
+        struct Flush;
+        impl Drop for Flush {
+            fn drop(&mut self) {
+                // Widens the window in which a call that did not wait for
+                // its workers to exit would return with a short count.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                FLUSHED.fetch_add(1, SeqCst);
+            }
+        }
+        thread_local! {
+            static FLUSH: Flush = {
+                STARTED.fetch_add(1, SeqCst);
+                Flush
+            };
+        }
+        // Only workers register: with one CPU a call runs inline on the
+        // test thread, whose destructors run when the test ends.
+        let caller = std::thread::current().id();
+        let register = |x: u64| {
+            if std::thread::current().id() != caller {
+                FLUSH.with(|_| {});
+            }
+            x
+        };
+        for round in 0..3 {
+            let _: Vec<u64> = (0u64..64).into_par_iter().map(register).collect();
+            assert_eq!(
+                FLUSHED.load(SeqCst),
+                STARTED.load(SeqCst),
+                "map, round {round}"
+            );
+            let _: Vec<u64> = (0u64..64)
+                .into_par_iter()
+                .map_init(|| (), |_, x| register(x))
+                .collect();
+            assert_eq!(
+                FLUSHED.load(SeqCst),
+                STARTED.load(SeqCst),
+                "map_init, round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            let _: Vec<u32> = (0u32..64)
+                .into_par_iter()
+                .map(|x| if x == 37 { panic!("item 37") } else { x })
+                .collect();
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 37"));
     }
 
     #[test]
