@@ -16,6 +16,14 @@
 //! every faulty cell. Those are the only two places where the flags'
 //! inputs change. Reads and writes of clean and retention-only cells (every
 //! cell of an ASB die) therefore never touch a map.
+//!
+//! A *clean* byte, one with no flag set, is a plain bit: its reads return
+//! the stored bit, its writes store the written bit, and neither changes
+//! any other cell. [`MarchTest::run`](crate::march::MarchTest::run) relies
+//! on this to move runs of clean cells in bulk instead of one access at a
+//! time. A new fault kind must therefore set a flag on every cell whose
+//! accesses it changes, whether that cell reads, writes or decays
+//! differently or changes another cell when accessed.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -28,6 +36,78 @@ const FAULTY: u8 = 1 << 1;
 const AGGRESSOR: u8 = 1 << 2;
 /// A retention fault of the cell is active at the current source bias.
 const EXPOSED: u8 = 1 << 3;
+/// Every flag: a byte with none of them set is a clean cell.
+const FLAGS: u8 = FAULTY | AGGRESSOR | EXPOSED;
+/// One in every byte of a word: spreads a byte pattern over eight cells.
+const BYTES: u64 = u64::from_ne_bytes([1; 8]);
+
+/// What one March element does to the clean cells that pass it: the
+/// cells [`MemoryModel::move_clean_up`] and
+/// [`MemoryModel::move_clean_down`] move without a fault lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CleanMove {
+    /// A cell moves when `state & mask == want`: it is clean and holds a
+    /// bit that passes every read of the element.
+    mask: u8,
+    want: u8,
+    /// State byte of a moved cell afterwards: clean, holding the bit the
+    /// element leaves.
+    end: u8,
+    /// Reads and writes the element applies to each cell.
+    reads: u64,
+    writes: u64,
+}
+
+impl CleanMove {
+    /// The move of a clean cell that holds `passes` (either bit when
+    /// `None`) and ends holding `end` after `reads` reads and `writes`
+    /// writes, none of which fails for such a cell.
+    pub(crate) fn new(passes: Option<bool>, end: bool, reads: u64, writes: u64) -> Self {
+        let (mask, want) = match passes {
+            None => (FLAGS, 0),
+            Some(bit) => (FLAGS | VALUE, u8::from(bit)),
+        };
+        Self {
+            mask,
+            want,
+            end: u8::from(end),
+            reads,
+            writes,
+        }
+    }
+
+    fn moves(&self, state: u8) -> bool {
+        state & self.mask == self.want
+    }
+
+    fn moves_word(&self, word: &[u8; 8]) -> bool {
+        u64::from_ne_bytes(*word) & (u64::from(self.mask) * BYTES) == u64::from(self.want) * BYTES
+    }
+
+    /// Length of the run of moving cells at the front of `cells`.
+    fn run_up(&self, cells: &[u8]) -> usize {
+        let (words, tail) = cells.as_chunks::<8>();
+        let whole = words.iter().take_while(|w| self.moves_word(w)).count();
+        let rest = words.get(whole).map_or(tail, <[u8; 8]>::as_slice);
+        8 * whole + rest.iter().take_while(|&&s| self.moves(s)).count()
+    }
+
+    /// Length of the run of moving cells at the back of `cells`.
+    fn run_down(&self, cells: &[u8]) -> usize {
+        let (head, words) = cells.as_rchunks::<8>();
+        let whole = words
+            .iter()
+            .rev()
+            .take_while(|w| self.moves_word(w))
+            .count();
+        let rest = words
+            .iter()
+            .rev()
+            .nth(whole)
+            .map_or(head, <[u8; 8]>::as_slice);
+        8 * whole + rest.iter().rev().take_while(|&&s| self.moves(s)).count()
+    }
+}
 
 /// A functional fault attached to one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -297,6 +377,33 @@ impl MemoryModel {
                 FaultKind::StuckAt(s) => s,
                 _ => v,
             })
+    }
+
+    /// Moves the cells of an ascending March element from flat index
+    /// `from` up to the first cell that `clean` does not move, and returns
+    /// that cell's index (`cells()` when every cell moved). Each moved cell
+    /// is clean and holds a bit that passes the element, so it takes its
+    /// final bit at once; no other cell depends on it.
+    pub(crate) fn move_clean_up(&mut self, from: usize, clean: &CleanMove) -> usize {
+        let n = clean.run_up(&self.cells[from..]);
+        self.move_clean(from..from + n, clean);
+        from + n
+    }
+
+    /// Moves the cells of a descending March element from flat index
+    /// `to - 1` down to the first cell that `clean` does not move, and
+    /// returns one past that cell's index (0 when every cell moved).
+    pub(crate) fn move_clean_down(&mut self, to: usize, clean: &CleanMove) -> usize {
+        let n = clean.run_down(&self.cells[..to]);
+        self.move_clean(to - n..to, clean);
+        to - n
+    }
+
+    fn move_clean(&mut self, cells: std::ops::Range<usize>, clean: &CleanMove) {
+        let n = cells.len() as u64;
+        self.cells[cells].fill(clean.end);
+        self.reads += n * clean.reads;
+        self.writes += n * clean.writes;
     }
 
     fn fire_coupling(&mut self, row: usize, col: usize) {

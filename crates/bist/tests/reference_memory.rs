@@ -3,15 +3,19 @@
 //! `ReferenceMemory` below is the memory model as it was before cells
 //! carried flags: a `Vec<bool>` of data and every access resolved through
 //! the fault maps. `reference_march` is the March runner of that time,
-//! addressing through `addr / cols, addr % cols`. Both are kept unchanged
-//! as the specification; the property test requires the library model and
-//! `MarchTest::run` to agree with them exactly.
+//! addressing through `addr / cols, addr % cols`, one access at a time.
+//! Both are kept unchanged as the specification; the property test
+//! requires the library model and `MarchTest::run`, which moves runs of
+//! clean cells in bulk, to agree with them exactly, on the library's
+//! marches and on random ones, and so does a full-size calibration sweep
+//! of an ASB die.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use pvtm_bist::march::{MarchFailure, MarchResult, MarchTest, Op, Order};
+use pvtm_bist::march::{MarchElement, MarchFailure, MarchResult, MarchTest, Op, Order};
 use pvtm_bist::memory::{Fault, FaultKind, MemoryModel};
+use pvtm_bist::Dac;
 
 /// The map-only memory model.
 #[derive(Debug, Clone)]
@@ -307,7 +311,7 @@ enum Step {
     SetVsb(f64),
     Read(usize, usize),
     Write(usize, usize, bool),
-    /// Index into [`marches`].
+    /// Index into [`Case::tests`].
     March(usize),
 }
 
@@ -315,11 +319,14 @@ enum Step {
 struct Case {
     rows: usize,
     cols: usize,
+    /// The four of [`marches`], then one to three random ones.
+    tests: Vec<MarchTest>,
     steps: Vec<Step>,
 }
 
-/// Random shapes up to 16 × 16 with a soup of every fault kind, mixed
-/// with bias moves, raw accesses and March tests.
+/// Random shapes up to 40 × 40, so flat lengths span many 8-cell words
+/// and end in ragged tails, with a soup of every fault kind, mixed with
+/// bias moves, raw accesses and March tests.
 struct Cases;
 
 /// Draws for one case. Three quarters of all fault sites, aggressors,
@@ -381,7 +388,22 @@ impl Draw<'_> {
         Some(Fault { row, col, kind })
     }
 
-    fn step(&mut self) -> Option<Step> {
+    /// A random March test: 1–6 elements in any order, each of 1–5
+    /// operations, so read-first, read-only and self-contradicting
+    /// elements all occur.
+    fn march(&mut self) -> MarchTest {
+        let mut elements = Vec::new();
+        for _ in 0..1 + self.below(6) {
+            let order = [Order::Up, Order::Down, Order::Either][self.below(3)];
+            let ops = (0..1 + self.below(5))
+                .map(|_| [Op::R0, Op::R1, Op::W0, Op::W1][self.below(4)])
+                .collect();
+            elements.push(MarchElement::new(order, ops));
+        }
+        MarchTest::new("random", elements)
+    }
+
+    fn step(&mut self, tests: usize) -> Option<Step> {
         Some(match self.below(16) {
             0..=1 => Step::Inject(self.fault()?),
             2..=4 => Step::SetVsb(self.vsb()),
@@ -393,7 +415,7 @@ impl Draw<'_> {
                 let (row, col) = self.site();
                 Step::Write(row, col, self.below(2) == 1)
             }
-            _ => Step::March(self.below(4)),
+            _ => Step::March(self.below(tests)),
         })
     }
 }
@@ -402,8 +424,8 @@ impl Strategy for Cases {
     type Value = Case;
 
     fn generate(&self, rng: &mut TestRng) -> Case {
-        let rows = 1 + (rng.next_u64() % 16) as usize;
-        let cols = 1 + (rng.next_u64() % 16) as usize;
+        let rows = 1 + (rng.next_u64() % 40) as usize;
+        let cols = 1 + (rng.next_u64() % 40) as usize;
         let mut draw = Draw {
             rng,
             rows,
@@ -411,13 +433,22 @@ impl Strategy for Cases {
             hot: Vec::new(),
         };
         draw.hot = (0..1 + draw.below(4)).map(|_| draw.any_cell()).collect();
+        let mut tests = marches().to_vec();
+        for _ in 0..1 + draw.below(3) {
+            tests.push(draw.march());
+        }
         let faults = draw.below(13);
         let mut steps: Vec<Step> = (0..faults)
             .filter_map(|_| draw.fault().map(Step::Inject))
             .collect();
         let script = draw.below(48);
-        steps.extend((0..script).filter_map(|_| draw.step()));
-        Case { rows, cols, steps }
+        steps.extend((0..script).filter_map(|_| draw.step(tests.len())));
+        Case {
+            rows,
+            cols,
+            tests,
+            steps,
+        }
     }
 }
 
@@ -428,7 +459,7 @@ proptest! {
 
     #[test]
     fn byte_state_model_matches_the_reference(case in Cases) {
-        let tests = marches();
+        let tests = &case.tests;
         let mut pair = Pair::new(case.rows, case.cols);
         for step in &case.steps {
             match *step {
@@ -444,7 +475,7 @@ proptest! {
             }
             pair.counters()?;
         }
-        for test in &tests {
+        for test in tests {
             pair.march(test)?;
         }
         for row in 0..case.rows {
@@ -482,6 +513,63 @@ fn swallowed_write_to_an_exposed_aggressor_still_flips_its_victims() {
     pair.write(0, 0, true);
     assert!(!pair.read(1, 1).unwrap());
     pair.counters().unwrap();
+}
+
+/// Whether a plain bit holding `bit` fails a read of `element`, asked of
+/// a one-cell reference memory.
+fn plain_bit_fails(element: &MarchElement, bit: bool) -> bool {
+    let mut cell = ReferenceMemory::new(1, 1);
+    cell.write(0, 0, bit);
+    !reference_march(
+        &MarchTest::new("one element", vec![element.clone()]),
+        &mut cell,
+    )
+    .passed()
+}
+
+/// Whether the byte model leaves a cell of `memory` clean: no stuck-at,
+/// transition or alias fault, no aggressor, and no retention fault
+/// exposed at the current bias. A coupling victim stays clean.
+fn is_clean(memory: &ReferenceMemory, row: usize, col: usize) -> bool {
+    let exposed_or_faulty = memory.faults.get(&(row, col)).is_some_and(|kinds| {
+        kinds.iter().any(|k| match *k {
+            FaultKind::Retention { min_vsb } => memory.vsb >= min_vsb,
+            FaultKind::CouplingInv { .. } => false,
+            _ => true,
+        })
+    });
+    !exposed_or_faulty && !memory.coupling.contains_key(&(row, col))
+}
+
+/// Whether some March run of the case reaches a clean cell that holds the
+/// bit a read flags, in an element that the other bit passes: a cell the
+/// bulk walk must hand to the full access path.
+fn a_clean_cell_is_flagged(case: &Case) -> bool {
+    let mut memory = ReferenceMemory::new(case.rows, case.cols);
+    let mut flagged = false;
+    let mut march = |memory: &mut ReferenceMemory, test: &MarchTest| {
+        let failures = reference_march(test, memory).failures;
+        flagged |= failures.iter().any(|f| {
+            let element = &test.elements()[f.element];
+            is_clean(memory, f.row, f.col)
+                && !(plain_bit_fails(element, false) && plain_bit_fails(element, true))
+        });
+    };
+    for step in &case.steps {
+        match *step {
+            Step::Inject(fault) => memory.inject(fault),
+            Step::SetVsb(vsb) => memory.set_vsb(vsb),
+            Step::Read(row, col) => {
+                memory.read(row, col);
+            }
+            Step::Write(row, col, value) => memory.write(row, col, value),
+            Step::March(t) => march(&mut memory, &case.tests[t]),
+        }
+    }
+    for test in &case.tests {
+        march(&mut memory, test);
+    }
+    flagged
 }
 
 /// The proptest's own cases (same name-derived seed) contain every soup
@@ -533,6 +621,16 @@ fn the_proptest_cases_cover_the_named_fault_soups() {
                 _ => {}
             }
         }
+        let elements = || case.tests.iter().flat_map(MarchTest::elements);
+        if elements().any(|e| plain_bit_fails(e, false) && plain_bit_fails(e, true)) {
+            flags.push("an element that no clean value passes");
+        }
+        if case.rows * case.cols >= 64 {
+            flags.push("an array of at least 64 cells");
+        }
+        if a_clean_cell_is_flagged(&case) {
+            flags.push("a March run reaching a clean cell that holds a flagged bit");
+        }
         flags.sort_unstable();
         flags.dedup();
         for flag in flags {
@@ -545,6 +643,9 @@ fn the_proptest_cases_cover_the_named_fault_soups() {
         "several faults on one cell",
         "a victim that is also an aggressor",
         "an alias whose target is faulty",
+        "an element that no clean value passes",
+        "an array of at least 64 cells",
+        "a March run reaching a clean cell that holds a flagged bit",
     ] {
         let n = seen.get(flag).copied().unwrap_or(0);
         assert!(
@@ -552,4 +653,72 @@ fn the_proptest_cases_cover_the_named_fault_soups() {
             "only {n} of {CASES} cases have {flag}: {seen:?}"
         );
     }
+}
+
+/// The calibration loop of an ASB die at full size: the 256 × 64 cells of
+/// the 2 KB array with ~850 retention faults spread over the DAC's upper
+/// range and a few stuck-at, coupling and alias faults, March C− at each
+/// of the 32 codes of a 5-bit DAC to 0.74 V, then each library march once.
+#[test]
+fn a_full_size_calibration_sweep_matches_the_reference() {
+    let (rows, cols) = (256, 64);
+    let mut rng = TestRng::deterministic("a_full_size_calibration_sweep_matches_the_reference");
+    let mut cell = || {
+        let i = (rng.next_u64() % (rows * cols) as u64) as usize;
+        (i / cols, i % cols)
+    };
+    let mut faults = Vec::new();
+    for i in 0..850 {
+        let (row, col) = cell();
+        let min_vsb = 0.30 + 0.44 * (i as f64 + 0.5) / 850.0;
+        faults.push(Fault {
+            row,
+            col,
+            kind: FaultKind::Retention { min_vsb },
+        });
+    }
+    for bit in [false, true] {
+        let (row, col) = cell();
+        faults.push(Fault {
+            row,
+            col,
+            kind: FaultKind::StuckAt(bit),
+        });
+    }
+    for _ in 0..3 {
+        let ((row, col), (agg_row, agg_col)) = (cell(), cell());
+        faults.push(Fault {
+            row,
+            col,
+            kind: FaultKind::CouplingInv { agg_row, agg_col },
+        });
+    }
+    for _ in 0..2 {
+        let ((row, col), (to_row, to_col)) = (cell(), cell());
+        if (row, col) != (to_row, to_col) {
+            faults.push(Fault {
+                row,
+                col,
+                kind: FaultKind::AddressAlias { to_row, to_col },
+            });
+        }
+    }
+    let mut pair = Pair::new(rows, cols);
+    for fault in faults {
+        pair.inject(fault);
+    }
+    let dac = Dac::new(5, 0.74);
+    let march = MarchTest::march_c_minus();
+    let mut failures = Vec::new();
+    for code in 0..dac.codes() {
+        pair.set_vsb(dac.voltage(code));
+        failures.push(pair.march(&march).unwrap().failures.len());
+        pair.counters().unwrap();
+    }
+    for test in marches() {
+        pair.march(&test).unwrap();
+        pair.counters().unwrap();
+    }
+    // The retention faults surface as the bias rises.
+    assert!(failures[0] < failures[failures.len() - 1], "{failures:?}");
 }

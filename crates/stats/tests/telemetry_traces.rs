@@ -1,0 +1,109 @@
+//! Convergence traces and estimator health recorded by the Monte-Carlo
+//! estimators under `pvtm_telemetry`.
+//!
+//! Telemetry mode and the registry are process-global, so these tests run
+//! in a binary of their own, serialized: an estimator in any test running
+//! alongside would record into the same histograms and traces.
+
+use std::sync::{Mutex, MutexGuard};
+
+use pvtm_stats::{mc_mean, mc_probability, ImportanceSampler};
+use rand::Rng;
+
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn trace_scope_records_convergence_without_changing_estimate() {
+    let _g = lock();
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Summary);
+    pvtm_telemetry::reset();
+    let is = ImportanceSampler::new(vec![3.0]);
+    let plain = is.probability(20_000, 9, |z| z[0] > 3.0);
+    pvtm_telemetry::reset();
+    let traced = {
+        let _t = pvtm_telemetry::trace_scope("test.mc");
+        is.probability(20_000, 9, |z| z[0] > 3.0)
+    };
+    // Recording must not perturb the estimate.
+    assert_eq!(plain.value, traced.value);
+    assert_eq!(plain.std_err, traced.std_err);
+
+    let r = pvtm_telemetry::snapshot();
+    let t = r.trace("test.mc").expect("trace missing");
+    assert_eq!(t.points.len(), 20_000usize.div_ceil(4096));
+    for w in t.points.windows(2) {
+        assert!(w[1].samples > w[0].samples, "samples must accumulate");
+    }
+    let last = t.points.last().unwrap();
+    assert_eq!(last.samples, traced.samples);
+    // The running merge replays the same Chan updates the estimator
+    // itself performs, so the final trace point *is* the estimate.
+    assert_eq!(last.value, traced.value);
+    assert!((last.std_err - traced.std_err).abs() <= 1e-9 * traced.std_err);
+    assert!((last.rel_err - traced.rel_err()).abs() <= 1e-9 * traced.rel_err());
+
+    // Importance-sampling weights feed the health histogram.
+    let h = r
+        .histograms
+        .iter()
+        .find(|h| h.name == "mc.is_weight")
+        .expect("weight histogram missing");
+    assert!(h.count > 0);
+
+    // And the per-chunk weight moments feed the estimator-health
+    // diagnostics: ESS over contributing weights, bounded fractions.
+    let health = t.health.expect("trace health missing");
+    assert!(health.has_weights);
+    assert_eq!(health.contributing, h.count);
+    assert!(health.ess > 0.0 && health.ess <= health.contributing as f64);
+    assert!(health.ess_fraction > 0.0 && health.ess_fraction <= 1.0);
+    assert!(health.max_weight_fraction > 0.0 && health.max_weight_fraction <= 1.0);
+    assert_eq!(health.steps, t.points.len() as u64 - 1);
+    // The derived run-level gauges mirror the single trace.
+    let gauge = |name: &str| {
+        r.gauges
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, v)| v)
+            .expect(name)
+    };
+    assert_eq!(gauge("mc.ess"), health.ess);
+    assert_eq!(gauge("mc.ess_fraction"), health.ess_fraction);
+    assert_eq!(gauge("mc.max_weight_fraction"), health.max_weight_fraction);
+    assert_eq!(gauge("mc.stall_ratio"), health.stall_ratio);
+
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
+    pvtm_telemetry::reset();
+}
+
+#[test]
+fn mc_mean_and_probability_record_traces() {
+    let _g = lock();
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Summary);
+    pvtm_telemetry::reset();
+    {
+        let _t = pvtm_telemetry::trace_scope("test.mean");
+        let est = mc_mean(10_000, 3, |rng| rng.gen::<f64>());
+        let r = pvtm_telemetry::snapshot();
+        let last = *r.trace("test.mean").unwrap().points.last().unwrap();
+        assert_eq!(last.samples, 10_000);
+        assert_eq!(last.value, est.value);
+    }
+    pvtm_telemetry::reset();
+    {
+        let _t = pvtm_telemetry::trace_scope("test.prob");
+        let est = mc_probability(10_000, 3, |rng| rng.gen::<f64>() < 0.25);
+        let r = pvtm_telemetry::snapshot();
+        let last = *r.trace("test.prob").unwrap().points.last().unwrap();
+        assert_eq!(last.samples, 10_000);
+        assert_eq!(last.value, est.value);
+        // Welford-based running std_err vs the binomial formula: close
+        // but not identical by construction.
+        assert!((last.std_err - est.std_err).abs() < 0.1 * est.std_err);
+    }
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
+    pvtm_telemetry::reset();
+}

@@ -11,9 +11,10 @@
 //! - writers enter a [`write scope`](update_scope) (one atomic increment),
 //!   perform any number of registry mutations, then bump the epoch and
 //!   leave the scope;
-//! - [`live`] reads the epoch, waits until no writer is inside a scope,
-//!   captures the registry under the mutex, and retries whenever a writer
-//!   entered concurrently or the epoch moved.
+//! - [`live`] takes the registry mutex and captures under it only when no
+//!   writer is inside a scope, reading the epoch there; otherwise it
+//!   releases the mutex, yields and retries. A writer that enters a scope
+//!   later cannot record into the registry until the capture is done.
 //!
 //! Everything here is live-plane only: none of this state is rendered into
 //! sidecars or journals, so runs without a metrics server are byte-identical
@@ -184,29 +185,26 @@ pub struct LiveSnapshot {
 }
 
 /// Captures one consistent [`LiveSnapshot`] via the seqlock protocol:
-/// retry while any writer is inside an [`update_scope`] or the epoch moved
-/// during the capture. Under sustained writes the loop is bounded; the
-/// final attempt is returned best-effort (single-record consistency still
-/// holds — only multi-record pairing could be stale).
+/// under the registry mutex, capture once no writer is inside an
+/// [`update_scope`], and retry after a yield while one is. A writer inside
+/// a scope may have recorded half of its update; none can record while the
+/// mutex is held.
 pub fn live() -> LiveSnapshot {
-    for _ in 0..64 {
-        let epoch = EPOCH.load(Ordering::SeqCst);
-        if WRITERS.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-            continue;
+    loop {
+        let g = crate::global();
+        if WRITERS.load(Ordering::SeqCst) == 0 {
+            return capture(g, EPOCH.load(Ordering::SeqCst));
         }
-        let snap = capture(epoch);
-        if WRITERS.load(Ordering::SeqCst) == 0 && EPOCH.load(Ordering::SeqCst) == epoch {
-            return snap;
-        }
+        drop(g);
+        std::thread::yield_now();
     }
-    capture(EPOCH.load(Ordering::SeqCst))
 }
 
-fn capture(epoch: u64) -> LiveSnapshot {
-    let planned: BTreeMap<String, (u64, u64)> = plans().clone();
+fn capture(g: MutexGuard<'static, crate::Global>, epoch: u64) -> LiveSnapshot {
     let (report, progress) = {
-        let g = crate::global();
+        // Read under the registry mutex: a plan is recorded before its
+        // estimator's first chunk.
+        let planned: BTreeMap<String, (u64, u64)> = plans().clone();
         let report = crate::report::build(&g, crate::mode(), crate::clock_enabled());
         let mut names: Vec<&String> = g.traces.keys().collect();
         for name in planned.keys() {
@@ -257,6 +255,7 @@ fn capture(epoch: u64) -> LiveSnapshot {
             .collect();
         (report, progress)
     };
+    drop(g);
     let open = open_spans().iter().map(|(p, &n)| (p.clone(), n)).collect();
     let elapsed_secs = WATCH
         .lock()
