@@ -8,9 +8,15 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use pvtm_bist::{BistController, MarchTest, MemoryModel};
+use pvtm::adaptive::{AsbConfig, AsbEngine, StandbyLeakageGrid};
+use pvtm::experiments::Effort;
+use pvtm::interp::linspace;
+use pvtm::source_bias::{HoldModelGrid, SourceBiasAnalyzer};
+use pvtm_bist::{BistController, Dac, MarchTest, MemoryModel};
 use pvtm_device::{Bias, Mosfet, Technology};
-use pvtm_sram::{AnalysisConfig, CellSizing, Conditions, FailureAnalyzer, SramCell};
+use pvtm_sram::{
+    AnalysisConfig, ArrayOrganization, CellSizing, Conditions, FailureAnalyzer, SramCell,
+};
 use pvtm_stats::{GaussHermite, ImportanceSampler};
 
 fn bench_device(c: &mut Criterion) {
@@ -150,6 +156,35 @@ fn bench_bist(c: &mut Criterion) {
     });
 }
 
+fn bench_asb(c: &mut Criterion) {
+    // The engine fig8 builds at quick effort: hold models over 5 corners ×
+    // 10 source biases, a 2 KB array with 5 % spare columns. A die build
+    // uses only the hold grid and the array shape.
+    let tech = Technology::predictive_70nm();
+    let sizing = CellSizing::default_for(&tech);
+    let analyzer = SourceBiasAnalyzer::new(&tech, sizing, AnalysisConfig::default());
+    let corners = linspace(-0.15, 0.15, Effort::quick().corners.clamp(4, 9));
+    let vsbs = linspace(0.30, 0.74, 10);
+    let hold = HoldModelGrid::build(&analyzer, corners.clone(), vsbs.clone()).expect("hold grid");
+    let leak = StandbyLeakageGrid::build(&tech, sizing, corners, vsbs, 200);
+    let cfg = AsbConfig {
+        org: ArrayOrganization::with_capacity_kib(2, 0.05),
+        dac: Dac::new(5, 0.74),
+        march: MarchTest::march_c_minus(),
+        use_guard: 0.012,
+        backoff_codes: 1,
+    };
+    let engine = AsbEngine::new(hold, leak, cfg);
+    let mut die = 0;
+    c.bench_function("asb/build_die_2kb", |b| {
+        b.iter(|| {
+            die += 1;
+            let mut rng = pvtm_stats::rng::substream(1, die);
+            black_box(engine.build_die(0.0, &mut rng).fault_count())
+        })
+    });
+}
+
 fn bench_stats(c: &mut Criterion) {
     c.bench_function("stats/norm_ppf", |b| {
         b.iter(|| black_box(pvtm_stats::special::norm_ppf(black_box(1e-6))))
@@ -171,6 +206,7 @@ criterion_group!(
     bench_failure_analysis,
     bench_mc_hot_path,
     bench_bist,
+    bench_asb,
     bench_stats
 );
 criterion_main!(benches);

@@ -97,7 +97,7 @@ pub struct SolverStats {
     /// source scale).
     pub ramp_steps: u64,
     /// Solves that exhausted the standard cold ladder and entered the
-    /// rescue ladder ([`crate::rescue`]).
+    /// rescue ladder (the crate's `rescue` module).
     pub rescue_attempts: u64,
     /// Rescue-ladder entries that ultimately converged.
     pub rescue_hits: u64,

@@ -16,7 +16,7 @@
 //!   reused across solves;
 //! - each solve is seeded from the previous solution (warm start) and only
 //!   falls back to Gmin continuation / source stepping on non-convergence,
-//!   with hit rates tracked in [`SolverStats`](crate::dc::SolverStats).
+//!   with hit rates tracked in [`SolverStats`].
 //!
 //! # Example
 //!

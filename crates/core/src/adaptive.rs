@@ -237,17 +237,25 @@ impl AsbEngine {
     /// Builds the behavioural memory of one die at a corner: every cell
     /// gets an RDF sample, and cells whose hold slack dies within the grid
     /// receive a [`FaultKind::Retention`] at their personal threshold.
+    ///
+    /// Cells are visited in row-major order, six normals each. The normals
+    /// are drawn a block of cells at a time into a stack buffer, which
+    /// consumes the generator exactly as drawing them cell by cell does.
     pub fn build_die(&self, corner: f64, rng: &mut impl Rng) -> MemoryModel {
+        const BLOCK: usize = 64;
         let org = &self.cfg.org;
         let mut mem = MemoryModel::new(org.rows, org.cols);
         let profile = self.hold.profile_at(corner);
-        for row in 0..org.rows {
-            for col in 0..org.cols {
-                let z: [f64; 6] = std::array::from_fn(|_| StandardNormal.sample(rng));
-                if let Some(min_vsb) = profile.min_vsb(&z) {
+        let cells = org.rows * org.cols;
+        let mut normals = [0.0; 6 * BLOCK];
+        for start in (0..cells).step_by(BLOCK) {
+            let block = &mut normals[..6 * BLOCK.min(cells - start)];
+            StandardNormal.fill(rng, block);
+            for (cell, z) in (start..).zip(block.as_chunks::<6>().0) {
+                if let Some(min_vsb) = profile.min_vsb(z) {
                     mem.inject(Fault {
-                        row,
-                        col,
+                        row: cell / org.cols,
+                        col: cell % org.cols,
                         kind: FaultKind::Retention { min_vsb },
                     });
                 }

@@ -344,10 +344,108 @@ impl HoldModelGrid {
     /// The per-corner hold profile: the interpolated model at every vsb
     /// grid point, reusable across all cells of one die.
     pub fn profile_at(&self, corner: f64) -> CornerHoldProfile {
+        let models = self.models_at_corner(corner);
         CornerHoldProfile {
             vsbs: self.vsbs.clone(),
-            models: self.models_at_corner(corner),
+            lanes: models.chunks(LANES).map(LaneBlock::new).collect(),
+            models,
         }
+    }
+}
+
+/// Grid points per [`LaneBlock`]: two `f64` fill one SSE2 register, the
+/// vector width every x86-64 build has (blocks of four and eight measured
+/// slower there).
+const LANES: usize = 2;
+
+/// How far below the lower bound of `ln(allowed)` the screen requires
+/// `ln(droop)` to lie. It covers the rounding of the bound (< 1e-12) and
+/// of `exp` (< 1e-15 relative) many times over.
+const SCREEN_MARGIN: f64 = 1e-3;
+
+/// A lower bound of `ln x` for a positive normal `x`, less
+/// [`SCREEN_MARGIN`]. The bound is the chord of `ln` over the binade
+/// `[2^e, 2^(e+1))` that holds `x`.
+///
+/// For `x = 2^e·m` with `m ∈ [1, 2)`, the top 32 bits of `x` read as an
+/// integer are at most `(e + 1023 + (m − 1))·2^20`, and `log2 m ≥ m − 1`
+/// on `[1, 2]` because `log2` is concave and agrees with the chord at both
+/// ends. The bound is at most ≈ 0.06 below `ln x`. A negative `x` gives a
+/// meaningless value, which the caller rejects.
+#[inline]
+fn ln_chord_below(x: f64) -> f64 {
+    const LN2_PER_STEP: f64 = std::f64::consts::LN_2 / (1u64 << 20) as f64;
+    const OFFSET: f64 = 1023.0 * std::f64::consts::LN_2 + SCREEN_MARGIN;
+    ((x.to_bits() >> 32) as i32) as f64 * LN2_PER_STEP - OFFSET
+}
+
+/// The hold models of up to [`LANES`] grid points, coefficient by
+/// coefficient, so the screen evaluates them side by side. Row 0 of each
+/// model holds the nominals, row `1 + i` the sensitivities to `z[i]`.
+#[derive(Debug, Clone)]
+struct LaneBlock {
+    allowed: [[f64; LANES]; 7],
+    ln_droop: [[f64; LANES]; 7],
+}
+
+impl LaneBlock {
+    /// The block of `models` (at most [`LANES`]). Unused lanes get a model
+    /// that holds for every `z`: `allowed = 1`, `ln_droop = −1`.
+    fn new(models: &[HoldFailureModel]) -> Self {
+        let mut block = Self {
+            allowed: [[0.0; LANES]; 7],
+            ln_droop: [[0.0; LANES]; 7],
+        };
+        block.allowed[0] = [1.0; LANES];
+        block.ln_droop[0] = [-1.0; LANES];
+        for (lane, m) in models.iter().enumerate() {
+            for (rows, margin) in [
+                (&mut block.allowed, &m.allowed),
+                (&mut block.ln_droop, &m.ln_droop),
+            ] {
+                rows[0][lane] = margin.nominal;
+                for (row, s) in rows[1..].iter_mut().zip(margin.sensitivity) {
+                    row[lane] = s;
+                }
+            }
+        }
+        block
+    }
+
+    /// Each lane's margin at `z`, with the operations of
+    /// [`MarginModel::margin_at`] in the same order.
+    ///
+    /// [`MarginModel::margin_at`]: pvtm_sram::failure::MarginModel::margin_at
+    #[inline]
+    fn margins(rows: &[[f64; LANES]; 7], z: &[f64; 6]) -> [f64; LANES] {
+        std::array::from_fn(|l| {
+            rows[0][l]
+                + (rows[1][l] * z[0]
+                    + rows[2][l] * z[1]
+                    + rows[3][l] * z[2]
+                    + rows[4][l] * z[3]
+                    + rows[5][l] * z[4]
+                    + rows[6][l] * z[5])
+        })
+    }
+
+    /// Whether every lane provably has a positive hold slack at `z`,
+    /// decided without an `exp`.
+    ///
+    /// The lanes compute `allowed` and `ln_droop` with the scan's own
+    /// operations, so they are the very numbers the scan would compute. A
+    /// lane passes when `allowed` is a positive normal number and
+    /// `ln_droop` lies [`SCREEN_MARGIN`] below a lower bound of
+    /// `ln(allowed)` ([`ln_chord_below`]): then `exp(ln_droop)` rounds
+    /// below `allowed`, and the scan's slack `allowed − exp(ln_droop)` is
+    /// positive.
+    #[inline]
+    fn holds(&self, z: &[f64; 6]) -> bool {
+        let allowed = Self::margins(&self.allowed, z);
+        let ln_droop = Self::margins(&self.ln_droop, z);
+        (0..LANES).fold(true, |holds, l| {
+            holds & (allowed[l] >= f64::MIN_POSITIVE) & (ln_droop[l] < ln_chord_below(allowed[l]))
+        })
     }
 }
 
@@ -356,13 +454,21 @@ impl HoldModelGrid {
 pub struct CornerHoldProfile {
     vsbs: Vec<f64>,
     models: Vec<HoldFailureModel>,
+    /// The same models in blocks of [`LANES`] grid points, for the screen.
+    lanes: Vec<LaneBlock>,
 }
 
 impl CornerHoldProfile {
     /// The lowest source bias at which the cell `z` loses retention, found
     /// from the sign change of its hold slack along the vsb axis; `None`
     /// when it holds over the whole grid.
+    ///
+    /// A cell the lane blocks prove to hold at every grid point returns
+    /// `None` without the scan; the scan decides every other cell.
     pub fn min_vsb(&self, z: &[f64; 6]) -> Option<f64> {
+        if self.lanes.iter().all(|block| block.holds(z)) {
+            return None;
+        }
         let mut prev_slack = self.models[0].slack_at(z);
         if prev_slack <= 0.0 {
             return Some(self.vsbs[0]);
@@ -473,5 +579,50 @@ mod tests {
             (Some(_), None) => {} // typical never fails: fine
             other => panic!("weak cell must fail within the grid: {other:?}"),
         }
+    }
+
+    #[test]
+    fn chord_bound_lies_the_margin_below_ln() {
+        // Exact at powers of two, never above ln(x) − SCREEN_MARGIN, and
+        // at most ≈ 0.06 further below in between (1e-11 covers the
+        // rounding of both sides at |ln x| ≤ 709).
+        use rand::Rng;
+        let mut rng = pvtm_stats::rng::substream(7, 0);
+        let powers = (-1022..=1023).map(|k| 2f64.powi(k));
+        let spread = (0..20_000).map(|_| rng.gen_range(-708.0..709.0f64).exp());
+        for x in powers.clone().chain(spread) {
+            let gap = x.ln() - ln_chord_below(x) - SCREEN_MARGIN;
+            assert!((-1e-11..0.0598).contains(&gap), "x = {x:e}: gap {gap:e}");
+        }
+        for x in powers {
+            let gap = x.ln() - ln_chord_below(x) - SCREEN_MARGIN;
+            assert!(gap.abs() < 1e-11, "x = {x:e}: gap {gap:e}");
+        }
+    }
+
+    #[test]
+    fn screen_never_clears_a_lane_without_a_positive_normal_allowed() {
+        use pvtm_sram::failure::MarginModel;
+        let lane = |allowed: f64, ln_droop: f64| HoldFailureModel {
+            allowed: MarginModel {
+                nominal: allowed,
+                sensitivity: [0.0; 6],
+            },
+            ln_droop: MarginModel {
+                nominal: ln_droop,
+                sensitivity: [0.0; 6],
+            },
+        };
+        let z = [0.0; 6];
+        // A subnormal or non-positive allowed droop goes to the scan even
+        // when exp(ln_droop) underflows to zero.
+        for allowed in [1e-310, 0.0, -0.0, -1.0, f64::NAN] {
+            assert!(
+                !LaneBlock::new(&[lane(allowed, -800.0)]).holds(&z),
+                "{allowed}"
+            );
+        }
+        assert!(LaneBlock::new(&[lane(0.3, -10.0), lane(1e-300, -800.0)]).holds(&z));
+        assert!(!LaneBlock::new(&[lane(0.3, -10.0), lane(0.3, 0.3f64.ln())]).holds(&z));
     }
 }

@@ -48,8 +48,9 @@ pub struct TreeLint {
 }
 
 /// Lints every `.rs` file under `root`'s [`LINT_ROOTS`], skipping
-/// [`SKIP_DIRS`]. File order (and therefore output order) is sorted, so
-/// two runs over the same tree are byte-identical.
+/// `target`, `tests`, `benches` and `fixtures` directories. File order
+/// (and therefore output order) is sorted, so two runs over the same tree
+/// are byte-identical.
 ///
 /// # Errors
 ///
@@ -72,8 +73,9 @@ pub fn lint_tree(root: &Path) -> io::Result<TreeLint> {
 }
 
 /// Collects every walked `.rs` file under `root`'s [`LINT_ROOTS`], sorted,
-/// skipping [`SKIP_DIRS`]. Shared by the token-only [`lint_tree`] and the
-/// semantic [`sema::analyze_tree`], so both passes see the same files.
+/// skipping the same directories as [`lint_tree`]. Shared by the
+/// token-only [`lint_tree`] and the semantic [`sema::analyze_tree`], so
+/// both passes see the same files.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Compiled-template cell evaluator: the allocation-free Monte-Carlo hot
 //! path.
 //!
-//! [`CellAnalysis`](crate::analysis::CellAnalysis) builds a fresh netlist
+//! [`CellAnalysis`] builds a fresh netlist
 //! for every DC question it asks — ~80 netlists (and as many solver scratch
 //! allocations) per full [`Margins`] evaluation once the trip-point
 //! bisections are counted. That is fine for one-off analyses and is kept as

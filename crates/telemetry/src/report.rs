@@ -154,7 +154,7 @@ pub struct TraceRow {
     pub health: Option<TraceHealth>,
 }
 
-/// Snapshot of all merged telemetry, as returned by [`crate::snapshot`].
+/// Snapshot of all merged telemetry, as returned by [`crate::snapshot()`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Mode the snapshot was taken under.

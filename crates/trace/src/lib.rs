@@ -6,9 +6,9 @@
 //!
 //! - [`report`] renders a hot-span table (sorted by self-time, or by Newton
 //!   iterations when the run was clock-gated) and folded flamegraph stacks;
-//! - [`diff`] compares two sidecars — work counters exactly, wall-clock
+//! - [`diff`](mod@diff) compares two sidecars — work counters exactly, wall-clock
 //!   with a noise tolerance;
-//! - [`check`] gates a sidecar against checked-in `perf-budgets.json`
+//! - [`check`](mod@check) gates a sidecar against checked-in `perf-budgets.json`
 //!   ceilings on the deterministic work counters;
 //! - [`health`] gates the v3 sidecar's estimator-health diagnostics
 //!   (ESS fraction, weight degeneracy, CI stalls, quarantine bias)

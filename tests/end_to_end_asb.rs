@@ -126,3 +126,120 @@ fn retention_faults_only_fire_above_their_threshold() {
         "a low-Vt die must have retention faults at deep bias"
     );
 }
+
+/// `VSB(adaptive)` and the faulty columns at zero / `VSB(opt)` /
+/// `VSB(adaptive)` of each die of `run_population(12, 0.06, VSB(opt), 77)`
+/// on this file's engine, recorded before the die build drew its normals
+/// in blocks and screened out cells that hold at every grid VSB.
+const RECORDED_BIAS_AND_COLUMNS: [(f64, [usize; 3]); 12] = [
+    (0.5729032258064516, [0, 60, 0]),
+    (0.5729032258064516, [0, 32, 0]),
+    (0.6445161290322581, [0, 20, 2]),
+    (0.596774193548387, [0, 15, 0]),
+    (0.5729032258064516, [0, 64, 0]),
+    (0.6445161290322581, [0, 1, 0]),
+    (0.5729032258064516, [0, 64, 0]),
+    (0.6445161290322581, [0, 3, 0]),
+    (0.5729032258064516, [0, 64, 0]),
+    (0.5729032258064516, [0, 34, 2]),
+    (0.5729032258064516, [0, 56, 0]),
+    (0.6445161290322581, [0, 2, 0]),
+];
+
+/// Standby power \[W\] of the same dies at zero / `VSB(opt)` /
+/// `VSB(adaptive)`, recorded with them.
+const RECORDED_POWERS: [[f64; 3]; 12] = [
+    [
+        0.00043901884948102806,
+        0.0001288586431335026,
+        0.00018524782558583668,
+    ],
+    [
+        0.00013431981028895785,
+        5.189390360844196e-5,
+        7.307456694990191e-5,
+    ],
+    [
+        7.530374058727943e-5,
+        3.658507278467161e-5,
+        3.430526481995545e-5,
+    ],
+    [
+        0.0001237762360245177,
+        4.905544192780392e-5,
+        6.008040544362107e-5,
+    ],
+    [
+        0.00034088645380681004,
+        0.0001056999086959056,
+        0.0001526016335381698,
+    ],
+    [
+        9.363065223210683e-5,
+        4.048343557884349e-5,
+        3.8754136332830166e-5,
+    ],
+    [
+        0.00043180443211561113,
+        0.00012719747863495514,
+        0.00018291061281845543,
+    ],
+    [
+        0.00010997799832795296,
+        4.522374118012557e-5,
+        4.576796593302836e-5,
+    ],
+    [
+        0.0007519993318205905,
+        0.00019640142203077122,
+        0.00027980746939039274,
+    ],
+    [
+        5.0871784742381904e-5,
+        3.2993637863146594e-5,
+        3.905908357875667e-5,
+    ],
+    [
+        0.00026351752319122874,
+        8.640260356027441e-5,
+        0.00012528202381668462,
+    ],
+    [
+        0.00010162796993550539,
+        4.2832171407749694e-5,
+        4.2180634909616045e-5,
+    ],
+];
+
+#[test]
+fn population_matches_the_recorded_outputs() {
+    // Bias choices and fault counts must not move at all; the powers come
+    // from log-interpolated leakage and may differ in the last bits
+    // between libm implementations.
+    let (engine, analyzer) = engine();
+    let p_target = pvtm::experiments::cell_target_for_memory(&engine.config().org, 1e-3);
+    let vsb_opt = analyzer.max_vsb(0.0, p_target).expect("vsb_opt");
+    let pop = engine.run_population(12, 0.06, vsb_opt, 77);
+    assert_eq!(pop.len(), RECORDED_BIAS_AND_COLUMNS.len());
+    for (i, die) in pop.iter().enumerate() {
+        let (vsb, columns) = RECORDED_BIAS_AND_COLUMNS[i];
+        assert_eq!(die.vsb_adaptive, vsb, "die {i}: VSB(adaptive)");
+        assert_eq!(
+            [
+                die.faulty_cols_zero,
+                die.faulty_cols_opt,
+                die.faulty_cols_adaptive
+            ],
+            columns,
+            "die {i}: faulty columns at zero / opt / adaptive"
+        );
+        let powers = [die.power_zero, die.power_opt, die.power_adaptive];
+        for (got, want) in powers.into_iter().zip(RECORDED_POWERS[i]) {
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "die {i}: standby powers {powers:?} vs {:?}",
+                RECORDED_POWERS[i]
+            );
+        }
+    }
+}
