@@ -1,9 +1,11 @@
 //! Criterion performance benchmarks of the workspace substrates.
 //!
 //! These characterize the building blocks whose speed determines how long
-//! the figure reproduction takes: the DC solver, the cell metric
+//! the figure reproduction takes: device evaluation, the cell metric
 //! evaluations, the linearized failure analysis, the March-test engine and
-//! the statistical kernels.
+//! the statistical kernels. The benchmark's `trace` mode reports the
+//! per-layer costs beneath them (`circuit.us_per_newton`,
+//! `sram.hold_metrics_us_p50`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -14,9 +16,7 @@ use pvtm::interp::linspace;
 use pvtm::source_bias::{HoldModelGrid, SourceBiasAnalyzer};
 use pvtm_bist::{BistController, Dac, MarchTest, MemoryModel};
 use pvtm_device::{Bias, Mosfet, Technology};
-use pvtm_sram::{
-    AnalysisConfig, ArrayOrganization, CellSizing, Conditions, FailureAnalyzer, SramCell,
-};
+use pvtm_sram::{AnalysisConfig, ArrayOrganization, CellSizing, Conditions, FailureAnalyzer};
 use pvtm_stats::{GaussHermite, ImportanceSampler};
 
 fn bench_device(c: &mut Criterion) {
@@ -35,22 +35,6 @@ fn bench_device(c: &mut Criterion) {
     });
     c.bench_function("device/off_leakage_decomposition", |b| {
         b.iter(|| black_box(n.off_leakage(black_box(1.0), black_box(-0.3), 300.0)))
-    });
-}
-
-fn bench_circuit(c: &mut Criterion) {
-    let tech = Technology::predictive_70nm();
-    let analysis = pvtm_sram::CellAnalysis::new(&tech, AnalysisConfig::default());
-    let cell = SramCell::nominal(&tech);
-    let cond = Conditions::active(&tech);
-    c.bench_function("circuit/read_divider_dc_solve", |b| {
-        b.iter(|| black_box(analysis.v_read(&cell, &cond).expect("solve")))
-    });
-    c.bench_function("circuit/full_cell_hold_state", |b| {
-        b.iter(|| black_box(analysis.hold_state(&cell, &cond).expect("solve")))
-    });
-    c.bench_function("circuit/trip_point_bisection", |b| {
-        b.iter(|| black_box(analysis.v_trip_rd(&cell, &cond).expect("solve")))
     });
 }
 
@@ -81,13 +65,10 @@ fn bench_failure_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Monte-Carlo per-sample hot path, before and after the compiled
-/// templates: per-sample netlist construction vs patched warm-started
-/// templates on a persistent evaluator.
+/// The Monte-Carlo per-sample hot path on a persistent evaluator: every
+/// solve cold vs warm-started from the previous sample.
 fn bench_mc_hot_path(c: &mut Criterion) {
     let tech = Technology::predictive_70nm();
-    let analysis = pvtm_sram::CellAnalysis::new(&tech, AnalysisConfig::default());
-    let base = SramCell::nominal(&tech);
     let fa = FailureAnalyzer::new(
         &tech,
         CellSizing::default_for(&tech),
@@ -103,18 +84,7 @@ fn bench_mc_hot_path(c: &mut Criterion) {
         [-0.1, -0.3, 0.1, 0.2, -0.4, 0.0],
     ];
 
-    let sigmas: [f64; 6] = std::array::from_fn(|k| base.sigma_vt(pvtm_sram::Xtor::ALL[k]));
     let mut group = c.benchmark_group("mc_hot_path");
-    let mut i = 0usize;
-    group.bench_function("margins_reference_netlists", |b| {
-        b.iter(|| {
-            i = (i + 1) % samples.len();
-            let dvt: [f64; 6] = std::array::from_fn(|k| sigmas[k] * samples[i][k]);
-            let mut cell = base.clone();
-            cell.set_deviations(black_box(dvt));
-            black_box(analysis.margins(&cell, &cond).expect("margins"))
-        })
-    });
     let mut cold = fa.evaluator();
     cold.set_warm_start(false);
     let mut i = 0usize;
@@ -202,7 +172,6 @@ fn bench_stats(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_device,
-    bench_circuit,
     bench_failure_analysis,
     bench_mc_hot_path,
     bench_bist,

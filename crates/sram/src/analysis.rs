@@ -1,29 +1,27 @@
-//! Cell-level parametric-failure metrics.
+//! Cell-level parametric-failure metrics: their configuration, their
+//! results, and the closed-form steps between a DC solution and a margin.
 //!
-//! Implements the static metrics of the paper's §II (after its refs \[3\],
-//! \[4\]) on top of the `pvtm-circuit` DC solver:
+//! The static metrics of the paper's §II (after its refs \[3\], \[4\]):
 //!
 //! - **read margin** `V_TRIPRD − V_READ`: the read-disturb voltage at the
 //!   node storing 0 versus the trip point of the opposite inverter under
 //!   read load — negative margin means the cell flips when read;
-//! - **write margin** `V_TRIPWR − V_WRITE`: how far below the opposite trip
-//!   point the access transistor can pull the 1 node — negative margin
-//!   means the write cannot flip the cell;
+//! - **write margin** `ln(T_WL / t_write)`: the word-line pulse against the
+//!   time the access transistor needs to pull the 1 node down to the
+//!   opposite trip point — negative means the write does not complete;
 //! - **access margin** `ln(T_MAX / t_access)`: log ratio of the allowed to
 //!   the achieved bit-line discharge time — negative means a sensing
 //!   failure;
-//! - **hold margin**: sag of the 1 node in standby (raised source bias)
-//!   versus the data-retention trip point — negative means the stored bit
-//!   dies in standby.
+//! - **hold margin** `ln(allowed / droop)`: sag of the 1 node in standby
+//!   (raised source bias) versus the data-retention trip point — negative
+//!   means the stored bit dies in standby.
 //!
-//! Butterfly static-noise-margin extraction (Seevinck's rotated-coordinate
-//! method) is provided as a cross-check metric.
+//! The circuit-solved quantities (trip points, the read divider, the hold
+//! state) come from [`CellEvaluator`](crate::evaluator::CellEvaluator).
 
-use pvtm_circuit::{dc, CircuitError, DcOptions, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::{Conditions, SramCell, Xtor};
-use pvtm_device::Technology;
 
 /// Configuration of the failure metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,220 +61,22 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// Hold-analysis raw quantities (see [`CellAnalysis::hold_metrics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HoldMetrics {
-    /// Actual droop of the 1 node below VDD \[V\].
-    pub droop: f64,
-    /// Allowed droop before the retention trip point is reached \[V\].
-    pub allowed: f64,
-}
-
-/// The four failure-metric margins; positive is healthy, negative failed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Margins {
-    /// Read-stability margin \[V\].
-    pub read: f64,
-    /// Write-ability margin \[V\].
-    pub write: f64,
-    /// Access margin `ln(T_MAX / t_access)` (dimensionless).
-    pub access: f64,
-    /// Hold (data-retention) margin \[V\].
-    pub hold: f64,
-}
-
-impl Margins {
-    /// True when any mechanism fails.
-    pub fn any_failure(&self) -> bool {
-        self.read < 0.0 || self.write < 0.0 || self.access < 0.0 || self.hold < 0.0
+impl AnalysisConfig {
+    /// Panics unless the bit-line capacitance, sense differential and
+    /// access-time limit are positive and the trip level lies in (0, 1).
+    pub(crate) fn check(&self) {
+        assert!(self.cbl > 0.0 && self.dv_sense > 0.0 && self.t_max > 0.0);
+        assert!((0.0..1.0).contains(&self.trip_level_frac) && self.trip_level_frac > 0.0);
     }
 
-    /// The margins as an array ordered `[read, write, access, hold]`.
-    pub fn as_array(&self) -> [f64; 4] {
-        [self.read, self.write, self.access, self.hold]
-    }
-}
-
-/// Cell metric analyzer for one technology/configuration.
-#[derive(Debug, Clone)]
-pub struct CellAnalysis {
-    tech: Technology,
-    config: AnalysisConfig,
-}
-
-impl CellAnalysis {
-    /// Creates an analyzer.
-    pub fn new(tech: &Technology, config: AnalysisConfig) -> Self {
-        assert!(config.cbl > 0.0 && config.dv_sense > 0.0 && config.t_max > 0.0);
-        assert!((0.0..1.0).contains(&config.trip_level_frac) && config.trip_level_frac > 0.0);
-        Self {
-            tech: tech.clone(),
-            config,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
-    /// The technology card this analyzer was built for.
-    pub fn tech(&self) -> &Technology {
-        &self.tech
-    }
-
-    /// Read-disturb voltage `V_READ` at the node storing 0 (`VR`) with the
-    /// word line high and bit lines precharged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn v_read(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        Ok(self.read_solution(cell, cond)?.0)
-    }
-
-    /// Bit-line discharge current during a read \[A\].
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn read_current(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        Ok(self.read_solution(cell, cond)?.1)
-    }
-
-    /// Solves the read divider: `AXR` (from `BR` = vdd) against `NR`
-    /// (gate held at vdd by the 1 node). Returns `(V_READ, I_read)`.
-    fn read_solution(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<(f64, f64), CircuitError> {
-        let mut ckt = Netlist::new();
-        ckt.set_temperature(cond.temp_k);
-        let br = ckt.node("br");
-        let vr = ckt.node("vr");
-        let vl = ckt.node("vl");
-        let wl = ckt.node("wl");
-        let sl = ckt.node("sl");
-        let bn = ckt.node("bn");
-        ckt.vsource("VBR", br, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VVL", vl, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VWL", wl, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
-        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.mosfet("AXR", br, wl, vr, bn, cell.device(Xtor::Axr));
-        ckt.mosfet("NR", vr, vl, sl, bn, cell.device(Xtor::Nr));
-        let opts = DcOptions::default().guess(vr, 0.15);
-        let sol = dc::solve(&ckt, &opts)?;
-        let i_read = sol
-            .branch_current("VBR")
-            .expect("VBR branch current must exist");
-        Ok((sol.voltage(vr), i_read))
-    }
-
-    /// Read trip point `V_TRIPRD`: input level at which the left inverter
-    /// (`PL`/`NL`, loaded by `AXL` pulling up from `BL` = vdd) output falls
-    /// through the trip level.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn v_trip_rd(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.config.trip_level_frac;
-        self.inverter_trip(cell, cond, Side::Left, true, level)
-    }
-
-    /// Read-stability margin `V_TRIPRD − V_READ` \[V\].
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn read_margin(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        Ok(self.v_trip_rd(cell, cond)? - self.v_read(cell, cond)?)
-    }
-
-    /// Write level: the voltage the 1 node (`VL`) is pulled to through
-    /// `AXL` (bit line at 0) against `PL`, with the far node held at 0.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn write_level(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let mut ckt = Netlist::new();
-        ckt.set_temperature(cond.temp_k);
-        let vdd = ckt.node("vdd");
-        let vl = ckt.node("vl");
-        let vr = ckt.node("vr");
-        let bl = ckt.node("bl");
-        let wl = ckt.node("wl");
-        let sl = ckt.node("sl");
-        let bn = ckt.node("bn");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VVR", vr, Netlist::GROUND, 0.0);
-        ckt.vsource("VBL", bl, Netlist::GROUND, 0.0);
-        ckt.vsource("VWL", wl, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
-        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.mosfet("PL", vl, vr, vdd, vdd, cell.device(Xtor::Pl));
-        ckt.mosfet("NL", vl, vr, sl, bn, cell.device(Xtor::Nl));
-        ckt.mosfet("AXL", vl, wl, bl, bn, cell.device(Xtor::Axl));
-        let opts = DcOptions::default().guess(vl, 0.1).guess(vdd, cond.vdd);
-        let sol = dc::solve(&ckt, &opts)?;
-        Ok(sol.voltage(vl))
-    }
-
-    /// Write trip point `V_TRIPWR`: trip of the right inverter (`PR`/`NR`,
-    /// loaded by `AXR` pulling up from `BR` = vdd).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn v_trip_wr(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.config.trip_level_frac;
-        self.inverter_trip(cell, cond, Side::Right, true, level)
-    }
-
-    /// Static write margin `V_TRIPWR − V_WRITE` \[V\]: positive when the
-    /// access transistor can statically pull the 1 node below the opposite
-    /// trip point. A necessary condition for writability, but blind to the
-    /// word-line timing — use [`Self::write_margin`] for the failure metric.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn static_write_margin(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<f64, CircuitError> {
-        Ok(self.v_trip_wr(cell, cond)? - self.write_level(cell, cond)?)
-    }
-
-    /// Write (flip) time \[s\]: the time for `AXL` (bit line at 0) to pull
-    /// the 1 node from VDD down to the flip threshold `V_TRIPWR`, fighting
-    /// `PL` (held fully on — the far node is still low). Evaluated by
+    /// Write (flip) time \[s\] for the flip threshold `trip`: the time for
+    /// `AXL` (bit line at 0) to pull the 1 node from VDD down to `trip`,
+    /// fighting `PL` (held fully on — the far node is still low), by
     /// integrating `C_node·dV / I_net(V)` over the trajectory.
     ///
     /// Returns infinity when the static pull never reaches the threshold
     /// (net current reverses) — a static write failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures from the trip-point extraction.
-    pub fn write_time(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let trip = self.v_trip_wr(cell, cond)?;
-        Ok(self.write_time_from_trip(cell, cond, trip))
-    }
-
-    /// Pure-math tail of [`Self::write_time`]: the charge integration for a
-    /// known flip threshold. Shared with the compiled-template evaluator so
-    /// both paths compute the identical trajectory.
-    pub(crate) fn write_time_from_trip(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-        trip: f64,
-    ) -> f64 {
+    pub fn write_time(&self, cell: &SramCell, cond: &Conditions, trip: f64) -> f64 {
         if trip >= cond.vdd {
             return 0.0;
         }
@@ -304,7 +104,7 @@ impl CellAnalysis {
             if i_net <= 0.0 {
                 return f64::INFINITY;
             }
-            t += self.config.c_node * (v0 - v1) / i_net;
+            t += self.c_node * (v0 - v1) / i_net;
         }
         t
     }
@@ -313,671 +113,67 @@ impl CellAnalysis {
     /// when the cell cannot flip within the word-line pulse. This is the
     /// paper's write-failure criterion — a *timing* failure, which is why
     /// reverse body bias (weaker access NMOS) degrades it while forward
-    /// body bias helps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn write_margin(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        Ok(self.write_margin_from_time(self.write_time(cell, cond)?))
-    }
-
-    /// Maps a write (flip) time to the margin `ln(T_WL / t)`. A static
-    /// write failure (infinite time) maps to a deeply negative but finite
-    /// margin so the linearized model stays usable.
-    pub(crate) fn write_margin_from_time(&self, t: f64) -> f64 {
-        if !t.is_finite() {
+    /// body bias helps. A static write failure (infinite time) maps to a
+    /// deeply negative but finite margin so the linearized model stays
+    /// usable.
+    pub fn write_margin(&self, t_write: f64) -> f64 {
+        if !t_write.is_finite() {
             return -10.0;
         }
-        (self.config.t_wl_max / t.max(1e-15)).ln()
+        (self.t_wl_max / t_write.max(1e-15)).ln()
     }
 
-    /// Access (bit-line discharge) time \[s\]: `C_BL · ΔV_sense / I_read`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn access_time(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let i = self.read_current(cell, cond)?.max(1e-12);
-        Ok(self.config.cbl * self.config.dv_sense / i)
+    /// Access (bit-line discharge) time \[s\] for a read current:
+    /// `C_BL · ΔV_sense / I_read`.
+    pub fn access_time(&self, i_read: f64) -> f64 {
+        self.cbl * self.dv_sense / i_read.max(1e-12)
     }
 
-    /// Access margin `ln(T_MAX / t_access)` (dimensionless).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn access_margin(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        Ok(self.access_margin_from_current(self.read_current(cell, cond)?))
-    }
-
-    /// Maps a read current to the access margin
-    /// `ln(T_MAX / (C_BL · ΔV_sense / I))`.
-    pub(crate) fn access_margin_from_current(&self, i_read: f64) -> f64 {
-        let t_access = self.config.cbl * self.config.dv_sense / i_read.max(1e-12);
-        (self.config.t_max / t_access).ln()
-    }
-
-    /// Standby state of the full cell: returns `(VL, VR)` with the cell
-    /// initialized storing 1 at `VL`, word line low, source line at
-    /// `cond.vsb`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn hold_state(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<(f64, f64), CircuitError> {
-        let mut ckt = Netlist::new();
-        ckt.set_temperature(cond.temp_k);
-        let vdd = ckt.node("vdd");
-        let vl = ckt.node("vl");
-        let vr = ckt.node("vr");
-        let bl = ckt.node("bl");
-        let br = ckt.node("br");
-        let wl = ckt.node("wl");
-        let sl = ckt.node("sl");
-        let bn = ckt.node("bn");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VBL", bl, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VBR", br, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VWL", wl, Netlist::GROUND, 0.0);
-        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
-        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.mosfet("PL", vl, vr, vdd, vdd, cell.device(Xtor::Pl));
-        ckt.mosfet("NL", vl, vr, sl, bn, cell.device(Xtor::Nl));
-        ckt.mosfet("PR", vr, vl, vdd, vdd, cell.device(Xtor::Pr));
-        ckt.mosfet("NR", vr, vl, sl, bn, cell.device(Xtor::Nr));
-        ckt.mosfet("AXL", bl, wl, vl, bn, cell.device(Xtor::Axl));
-        ckt.mosfet("AXR", br, wl, vr, bn, cell.device(Xtor::Axr));
-        let opts = DcOptions {
-            // Start from the stored state; a gentler starting Gmin keeps
-            // Newton in this basin of attraction.
-            gmin_start: 1e-6,
-            initial: vec![
-                (vl, cond.vdd),
-                (vr, cond.vsb),
-                (vdd, cond.vdd),
-                (bl, cond.vdd),
-                (br, cond.vdd),
-                (sl, cond.vsb),
-            ],
-            ..DcOptions::default()
-        };
-        let sol = dc::solve(&ckt, &opts)?;
-        Ok((sol.voltage(vl), sol.voltage(vr)))
-    }
-
-    /// Data-retention trip point of the right inverter in standby: input
-    /// level below which it releases the stored 0.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn v_trip_hold(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vsb + (cond.vdd - cond.vsb) * self.config.trip_level_frac;
-        self.inverter_trip(cell, cond, Side::Right, false, level)
-    }
-
-    /// Data-retention trip point of the left inverter in standby: input
-    /// level above which it drops the stored 1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn v_trip_hold_left(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<f64, CircuitError> {
-        let level = cond.vsb + (cond.vdd - cond.vsb) * self.config.trip_level_frac;
-        self.inverter_trip(cell, cond, Side::Left, false, level)
-    }
-
-    /// Hold (data-retention) margin `ln(droop_allowed / droop_actual)`
-    /// (dimensionless): the 1 node sags below VDD by the leakage through
-    /// `NL` flowing against the source-bias-weakened `PL`; retention is
-    /// lost when the sag reaches the right inverter's release point
-    /// `V_TRIPHD`.
-    ///
-    /// The log form keeps the metric near-linear in the threshold
-    /// deviations: the actual droop is exponential in `ΔVt(NL)` (leakage),
-    /// while the allowed droop `VDD − V_TRIPHD` shrinks as the trip point
-    /// climbs at high-Vt corners — reproducing the paper's observation that
-    /// hold failures grow at *both* inter-die tails (Fig. 2a) and cap the
-    /// usable source bias (Fig. 6).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn hold_margin(&self, cell: &SramCell, cond: &Conditions) -> Result<f64, CircuitError> {
-        let h = self.hold_metrics(cell, cond)?;
-        Ok((h.allowed / h.droop).ln())
-    }
-
-    /// The two ingredients of the hold margin: the actual 1-node droop and
-    /// the allowed droop (distance from VDD down to the retention trip
-    /// point), both floored at 1 nV to keep logs finite.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn hold_metrics(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<HoldMetrics, CircuitError> {
-        // A cell on the verge of losing bistability can defeat the DC
-        // solver (fold point): physically that is full retention collapse,
-        // so report the droop as the whole rail rather than failing.
-        let droop = match self.hold_state(cell, cond) {
-            Ok((vl, _)) => (cond.vdd - vl).max(1e-9),
-            Err(CircuitError::NoConvergence { .. }) => cond.vdd - cond.vsb,
-            Err(e) => return Err(e),
-        };
-        let trip = self.v_trip_hold(cell, cond)?;
-        Ok(HoldMetrics {
-            droop,
-            allowed: (cond.vdd - trip).max(1e-9),
-        })
-    }
-
-    /// All four margins. Read/write/access are evaluated in active mode
-    /// (`vsb` forced to 0); hold uses the conditions as given (standby
-    /// source bias applies).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn margins(&self, cell: &SramCell, cond: &Conditions) -> Result<Margins, CircuitError> {
-        let active = Conditions { vsb: 0.0, ..*cond };
-        Ok(Margins {
-            read: self.read_margin(cell, &active)?,
-            write: self.write_margin(cell, &active)?,
-            access: self.access_margin(cell, &active)?,
-            hold: self.hold_margin(cell, cond)?,
-        })
-    }
-
-    /// Retention ceiling of one specific cell \[V\]: the largest standby
-    /// source bias at which the cell still holds its data (hold margin
-    /// crosses zero), found by bisection. Returns the cap when the cell
-    /// holds everywhere in `[0, cap]`, and 0 when it cannot hold at all.
-    ///
-    /// This is the deterministic per-cell analogue of the statistical
-    /// `max VSB` of the paper's Fig. 6, and the quantity the BIST
-    /// calibration discovers empirically per die.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < cap < vdd`.
-    pub fn retention_ceiling(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-        cap: f64,
-    ) -> Result<f64, CircuitError> {
-        assert!(cap > 0.0 && cap < cond.vdd, "cap must lie in (0, vdd)");
-        let margin = |vsb: f64| -> Result<f64, CircuitError> {
-            self.hold_margin(cell, &Conditions { vsb, ..*cond })
-        };
-        if margin(0.0)? <= 0.0 {
-            return Ok(0.0);
-        }
-        if margin(cap)? > 0.0 {
-            return Ok(cap);
-        }
-        let (mut lo, mut hi) = (0.0f64, cap);
-        for _ in 0..20 {
-            let mid = 0.5 * (lo + hi);
-            if margin(mid)? > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(0.5 * (lo + hi))
-    }
-
-    /// Output voltage of one cross-coupled inverter for a forced input,
-    /// including the access transistor load.
-    ///
-    /// `side` selects the inverter; `wordline_high` enables the access
-    /// pull-up (read/write condition) or leaves it off (hold condition).
-    fn inverter_output(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-        side: Side,
-        wordline_high: bool,
-        vin: f64,
-    ) -> Result<f64, CircuitError> {
-        let (pu, pd, ax) = match side {
-            Side::Left => (Xtor::Pl, Xtor::Nl, Xtor::Axl),
-            Side::Right => (Xtor::Pr, Xtor::Nr, Xtor::Axr),
-        };
-        let mut ckt = Netlist::new();
-        ckt.set_temperature(cond.temp_k);
-        let vdd = ckt.node("vdd");
-        let input = ckt.node("in");
-        let out = ckt.node("out");
-        let bit = ckt.node("bit");
-        let wl = ckt.node("wl");
-        let sl = ckt.node("sl");
-        let bn = ckt.node("bn");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VIN", input, Netlist::GROUND, vin);
-        ckt.vsource("VBIT", bit, Netlist::GROUND, cond.vdd);
-        ckt.vsource(
-            "VWL",
-            wl,
-            Netlist::GROUND,
-            if wordline_high { cond.vdd } else { 0.0 },
-        );
-        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
-        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.mosfet("PU", out, input, vdd, vdd, cell.device(pu));
-        ckt.mosfet("PD", out, input, sl, bn, cell.device(pd));
-        ckt.mosfet("AX", bit, wl, out, bn, cell.device(ax));
-        // Warm-start near the expected branch of the VTC.
-        let guess = if vin > cond.vdd * 0.5 {
-            cond.vsb
-        } else {
-            cond.vdd
-        };
-        let opts = DcOptions::default().guess(out, guess).guess(vdd, cond.vdd);
-        let sol = dc::solve(&ckt, &opts)?;
-        Ok(sol.voltage(out))
-    }
-
-    /// Finds the input level at which the inverter output crosses `level`
-    /// (output is monotone decreasing in the input), by bisection.
-    fn inverter_trip(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-        side: Side,
-        wordline_high: bool,
-        level: f64,
-    ) -> Result<f64, CircuitError> {
-        let mut lo = 0.0f64;
-        let mut hi = cond.vdd;
-        let out_lo = self.inverter_output(cell, cond, side, wordline_high, lo)?;
-        let out_hi = self.inverter_output(cell, cond, side, wordline_high, hi)?;
-        // Degenerate inverters (extreme deviations): clamp to the bounds.
-        if out_lo <= level {
-            return Ok(lo);
-        }
-        if out_hi >= level {
-            return Ok(hi);
-        }
-        for _ in 0..self.config.bisection_iters {
-            let mid = 0.5 * (lo + hi);
-            let out = self.inverter_output(cell, cond, side, wordline_high, mid)?;
-            if out > level {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(0.5 * (lo + hi))
-    }
-
-    /// Butterfly static noise margin \[V\] via Seevinck's rotated-coordinate
-    /// construction, in read mode (`wordline_high = true`) or hold mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn butterfly_snm(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-        wordline_high: bool,
-    ) -> Result<f64, CircuitError> {
-        const POINTS: usize = 61;
-        let vmax = cond.vdd;
-        let xs: Vec<f64> = (0..POINTS)
-            .map(|i| i as f64 * vmax / (POINTS - 1) as f64)
-            .collect();
-        let mut vtc_l = Vec::with_capacity(POINTS);
-        let mut vtc_r = Vec::with_capacity(POINTS);
-        for &x in &xs {
-            vtc_l.push(self.inverter_output(cell, cond, Side::Left, wordline_high, x)?);
-            vtc_r.push(self.inverter_output(cell, cond, Side::Right, wordline_high, x)?);
-        }
-        // Seevinck construction: slide 45° lines y = x + c across the
-        // butterfly. For each offset, intersect the line with the left VTC
-        // (y = f1(x), monotone decreasing ⇒ unique root of f1(x) − x − c)
-        // and with the mirrored right VTC (x = f2(y) ⇒ unique root of
-        // y − f2(y) − c). The inscribed-square side at that offset is the
-        // horizontal separation of the two intersection points; each lobe's
-        // SNM is the maximum over its offsets, and the cell SNM is the
-        // smaller lobe. A negative value means that lobe has collapsed —
-        // the cell is no longer bistable under this condition.
-        let root = |g: &dyn Fn(usize) -> f64| -> Option<f64> {
-            // Finds the zero crossing of g over grid indices, interpolated
-            // to a fractional x position on `xs`.
-            for i in 1..POINTS {
-                let (a, b) = (g(i - 1), g(i));
-                // pvtm-lint: allow(no-float-eq) an exactly zero bracket endpoint is itself the root
-                if a == 0.0 {
-                    return Some(xs[i - 1]);
-                }
-                if a * b < 0.0 {
-                    let frac = a / (a - b);
-                    return Some(xs[i - 1] + frac * (xs[i] - xs[i - 1]));
-                }
-            }
-            None
-        };
-        let mut lobe_upper = f64::NEG_INFINITY; // offsets c > 0
-        let mut lobe_lower = f64::NEG_INFINITY; // offsets c < 0
-        const OFFSETS: usize = 81;
-        for k in 0..OFFSETS {
-            let c = -vmax + 2.0 * vmax * k as f64 / (OFFSETS - 1) as f64;
-            // Intersection with the left VTC: f1(x) = x + c.
-            let xa = root(&|i| vtc_l[i] - xs[i] - c);
-            // Intersection with the mirrored right VTC: y = f2(y) + c,
-            // parameterized by y on the same grid; x-coordinate = y − c.
-            let yb = root(&|i| xs[i] - vtc_r[i] - c);
-            if let (Some(xa), Some(yb)) = (xa, yb) {
-                let xb = yb - c;
-                if c > 0.0 {
-                    lobe_upper = lobe_upper.max(xa - xb);
-                } else if c < 0.0 {
-                    lobe_lower = lobe_lower.max(xb - xa);
-                }
-            }
-        }
-        Ok(lobe_upper.min(lobe_lower))
-    }
-
-    /// Access time measured by a full transient simulation of the cell with
-    /// explicit bit-line capacitors: the time for `BR` to discharge by the
-    /// sense differential. Used in tests to validate [`Self::access_time`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures; returns `NoConvergence` if the bit line
-    /// never develops the differential within `8 × T_MAX`.
-    pub fn access_time_transient(
-        &self,
-        cell: &SramCell,
-        cond: &Conditions,
-    ) -> Result<f64, CircuitError> {
-        let mut ckt = Netlist::new();
-        ckt.set_temperature(cond.temp_k);
-        let vdd = ckt.node("vdd");
-        let vl = ckt.node("vl");
-        let vr = ckt.node("vr");
-        let bl = ckt.node("bl");
-        let br = ckt.node("br");
-        let wl = ckt.node("wl");
-        let sl = ckt.node("sl");
-        let bn = ckt.node("bn");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VWL", wl, Netlist::GROUND, cond.vdd);
-        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
-        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.capacitor("CBL", bl, Netlist::GROUND, self.config.cbl);
-        ckt.capacitor("CBR", br, Netlist::GROUND, self.config.cbl);
-        ckt.mosfet("PL", vl, vr, vdd, vdd, cell.device(Xtor::Pl));
-        ckt.mosfet("NL", vl, vr, sl, bn, cell.device(Xtor::Nl));
-        ckt.mosfet("PR", vr, vl, vdd, vdd, cell.device(Xtor::Pr));
-        ckt.mosfet("NR", vr, vl, sl, bn, cell.device(Xtor::Nr));
-        ckt.mosfet("AXL", bl, wl, vl, bn, cell.device(Xtor::Axl));
-        ckt.mosfet("AXR", br, wl, vr, bn, cell.device(Xtor::Axr));
-
-        // Initial state: bit lines precharged, cell storing 1 at VL, word
-        // line already high (time zero is the WL edge).
-        let sys_nodes = ckt.num_nodes() - 1; // free nodes
-        let mut state = vec![0.0; sys_nodes + 4]; // + 4 vsource branches
-        let set = |node: pvtm_circuit::NodeId, v: f64, state: &mut Vec<f64>| {
-            state[node.index() - 1] = v;
-        };
-        set(vdd, cond.vdd, &mut state);
-        set(vl, cond.vdd, &mut state);
-        set(vr, 0.0, &mut state);
-        set(bl, cond.vdd, &mut state);
-        set(br, cond.vdd, &mut state);
-        set(wl, cond.vdd, &mut state);
-        set(sl, cond.vsb, &mut state);
-        set(bn, cond.body_bias, &mut state);
-
-        let t_stop = self.config.t_max * 8.0;
-        let opts =
-            pvtm_circuit::TransientOptions::new(t_stop / 400.0, t_stop).with_initial_state(state);
-        let res = pvtm_circuit::transient::solve(&ckt, &opts)?;
-        res.crossing_time(br, cond.vdd - self.config.dv_sense, true)
-            .ok_or(CircuitError::NoConvergence {
-                residual: f64::NAN,
-                iterations: 400,
-            })
+    /// Access margin `ln(T_MAX / t_access)` (dimensionless) for a read
+    /// current.
+    pub fn access_margin(&self, i_read: f64) -> f64 {
+        (self.t_max / self.access_time(i_read)).ln()
     }
 }
 
-/// Which inverter of the cross-coupled pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// The `PL`/`NL` inverter (output at `VL`, access device `AXL`).
-    Left,
-    /// The `PR`/`NR` inverter (output at `VR`, access device `AXR`).
-    Right,
+/// Hold-analysis raw quantities (see
+/// [`CellEvaluator::hold_metrics`](crate::evaluator::CellEvaluator::hold_metrics)).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct HoldMetrics {
+    /// Actual droop of the 1 node below VDD \[V\].
+    pub droop: f64,
+    /// Allowed droop before the retention trip point is reached \[V\].
+    pub allowed: f64,
+}
+
+/// The four failure-metric margins; positive is healthy, negative failed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Margins {
+    /// Read-stability margin \[V\].
+    pub read: f64,
+    /// Write-ability margin `ln(T_WL / t_write)` (dimensionless).
+    pub write: f64,
+    /// Access margin `ln(T_MAX / t_access)` (dimensionless).
+    pub access: f64,
+    /// Hold (data-retention) margin `ln(allowed / droop)` (dimensionless).
+    pub hold: f64,
+}
+
+impl Margins {
+    /// True when any mechanism fails.
+    pub fn any_failure(&self) -> bool {
+        self.read < 0.0 || self.write < 0.0 || self.access < 0.0 || self.hold < 0.0
+    }
+
+    /// The margins as an array ordered `[read, write, access, hold]`.
+    pub fn as_array(&self) -> [f64; 4] {
+        [self.read, self.write, self.access, self.hold]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellSizing;
-
-    fn setup() -> (Technology, CellAnalysis, SramCell) {
-        let tech = Technology::predictive_70nm();
-        let analysis = CellAnalysis::new(&tech, AnalysisConfig::default());
-        let cell = SramCell::nominal(&tech);
-        (tech, analysis, cell)
-    }
-
-    #[test]
-    fn nominal_margins_are_healthy() {
-        let (tech, analysis, cell) = setup();
-        let m = analysis.margins(&cell, &Conditions::active(&tech)).unwrap();
-        assert!(m.read > 0.05, "read margin {:.3}", m.read);
-        assert!(m.write > 0.05, "write margin {:.3}", m.write);
-        assert!(m.access > 0.1, "access margin {:.3}", m.access);
-        assert!(m.hold > 0.1, "hold margin {:.3}", m.hold);
-        assert!(!m.any_failure());
-    }
-
-    #[test]
-    fn v_read_is_a_small_positive_disturb() {
-        let (tech, analysis, cell) = setup();
-        let v = analysis.v_read(&cell, &Conditions::active(&tech)).unwrap();
-        assert!(v > 0.01 && v < 0.4, "V_READ = {v:.3}");
-    }
-
-    #[test]
-    fn weaker_pulldown_raises_v_read() {
-        let (tech, analysis, mut cell) = setup();
-        let cond = Conditions::active(&tech);
-        let base = analysis.v_read(&cell, &cond).unwrap();
-        // Raise NR's Vt: the pull-down fights the disturb less well.
-        cell.set_deviations([0.0, 0.06, 0.0, 0.0, 0.0, 0.0]);
-        let worse = analysis.v_read(&cell, &cond).unwrap();
-        assert!(worse > base, "{worse} vs {base}");
-    }
-
-    #[test]
-    fn rbb_improves_read_margin() {
-        let (tech, analysis, cell) = setup();
-        let zbb = analysis
-            .read_margin(&cell, &Conditions::active(&tech))
-            .unwrap();
-        let rbb = analysis
-            .read_margin(&cell, &Conditions::active(&tech).with_body_bias(-0.4))
-            .unwrap();
-        assert!(rbb > zbb, "RBB must improve read stability: {rbb} vs {zbb}");
-    }
-
-    #[test]
-    fn rbb_degrades_write_and_access() {
-        let (tech, analysis, cell) = setup();
-        let cond0 = Conditions::active(&tech);
-        let cond_rbb = cond0.with_body_bias(-0.4);
-        let w0 = analysis.write_margin(&cell, &cond0).unwrap();
-        let w1 = analysis.write_margin(&cell, &cond_rbb).unwrap();
-        assert!(w1 < w0, "RBB must hurt writability: {w1} vs {w0}");
-        let a0 = analysis.access_margin(&cell, &cond0).unwrap();
-        let a1 = analysis.access_margin(&cell, &cond_rbb).unwrap();
-        assert!(a1 < a0, "RBB must slow the read: {a1} vs {a0}");
-    }
-
-    #[test]
-    fn fbb_improves_write_and_access() {
-        let (tech, analysis, cell) = setup();
-        let cond0 = Conditions::active(&tech);
-        let cond_fbb = cond0.with_body_bias(0.4);
-        assert!(
-            analysis.write_margin(&cell, &cond_fbb).unwrap()
-                > analysis.write_margin(&cell, &cond0).unwrap()
-        );
-        assert!(
-            analysis.access_margin(&cell, &cond_fbb).unwrap()
-                > analysis.access_margin(&cell, &cond0).unwrap()
-        );
-    }
-
-    #[test]
-    fn deep_source_bias_erodes_hold_margin() {
-        // At small VSB the margin can even improve (DIBL cuts NL leakage
-        // faster than PL weakens); past the knee the weakening PL and the
-        // collapsing retention window must dominate.
-        let (tech, analysis, cell) = setup();
-        let m_mid = analysis
-            .hold_margin(&cell, &Conditions::standby(&tech, 0.30))
-            .unwrap();
-        let m_deep = analysis
-            .hold_margin(&cell, &Conditions::standby(&tech, 0.65))
-            .unwrap();
-        assert!(
-            m_deep < m_mid,
-            "deep VSB must erode hold margin: {m_deep} vs {m_mid}"
-        );
-        assert!(m_mid > 0.0);
-    }
-
-    #[test]
-    fn hold_state_retains_data_at_nominal() {
-        let (tech, analysis, cell) = setup();
-        let (vl, vr) = analysis
-            .hold_state(&cell, &Conditions::standby(&tech, 0.2))
-            .unwrap();
-        assert!(vl > 0.9, "the 1 node must stay high: {vl}");
-        assert!(vr < 0.3, "the 0 node must stay near the source line: {vr}");
-    }
-
-    #[test]
-    fn access_estimate_matches_transient_within_factor_two() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::active(&tech);
-        let est = analysis.access_time(&cell, &cond).unwrap();
-        let tran = analysis.access_time_transient(&cell, &cond).unwrap();
-        let ratio = tran / est;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "estimate {est:.3e} vs transient {tran:.3e} (ratio {ratio:.2})"
-        );
-    }
-
-    #[test]
-    fn hold_snm_exceeds_read_snm() {
-        // Classic result: read condition always degrades the butterfly.
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::active(&tech);
-        let hold = analysis.butterfly_snm(&cell, &cond, false).unwrap();
-        let read = analysis.butterfly_snm(&cell, &cond, true).unwrap();
-        assert!(hold > read, "hold SNM {hold:.3} vs read SNM {read:.3}");
-        assert!(read > 0.0, "nominal cell must be read-stable");
-    }
-
-    #[test]
-    fn bigger_pulldown_improves_read_snm() {
-        let (tech, analysis, _) = setup();
-        let cond = Conditions::active(&tech);
-        let mut sizing = CellSizing::default_for(&tech);
-        sizing.wpd *= 1.6;
-        let big = SramCell::with_sizing(&tech, sizing);
-        let small = SramCell::nominal(&tech);
-        let snm_big = analysis.butterfly_snm(&big, &cond, true).unwrap();
-        let snm_small = analysis.butterfly_snm(&small, &cond, true).unwrap();
-        assert!(
-            snm_big > snm_small,
-            "β-ratio must improve read SNM: {snm_big:.4} vs {snm_small:.4}"
-        );
-    }
-
-    #[test]
-    fn snm_is_physically_sized() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::active(&tech);
-        let snm = analysis.butterfly_snm(&cell, &cond, false).unwrap();
-        // Hold SNM of a healthy 6T cell sits well inside (0, vdd/2).
-        assert!(snm > 0.05 && snm < 0.5, "hold SNM = {snm:.4}");
-    }
-
-    #[test]
-    fn static_write_margin_is_positive_at_nominal() {
-        let (tech, analysis, cell) = setup();
-        let m = analysis
-            .static_write_margin(&cell, &Conditions::active(&tech))
-            .unwrap();
-        assert!(m > 0.1, "static write margin {m:.3}");
-    }
-
-    #[test]
-    fn write_time_is_picoseconds_at_nominal() {
-        let (tech, analysis, cell) = setup();
-        let t = analysis
-            .write_time(&cell, &Conditions::active(&tech))
-            .unwrap();
-        assert!(
-            t > 1e-12 && t < 1e-9,
-            "write time should be ps-scale, got {t:.3e}"
-        );
-    }
-
-    #[test]
-    fn retention_ceiling_orders_cells_by_weakness() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::standby(&tech, 0.0);
-        let nominal = analysis.retention_ceiling(&cell, &cond, 0.9).unwrap();
-        // A cell with a leaky NL and weak PL must give up earlier.
-        let mut weak = SramCell::nominal(&tech);
-        weak.set_deviations([-0.15, 0.0, 0.20, 0.0, 0.0, 0.0]);
-        let weak_ceiling = analysis.retention_ceiling(&weak, &cond, 0.9).unwrap();
-        assert!(
-            weak_ceiling < nominal,
-            "weak {weak_ceiling:.3} vs nominal {nominal:.3}"
-        );
-        assert!(nominal > 0.3, "nominal ceiling too low: {nominal:.3}");
-    }
-
-    #[test]
-    fn retention_ceiling_endpoints() {
-        let (tech, analysis, _) = setup();
-        let cond = Conditions::standby(&tech, 0.0);
-        // A hopeless cell: depletion-mode NL against a dead PL.
-        let mut dead = SramCell::nominal(&tech);
-        dead.set_deviations([-0.35, 0.0, 0.45, 0.0, 0.0, 0.0]);
-        let c = analysis.retention_ceiling(&dead, &cond, 0.9).unwrap();
-        assert!(c < 0.25, "dead cell ceiling {c:.3}");
-    }
 
     #[test]
     fn margins_as_array_order() {

@@ -1,5 +1,4 @@
-//! The 6T SRAM cell: sizing, deviations, operating conditions and netlist
-//! construction.
+//! The 6T SRAM cell: sizing, deviations and operating conditions.
 //!
 //! Node/transistor convention (paper Fig. 1): the left inverter `PL`/`NL`
 //! drives node `VL` and is driven by `VR`; the right inverter `PR`/`NR`

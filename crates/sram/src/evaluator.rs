@@ -1,57 +1,44 @@
-//! Compiled-template cell evaluator: the allocation-free Monte-Carlo hot
-//! path.
+//! The circuit-solved cell metrics, on compiled templates.
 //!
-//! [`CellAnalysis`] builds a fresh netlist
-//! for every DC question it asks — ~80 netlists (and as many solver scratch
-//! allocations) per full [`Margins`] evaluation once the trip-point
-//! bisections are counted. That is fine for one-off analyses and is kept as
-//! the reference implementation, but it dominates the runtime of the
-//! importance-sampled failure estimator, which evaluates tens of thousands
-//! of perturbed cells on the *same four topologies*.
-//!
-//! [`CellEvaluator`] compiles those topologies once into
+//! [`CellEvaluator`] compiles the metrics' four DC topologies once into
 //! [`CircuitTemplate`]s — the read divider, the write level, the full 6T
-//! hold state, and the loaded inverter used by every trip-point bisection —
-//! and re-solves them per sample by patching typed parameter slots. Solves
-//! are warm-started from the previous solution (adjacent Monte-Carlo
-//! samples and adjacent bisection points are a few millivolts apart), with
-//! cold Gmin continuation only as the fallback.
+//! hold state, and the loaded inverter behind every trip-point bisection
+//! and butterfly curve — and re-solves them by patching typed parameter
+//! slots, so a margin evaluation builds no netlist.
 //!
-//! The numbers are the `CellAnalysis` numbers: with warm starts disabled
-//! the evaluator replays the identical netlists, guesses and solver
-//! strategy, bit for bit. Warm starts change only the Newton iteration
-//! path, so voltage-domain metrics agree to solver tolerance (≲10 µV).
-//! The one delicate quantity — the exponentially small hold droop, whose
-//! logarithm amplifies any within-tolerance drift to percent level — is
-//! excluded from warm starting: the bistable hold state always solves
-//! cold, so the droop is bit-identical to the reference regardless of
-//! warm-start mode (see the proptest suite in
-//! `tests/warm_cold_agreement.rs`).
+//! Solves are warm-started from the previous solution, with cold Gmin
+//! continuation only as the fallback. With warm starts disabled
+//! ([`CellEvaluator::set_warm_start`]) every solve runs cold from the same
+//! guesses, so each number depends on the question alone. Warm starts move
+//! voltage-domain metrics by no more than the solver tolerance (≲10 µV);
+//! the bistable hold state, whose exponentially small droop would turn
+//! that drift into percent-level `ln(droop)` noise, always solves cold.
+//! `tests/warm_cold_agreement.rs` checks both modes and pins the cold
+//! numbers bit for bit.
 //!
 //! # Example
 //!
 //! ```
 //! use pvtm_device::Technology;
-//! use pvtm_sram::analysis::{AnalysisConfig, CellAnalysis};
-//! use pvtm_sram::evaluator::CellEvaluator;
-//! use pvtm_sram::{Conditions, SramCell};
+//! use pvtm_sram::{AnalysisConfig, CellEvaluator, Conditions, SramCell};
 //!
 //! let tech = Technology::predictive_70nm();
-//! let analysis = CellAnalysis::new(&tech, AnalysisConfig::default());
-//! let cell = SramCell::nominal(&tech);
-//! let mut ev = CellEvaluator::new(&analysis, &cell);
-//! let cond = Conditions::active(&tech);
-//! let reference = analysis.margins(&cell, &cond)?;
-//! let fast = ev.margins(&cond)?;
-//! assert!((fast.read - reference.read).abs() < 1e-6);
+//! let mut ev = CellEvaluator::new(AnalysisConfig::default(), &SramCell::nominal(&tech));
+//! let cond = Conditions::standby(&tech, 0.3);
+//! let warm = ev.margins(&cond)?;
+//! ev.set_warm_start(false);
+//! let cold = ev.margins(&cond)?;
+//! assert!((warm.read - cold.read).abs() < 1e-5);
+//! assert!(!cold.any_failure());
 //! # Ok::<(), pvtm_circuit::CircuitError>(())
 //! ```
 
 use pvtm_circuit::{
-    CircuitError, CircuitTemplate, DcOptions, MosfetSlot, Netlist, NodeId, SolverStats, VsourceSlot,
+    transient, CircuitError, CircuitTemplate, DcOptions, MosfetSlot, Netlist, NodeId, SolverStats,
+    TransientOptions, VsourceSlot,
 };
 
-use crate::analysis::{CellAnalysis, HoldMetrics, Margins, Side};
+use crate::analysis::{AnalysisConfig, HoldMetrics, Margins};
 use crate::cell::{Conditions, SramCell, Xtor};
 
 /// The compiled read divider: `AXR` against `NR` with the word line high.
@@ -124,7 +111,7 @@ struct InvTpl {
 /// per-transistor deviations are patched per sample via
 /// [`Self::set_deviations`]. See the [module documentation](self).
 pub struct CellEvaluator {
-    analysis: CellAnalysis,
+    config: AnalysisConfig,
     cell: SramCell,
     read: ReadTpl,
     write: WriteTpl,
@@ -133,12 +120,18 @@ pub struct CellEvaluator {
 }
 
 impl CellEvaluator {
-    /// Compiles the four analysis topologies for `base`'s technology and
+    /// Compiles the four metric topologies for `base`'s technology and
     /// sizing. The base deviations are the starting point of
     /// [`Self::set_deviations`].
-    pub fn new(analysis: &CellAnalysis, base: &SramCell) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-positive `cbl`, `dv_sense` or `t_max`, or a
+    /// `trip_level_frac` outside (0, 1).
+    pub fn new(config: AnalysisConfig, base: &SramCell) -> Self {
+        config.check();
         Self {
-            analysis: analysis.clone(),
+            config,
             cell: base.clone(),
             read: Self::compile_read(base),
             write: Self::compile_write(base),
@@ -250,8 +243,8 @@ impl CellEvaluator {
         ckt.mosfet("AXL", bl, wl, vl, bn, cell.device(Xtor::Axl));
         ckt.mosfet("AXR", br, wl, vr, bn, cell.device(Xtor::Axr));
         let opts = DcOptions {
-            // Mirrors `CellAnalysis::hold_state`: start from the stored
-            // state, with a gentler starting Gmin to stay in its basin.
+            // Start from the stored state (guesses patched per solve), with
+            // a gentler starting Gmin to stay in its basin.
             gmin_start: 1e-6,
             initial: vec![
                 (vl, 0.0),
@@ -331,9 +324,9 @@ impl CellEvaluator {
         &self.cell
     }
 
-    /// The metric analyzer whose configuration this evaluator replays.
-    pub fn analysis(&self) -> &CellAnalysis {
-        &self.analysis
+    /// The metric configuration in use.
+    pub fn config(&self) -> &AnalysisConfig {
+        &self.config
     }
 
     /// Patches the per-transistor threshold deviations for the next
@@ -348,15 +341,15 @@ impl CellEvaluator {
     /// the cell is replaced; warm seeds survive (Newton falls back to a
     /// cold start if the new cell's operating points moved too far).
     ///
-    /// The cell must target the same technology/analysis setup this
-    /// evaluator was compiled with.
+    /// The cell must have the topology and technology this evaluator was
+    /// compiled for.
     pub fn set_cell(&mut self, cell: &SramCell) {
         self.cell = cell.clone();
     }
 
     /// Enables or disables warm starting on all four templates. Disabled,
-    /// every solve replays the reference `CellAnalysis` strategy
-    /// bit-identically.
+    /// every solve runs cold from the template's guesses, so each result
+    /// depends only on the question asked.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.read.tpl.set_warm_start(enabled);
         self.write.tpl.set_warm_start(enabled);
@@ -400,7 +393,10 @@ impl CellEvaluator {
         self.inv.tpl.reset_stats();
     }
 
-    /// Read divider solution `(V_READ, I_read)`.
+    /// Solves the read divider — `AXR` (from `BR` = vdd) against `NR`
+    /// (gate held at vdd by the 1 node), word line high — and returns
+    /// `(V_READ, I_read)`: the read-disturb voltage at the node storing 0
+    /// and the bit-line discharge current.
     fn read_solution(&mut self, cond: &Conditions) -> Result<(f64, f64), CircuitError> {
         let t = &mut self.read;
         t.tpl.set_temperature(cond.temp_k);
@@ -415,7 +411,9 @@ impl CellEvaluator {
         Ok((t.tpl.voltage(t.n_vr), t.tpl.branch_current(t.vbr)))
     }
 
-    /// Write level: the voltage `AXL` pulls the 1 node down to.
+    /// Write level `V_WRITE`: the voltage the 1 node (`VL`) is pulled to
+    /// through `AXL` (bit line at 0) against `PL`, with the far node held
+    /// at 0.
     fn write_level(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
         let t = &mut self.write;
         t.tpl.set_temperature(cond.temp_k);
@@ -433,7 +431,8 @@ impl CellEvaluator {
         Ok(t.tpl.voltage(t.n_vl))
     }
 
-    /// Standby state `(VL, VR)` of the full cell.
+    /// Standby state `(VL, VR)` of the full cell: storing 1 at `VL`, word
+    /// line low, source line at `cond.vsb`.
     ///
     /// This solve always runs cold, for two reasons. The 6T hold circuit is
     /// bistable, so a warm seed inherited from a collapsed or flipped
@@ -443,9 +442,9 @@ impl CellEvaluator {
     /// iterations stop at different points in that ball, which `ln(droop)`
     /// amplifies to percent-level drift — enough to distort the hold
     /// sensitivities behind the Fig. 6 source-bias ceilings. A cold solve
-    /// replays the reference `CellAnalysis::hold_state` strategy exactly,
-    /// so the droop is bit-identical; it costs one Gmin continuation out of
-    /// the ~20 solves of a full margin evaluation.
+    /// starts from the stored-state guess every time, so the droop depends
+    /// on the cell alone; it costs one Gmin continuation out of the ~80
+    /// solves of a full margin evaluation.
     fn hold_state(&mut self, cond: &Conditions) -> Result<(f64, f64), CircuitError> {
         let t = &mut self.hold;
         t.tpl.invalidate_warm();
@@ -474,8 +473,10 @@ impl CellEvaluator {
         Ok((t.tpl.voltage(t.n_vl), t.tpl.voltage(t.n_vr)))
     }
 
-    /// Loaded-inverter output for a forced input (see
-    /// `CellAnalysis::inverter_output`).
+    /// Output voltage of one cross-coupled inverter for a forced input,
+    /// including the access transistor load: `wordline_high` turns the
+    /// access pull-up from the precharged bit line on (read/write
+    /// condition) or leaves it off (hold condition).
     fn inverter_output(
         &mut self,
         cond: &Conditions,
@@ -499,6 +500,7 @@ impl CellEvaluator {
         t.tpl.set_device(t.pu, self.cell.device(pu))?;
         t.tpl.set_device(t.pd, self.cell.device(pd))?;
         t.tpl.set_device(t.ax, self.cell.device(ax))?;
+        // Guess the output on the branch of the VTC the input selects.
         let guess = if vin > cond.vdd * 0.5 {
             cond.vsb
         } else {
@@ -511,7 +513,8 @@ impl CellEvaluator {
         Ok(t.tpl.voltage(t.n_out))
     }
 
-    /// Trip-point bisection, identical to `CellAnalysis::inverter_trip`.
+    /// Finds the input level at which the inverter output crosses `level`
+    /// (output is monotone decreasing in the input), by bisection.
     fn inverter_trip(
         &mut self,
         cond: &Conditions,
@@ -523,13 +526,14 @@ impl CellEvaluator {
         let mut hi = cond.vdd;
         let out_lo = self.inverter_output(cond, side, wordline_high, lo)?;
         let out_hi = self.inverter_output(cond, side, wordline_high, hi)?;
+        // Degenerate inverters (extreme deviations): clamp to the bounds.
         if out_lo <= level {
             return Ok(lo);
         }
         if out_hi >= level {
             return Ok(hi);
         }
-        for _ in 0..self.analysis.config().bisection_iters {
+        for _ in 0..self.config.bisection_iters {
             let mid = 0.5 * (lo + hi);
             let out = self.inverter_output(cond, side, wordline_high, mid)?;
             if out > level {
@@ -541,30 +545,39 @@ impl CellEvaluator {
         Ok(0.5 * (lo + hi))
     }
 
-    /// Read trip point `V_TRIPRD` (see `CellAnalysis::v_trip_rd`).
+    /// Read trip point `V_TRIPRD`: input level at which the left inverter
+    /// (`PL`/`NL`, loaded by `AXL` pulling up from `BL` = vdd) output falls
+    /// through the trip level.
     fn v_trip_rd(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.analysis.config().trip_level_frac;
+        let level = cond.vdd * self.config.trip_level_frac;
         self.inverter_trip(cond, Side::Left, true, level)
     }
 
-    /// Write trip point `V_TRIPWR` (see `CellAnalysis::v_trip_wr`).
+    /// Write trip point `V_TRIPWR`: trip of the right inverter (`PR`/`NR`,
+    /// loaded by `AXR` pulling up from `BR` = vdd).
     fn v_trip_wr(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.analysis.config().trip_level_frac;
+        let level = cond.vdd * self.config.trip_level_frac;
         self.inverter_trip(cond, Side::Right, true, level)
     }
 
-    /// Retention trip point `V_TRIPHD` (see `CellAnalysis::v_trip_hold`).
+    /// Data-retention trip point `V_TRIPHD` of the right inverter in
+    /// standby: input level below which it releases the stored 0.
     fn v_trip_hold(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vsb + (cond.vdd - cond.vsb) * self.analysis.config().trip_level_frac;
+        let level = cond.vsb + (cond.vdd - cond.vsb) * self.config.trip_level_frac;
         self.inverter_trip(cond, Side::Right, false, level)
     }
 
-    /// Hold droop and allowed droop (see `CellAnalysis::hold_metrics`).
+    /// The two ingredients of the hold margin: the actual 1-node droop and
+    /// the allowed droop (distance from VDD down to the retention trip
+    /// point), both floored at 1 nV to keep logs finite. The droop is
+    /// exponential in `ΔVt(NL)` while the allowed droop shrinks at high-Vt
+    /// corners, so hold failures grow at both inter-die tails (Fig. 2a).
     ///
     /// # Errors
     ///
-    /// Propagates DC-solver failures (a non-convergent hold state itself is
-    /// mapped to full retention collapse, as in the reference).
+    /// Propagates DC-solver failures; a hold state that does not converge
+    /// (a cell at the fold where it loses bistability) is reported as full
+    /// retention collapse, a droop of the whole rail.
     pub fn hold_metrics(&mut self, cond: &Conditions) -> Result<HoldMetrics, CircuitError> {
         let _span = pvtm_telemetry::span("eval.hold");
         let droop = match self.hold_state(cond) {
@@ -573,7 +586,7 @@ impl CellEvaluator {
                 // The solve has already been through the full rescue
                 // ladder by the time this arm is reached; mapping the
                 // exhausted ladder to a full-droop retention collapse is
-                // the reference behavior, but it must never happen
+                // the physical reading, but it must never happen
                 // silently — the floor masks the solve failure and biases
                 // the hold tail, so every occurrence is counted.
                 pvtm_telemetry::counter_add("eval.hold_droop_floor", 1);
@@ -588,30 +601,37 @@ impl CellEvaluator {
         })
     }
 
-    /// All four margins at the current deviations, matching
-    /// [`CellAnalysis::margins`]: read/write/access in active mode (`vsb`
-    /// forced to 0), hold under the conditions as given.
-    ///
-    /// The read divider is solved once and serves both the read and the
-    /// access margin (the reference solves it twice with identical inputs).
+    /// Read, write and access margins in active mode (`vsb` forced to 0),
+    /// and the hold metrics under the conditions as given. The read divider
+    /// is solved once and serves both the read and the access margin.
+    fn evaluate(&mut self, cond: &Conditions) -> Result<([f64; 3], HoldMetrics), CircuitError> {
+        let active = Conditions { vsb: 0.0, ..*cond };
+        let trip_rd = self.v_trip_rd(&active)?;
+        let (v_read, i_read) = self.read_solution(&active)?;
+        let t_write = self.write_time(&active)?;
+        let hold = self.hold_metrics(cond)?;
+        let margins = [
+            trip_rd - v_read,
+            self.config.write_margin(t_write),
+            self.config.access_margin(i_read),
+        ];
+        Ok((margins, hold))
+    }
+
+    /// All four margins at the current deviations: read/write/access in
+    /// active mode (`vsb` forced to 0), hold under the conditions as given
+    /// (standby source bias applies).
     ///
     /// # Errors
     ///
     /// Propagates DC-solver failures.
     pub fn margins(&mut self, cond: &Conditions) -> Result<Margins, CircuitError> {
         let _span = pvtm_telemetry::span("eval.margins");
-        let active = Conditions { vsb: 0.0, ..*cond };
-        let trip_rd = self.v_trip_rd(&active)?;
-        let (v_read, i_read) = self.read_solution(&active)?;
-        let trip_wr = self.v_trip_wr(&active)?;
-        let t_write = self
-            .analysis
-            .write_time_from_trip(&self.cell, &active, trip_wr);
-        let hold = self.hold_metrics(cond)?;
+        let ([read, write, access], hold) = self.evaluate(cond)?;
         Ok(Margins {
-            read: trip_rd - v_read,
-            write: self.analysis.write_margin_from_time(t_write),
-            access: self.analysis.access_margin_from_current(i_read),
+            read,
+            write,
+            access,
             hold: (hold.allowed / hold.droop).ln(),
         })
     }
@@ -624,25 +644,14 @@ impl CellEvaluator {
     /// Propagates DC-solver failures.
     pub fn metrics(&mut self, cond: &Conditions) -> Result<[f64; 5], CircuitError> {
         let _span = pvtm_telemetry::span("eval.metrics");
-        let active = Conditions { vsb: 0.0, ..*cond };
-        let trip_rd = self.v_trip_rd(&active)?;
-        let (v_read, i_read) = self.read_solution(&active)?;
-        let trip_wr = self.v_trip_wr(&active)?;
-        let t_write = self
-            .analysis
-            .write_time_from_trip(&self.cell, &active, trip_wr);
-        let hold = self.hold_metrics(cond)?;
-        Ok([
-            trip_rd - v_read,
-            self.analysis.write_margin_from_time(t_write),
-            self.analysis.access_margin_from_current(i_read),
-            hold.droop.ln(),
-            hold.allowed,
-        ])
+        let ([read, write, access], hold) = self.evaluate(cond)?;
+        Ok([read, write, access, hold.droop.ln(), hold.allowed])
     }
 
-    /// Static write margin `V_TRIPWR − V_WRITE`, matching
-    /// [`CellAnalysis::static_write_margin`].
+    /// Static write margin `V_TRIPWR − V_WRITE` \[V\]: positive when the
+    /// access transistor can statically pull the 1 node below the opposite
+    /// trip point. A necessary condition for writability, but blind to the
+    /// word-line timing that the write margin of [`Self::margins`] scores.
     ///
     /// # Errors
     ///
@@ -651,67 +660,378 @@ impl CellEvaluator {
         let _span = pvtm_telemetry::span("eval.swm");
         Ok(self.v_trip_wr(cond)? - self.write_level(cond)?)
     }
+
+    /// Write (flip) time \[s\] under `cond`: the pull-down of the 1 node to
+    /// the write trip point `V_TRIPWR` (see [`AnalysisConfig::write_time`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC-solver failures.
+    pub fn write_time(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
+        let trip = self.v_trip_wr(cond)?;
+        Ok(self.config.write_time(&self.cell, cond, trip))
+    }
+
+    /// Access (bit-line discharge) time \[s\] under `cond`:
+    /// `C_BL · ΔV_sense / I_read` (see [`AnalysisConfig::access_time`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC-solver failures.
+    pub fn access_time(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
+        let (_, i_read) = self.read_solution(cond)?;
+        Ok(self.config.access_time(i_read))
+    }
+
+    /// Butterfly static noise margin \[V\] via Seevinck's rotated-coordinate
+    /// construction, in read mode (`wordline_high = true`) or hold mode:
+    /// both inverters' transfer curves on a 61-point input grid.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC-solver failures.
+    pub fn butterfly_snm(
+        &mut self,
+        cond: &Conditions,
+        wordline_high: bool,
+    ) -> Result<f64, CircuitError> {
+        const POINTS: usize = 61;
+        let vmax = cond.vdd;
+        let xs: Vec<f64> = (0..POINTS)
+            .map(|i| i as f64 * vmax / (POINTS - 1) as f64)
+            .collect();
+        let mut vtc_l = Vec::with_capacity(POINTS);
+        let mut vtc_r = Vec::with_capacity(POINTS);
+        for &x in &xs {
+            vtc_l.push(self.inverter_output(cond, Side::Left, wordline_high, x)?);
+            vtc_r.push(self.inverter_output(cond, Side::Right, wordline_high, x)?);
+        }
+        // Seevinck construction: slide 45° lines y = x + c across the
+        // butterfly. For each offset, intersect the line with the left VTC
+        // (y = f1(x), monotone decreasing ⇒ unique root of f1(x) − x − c)
+        // and with the mirrored right VTC (x = f2(y) ⇒ unique root of
+        // y − f2(y) − c). The inscribed-square side at that offset is the
+        // horizontal separation of the two intersection points; each lobe's
+        // SNM is the maximum over its offsets, and the cell SNM is the
+        // smaller lobe. A negative value means that lobe has collapsed —
+        // the cell is no longer bistable under this condition.
+        let root = |g: &dyn Fn(usize) -> f64| -> Option<f64> {
+            // Finds the zero crossing of g over grid indices, interpolated
+            // to a fractional x position on `xs`.
+            for i in 1..POINTS {
+                let (a, b) = (g(i - 1), g(i));
+                // pvtm-lint: allow(no-float-eq) an exactly zero bracket endpoint is itself the root
+                if a == 0.0 {
+                    return Some(xs[i - 1]);
+                }
+                if a * b < 0.0 {
+                    let frac = a / (a - b);
+                    return Some(xs[i - 1] + frac * (xs[i] - xs[i - 1]));
+                }
+            }
+            None
+        };
+        let mut lobe_upper = f64::NEG_INFINITY; // offsets c > 0
+        let mut lobe_lower = f64::NEG_INFINITY; // offsets c < 0
+        const OFFSETS: usize = 81;
+        for k in 0..OFFSETS {
+            let c = -vmax + 2.0 * vmax * k as f64 / (OFFSETS - 1) as f64;
+            // Intersection with the left VTC: f1(x) = x + c.
+            let xa = root(&|i| vtc_l[i] - xs[i] - c);
+            // Intersection with the mirrored right VTC: y = f2(y) + c,
+            // parameterized by y on the same grid; x-coordinate = y − c.
+            let yb = root(&|i| xs[i] - vtc_r[i] - c);
+            if let (Some(xa), Some(yb)) = (xa, yb) {
+                let xb = yb - c;
+                if c > 0.0 {
+                    lobe_upper = lobe_upper.max(xa - xb);
+                } else if c < 0.0 {
+                    lobe_lower = lobe_lower.max(xb - xa);
+                }
+            }
+        }
+        Ok(lobe_upper.min(lobe_lower))
+    }
+
+    /// Access time \[s\] measured by a full transient simulation of the
+    /// cell with explicit bit-line capacitors: the time for `BR` to
+    /// discharge by the sense differential. A cross-check of
+    /// [`Self::access_time`]; it builds its own netlist, since no template
+    /// carries the capacitors.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures; returns `NoConvergence` if the bit line
+    /// never develops the differential within `8 × T_MAX`.
+    pub fn access_time_transient(&self, cond: &Conditions) -> Result<f64, CircuitError> {
+        let cell = &self.cell;
+        let mut ckt = Netlist::new();
+        ckt.set_temperature(cond.temp_k);
+        let vdd = ckt.node("vdd");
+        let vl = ckt.node("vl");
+        let vr = ckt.node("vr");
+        let bl = ckt.node("bl");
+        let br = ckt.node("br");
+        let wl = ckt.node("wl");
+        let sl = ckt.node("sl");
+        let bn = ckt.node("bn");
+        ckt.vsource("VDD", vdd, Netlist::GROUND, cond.vdd);
+        ckt.vsource("VWL", wl, Netlist::GROUND, cond.vdd);
+        ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
+        ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
+        ckt.capacitor("CBL", bl, Netlist::GROUND, self.config.cbl);
+        ckt.capacitor("CBR", br, Netlist::GROUND, self.config.cbl);
+        ckt.mosfet("PL", vl, vr, vdd, vdd, cell.device(Xtor::Pl));
+        ckt.mosfet("NL", vl, vr, sl, bn, cell.device(Xtor::Nl));
+        ckt.mosfet("PR", vr, vl, vdd, vdd, cell.device(Xtor::Pr));
+        ckt.mosfet("NR", vr, vl, sl, bn, cell.device(Xtor::Nr));
+        ckt.mosfet("AXL", bl, wl, vl, bn, cell.device(Xtor::Axl));
+        ckt.mosfet("AXR", br, wl, vr, bn, cell.device(Xtor::Axr));
+
+        // Initial state: bit lines precharged, cell storing 1 at VL, word
+        // line already high (time zero is the WL edge).
+        let sys_nodes = ckt.num_nodes() - 1; // free nodes
+        let mut state = vec![0.0; sys_nodes + 4]; // + 4 vsource branches
+        for (node, v) in [
+            (vdd, cond.vdd),
+            (vl, cond.vdd),
+            (vr, 0.0),
+            (bl, cond.vdd),
+            (br, cond.vdd),
+            (wl, cond.vdd),
+            (sl, cond.vsb),
+            (bn, cond.body_bias),
+        ] {
+            state[node.index() - 1] = v;
+        }
+
+        let t_stop = self.config.t_max * 8.0;
+        let opts = TransientOptions::new(t_stop / 400.0, t_stop).with_initial_state(state);
+        let res = transient::solve(&ckt, &opts)?;
+        res.crossing_time(br, cond.vdd - self.config.dv_sense, true)
+            .ok_or(CircuitError::NoConvergence {
+                residual: f64::NAN,
+                iterations: 400,
+            })
+    }
+}
+
+/// Which inverter of the cross-coupled pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// The `PL`/`NL` inverter (output at `VL`, access device `AXL`).
+    Left,
+    /// The `PR`/`NR` inverter (output at `VR`, access device `AXR`).
+    Right,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::AnalysisConfig;
+    use crate::cell::CellSizing;
     use pvtm_device::Technology;
 
-    fn setup() -> (Technology, CellAnalysis, SramCell) {
+    fn setup() -> (Technology, CellEvaluator) {
         let tech = Technology::predictive_70nm();
-        let analysis = CellAnalysis::new(&tech, AnalysisConfig::default());
-        let cell = SramCell::nominal(&tech);
-        (tech, analysis, cell)
+        let ev = CellEvaluator::new(AnalysisConfig::default(), &SramCell::nominal(&tech));
+        (tech, ev)
     }
 
     #[test]
-    fn cold_evaluator_is_bit_identical_to_reference() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::standby(&tech, 0.3);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
-        ev.set_warm_start(false);
-        let fast = ev.margins(&cond).unwrap();
-        let reference = analysis.margins(&cell, &cond).unwrap();
-        assert_eq!(fast.read, reference.read);
-        assert_eq!(fast.write, reference.write);
-        assert_eq!(fast.access, reference.access);
-        assert_eq!(fast.hold, reference.hold);
-        assert_eq!(ev.stats().warm_attempts, 0);
+    fn nominal_margins_are_healthy() {
+        let (tech, mut ev) = setup();
+        let m = ev.margins(&Conditions::active(&tech)).unwrap();
+        assert!(m.read > 0.05, "read margin {:.3}", m.read);
+        assert!(m.write > 0.05, "write margin {:.3}", m.write);
+        assert!(m.access > 0.1, "access margin {:.3}", m.access);
+        assert!(m.hold > 0.1, "hold margin {:.3}", m.hold);
+        assert!(!m.any_failure());
     }
 
     #[test]
-    fn warm_evaluator_matches_reference_within_tolerance() {
-        let (tech, analysis, cell) = setup();
+    fn v_read_is_a_small_positive_disturb() {
+        let (tech, mut ev) = setup();
+        let (v, _) = ev.read_solution(&Conditions::active(&tech)).unwrap();
+        assert!(v > 0.01 && v < 0.4, "V_READ = {v:.3}");
+    }
+
+    #[test]
+    fn weaker_pulldown_raises_v_read() {
+        let (tech, mut ev) = setup();
+        let cond = Conditions::active(&tech);
+        let (base, _) = ev.read_solution(&cond).unwrap();
+        // Raise NR's Vt: the pull-down fights the disturb less well.
+        ev.set_deviations([0.0, 0.06, 0.0, 0.0, 0.0, 0.0]);
+        let (worse, _) = ev.read_solution(&cond).unwrap();
+        assert!(worse > base, "{worse} vs {base}");
+    }
+
+    #[test]
+    fn rbb_improves_read_margin() {
+        let (tech, mut ev) = setup();
+        let zbb = ev.margins(&Conditions::active(&tech)).unwrap().read;
+        let rbb = ev
+            .margins(&Conditions::active(&tech).with_body_bias(-0.4))
+            .unwrap()
+            .read;
+        assert!(rbb > zbb, "RBB must improve read stability: {rbb} vs {zbb}");
+    }
+
+    #[test]
+    fn rbb_degrades_write_and_access() {
+        let (tech, mut ev) = setup();
+        let cond0 = Conditions::active(&tech);
+        let m0 = ev.margins(&cond0).unwrap();
+        let m1 = ev.margins(&cond0.with_body_bias(-0.4)).unwrap();
+        assert!(
+            m1.write < m0.write,
+            "RBB must hurt writability: {} vs {}",
+            m1.write,
+            m0.write
+        );
+        assert!(
+            m1.access < m0.access,
+            "RBB must slow the read: {} vs {}",
+            m1.access,
+            m0.access
+        );
+    }
+
+    #[test]
+    fn fbb_improves_write_and_access() {
+        let (tech, mut ev) = setup();
+        let cond0 = Conditions::active(&tech);
+        let m0 = ev.margins(&cond0).unwrap();
+        let m1 = ev.margins(&cond0.with_body_bias(0.4)).unwrap();
+        assert!(m1.write > m0.write);
+        assert!(m1.access > m0.access);
+    }
+
+    #[test]
+    fn deep_source_bias_erodes_hold_margin() {
+        // At small VSB the margin can even improve (DIBL cuts NL leakage
+        // faster than PL weakens); past the knee the weakening PL and the
+        // collapsing retention window must dominate.
+        let (tech, mut ev) = setup();
+        let mut hold_margin = |vsb: f64| {
+            let h = ev.hold_metrics(&Conditions::standby(&tech, vsb)).unwrap();
+            (h.allowed / h.droop).ln()
+        };
+        let m_mid = hold_margin(0.30);
+        let m_deep = hold_margin(0.65);
+        assert!(
+            m_deep < m_mid,
+            "deep VSB must erode hold margin: {m_deep} vs {m_mid}"
+        );
+        assert!(m_mid > 0.0);
+    }
+
+    #[test]
+    fn hold_state_retains_data_at_nominal() {
+        let (tech, mut ev) = setup();
+        let (vl, vr) = ev.hold_state(&Conditions::standby(&tech, 0.2)).unwrap();
+        assert!(vl > 0.9, "the 1 node must stay high: {vl}");
+        assert!(vr < 0.3, "the 0 node must stay near the source line: {vr}");
+    }
+
+    #[test]
+    fn access_estimate_matches_transient_within_factor_two() {
+        let (tech, mut ev) = setup();
+        let cond = Conditions::active(&tech);
+        let est = ev.access_time(&cond).unwrap();
+        let tran = ev.access_time_transient(&cond).unwrap();
+        let ratio = tran / est;
+        assert!(
+            (0.5..2.0).contains(&ratio),
+            "estimate {est:.3e} vs transient {tran:.3e} (ratio {ratio:.2})"
+        );
+    }
+
+    #[test]
+    fn hold_snm_exceeds_read_snm() {
+        // Classic result: read condition always degrades the butterfly.
+        let (tech, mut ev) = setup();
+        let cond = Conditions::active(&tech);
+        let hold = ev.butterfly_snm(&cond, false).unwrap();
+        let read = ev.butterfly_snm(&cond, true).unwrap();
+        assert!(hold > read, "hold SNM {hold:.3} vs read SNM {read:.3}");
+        assert!(read > 0.0, "nominal cell must be read-stable");
+    }
+
+    #[test]
+    fn bigger_pulldown_improves_read_snm() {
+        let (tech, mut small) = setup();
+        let cond = Conditions::active(&tech);
+        let mut sizing = CellSizing::default_for(&tech);
+        sizing.wpd *= 1.6;
+        let mut big = CellEvaluator::new(
+            AnalysisConfig::default(),
+            &SramCell::with_sizing(&tech, sizing),
+        );
+        let snm_big = big.butterfly_snm(&cond, true).unwrap();
+        let snm_small = small.butterfly_snm(&cond, true).unwrap();
+        assert!(
+            snm_big > snm_small,
+            "β-ratio must improve read SNM: {snm_big:.4} vs {snm_small:.4}"
+        );
+    }
+
+    #[test]
+    fn snm_is_physically_sized() {
+        let (tech, mut ev) = setup();
+        let snm = ev.butterfly_snm(&Conditions::active(&tech), false).unwrap();
+        // Hold SNM of a healthy 6T cell sits well inside (0, vdd/2).
+        assert!(snm > 0.05 && snm < 0.5, "hold SNM = {snm:.4}");
+    }
+
+    #[test]
+    fn static_write_margin_is_positive_at_nominal() {
+        let (tech, mut ev) = setup();
+        let m = ev.static_write_margin(&Conditions::active(&tech)).unwrap();
+        assert!(m > 0.1, "static write margin {m:.3}");
+    }
+
+    #[test]
+    fn write_time_is_picoseconds_at_nominal() {
+        let (tech, mut ev) = setup();
+        let t = ev.write_time(&Conditions::active(&tech)).unwrap();
+        assert!(
+            t > 1e-12 && t < 1e-9,
+            "write time should be ps-scale, got {t:.3e}"
+        );
+    }
+
+    #[test]
+    fn warm_evaluator_matches_cold_within_tolerance() {
+        let (tech, mut warm) = setup();
+        let (_, mut cold) = setup();
+        cold.set_warm_start(false);
         let cond = Conditions::standby(&tech, 0.2);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
-        // Two rounds with different deviations to exercise warm reuse.
+        // Three rounds with different deviations to exercise warm reuse.
         for dvt in [
             [0.0; 6],
             [0.02, -0.01, 0.015, -0.02, 0.01, -0.015],
             [-0.02, 0.02, -0.01, 0.01, -0.02, 0.02],
         ] {
-            ev.set_deviations(dvt);
-            let fast = ev.margins(&cond).unwrap();
-            let mut shifted = cell.clone();
-            shifted.set_deviations(dvt);
-            let reference = analysis.margins(&shifted, &cond).unwrap();
+            warm.set_deviations(dvt);
+            cold.set_deviations(dvt);
+            let fast = warm.margins(&cond).unwrap();
+            let reference = cold.margins(&cond).unwrap();
             // Voltage-domain margins agree to solver tolerance; the hold
             // margin is the log of an exponentially small droop, where the
             // same voltage tolerance is amplified to a few percent.
             let tol = [1e-5, 1e-5, 1e-5, 0.05];
             for ((a, b), t) in fast.as_array().iter().zip(reference.as_array()).zip(tol) {
-                assert!((a - b).abs() < t, "warm {a} vs reference {b} (tol {t})");
+                assert!((a - b).abs() < t, "warm {a} vs cold {b} (tol {t})");
             }
         }
+        assert_eq!(cold.stats().warm_attempts, 0);
     }
 
     #[test]
     fn warm_hit_rate_is_high_over_perturbed_samples() {
-        let (tech, analysis, cell) = setup();
+        let (tech, mut ev) = setup();
         let cond = Conditions::active(&tech);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
         for k in 0..8 {
             let s = 0.01 * k as f64;
             ev.set_deviations([s, -s, s, -s, s, -s]);
@@ -730,9 +1050,8 @@ mod tests {
 
     #[test]
     fn metrics_agree_with_margins() {
-        let (tech, analysis, cell) = setup();
+        let (tech, mut ev) = setup();
         let cond = Conditions::standby(&tech, 0.25);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
         let m = ev.margins(&cond).unwrap();
         ev.set_warm_start(false);
         let raw = ev.metrics(&cond).unwrap();
@@ -741,28 +1060,5 @@ mod tests {
         assert!((raw[2] - m.access).abs() < 1e-6);
         // hold = ln(allowed) − ln(droop).
         assert!((raw[4].ln() - raw[3] - m.hold).abs() < 1e-5);
-    }
-
-    #[test]
-    fn static_write_margin_matches_reference() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::active(&tech);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
-        ev.set_warm_start(false);
-        let fast = ev.static_write_margin(&cond).unwrap();
-        let reference = analysis.static_write_margin(&cell, &cond).unwrap();
-        assert_eq!(fast, reference);
-    }
-
-    #[test]
-    fn hold_metrics_match_reference() {
-        let (tech, analysis, cell) = setup();
-        let cond = Conditions::standby(&tech, 0.4);
-        let mut ev = CellEvaluator::new(&analysis, &cell);
-        ev.set_warm_start(false);
-        let fast = ev.hold_metrics(&cond).unwrap();
-        let reference = analysis.hold_metrics(&cell, &cond).unwrap();
-        assert_eq!(fast.droop, reference.droop);
-        assert_eq!(fast.allowed, reference.allowed);
     }
 }

@@ -11,7 +11,7 @@ use pvtm_stats::special::norm_cdf;
 use pvtm_stats::{ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome};
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{AnalysisConfig, CellAnalysis, Margins};
+use crate::analysis::{AnalysisConfig, Margins};
 use crate::cell::{CellSizing, Conditions, SramCell, Xtor};
 use crate::evaluator::CellEvaluator;
 use pvtm_device::Technology;
@@ -217,7 +217,7 @@ impl CellFailureModel {
 /// Failure-probability estimator for a cell design.
 #[derive(Debug, Clone)]
 pub struct FailureAnalyzer {
-    analysis: CellAnalysis,
+    config: AnalysisConfig,
     base: SramCell,
     sigmas: [f64; 6],
 }
@@ -225,19 +225,25 @@ pub struct FailureAnalyzer {
 impl FailureAnalyzer {
     /// Creates an analyzer for the given technology / sizing / metric
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid sizing, a non-positive `cbl`, `dv_sense` or
+    /// `t_max`, or a `trip_level_frac` outside (0, 1).
     pub fn new(tech: &Technology, sizing: CellSizing, config: AnalysisConfig) -> Self {
+        config.check();
         let base = SramCell::with_sizing(tech, sizing);
         let sigmas = std::array::from_fn(|i| base.sigma_vt(Xtor::ALL[i]));
         Self {
-            analysis: CellAnalysis::new(tech, config),
+            config,
             base,
             sigmas,
         }
     }
 
-    /// The underlying metric analyzer.
-    pub fn analysis(&self) -> &CellAnalysis {
-        &self.analysis
+    /// The metric configuration in use.
+    pub fn config(&self) -> &AnalysisConfig {
+        &self.config
     }
 
     /// Calibrates the timing thresholds (`t_max`, `t_wl_max`) so the
@@ -248,6 +254,7 @@ impl FailureAnalyzer {
     /// The log-domain margins make this exact: `ln(T/t)` has a sigma that
     /// does not depend on the threshold `T`, so one linearization gives the
     /// sigma and the threshold follows as `t_nominal · exp(beta·sigma)`.
+    /// The nominal times are solved cold, so they depend on the cell alone.
     ///
     /// # Errors
     ///
@@ -265,9 +272,10 @@ impl FailureAnalyzer {
         let provisional = Self::new(tech, sizing, config);
         let cond = Conditions::active(tech);
         let model = provisional.linearize(0.0, &cond)?;
-        let cell = SramCell::with_sizing(tech, sizing);
-        let t_acc = provisional.analysis.access_time(&cell, &cond)?;
-        let t_wr = provisional.analysis.write_time(&cell, &cond)?;
+        let mut ev = provisional.evaluator();
+        ev.set_warm_start(false);
+        let t_acc = ev.access_time(&cond)?;
+        let t_wr = ev.write_time(&cond)?;
         config.t_max = t_acc * (beta_target * model.access.sigma()).exp();
         config.t_wl_max = t_wr * (beta_target * model.write.sigma()).exp();
         Ok(Self::new(tech, sizing, config))
@@ -287,7 +295,7 @@ impl FailureAnalyzer {
     /// cell — the hot path for repeated margin evaluations (linearization,
     /// Monte Carlo). See [`CellEvaluator`].
     pub fn evaluator(&self) -> CellEvaluator {
-        CellEvaluator::new(&self.analysis, &self.base)
+        CellEvaluator::new(self.config, &self.base)
     }
 
     /// Patches `ev`'s deviations to the standardized vector `z` on top of

@@ -4,11 +4,13 @@
 //! §II (following its refs \[3\] and \[4\]):
 //!
 //! - [`cell`] — the 6T cell: sizing, per-transistor threshold deviations
-//!   (inter-die shift + RDF), and netlist construction on `pvtm-circuit`.
-//! - [`analysis`] — the four parametric-failure metrics: read margin
-//!   (`V_TRIPRD − V_READ`), static write margin, access-time margin, and
-//!   hold margin at a raised source bias; plus butterfly static-noise-margin
-//!   extraction.
+//!   (inter-die shift + RDF) and operating conditions.
+//! - [`analysis`] — the four parametric-failure metrics (read, write,
+//!   access and hold margins): configuration, results, and the closed-form
+//!   steps from a DC solution to a margin.
+//! - [`evaluator`] — the circuit-solved metrics on compiled `pvtm-circuit`
+//!   templates, plus butterfly static noise margin and a transient
+//!   access-time cross-check.
 //! - [`failure`] — failure-probability estimation per mechanism: a fast
 //!   linearized (sensitivity) estimator and an importance-sampled
 //!   Monte-Carlo cross-check.
@@ -23,12 +25,11 @@
 //!
 //! ```
 //! use pvtm_device::Technology;
-//! use pvtm_sram::{SramCell, analysis::{CellAnalysis, AnalysisConfig}, Conditions};
+//! use pvtm_sram::{AnalysisConfig, CellEvaluator, Conditions, SramCell};
 //!
 //! let tech = Technology::predictive_70nm();
-//! let cell = SramCell::nominal(&tech);
-//! let analysis = CellAnalysis::new(&tech, AnalysisConfig::default());
-//! let m = analysis.margins(&cell, &Conditions::active(&tech))?;
+//! let mut ev = CellEvaluator::new(AnalysisConfig::default(), &SramCell::nominal(&tech));
+//! let m = ev.margins(&Conditions::active(&tech))?;
 //! // A nominal cell has healthy margins on every mechanism.
 //! assert!(m.read > 0.0 && m.write > 0.0 && m.access > 0.0 && m.hold > 0.0);
 //! # Ok::<(), pvtm_circuit::CircuitError>(())
@@ -42,7 +43,7 @@ pub mod failure;
 pub mod leakage;
 pub mod optimizer;
 
-pub use analysis::{AnalysisConfig, CellAnalysis, Margins};
+pub use analysis::{AnalysisConfig, Margins};
 pub use array::{ArrayOrganization, ArrayYield};
 pub use cell::{CellSizing, Conditions, SramCell, Xtor};
 pub use evaluator::CellEvaluator;

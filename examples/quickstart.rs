@@ -5,7 +5,7 @@
 //! ```
 
 use pvtm_device::{Bias, Mosfet, Technology};
-use pvtm_sram::{AnalysisConfig, CellAnalysis, CellSizing, Conditions, FailureAnalyzer, SramCell};
+use pvtm_sram::{AnalysisConfig, CellEvaluator, CellSizing, Conditions, FailureAnalyzer, SramCell};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A predictive 70 nm technology card and a device.
@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. A 6T cell and its four failure-metric margins.
     let cell = SramCell::nominal(&tech);
-    let analysis = CellAnalysis::new(&tech, AnalysisConfig::default());
-    let margins = analysis.margins(&cell, &Conditions::standby(&tech, 0.5))?;
+    let mut ev = CellEvaluator::new(AnalysisConfig::default(), &cell);
+    let margins = ev.margins(&Conditions::standby(&tech, 0.5))?;
     println!("\nnominal cell margins (hold at VSB = 0.5 V):");
     println!("  read   {:+.3} V", margins.read);
     println!("  write  {:+.3} (ln T_WL/t_wr)", margins.write);

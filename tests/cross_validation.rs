@@ -4,7 +4,7 @@
 
 use pvtm_device::Technology;
 use pvtm_sram::{
-    AnalysisConfig, ArrayOrganization, CellAnalysis, CellLeakageModel, CellSizing, Conditions,
+    AnalysisConfig, ArrayOrganization, CellEvaluator, CellLeakageModel, CellSizing, Conditions,
     FailureAnalyzer, SramCell,
 };
 use pvtm_stats::special::norm_cdf;
@@ -39,12 +39,12 @@ fn linearized_failure_probability_matches_importance_sampled_mc() {
 #[test]
 fn access_time_estimate_matches_transient_simulation() {
     let t = tech();
-    let analysis = CellAnalysis::new(&t, AnalysisConfig::default());
     let cond = Conditions::active(&t);
     for shift in [-0.05, 0.0, 0.05] {
         let cell = SramCell::nominal(&t).with_inter_die_shift(shift);
-        let est = analysis.access_time(&cell, &cond).unwrap();
-        let tran = analysis.access_time_transient(&cell, &cond).unwrap();
+        let mut ev = CellEvaluator::new(AnalysisConfig::default(), &cell);
+        let est = ev.access_time(&cond).unwrap();
+        let tran = ev.access_time_transient(&cond).unwrap();
         let ratio = tran / est;
         assert!(
             (0.4..2.5).contains(&ratio),
