@@ -120,7 +120,7 @@ pub(crate) fn quarantine_corner(stream: u64, corner: f64, e: &pvtm_circuit::Circ
         seed: 0,
         stream,
         corner,
-        kind: e.kind(),
+        kind: e.kind().to_string(),
     });
     pvtm_telemetry::counter_add("eval.quarantined", 1);
 }

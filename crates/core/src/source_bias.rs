@@ -209,7 +209,7 @@ impl SourceBiasAnalyzer {
                     seed: 0,
                     stream,
                     corner,
-                    kind: e.kind(),
+                    kind: e.kind().to_string(),
                 });
                 None
             }

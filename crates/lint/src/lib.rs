@@ -6,16 +6,15 @@
 //! only), so this crate carries its own Rust lexer ([`lexer`]), a token-
 //! tree parser ([`parser`]), an item extractor ([`ast`]), a workspace
 //! symbol table ([`symbols`]), a call graph ([`callgraph`]), a token-stream
-//! rule engine ([`rules`]), a semantic rule engine ([`sema`]), and a
-//! `(file, rule)`-count baseline ratchet ([`baseline`]). The binary
-//! (`cargo run -p pvtm-lint`) walks `crates/`, `src/` and `examples/`,
-//! runs both passes via [`sema::analyze_tree`], prints `file:line:col
-//! [rule-id] message` diagnostics, and exits non-zero on any violation not
-//! covered by `lint-baseline.json`. See DESIGN.md §7 for the rule
-//! catalogue and the analysis pipeline.
+//! rule engine ([`rules`]) and a semantic rule engine ([`sema`]). The
+//! binary (`cargo run -p pvtm-lint`) walks `crates/`, `src/` and
+//! `examples/`, runs both passes via [`sema::analyze_tree`], prints
+//! `file:line:col [rule-id] message` diagnostics, and exits non-zero on
+//! any violation; the one way to accept a finding is a reasoned
+//! `// pvtm-lint: allow(rule-id) reason` comment. See DESIGN.md §7 for
+//! the rule catalogue and the analysis pipeline.
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;

@@ -1,38 +1,26 @@
 //! CLI entry point: `cargo run -p pvtm-lint [--release] -- [options]`.
 //!
-//! Exit codes: `0` clean (every finding baselined or none), `1` new
-//! violations, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` violations, `2` usage or I/O error.
 
-use pvtm_lint::analyze_tree;
-use pvtm_lint::baseline::{self, Baseline};
+use pvtm_lint::{analyze_tree, Diagnostic};
 use pvtm_telemetry::json::{obj, Value};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    baseline: PathBuf,
     json: Option<PathBuf>,
-    update_baseline: bool,
 }
 
-const USAGE: &str =
-    "usage: pvtm-lint [--root DIR] [--baseline FILE] [--json FILE] [--update-baseline]
+const USAGE: &str = "usage: pvtm-lint [--root DIR] [--json FILE]
 
   --root DIR          tree to lint (default: .); its crates/, src/ and
                       examples/ subtrees are walked
-  --baseline FILE     ratchet file (default: <root>/lint-baseline.json;
-                      a missing file means an empty baseline)
-  --json FILE         also write a machine-readable report
-  --update-baseline   rewrite the baseline to exactly cover today's
-                      findings (reasons are preserved; new entries are
-                      stamped unreviewed) and exit 0";
+  --json FILE         also write a machine-readable report";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut path_flag = |name: &str| {
@@ -42,20 +30,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--root" => root = Some(path_flag("--root")?),
-            "--baseline" => baseline = Some(path_flag("--baseline")?),
             "--json" => json = Some(path_flag("--json")?),
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.json"));
     Ok(Options {
-        root,
-        baseline,
+        root: root.unwrap_or_else(|| PathBuf::from(".")),
         json,
-        update_baseline,
     })
 }
 
@@ -85,87 +67,42 @@ fn main() -> ExitCode {
 
 fn run(opts: &Options) -> Result<bool, String> {
     let tree = analyze_tree(&opts.root).map_err(|e| format!("walking {:?}: {e}", opts.root))?;
-
-    let base = if opts.baseline.is_file() {
-        let text = std::fs::read_to_string(&opts.baseline)
-            .map_err(|e| format!("reading {:?}: {e}", opts.baseline))?;
-        Baseline::from_json(&text).map_err(|e| format!("{:?}: {e}", opts.baseline))?
-    } else {
-        Baseline::default()
-    };
-
-    if opts.update_baseline {
-        let next = base.ratcheted(&tree.diagnostics);
-        std::fs::write(&opts.baseline, next.to_json())
-            .map_err(|e| format!("writing {:?}: {e}", opts.baseline))?;
-        println!(
-            "pvtm-lint: baseline {:?} rewritten with {} entries covering {} findings",
-            opts.baseline,
-            next.entries.len(),
-            tree.diagnostics.len()
-        );
-        return Ok(true);
-    }
-
-    let verdict = baseline::compare(&base, &tree.diagnostics);
-    for d in &verdict.new {
+    for d in &tree.diagnostics {
         println!("{d}");
     }
-    for (file, rule, found, allowed) in &verdict.improvements {
-        println!(
-            "pvtm-lint: note: {file} [{rule}] improved to {found} finding(s) but the baseline \
-             allows {allowed}; run --update-baseline to ratchet down"
-        );
-    }
     println!(
-        "pvtm-lint: {} file(s), {} new violation(s), {} baselined, {} baseline entr(ies)",
+        "pvtm-lint: {} file(s), {} violation(s)",
         tree.files_scanned,
-        verdict.new.len(),
-        verdict.baselined.len(),
-        base.entries.len()
+        tree.diagnostics.len()
     );
 
     if let Some(json_path) = &opts.json {
-        let report = json_report(&tree.files_scanned, &verdict);
+        let report = json_report(tree.files_scanned, &tree.diagnostics);
         std::fs::write(json_path, report.to_json_pretty() + "\n")
             .map_err(|e| format!("writing {json_path:?}: {e}"))?;
     }
 
-    Ok(verdict.new.is_empty())
+    Ok(tree.diagnostics.is_empty())
 }
 
-fn json_report(files_scanned: &usize, verdict: &baseline::Verdict) -> Value {
-    let diag_value = |d: &pvtm_lint::Diagnostic, status: &str| {
-        obj(vec![
-            ("file", Value::Str(d.file.clone())),
-            ("line", Value::Num(f64::from(d.line))),
-            ("col", Value::Num(f64::from(d.col))),
-            ("rule", Value::Str(d.rule.as_str().to_string())),
-            ("message", Value::Str(d.message.clone())),
-            ("status", Value::Str(status.to_string())),
-        ])
-    };
-    let mut diags: Vec<Value> = Vec::new();
-    diags.extend(verdict.new.iter().map(|d| diag_value(d, "new")));
-    diags.extend(verdict.baselined.iter().map(|d| diag_value(d, "baselined")));
-    let improvements = verdict
-        .improvements
+fn json_report(files_scanned: usize, diagnostics: &[Diagnostic]) -> Value {
+    let diags = diagnostics
         .iter()
-        .map(|(file, rule, found, allowed)| {
+        .map(|d| {
             obj(vec![
-                ("file", Value::Str(file.clone())),
-                ("rule", Value::Str(rule.clone())),
-                ("found", Value::Num(*found as f64)),
-                ("allowed", Value::Num(*allowed as f64)),
+                ("file", Value::Str(d.file.clone())),
+                ("line", Value::Num(f64::from(d.line))),
+                ("col", Value::Num(f64::from(d.col))),
+                ("rule", Value::Str(d.rule.as_str().to_string())),
+                ("message", Value::Str(d.message.clone())),
+                ("status", Value::Str("new".to_string())),
             ])
         })
         .collect();
     obj(vec![
         ("schema", Value::Str("pvtm-lint/1".to_string())),
-        ("files_scanned", Value::Num(*files_scanned as f64)),
-        ("new_violations", Value::Num(verdict.new.len() as f64)),
-        ("baselined", Value::Num(verdict.baselined.len() as f64)),
+        ("files_scanned", Value::Num(files_scanned as f64)),
+        ("new_violations", Value::Num(diagnostics.len() as f64)),
         ("diagnostics", Value::Arr(diags)),
-        ("improvements", Value::Arr(improvements)),
     ])
 }

@@ -61,7 +61,7 @@ pub const ALL_RULES: &[RuleId] = &[
 ];
 
 impl RuleId {
-    /// Stable kebab-case id used in diagnostics, allows and baselines.
+    /// Stable kebab-case id used in diagnostics and allows.
     pub fn as_str(self) -> &'static str {
         match self {
             RuleId::NoHashmap => "no-hashmap",
@@ -454,8 +454,7 @@ fn rule_panic_policy(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                     RuleId::PanicPolicy,
                     format!(
                         "`{}!` in library code; return an error, or document the caller \
-                         contract with `// pvtm-lint: allow(panic-policy) <invariant>` or a \
-                         baseline entry",
+                         contract with `// pvtm-lint: allow(panic-policy) <invariant>`",
                         t.text
                     ),
                 );

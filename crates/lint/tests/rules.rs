@@ -1,9 +1,8 @@
 //! Golden fixture tests: every rule fires on its seeded-violation fixture
 //! with exact positions, the suppression machinery behaves, the lexer edge
-//! cases stay silent, and the walker + baseline ratchet work end to end on
-//! the committed fixture tree.
+//! cases stay silent, and the walker works end to end on the committed
+//! fixture tree.
 
-use pvtm_lint::baseline::{self, Baseline, Entry};
 use pvtm_lint::{lint_source, lint_tree, Diagnostic, RuleId};
 use std::path::Path;
 
@@ -245,82 +244,4 @@ fn walker_lints_the_fixture_tree() {
             ("src/bad_env.rs", RuleId::NoFloatEq),
         ],
     );
-}
-
-#[test]
-fn baseline_ratchet_round_trips_on_the_fixture_tree() {
-    let tree = lint_tree(fixture_tree()).expect("fixture tree is committed and readable");
-
-    // An empty baseline fails everything.
-    let verdict = baseline::compare(&Baseline::default(), &tree.diagnostics);
-    assert_eq!(verdict.new.len(), tree.diagnostics.len());
-    assert!(verdict.baselined.is_empty());
-
-    // Ratcheting to today's findings absorbs them all...
-    let ratcheted = Baseline::default().ratcheted(&tree.diagnostics);
-    let verdict = baseline::compare(&ratcheted, &tree.diagnostics);
-    assert!(verdict.new.is_empty());
-    assert_eq!(verdict.baselined.len(), tree.diagnostics.len());
-    assert!(verdict.improvements.is_empty());
-
-    // ...and survives a JSON round trip.
-    let reloaded = Baseline::from_json(&ratcheted.to_json()).expect("own output parses");
-    assert_eq!(reloaded, ratcheted);
-
-    // A new finding beyond the allowance fails its whole (file, rule) group.
-    let mut extra = tree.diagnostics.clone();
-    extra.push(Diagnostic {
-        file: "src/bad_env.rs".to_string(),
-        line: 99,
-        col: 1,
-        rule: RuleId::NoFloatEq,
-        message: "seeded regression".to_string(),
-    });
-    let verdict = baseline::compare(&reloaded, &extra);
-    assert_eq!(verdict.new.len(), 2); // the old site and the new one
-    assert!(verdict.improvements.is_empty());
-
-    // Fixing a finding shows up as an improvement to ratchet down.
-    let fewer: Vec<Diagnostic> = tree
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule != RuleId::NoEnvRead)
-        .cloned()
-        .collect();
-    let verdict = baseline::compare(&reloaded, &fewer);
-    assert!(verdict.new.is_empty());
-    assert_eq!(
-        verdict.improvements,
-        vec![(
-            "src/bad_env.rs".to_string(),
-            "no-env-read".to_string(),
-            0,
-            1
-        )]
-    );
-}
-
-#[test]
-fn baseline_reasons_are_mandatory_and_preserved() {
-    let mut base = Baseline::default();
-    base.entries.insert(
-        (
-            "crates/sram/src/bad.rs".to_string(),
-            "panic-policy".to_string(),
-        ),
-        Entry {
-            count: 9,
-            reason: "documented caller contract".to_string(),
-        },
-    );
-    let tree = lint_tree(fixture_tree()).expect("fixture tree is committed and readable");
-    let next = base.ratcheted(&tree.diagnostics);
-    let kept = &next.entries[&(
-        "crates/sram/src/bad.rs".to_string(),
-        "panic-policy".to_string(),
-    )];
-    assert_eq!(kept.count, 1, "count ratchets down to today's findings");
-    assert_eq!(kept.reason, "documented caller contract");
-    let fresh = &next.entries[&("src/bad_env.rs".to_string(), "no-env-read".to_string())];
-    assert_eq!(fresh.reason, baseline::UNREVIEWED_REASON);
 }

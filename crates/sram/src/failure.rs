@@ -601,7 +601,7 @@ impl FailureAnalyzer {
                             seed,
                             stream: idx,
                             corner: vt_inter,
-                            kind: e.kind(),
+                            kind: e.kind().to_string(),
                         });
                         SampleOutcome::Unresolved
                     }

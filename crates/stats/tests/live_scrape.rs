@@ -60,6 +60,10 @@ fn concurrent_scrapes_always_see_consistent_estimator_state() {
     let mut last_chunks = 0u64;
     let mut observed_rows = 0usize;
     for snap in &snapshots {
+        // Every scrape is a document the strict reader takes back as is.
+        let body = snap.to_json();
+        let read = tm::snapshot::LiveSnapshot::parse(&body).expect("a live scrape parses");
+        assert_eq!(read.to_json(), body);
         let Some(p) = snap.progress.iter().find(|p| p.name == TRACE) else {
             continue; // scraped before mc.start landed
         };

@@ -60,8 +60,8 @@ pub mod snapshot;
 mod trace_events;
 
 pub use report::{
-    HistBucket, HistRow, Report, SolverSummary, SpanRow, TraceHealth, TracePoint, TraceRow,
-    SCHEMA_VERSION,
+    HistBucket, HistRow, Report, Sidecar, SidecarError, SolverSummary, SpanRow, TraceHealth,
+    TracePoint, TraceRow, SCHEMA_VERSION,
 };
 pub use snapshot::update_scope;
 
@@ -73,9 +73,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 // ---------------------------------------------------------------- mode gate
 
 /// Telemetry recording level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Mode {
     /// Record nothing; every instrumentation call is one atomic load.
+    #[default]
     Off,
     /// Record counters, gauges, histograms, solver deltas and traces.
     Summary,
@@ -302,7 +303,7 @@ pub struct QuarantineRecord {
     /// Inter-die corner (σ·Vt shift) the sample was evaluated at.
     pub corner: f64,
     /// Error kind (the `CircuitError` variant name, e.g. `no_convergence`).
-    pub kind: &'static str,
+    pub kind: String,
 }
 
 #[derive(Debug, Default)]
@@ -821,7 +822,7 @@ pub fn record_quarantine(rec: QuarantineRecord) {
             ("corner", json::Value::Num(rec.corner)),
             // "reason", not "kind": the event's own "kind" member is
             // already taken by the taxonomy name.
-            ("reason", json::Value::Str(rec.kind.to_string())),
+            ("reason", json::Value::Str(rec.kind.clone())),
         ],
     );
     global().quarantine.push(rec);

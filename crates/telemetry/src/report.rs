@@ -1,13 +1,17 @@
-//! Snapshot of the merged telemetry state, plus its JSON sidecar form.
+//! Snapshot of the merged telemetry state, its JSON sidecar form, and the
+//! one reader of that form ([`Sidecar`]).
 
-use crate::json::{obj, Value};
+use std::collections::BTreeMap;
+use std::fmt;
+
+use crate::json::{self, obj, Value};
 use crate::{ChunkStat, Global, HealthChunk, Mode, QuarantineRecord};
 
 /// Current sidecar schema version. Version 2 added `schema_version` itself
 /// plus per-span attribution (`self_ns`, solver counters per span);
 /// version 3 adds per-trace estimator-health objects, per-span rescue
-/// counters, and derived `mc.*` health gauges. Consumers must tolerate
-/// absent fields and treat such documents as the older version.
+/// counters, and derived `mc.*` health gauges. [`Sidecar::parse`] reads
+/// this version only.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// One span path's aggregate, with self/child-time and solver attribution.
@@ -63,7 +67,7 @@ pub struct HistRow {
 }
 
 /// Merged DC-solver counters with the derived warm-hit rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverSummary {
     /// Completed solves.
     pub solves: u64,
@@ -93,6 +97,28 @@ pub struct SolverSummary {
     pub rescue_rungs: u64,
     /// `warm_hits / warm_attempts`; 1.0 when no warm start was tried.
     pub warm_hit_rate: f64,
+}
+
+impl SolverSummary {
+    /// The 13 work counters under their sidecar member names, in name
+    /// order. `warm_hit_rate` is derived, so it is not among them.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        [
+            ("cold_solves", self.cold_solves),
+            ("damped_retries", self.damped_retries),
+            ("gmin_steps", self.gmin_steps),
+            ("lu_factorizations", self.lu_factorizations),
+            ("newton_iterations", self.newton_iterations),
+            ("ramp_steps", self.ramp_steps),
+            ("rescue_attempts", self.rescue_attempts),
+            ("rescue_hits", self.rescue_hits),
+            ("rescue_rungs", self.rescue_rungs),
+            ("solves", self.solves),
+            ("source_ramps", self.source_ramps),
+            ("warm_attempts", self.warm_attempts),
+            ("warm_hits", self.warm_hits),
+        ]
+    }
 }
 
 /// One point of a convergence trace: the running estimate after a chunk.
@@ -155,7 +181,7 @@ pub struct TraceRow {
 }
 
 /// Snapshot of all merged telemetry, as returned by [`crate::snapshot()`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Mode the snapshot was taken under.
     pub mode: Mode,
@@ -262,7 +288,7 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
             let mut q = g.quarantine.clone();
             // Events arrive from worker threads in schedule order; sorting
             // on the replay key makes two clock-off runs byte-identical.
-            q.sort_by_key(|r| (r.stream, r.seed, r.kind, r.corner.to_bits()));
+            q.sort_by_cached_key(|r| (r.stream, r.seed, r.kind.clone(), r.corner.to_bits()));
             q
         },
     }
@@ -412,6 +438,11 @@ impl Report {
             .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
             .unwrap_or(0)
+    }
+
+    /// A gauge's merged value (`None` when absent).
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
     }
 
     /// A span aggregate by `/`-joined path.
@@ -634,7 +665,7 @@ impl Report {
                                 ("seed", Value::Str(format!("{:#018x}", q.seed))),
                                 ("stream", Value::Str(format!("{:#018x}", q.stream))),
                                 ("corner", Value::Num(q.corner)),
-                                ("kind", Value::Str(q.kind.into())),
+                                ("kind", Value::Str(q.kind.clone())),
                             ])
                         })
                         .collect(),
@@ -642,6 +673,92 @@ impl Report {
             ));
         }
         obj(doc)
+    }
+
+    /// Reads every member of a sidecar document leniently: a missing or
+    /// mistyped member reads as zero, empty or false. [`Sidecar::from_value`]
+    /// then rejects the document unless [`Report::to_value`] renders it back.
+    pub(crate) fn read(doc: &Value) -> Report {
+        let solver = doc.get("solver").unwrap_or(&Value::Null);
+        let n = |key: &str| int(solver.get(key));
+        let mode = text(doc, "mode");
+        Report {
+            mode: [Mode::Off, Mode::Summary, Mode::Full]
+                .into_iter()
+                .find(|m| m.as_str() == mode)
+                .unwrap_or_default(),
+            clock: doc.get("clock") == Some(&Value::Bool(true)),
+            spans: items(doc, "spans")
+                .iter()
+                .map(|s| {
+                    let total_ns = int(s.get("total_ns"));
+                    SpanRow {
+                        path: text(s, "path"),
+                        count: int(s.get("count")),
+                        total_ns,
+                        child_ns: total_ns.saturating_sub(int(s.get("self_ns"))),
+                        self_ns: int(s.get("self_ns")),
+                        solves: int(s.get("solves")),
+                        newton_iterations: int(s.get("newton_iterations")),
+                        lu_factorizations: int(s.get("lu_factorizations")),
+                        cold_solves: int(s.get("cold_solves")),
+                        rescue_attempts: int(s.get("rescue_attempts")),
+                        rescue_hits: int(s.get("rescue_hits")),
+                    }
+                })
+                .collect(),
+            counters: named(doc, "counters", |v| int(Some(v))),
+            gauges: named(doc, "gauges", |v| num(Some(v))),
+            histograms: items(doc, "histograms")
+                .iter()
+                .map(|h| HistRow {
+                    name: text(h, "name"),
+                    count: int(h.get("count")),
+                    underflow: int(h.get("underflow")),
+                    buckets: items(h, "buckets")
+                        .iter()
+                        .map(|b| HistBucket {
+                            log2: num(b.get("log2")) as i16,
+                            count: int(b.get("count")),
+                        })
+                        .collect(),
+                })
+                .collect(),
+            solver: SolverSummary {
+                solves: n("solves"),
+                newton_iterations: n("newton_iterations"),
+                lu_factorizations: n("lu_factorizations"),
+                warm_attempts: n("warm_attempts"),
+                warm_hits: n("warm_hits"),
+                cold_solves: n("cold_solves"),
+                damped_retries: n("damped_retries"),
+                source_ramps: n("source_ramps"),
+                gmin_steps: n("gmin_steps"),
+                ramp_steps: n("ramp_steps"),
+                rescue_attempts: n("rescue_attempts"),
+                rescue_hits: n("rescue_hits"),
+                rescue_rungs: n("rescue_rungs"),
+                warm_hit_rate: num(solver.get("warm_hit_rate")),
+            },
+            traces: items(doc, "traces").iter().map(read_trace).collect(),
+            quarantine: items(doc, "quarantine")
+                .iter()
+                .map(|q| {
+                    let hex = |key: &str| {
+                        text(q, key)
+                            .strip_prefix("0x")
+                            .and_then(|h| u64::from_str_radix(h, 16).ok())
+                            .unwrap_or(0)
+                    };
+                    QuarantineRecord {
+                        seed: hex("seed"),
+                        stream: hex("stream"),
+                        corner: num(q.get("corner")),
+                        kind: text(q, "kind"),
+                    }
+                })
+                .collect(),
+        }
     }
 
     /// The sidecar document as pretty-printed JSON text.
@@ -692,9 +809,432 @@ impl Report {
     }
 }
 
+fn read_trace(t: &Value) -> TraceRow {
+    let points: Vec<TracePoint> = items(t, "points")
+        .iter()
+        .map(|p| TracePoint {
+            chunk: int(p.get("chunk")),
+            samples: int(p.get("samples")),
+            value: num(p.get("value")),
+            std_err: num(p.get("std_err")),
+            rel_err: num(p.get("rel_err")),
+        })
+        .collect();
+    // The writer gives every non-empty trace a health object, and only a
+    // weighted one its ESS members; unweighted traces keep the builder's
+    // vacuous ESS values.
+    let health = (!points.is_empty()).then(|| {
+        let h = t.get("health").unwrap_or(&Value::Null);
+        let weighted = h.get("ess").is_some();
+        let ess = |key: &str, unweighted: f64| {
+            if weighted {
+                num(h.get(key))
+            } else {
+                unweighted
+            }
+        };
+        TraceHealth {
+            has_weights: weighted,
+            contributing: int(h.get("contributing")),
+            ess: ess("ess", 0.0),
+            ess_fraction: ess("ess_fraction", 1.0),
+            max_weight_fraction: ess("max_weight_fraction", 0.0),
+            steps: int(h.get("steps")),
+            stalled_steps: int(h.get("stalled_steps")),
+            stall_ratio: num(h.get("stall_ratio")),
+        }
+    });
+    TraceRow {
+        name: text(t, "name"),
+        points,
+        health,
+    }
+}
+
+/// A count member; missing or mistyped reads as 0.
+pub(crate) fn int(v: Option<&Value>) -> u64 {
+    v.and_then(Value::as_u64).unwrap_or(0)
+}
+
+/// A number member. `null` is how the writer spells a non-finite number;
+/// it reads as +∞, the one the writer produces (the `rel_err` of a
+/// zero-mean trace point). Missing or mistyped reads as 0.
+pub(crate) fn num(v: Option<&Value>) -> f64 {
+    match v {
+        Some(Value::Num(x)) => *x,
+        Some(Value::Null) => f64::INFINITY,
+        _ => 0.0,
+    }
+}
+
+/// A string member; missing or mistyped reads as empty.
+pub(crate) fn text(v: &Value, key: &str) -> String {
+    v.get(key)
+        .and_then(Value::as_str)
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// An array member; missing or mistyped reads as empty.
+pub(crate) fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    v.get(key).and_then(Value::as_array).unwrap_or_default()
+}
+
+/// An object member of named values, in name order with one entry per
+/// name (a duplicate then fails the comparison).
+fn named<T>(v: &Value, key: &str, read: impl Fn(&Value) -> T) -> Vec<(String, T)> {
+    let Some(Value::Obj(members)) = v.get(key) else {
+        return Vec::new();
+    };
+    let by_name: BTreeMap<String, T> = members.iter().map(|(k, v)| (k.clone(), read(v))).collect();
+    by_name.into_iter().collect()
+}
+
+/// Why a document is not one the telemetry writer writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SidecarError {
+    /// Human-readable description naming the first offending member.
+    pub message: String,
+}
+
+impl fmt::Display for SidecarError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.message)
+    }
+}
+
+impl std::error::Error for SidecarError {}
+
+fn error(message: String) -> SidecarError {
+    SidecarError { message }
+}
+
+pub(crate) fn parse_json(text: &str) -> Result<Value, SidecarError> {
+    json::parse(text).map_err(|e| error(format!("malformed JSON: {e}")))
+}
+
+/// Checks that `doc` is the JSON value `want`, object member order aside.
+/// Scalars compare as the writer prints them, so `null` matches a
+/// non-finite number. The error names the first difference by its path.
+pub(crate) fn same(path: &str, doc: &Value, want: &Value) -> Result<(), SidecarError> {
+    let here = if path.is_empty() { "document" } else { path };
+    let at = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    match (doc, want) {
+        (Value::Obj(have), Value::Obj(want)) => {
+            for (key, w) in want {
+                match have.iter().find(|(k, _)| k == key) {
+                    Some((_, h)) => same(&at(key), h, w)?,
+                    None => return Err(error(format!("{}: missing", at(key)))),
+                }
+            }
+            if let Some((key, _)) = have.iter().find(|(k, _)| !want.iter().any(|(w, _)| w == k)) {
+                return Err(error(format!("{}: unknown member", at(key))));
+            }
+            if have.len() > want.len() {
+                return Err(error(format!("{here}: duplicate member")));
+            }
+            Ok(())
+        }
+        (Value::Arr(have), Value::Arr(want)) if have.len() == want.len() => have
+            .iter()
+            .zip(want)
+            .enumerate()
+            .try_for_each(|(i, (h, w))| same(&format!("{path}[{i}]"), h, w)),
+        _ if doc.to_json() == want.to_json() => Ok(()),
+        _ => Err(error(format!(
+            "{here}: found {}, expected {}",
+            brief(doc),
+            brief(want)
+        ))),
+    }
+}
+
+/// Compact JSON text, cut to 60 characters.
+fn brief(v: &Value) -> String {
+    let s = v.to_json();
+    if s.chars().count() <= 60 {
+        s
+    } else {
+        format!("{}…", s.chars().take(60).collect::<String>())
+    }
+}
+
+/// A sidecar document read back: the figure id it was written for and
+/// the [`Report`] it renders.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sidecar {
+    /// Figure id the sidecar was written for.
+    pub id: String,
+    /// The report [`Report::to_value`] rendered into the document.
+    pub report: Report,
+}
+
+impl Sidecar {
+    /// Parses sidecar text; [`Sidecar::from_value`] says what is accepted.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed JSON and on any document the writer would not
+    /// write.
+    pub fn parse(text: &str) -> Result<Sidecar, SidecarError> {
+        Sidecar::from_value(&parse_json(text)?)
+    }
+
+    /// Reads a sidecar document. Every member is read leniently, and the
+    /// document is accepted only if [`Report::to_value`] renders what was
+    /// read back to the same JSON value (object member order aside). So
+    /// the writer alone defines the format: schema `pvtm-telemetry/3`, and
+    /// no missing, mistyped or unknown member. Members the writer leaves
+    /// out stay optional exactly where it leaves them out: rescue keys at
+    /// zero, the ESS keys of an unweighted trace, the health of an empty
+    /// trace, and an empty quarantine. A span's `child_ns`, which the
+    /// sidecar does not carry, reads back as `total_ns - self_ns`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first member that differs from what the writer writes.
+    pub fn from_value(doc: &Value) -> Result<Sidecar, SidecarError> {
+        let sidecar = Sidecar {
+            id: text(doc, "id"),
+            report: Report::read(doc),
+        };
+        same("", doc, &sidecar.report.to_value(&sidecar.id))?;
+        Ok(sidecar)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::{json, test_guard, Mode};
+
+    fn span(path: &str, total_ns: u64, child_ns: u64, rescue: (u64, u64)) -> SpanRow {
+        SpanRow {
+            path: path.to_string(),
+            count: 3,
+            total_ns,
+            child_ns,
+            self_ns: total_ns - child_ns,
+            solves: 40,
+            newton_iterations: 97,
+            lu_factorizations: 97,
+            cold_solves: 2,
+            rescue_attempts: rescue.0,
+            rescue_hits: rescue.1,
+        }
+    }
+
+    fn point(chunk: u64, value: f64, std_err: f64) -> TracePoint {
+        TracePoint {
+            chunk,
+            samples: 4096 * (chunk + 1),
+            value,
+            std_err,
+            rel_err: if value == 0.0 {
+                f64::INFINITY
+            } else {
+                std_err / value.abs()
+            },
+        }
+    }
+
+    /// A report that takes every optional branch of the writer: rescue
+    /// keys, weighted and unweighted health, a trace without health, a
+    /// zero-mean trace whose `rel_err` is non-finite, histograms and a
+    /// quarantine.
+    fn every_branch() -> Report {
+        let health = |has_weights: bool| TraceHealth {
+            has_weights,
+            contributing: if has_weights { 900 } else { 0 },
+            ess: if has_weights { 739.35 } else { 0.0 },
+            ess_fraction: if has_weights { 0.8215 } else { 1.0 },
+            max_weight_fraction: if has_weights { 0.0301 } else { 0.0 },
+            steps: 1,
+            stalled_steps: 1,
+            stall_ratio: 1.0,
+        };
+        Report {
+            mode: Mode::Full,
+            clock: true,
+            spans: vec![
+                span("fig", 5_000, 4_000, (0, 0)),
+                span("fig/mc.chunk", 4_000, 0, (6, 4)),
+            ],
+            counters: vec![("eval.margins".into(), 12), ("mc.samples".into(), 8192)],
+            gauges: vec![("mc.ess".into(), 739.35), ("mc.stall_ratio".into(), 1.0)],
+            histograms: vec![HistRow {
+                name: "mc.is_weight".into(),
+                count: 10,
+                underflow: 1,
+                buckets: vec![
+                    HistBucket { log2: -3, count: 4 },
+                    HistBucket { log2: 2, count: 5 },
+                ],
+            }],
+            solver: SolverSummary {
+                solves: 80,
+                newton_iterations: 194,
+                lu_factorizations: 194,
+                warm_attempts: 76,
+                warm_hits: 75,
+                cold_solves: 5,
+                damped_retries: 1,
+                source_ramps: 1,
+                gmin_steps: 6,
+                ramp_steps: 4,
+                rescue_attempts: 6,
+                rescue_hits: 4,
+                rescue_rungs: 9,
+                warm_hit_rate: 75.0 / 76.0,
+            },
+            traces: vec![
+                TraceRow {
+                    name: "fig.empty".into(),
+                    points: Vec::new(),
+                    health: None,
+                },
+                TraceRow {
+                    name: "fig.is".into(),
+                    points: vec![point(0, 1.2e-3, 1.3e-4), point(1, 1.19e-3, 9e-5)],
+                    health: Some(health(true)),
+                },
+                TraceRow {
+                    name: "fig.plain".into(),
+                    points: vec![point(0, 0.0, 0.0), point(1, 0.0, 0.0)],
+                    health: Some(health(false)),
+                },
+            ],
+            quarantine: vec![QuarantineRecord {
+                seed: 0xDEAD_BEEF_0000_0001,
+                stream: 7,
+                corner: -0.12,
+                kind: "no_convergence".into(),
+            }],
+        }
+    }
+
+    #[test]
+    fn sidecar_text_round_trips_byte_for_byte() {
+        let report = every_branch();
+        let text = report.to_json_pretty("fig");
+        assert!(text.contains("\"rel_err\": null"), "{text}");
+        let sidecar = Sidecar::parse(&text).unwrap();
+        assert_eq!(sidecar.id, "fig");
+        assert_eq!(sidecar.report, report);
+        assert_eq!(sidecar.report.to_json_pretty("fig"), text);
+        // A report with nothing in it takes the other side of each branch.
+        let empty = Report::default().to_json_pretty("none");
+        assert_eq!(Sidecar::parse(&empty).unwrap().report, Report::default());
+    }
+
+    /// Every object member of `v`, as a path of keys.
+    fn member_paths(v: &Value, prefix: &[String], out: &mut Vec<Vec<String>>) {
+        match v {
+            Value::Obj(members) => {
+                for (k, m) in members {
+                    let mut path = prefix.to_vec();
+                    path.push(k.clone());
+                    out.push(path.clone());
+                    member_paths(m, &path, out);
+                }
+            }
+            Value::Arr(items) => {
+                for (i, m) in items.iter().enumerate() {
+                    let mut path = prefix.to_vec();
+                    path.push(i.to_string());
+                    member_paths(m, &path, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn remove(v: &mut Value, path: &[String]) {
+        match (v, path) {
+            (Value::Obj(members), [key]) => members.retain(|(k, _)| k != key),
+            (Value::Obj(members), [key, rest @ ..]) => members
+                .iter_mut()
+                .filter(|(k, _)| k == key)
+                .for_each(|(_, m)| remove(m, rest)),
+            (Value::Arr(items), [index, rest @ ..]) => {
+                if let Some(m) = index.parse().ok().and_then(|i: usize| items.get_mut(i)) {
+                    remove(m, rest);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn every_member_the_writer_always_emits_is_required() {
+        let doc = every_branch().to_value("fig");
+        let mut paths = Vec::new();
+        member_paths(&doc, &[], &mut paths);
+        // Named counters and gauges are data, and the quarantine section
+        // is written only when non-empty: dropping one leaves a document
+        // the writer could have written.
+        paths.retain(|p| !matches!(p[0].as_str(), "counters" | "gauges") || p.len() == 1);
+        paths.retain(|p| p[0] != "quarantine" || p.len() > 1);
+        assert!(paths.len() > 90, "{} member paths", paths.len());
+        for path in &paths {
+            let mut cut = doc.clone();
+            remove(&mut cut, path);
+            assert!(
+                Sidecar::from_value(&cut).is_err(),
+                "accepted a sidecar without {path:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mistyped_unknown_and_foreign_documents_are_rejected() {
+        let text = every_branch().to_json_pretty("fig");
+        let err = |t: &str| Sidecar::parse(t).unwrap_err().message;
+        assert_eq!(
+            err(&text.replacen("\"solves\": 80", "\"solves\": \"80\"", 1)),
+            "solver.solves: found \"80\", expected 0"
+        );
+        assert_eq!(
+            err(&text.replacen("\"clock\": true", "\"clock\": true, \"extra\": 1", 1)),
+            "extra: unknown member"
+        );
+        for schema in ["pvtm-telemetry/2", "pvtm-telemetry/9", "other/1"] {
+            assert_eq!(
+                err(&text.replacen("pvtm-telemetry/3", schema, 1)),
+                format!("schema: found \"{schema}\", expected \"pvtm-telemetry/3\"")
+            );
+        }
+        assert!(err("{not json").starts_with("malformed JSON"));
+        assert_eq!(err("{}"), "schema: missing");
+        assert!(err("[1, 2]").starts_with("document: found [1,2]"));
+        // A sidecar file carrying live-plane members is not a sidecar.
+        assert_eq!(
+            err(&text.replacen("\"clock\": true", "\"clock\": true, \"live\": true", 1)),
+            "live: unknown member"
+        );
+    }
+
+    #[test]
+    fn histogram_bounds_must_match_the_bucket_exponent() {
+        let text = every_branch().to_json_pretty("fig");
+        let parsed = Sidecar::parse(&text).unwrap();
+        assert_eq!(
+            parsed.report.histograms[0].buckets,
+            vec![
+                HistBucket { log2: -3, count: 4 },
+                HistBucket { log2: 2, count: 5 }
+            ]
+        );
+        assert!(text.contains("\"lo\": 0.125,\n"), "{text}");
+        let moved = text.replacen("\"hi\": 0.25", "\"hi\": 0.5", 1);
+        assert_eq!(
+            Sidecar::parse(&moved).unwrap_err().message,
+            "histograms[0].buckets[0].hi: found 0.5, expected 0.25"
+        );
+    }
 
     #[test]
     fn sidecar_json_round_trips_and_has_schema() {

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{obj, Value};
-use crate::report::Report;
+use crate::report::{int, items, num, parse_json, same, text, Report, SidecarError};
 use crate::{clock, events};
 
 // ------------------------------------------------------------ write epoch
@@ -352,9 +352,52 @@ fn prom_num(v: f64) -> String {
 }
 
 impl LiveSnapshot {
-    /// The `/snapshot.json` document: the sidecar schema
-    /// (`pvtm-telemetry/3`, parseable by every tolerant sidecar consumer)
-    /// plus the live-plane members, with keys in sorted order.
+    /// Parses a `/snapshot.json` body by the rule of
+    /// [`crate::Sidecar::from_value`]: every member is read leniently, and the
+    /// document must be what [`LiveSnapshot::to_value`] renders from what
+    /// was read.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed JSON and on any document the writer would not
+    /// write; the message names the first offending member.
+    pub fn parse(body: &str) -> Result<LiveSnapshot, SidecarError> {
+        let doc = parse_json(body)?;
+        let snap = LiveSnapshot {
+            epoch: int(doc.get("epoch")),
+            id: text(&doc, "id"),
+            elapsed_secs: num(doc.get("elapsed_secs")),
+            report: Report::read(&doc),
+            open_spans: items(&doc, "open_spans")
+                .iter()
+                .map(|s| (text(s, "path"), int(s.get("open"))))
+                .collect(),
+            progress: items(&doc, "progress")
+                .iter()
+                .map(|p| TraceProgress {
+                    name: text(p, "name"),
+                    chunks_done: int(p.get("chunks_done")),
+                    chunks_total: int(p.get("chunks_total")),
+                    samples_done: int(p.get("samples_done")),
+                    samples_total: int(p.get("samples_total")),
+                    health_chunks: int(p.get("health_chunks")),
+                    contributing: int(p.get("contributing")),
+                    weight_sum: num(p.get("weight_sum")),
+                    weight_sq_sum: num(p.get("weight_sq_sum")),
+                    weight_max: num(p.get("weight_max")),
+                    ess: num(p.get("ess")),
+                    value: num(p.get("value")),
+                    std_err: num(p.get("std_err")),
+                })
+                .collect(),
+        };
+        same("", &doc, &snap.to_value())?;
+        Ok(snap)
+    }
+
+    /// The `/snapshot.json` document: the sidecar document
+    /// (`pvtm-telemetry/3`) plus the live-plane members, with keys in
+    /// sorted order.
     pub fn to_value(&self) -> Value {
         let mut members = match self.report.to_value(&self.id) {
             Value::Obj(members) => members,
@@ -443,24 +486,10 @@ impl LiveSnapshot {
             );
         }
         let s = &self.report.solver;
-        for (field, v) in [
-            ("solver.cold_solves", s.cold_solves),
-            ("solver.damped_retries", s.damped_retries),
-            ("solver.gmin_steps", s.gmin_steps),
-            ("solver.lu_factorizations", s.lu_factorizations),
-            ("solver.newton_iterations", s.newton_iterations),
-            ("solver.ramp_steps", s.ramp_steps),
-            ("solver.rescue_attempts", s.rescue_attempts),
-            ("solver.rescue_hits", s.rescue_hits),
-            ("solver.rescue_rungs", s.rescue_rungs),
-            ("solver.solves", s.solves),
-            ("solver.source_ramps", s.source_ramps),
-            ("solver.warm_attempts", s.warm_attempts),
-            ("solver.warm_hits", s.warm_hits),
-        ] {
+        for (field, v) in s.counters() {
             sample(
                 &mut out,
-                &prom_name(field),
+                &prom_name(&format!("solver.{field}")),
                 "counter",
                 &[(String::new(), v as f64)],
             );
@@ -570,36 +599,29 @@ impl LiveSnapshot {
     /// WEIGHT_DEGENERATE, STALLED, QUARANTINE_BIASED — against the
     /// conservative default thresholds. Empty means healthy (HTTP 200).
     pub fn health_failures(&self) -> Vec<String> {
-        let gauge = |name: &str| {
-            self.report
-                .gauges
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|&(_, v)| v)
-        };
         let mut out = Vec::new();
-        if let Some(v) = gauge("mc.ess_fraction") {
+        if let Some(v) = self.report.gauge("mc.ess_fraction") {
             if v < HEALTHZ_MIN_ESS_FRACTION {
                 out.push(format!(
                     "LOW_ESS ess_fraction {v:.4} (floor {HEALTHZ_MIN_ESS_FRACTION})"
                 ));
             }
         }
-        if let Some(v) = gauge("mc.max_weight_fraction") {
+        if let Some(v) = self.report.gauge("mc.max_weight_fraction") {
             if v > HEALTHZ_MAX_WEIGHT_FRACTION {
                 out.push(format!(
                     "WEIGHT_DEGENERATE max_weight_fraction {v:.4} (ceiling {HEALTHZ_MAX_WEIGHT_FRACTION})"
                 ));
             }
         }
-        if let Some(v) = gauge("mc.stall_ratio") {
+        if let Some(v) = self.report.gauge("mc.stall_ratio") {
             if v > HEALTHZ_MAX_STALL_RATIO {
                 out.push(format!(
                     "STALLED stall_ratio {v:.4} (ceiling {HEALTHZ_MAX_STALL_RATIO})"
                 ));
             }
         }
-        if let Some(v) = gauge("mc.quarantine_ci_share") {
+        if let Some(v) = self.report.gauge("mc.quarantine_ci_share") {
             if v > HEALTHZ_MAX_QUARANTINE_CI_SHARE {
                 out.push(format!(
                     "QUARANTINE_BIASED quarantine_ci_share {v:.4} (ceiling {HEALTHZ_MAX_QUARANTINE_CI_SHARE})"
@@ -613,7 +635,9 @@ impl LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{HistBucket, HistRow, SolverSummary};
+    use crate::report::{
+        HistBucket, HistRow, Sidecar, SolverSummary, TraceHealth, TracePoint, TraceRow,
+    };
     use crate::Mode;
 
     fn fixture() -> LiveSnapshot {
@@ -760,6 +784,49 @@ pvtm_mc_quarantined_total 0
             Some("pvtm-telemetry/3")
         );
         assert_eq!(v.get("live").and_then(Value::as_bool), Some(true));
+    }
+
+    #[test]
+    fn snapshot_json_round_trips() {
+        let mut snap = fixture();
+        snap.elapsed_secs = 2.5;
+        snap.report.traces.push(TraceRow {
+            name: "fig2a.mc".to_string(),
+            points: vec![TracePoint {
+                chunk: 0,
+                samples: 8192,
+                value: 1.5e-3,
+                std_err: 2.5e-4,
+                rel_err: 2.5e-4 / 1.5e-3,
+            }],
+            health: Some(TraceHealth {
+                has_weights: true,
+                contributing: 64,
+                ess: 32.0,
+                ess_fraction: 0.5,
+                max_weight_fraction: 0.0625,
+                steps: 0,
+                stalled_steps: 0,
+                stall_ratio: 0.0,
+            }),
+        });
+        let body = snap.to_json();
+        assert_eq!(LiveSnapshot::parse(&body).unwrap(), snap);
+        let err = |t: &str| LiveSnapshot::parse(t).unwrap_err().message;
+        assert_eq!(
+            err(&body.replace("\"quarantine_count\":0", "\"quarantine_count\":3")),
+            "quarantine_count: found 3, expected 0"
+        );
+        assert_eq!(
+            err(&body.replace("\"live\":true", "\"live\":false")),
+            "live: found false, expected true"
+        );
+        // A snapshot is not a sidecar, and a sidecar is not a snapshot.
+        assert!(Sidecar::parse(&body).is_err());
+        assert_eq!(
+            err(&snap.report.to_json_pretty(&snap.id)),
+            "elapsed_secs: missing"
+        );
     }
 
     #[test]

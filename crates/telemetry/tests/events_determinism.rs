@@ -42,7 +42,7 @@ fn journaled_run() -> String {
         stream: 7,
         seed: 0xDEAD_BEEF,
         corner: 0.12,
-        kind: "no_convergence",
+        kind: "no_convergence".to_string(),
     });
     tm::events::render("det-test", &[("solves", Value::Num(1.0))])
 }

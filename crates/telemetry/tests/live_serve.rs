@@ -13,7 +13,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 
 use pvtm_telemetry as tm;
-use pvtm_telemetry::json::{self, Value};
 
 fn lock() -> MutexGuard<'static, ()> {
     // Telemetry state is process-global; serialize the tests in this binary.
@@ -100,14 +99,11 @@ fn serves_metrics_snapshot_and_healthz() {
 
     let (status, body) = get(addr, "/snapshot.json");
     assert_eq!(status, 200);
-    let doc = json::parse(body.trim_end()).expect("snapshot.json parses");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("pvtm-telemetry/3"),
-        "snapshot reuses the sidecar schema so sidecar consumers parse it"
-    );
-    assert_eq!(doc.get("live").and_then(Value::as_bool), Some(true));
-    assert!(matches!(doc.get("progress"), Some(Value::Arr(p)) if p.len() == 1));
+    // The strict reader takes the body back: the sidecar schema plus the
+    // live-plane members, exactly as the writer writes them.
+    let snap = tm::snapshot::LiveSnapshot::parse(&body).expect("snapshot.json parses");
+    assert_eq!(snap.progress.len(), 1);
+    assert_eq!(snap.report.counter("mc.samples"), 16384);
 
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "healthy run must pass /healthz: {body}");

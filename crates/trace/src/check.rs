@@ -6,20 +6,24 @@
 //! `PVTM_TELEMETRY_CLOCK=off`, the gate has zero flake: exceeding a
 //! budget means the code does more numerical work, full stop.
 //!
-//! The ratchet mirrors the pvtm-lint baseline semantics:
+//! The ratchet:
 //!
 //! - observed > budget → violation (gate fails);
+//! - observed = 0 against a positive budget → violation: the solver did
+//!   not run, so the sidecar describes no real run of the figure;
 //! - observed < budget → pass, with a slack note nudging a ratchet-down;
 //! - `--update-budgets` rewrites the file to the observed values, which
 //!   is how both ratchets *and* intentional regressions get recorded —
 //!   the diff of `perf-budgets.json` is then reviewed like any other.
+//!
+//! A sidecar without spans also fails: sidecars are written in full mode
+//! only, which always records spans.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
-
-use crate::sidecar::Sidecar;
+use pvtm_telemetry::Sidecar;
 
 /// The budget metrics maintained by `--update-budgets`: the solver work
 /// counters that are deterministic under a fixed seed.
@@ -112,12 +116,26 @@ impl Budgets {
     }
 }
 
+/// A budget metric's observed value. Metric names are namespaced:
+/// `solver.<counter>` reads the solver section, `counter.<name>` a named
+/// event counter (0 when the run never bumped it). `None` for any other
+/// name.
+fn metric(sc: &Sidecar, name: &str) -> Option<u64> {
+    if let Some(field) = name.strip_prefix("solver.") {
+        let counters = sc.report.solver.counters();
+        counters.iter().find(|(k, _)| *k == field).map(|&(_, v)| v)
+    } else {
+        name.strip_prefix("counter.").map(|c| sc.report.counter(c))
+    }
+}
+
 /// Result of checking sidecars against budgets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOutcome {
     /// Human-readable findings, one per line.
     pub text: String,
-    /// Hard failures: budget exceeded, or no budget for a figure.
+    /// Hard failures: budget exceeded, a budgeted metric at zero or
+    /// unknown, no spans, or no budget for a figure.
     pub violations: usize,
     /// Advisory slack notes: observed below the ceiling.
     pub slack_notes: usize,
@@ -127,6 +145,11 @@ impl CheckOutcome {
     /// Whether the gate fails.
     pub fn failed(&self) -> bool {
         self.violations > 0
+    }
+
+    fn fail(&mut self, id: &str, what: &str) {
+        self.violations += 1;
+        self.text.push_str(&format!("FAIL {id}: {what}\n"));
     }
 }
 
@@ -138,34 +161,42 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
         slack_notes: 0,
     };
     for sc in sidecars {
-        let Some(figure) = budgets.figures.get(&sc.id) else {
-            out.violations += 1;
-            out.text.push_str(&format!(
-                "FAIL {}: no budget entry — record one with --update-budgets\n",
-                sc.id
-            ));
+        let id = sc.id.as_str();
+        if sc.report.spans.is_empty() {
+            out.fail(
+                id,
+                "no spans recorded — sidecars come from PVTM_TELEMETRY=full runs",
+            );
+        }
+        let Some(figure) = budgets.figures.get(id) else {
+            out.fail(id, "no budget entry — record one with --update-budgets");
             continue;
         };
-        for (metric, &max) in figure {
-            let observed = sc.metric(metric).unwrap_or(0);
-            if observed > max {
-                out.violations += 1;
-                out.text.push_str(&format!(
-                    "FAIL {}: {metric} = {observed} exceeds budget {max} (+{})\n",
-                    sc.id,
-                    observed - max
-                ));
-            } else if observed < max {
-                out.slack_notes += 1;
-                out.text.push_str(&format!(
-                    "note {}: {metric} = {observed} is under budget {max} (-{}) — \
-                     ratchet down with --update-budgets\n",
-                    sc.id,
-                    max - observed
-                ));
-            } else {
-                out.text
-                    .push_str(&format!("ok   {}: {metric} = {observed}\n", sc.id));
+        for (name, &max) in figure {
+            match metric(sc, name) {
+                None => out.fail(id, &format!("unknown budget metric {name}")),
+                Some(0) if max > 0 => out.fail(
+                    id,
+                    &format!("{name} = 0 against budget {max} — the solver did not run"),
+                ),
+                Some(observed) if observed > max => out.fail(
+                    id,
+                    &format!(
+                        "{name} = {observed} exceeds budget {max} (+{})",
+                        observed - max
+                    ),
+                ),
+                Some(observed) if observed < max => {
+                    out.slack_notes += 1;
+                    out.text.push_str(&format!(
+                        "note {id}: {name} = {observed} is under budget {max} (-{}) — \
+                         ratchet down with --update-budgets\n",
+                        max - observed
+                    ));
+                }
+                Some(observed) => out
+                    .text
+                    .push_str(&format!("ok   {id}: {name} = {observed}\n")),
             }
         }
     }
@@ -180,7 +211,7 @@ pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
     for sc in sidecars {
         let metrics = DEFAULT_METRICS
             .iter()
-            .map(|&m| (m.to_string(), sc.metric(m).unwrap_or(0)))
+            .filter_map(|&m| Some((m.to_string(), metric(sc, m)?)))
             .collect();
         next.figures.insert(sc.id.clone(), metrics);
     }
@@ -190,25 +221,34 @@ pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use pvtm_telemetry::{Report, SolverSummary, SpanRow};
 
     fn sidecar(id: &str, solves: u64, newton: u64) -> Sidecar {
         Sidecar {
             id: id.into(),
-            mode: "full".into(),
-            clock: false,
-            schema_version: 2,
-            solver: BTreeMap::from([
-                ("solves".to_string(), solves),
-                ("newton_iterations".to_string(), newton),
-                ("lu_factorizations".to_string(), 7),
-                ("cold_solves".to_string(), 2),
-            ]),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            traces: Vec::new(),
+            report: Report {
+                spans: vec![SpanRow {
+                    path: id.into(),
+                    count: 1,
+                    total_ns: 0,
+                    child_ns: 0,
+                    self_ns: 0,
+                    solves,
+                    newton_iterations: newton,
+                    lu_factorizations: 7,
+                    cold_solves: 2,
+                    rescue_attempts: 0,
+                    rescue_hits: 0,
+                }],
+                solver: SolverSummary {
+                    solves,
+                    newton_iterations: newton,
+                    lu_factorizations: 7,
+                    cold_solves: 2,
+                    ..SolverSummary::default()
+                },
+                ..Report::default()
+            },
         }
     }
 
@@ -247,6 +287,42 @@ mod tests {
         assert!(!out.failed());
         assert_eq!(out.slack_notes, 1);
         assert!(out.text.contains("ratchet down"));
+    }
+
+    #[test]
+    fn a_budgeted_metric_at_zero_fails() {
+        let b = update_budgets(&Budgets::default(), &[sidecar("fig2a", 100, 321)]);
+        let out = check(&b, &[sidecar("fig2a", 0, 321)]);
+        assert!(out.failed());
+        assert!(out
+            .text
+            .contains("solver.solves = 0 against budget 100 — the solver did not run"));
+    }
+
+    #[test]
+    fn a_sidecar_without_spans_fails() {
+        let b = update_budgets(&Budgets::default(), &[sidecar("fig2a", 100, 321)]);
+        let mut sc = sidecar("fig2a", 100, 321);
+        sc.report.spans.clear();
+        let out = check(&b, &[sc]);
+        assert_eq!(out.violations, 1);
+        assert!(out.text.contains("FAIL fig2a: no spans recorded"));
+    }
+
+    #[test]
+    fn unknown_budget_metrics_fail_and_counters_resolve() {
+        let mut b = update_budgets(&Budgets::default(), &[sidecar("fig2a", 100, 321)]);
+        let entry = b.figures.get_mut("fig2a").unwrap();
+        entry.insert("solver.warm_hit_rate".into(), 1);
+        entry.insert("counter.mc.samples".into(), 4096);
+        let mut sc = sidecar("fig2a", 100, 321);
+        sc.report.counters = vec![("mc.samples".into(), 4096)];
+        let out = check(&b, &[sc]);
+        assert_eq!(out.violations, 1, "{}", out.text);
+        assert!(out
+            .text
+            .contains("unknown budget metric solver.warm_hit_rate"));
+        assert!(out.text.contains("ok   fig2a: counter.mc.samples = 4096"));
     }
 
     #[test]

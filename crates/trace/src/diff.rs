@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::sidecar::Sidecar;
+use pvtm_telemetry::{Report, Sidecar, SpanRow};
 
 /// Result of diffing two sidecars.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,58 +63,49 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
         regressions: 0,
         time_flags: 0,
     };
+    let (old_id, old) = (&old.id, &old.report);
+    let (new_id, new) = (&new.id, &new.report);
     out.text
-        .push_str(&format!("diff {} (old) vs {} (new)\n", old.id, new.id));
-    if old.schema_version != new.schema_version {
-        out.text.push_str(&format!(
-            "  note: schema v{} vs v{} — attribution fields may default on the older side\n",
-            old.schema_version, new.schema_version
-        ));
-    }
+        .push_str(&format!("diff {old_id} (old) vs {new_id} (new)\n"));
 
     out.text.push_str("work counters (exact):\n");
-    let solver_keys: BTreeSet<&String> = old.solver.keys().chain(new.solver.keys()).collect();
-    for k in solver_keys {
-        fmt_delta(
-            &mut out,
-            &format!("solver.{k}"),
-            old.solver_counter(k),
-            new.solver_counter(k),
-        );
+    for ((name, o), (_, n)) in old.solver.counters().into_iter().zip(new.solver.counters()) {
+        fmt_delta(&mut out, &format!("solver.{name}"), o, n);
     }
-    let counter_keys: BTreeSet<&String> = old.counters.keys().chain(new.counters.keys()).collect();
+    let counter_keys: BTreeSet<&String> = old
+        .counters
+        .iter()
+        .chain(&new.counters)
+        .map(|(k, _)| k)
+        .collect();
     for k in counter_keys {
         fmt_delta(
             &mut out,
             &format!("counter.{k}"),
-            old.counters.get(k).copied().unwrap_or(0),
-            new.counters.get(k).copied().unwrap_or(0),
+            old.counter(k),
+            new.counter(k),
         );
     }
     // Per-span solver attribution: where the extra work landed.
     let span_paths: BTreeSet<&String> = old
         .spans
         .iter()
+        .chain(&new.spans)
         .map(|s| &s.path)
-        .chain(new.spans.iter().map(|s| &s.path))
         .collect();
     for path in &span_paths {
-        let o = old.spans.iter().find(|s| &&s.path == path);
-        let n = new.spans.iter().find(|s| &&s.path == path);
-        let get = |s: Option<&&crate::sidecar::Span>, f: fn(&crate::sidecar::Span) -> u64| {
-            s.map(|s| f(s)).unwrap_or(0)
-        };
+        let get = |r: &Report, f: fn(&SpanRow) -> u64| r.span(path).map_or(0, f);
         fmt_delta(
             &mut out,
             &format!("span[{path}].newton_iterations"),
-            get(o.as_ref(), |s| s.newton_iterations),
-            get(n.as_ref(), |s| s.newton_iterations),
+            get(old, |s| s.newton_iterations),
+            get(new, |s| s.newton_iterations),
         );
         fmt_delta(
             &mut out,
             &format!("span[{path}].solves"),
-            get(o.as_ref(), |s| s.solves),
-            get(n.as_ref(), |s| s.solves),
+            get(old, |s| s.solves),
+            get(new, |s| s.solves),
         );
     }
     if out.counter_changes == 0 {
@@ -132,18 +123,8 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
     }
     let mut flagged = false;
     for path in &span_paths {
-        let o_ns = old
-            .spans
-            .iter()
-            .find(|s| &&s.path == path)
-            .map(|s| s.total_ns)
-            .unwrap_or(0);
-        let n_ns = new
-            .spans
-            .iter()
-            .find(|s| &&s.path == path)
-            .map(|s| s.total_ns)
-            .unwrap_or(0);
+        let o_ns = old.span(path).map_or(0, |s| s.total_ns);
+        let n_ns = new.span(path).map_or(0, |s| s.total_ns);
         if o_ns == 0 {
             continue;
         }
@@ -169,32 +150,34 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sidecar::Span;
-    use std::collections::BTreeMap;
+    use pvtm_telemetry::SolverSummary;
 
     fn base() -> Sidecar {
         Sidecar {
             id: "fig".into(),
-            mode: "full".into(),
-            clock: true,
-            schema_version: 2,
-            solver: BTreeMap::from([("solves".to_string(), 100), ("cold_solves".to_string(), 4)]),
-            counters: BTreeMap::from([("mc.samples".to_string(), 4096)]),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: vec![Span {
-                path: "fig".into(),
-                count: 1,
-                total_ns: 1_000_000,
-                self_ns: 1_000_000,
-                solves: 100,
-                newton_iterations: 300,
-                lu_factorizations: 300,
-                cold_solves: 4,
-                rescue_attempts: 0,
-                rescue_hits: 0,
-            }],
-            traces: Vec::new(),
+            report: Report {
+                clock: true,
+                solver: SolverSummary {
+                    solves: 100,
+                    cold_solves: 4,
+                    ..SolverSummary::default()
+                },
+                counters: vec![("mc.samples".to_string(), 4096)],
+                spans: vec![SpanRow {
+                    path: "fig".into(),
+                    count: 1,
+                    total_ns: 1_000_000,
+                    child_ns: 0,
+                    self_ns: 1_000_000,
+                    solves: 100,
+                    newton_iterations: 300,
+                    lu_factorizations: 300,
+                    cold_solves: 4,
+                    rescue_attempts: 0,
+                    rescue_hits: 0,
+                }],
+                ..Report::default()
+            },
         }
     }
 
@@ -212,7 +195,7 @@ mod tests {
     fn counter_increase_is_a_regression() {
         let a = base();
         let mut b = base();
-        b.solver.insert("solves".into(), 120);
+        b.report.solver.solves = 120;
         let out = diff(&a, &b, 0.2);
         assert!(out.failed());
         assert!(out.text.contains("REGRESSION solver.solves: 100 -> 120"));
@@ -222,7 +205,7 @@ mod tests {
     fn counter_decrease_is_an_improvement_not_a_failure() {
         let a = base();
         let mut b = base();
-        b.solver.insert("cold_solves".into(), 1);
+        b.report.solver.cold_solves = 1;
         let out = diff(&a, &b, 0.2);
         assert!(!out.failed());
         assert_eq!(out.counter_changes, 1);
@@ -230,10 +213,24 @@ mod tests {
     }
 
     #[test]
+    fn warm_hit_rate_is_not_a_work_counter() {
+        // A rate of exactly 1 prints as an integer; read back, it must
+        // still be the derived rate, not a counter that can regress.
+        let read = |rate: f64| {
+            let mut sc = base();
+            sc.report.solver.warm_hit_rate = rate;
+            Sidecar::parse(&sc.report.to_json_pretty(&sc.id)).unwrap()
+        };
+        let out = diff(&read(1.0), &read(0.5), 0.2);
+        assert!(!out.text.contains("warm_hit_rate"), "{}", out.text);
+        assert_eq!(out.counter_changes, 0);
+    }
+
+    #[test]
     fn slow_span_is_advisory_only() {
         let a = base();
         let mut b = base();
-        b.spans[0].total_ns = 2_000_000;
+        b.report.spans[0].total_ns = 2_000_000;
         let out = diff(&a, &b, 0.2);
         assert!(!out.failed(), "wall-clock never fails the diff");
         assert_eq!(out.time_flags, 1);
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn clock_off_skips_wall_clock_section() {
         let mut a = base();
-        a.clock = false;
+        a.report.clock = false;
         let out = diff(&a, &a, 0.2);
         assert!(out.text.contains("clock gated off"));
         assert_eq!(out.time_flags, 0);

@@ -3,10 +3,14 @@
 //!
 //! Where `check` ratchets *work* (how many solves a figure spends),
 //! `health` ratchets *confidence* (whether the estimate those solves buy
-//! can be trusted). The inputs are the v3 sidecar's per-trace health
+//! can be trusted). The inputs are the sidecar's per-trace health
 //! block and the derived `mc.*` gauges, all of which are byte-identical
 //! across runs under `PVTM_TELEMETRY_CLOCK=off`, so this gate has the
 //! same zero-flake property as the perf budgets.
+//!
+//! A figure with a budget entry of its own must carry trace health: an
+//! entry is only ever recorded from a sidecar with Monte-Carlo traces, so
+//! a sidecar without them means the estimator did not run.
 //!
 //! A budget entry is four thresholds:
 //!
@@ -28,8 +32,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
-
-use crate::sidecar::Sidecar;
+use pvtm_telemetry::{Sidecar, TraceHealth};
 
 /// Name of the fallback budget entry.
 pub const DEFAULT_ENTRY: &str = "default";
@@ -162,9 +165,10 @@ impl HealthBudgets {
 pub struct HealthOutcome {
     /// The confidence ledger, one line per trace/metric finding.
     pub text: String,
-    /// Hard failures: threshold crossed, or no budget entry at all.
+    /// Hard failures: threshold crossed, no budget entry at all, or a
+    /// figure with its own entry but no trace health.
     pub violations: usize,
-    /// Advisory notes (pre-v3 sidecars with no health data).
+    /// Advisory notes (figures without traces on the default entry).
     pub notes: usize,
 }
 
@@ -204,16 +208,21 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
         out.text
             .push_str(&format!("== {} (thresholds from {:?}) ==\n", sc.id, source));
         let with_health: Vec<_> = sc
+            .report
             .traces
             .iter()
             .filter_map(|t| t.health.map(|h| (t.name.as_str(), h)))
             .collect();
         if with_health.is_empty() {
-            out.notes += 1;
-            out.text.push_str(&format!(
-                "note {}: no estimator-health data (pre-v3 sidecar, or no MC traces)\n",
-                sc.id
-            ));
+            // Only a figure with an entry of its own must have traces.
+            if source == sc.id {
+                let detail = "no Monte-Carlo trace health".to_string();
+                verdict(&mut out, true, &sc.id, "NO_TRACE", detail);
+            } else {
+                out.notes += 1;
+                out.text
+                    .push_str(&format!("note {}: no Monte-Carlo trace health\n", sc.id));
+            }
         }
         for (name, h) in with_health {
             if h.has_weights {
@@ -249,7 +258,7 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
                 ),
             );
         }
-        if let Some(share) = sc.gauge("mc.quarantine_ci_share") {
+        if let Some(share) = sc.report.gauge("mc.quarantine_ci_share") {
             verdict(
                 &mut out,
                 share > entry.max_quarantine_ci_share,
@@ -277,19 +286,26 @@ fn ceil4(x: f64) -> f64 {
 
 /// Returns `budgets` with each sidecar's figure entry replaced by its
 /// observed health, rounded in the *permissive* direction (floors down,
-/// ceilings up) so a byte-identical rerun passes exactly. The `"default"`
-/// entry is never rewritten.
+/// ceilings up) so a byte-identical rerun passes exactly. A sidecar
+/// without trace health gets no entry (and loses a stale one), so the
+/// gate's missing-trace rule never applies to it. The `"default"` entry
+/// is never rewritten.
 pub fn update_health_budgets(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthBudgets {
     let mut next = budgets.clone();
     for sc in sidecars {
+        let healths: Vec<TraceHealth> = sc.report.traces.iter().filter_map(|t| t.health).collect();
+        if healths.is_empty() {
+            next.entries.remove(&sc.id);
+            continue;
+        }
         let mut e = HealthEntry {
             min_ess_fraction: 1.0,
             max_weight_fraction: 0.0,
             max_stall_ratio: 0.0,
-            max_quarantine_ci_share: sc.gauge("mc.quarantine_ci_share").unwrap_or(0.0),
+            max_quarantine_ci_share: sc.report.gauge("mc.quarantine_ci_share").unwrap_or(0.0),
         };
         let mut weighted = false;
-        for h in sc.traces.iter().filter_map(|t| t.health) {
+        for h in healths {
             if h.has_weights {
                 weighted = true;
                 e.min_ess_fraction = e.min_ess_fraction.min(h.ess_fraction);
@@ -315,8 +331,7 @@ pub fn update_health_budgets(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> H
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sidecar::{Trace, TraceHealth, TracePoint};
-    use std::collections::BTreeMap;
+    use pvtm_telemetry::{Report, TracePoint, TraceRow};
 
     fn health(ess_fraction: f64, max_weight_fraction: f64, stall_ratio: f64) -> TraceHealth {
         TraceHealth {
@@ -331,27 +346,25 @@ mod tests {
         }
     }
 
+    /// A sidecar with one trace of health `h`, or with no trace at all.
     fn sidecar(id: &str, h: Option<TraceHealth>) -> Sidecar {
+        let trace = |h| TraceRow {
+            name: format!("{id}.mc"),
+            points: vec![TracePoint {
+                chunk: 0,
+                samples: 4096,
+                value: 1e-4,
+                std_err: 1e-5,
+                rel_err: 0.1,
+            }],
+            health: Some(h),
+        };
         Sidecar {
             id: id.into(),
-            mode: "full".into(),
-            clock: false,
-            schema_version: 3,
-            solver: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            traces: vec![Trace {
-                name: format!("{id}.mc"),
-                points: vec![TracePoint {
-                    chunk: 0,
-                    samples: 4096,
-                    value: 1e-4,
-                    std_err: 1e-5,
-                }],
-                health: h,
-            }],
+            report: Report {
+                traces: h.map(trace).into_iter().collect(),
+                ..Report::default()
+            },
         }
     }
 
@@ -426,7 +439,7 @@ mod tests {
             },
         );
         let mut sc = sidecar("fig2a", Some(health(0.9, 0.02, 0.0)));
-        sc.gauges.insert("mc.quarantine_ci_share".into(), 0.4);
+        sc.report.gauges = vec![("mc.quarantine_ci_share".into(), 0.4)];
         let out = health_check(&b, &[sc]);
         assert!(out.failed());
         assert!(out.text.contains("QUARANTINE_BIASED"));
@@ -457,12 +470,33 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_sidecar_is_a_note_not_a_failure() {
+    fn traceless_figure_on_the_default_entry_is_a_note() {
         let b = budgets(DEFAULT_ENTRY, HealthEntry::default());
-        let out = health_check(&b, &[sidecar("old", None)]);
+        let out = health_check(&b, &[sidecar("fig8", None)]);
         assert!(!out.failed());
         assert_eq!(out.notes, 1);
-        assert!(out.text.contains("no estimator-health data"));
+        assert!(out.text.contains("note fig8: no Monte-Carlo trace health"));
+    }
+
+    #[test]
+    fn traceless_figure_with_its_own_entry_fails() {
+        let b = update_health_budgets(
+            &HealthBudgets::default(),
+            &[sidecar("fig2a", Some(health(0.9, 0.01, 0.0)))],
+        );
+        let out = health_check(&b, &[sidecar("fig2a", None)]);
+        assert!(out.failed());
+        assert!(out.text.contains("FAIL fig2a: NO_TRACE"), "{}", out.text);
+    }
+
+    #[test]
+    fn update_records_no_entry_without_trace_health() {
+        let b = budgets(DEFAULT_ENTRY, HealthEntry::default());
+        let next = update_health_budgets(&b, &[sidecar("fig8", None)]);
+        assert_eq!(next, b);
+        // A stale entry goes, so the figure falls back to "default".
+        let stale = update_health_budgets(&b, &[sidecar("fig8", Some(health(0.9, 0.01, 0.0)))]);
+        assert_eq!(update_health_budgets(&stale, &[sidecar("fig8", None)]), b);
     }
 
     #[test]

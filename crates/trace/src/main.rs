@@ -10,14 +10,16 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 gate failure (budget exceeded / work-counter
-//! regression / estimator-health violation), 2 usage or I/O error.
+//! regression / estimator-health violation / a sidecar the telemetry
+//! writer would not write), 2 usage or I/O error.
 
 use std::process::ExitCode;
 
+use pvtm_telemetry::Sidecar;
 use pvtm_trace::{
     check, diff, fetch_live, folded_stacks, health_check, hot_span_table, parse_source,
     render_journal, render_live, snapshot, update_budgets, update_health_budgets, Budgets,
-    HealthBudgets, Journal, Sidecar, Source,
+    HealthBudgets, Journal, Source,
 };
 
 const USAGE: &str = "usage:
@@ -36,9 +38,15 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-fn read_sidecar(path: &str) -> Result<Sidecar, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Sidecar::parse(&text).map_err(|e| format!("{path}: {e}"))
+/// Reads one sidecar. An unreadable file is an I/O error; a document the
+/// writer would not write fails the gate.
+fn read_sidecar(cmd: &str, path: &str) -> Result<Sidecar, ExitCode> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| usage(&format!("cannot read {path}: {e}")))?;
+    Sidecar::parse(&text).map_err(|e| {
+        eprintln!("pvtm-trace {cmd}: FAIL — {path}: {e}");
+        ExitCode::from(EXIT_GATE)
+    })
 }
 
 fn main() -> ExitCode {
@@ -76,14 +84,14 @@ fn cmd_report(args: &[String]) -> ExitCode {
     let Some(path) = path else {
         return usage("report needs a sidecar path");
     };
-    let sc = match read_sidecar(&path) {
+    let sc = match read_sidecar("report", &path) {
         Ok(sc) => sc,
-        Err(e) => return usage(&e),
+        Err(code) => return code,
     };
     if folded {
-        print!("{}", folded_stacks(&sc));
+        print!("{}", folded_stacks(&sc.report));
     } else {
-        print!("{}", hot_span_table(&sc, top));
+        print!("{}", hot_span_table(&sc.id, &sc.report, top));
     }
     ExitCode::SUCCESS
 }
@@ -104,9 +112,12 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     let [old_path, new_path] = paths.as_slice() else {
         return usage("diff needs exactly two sidecars");
     };
-    let (old, new) = match (read_sidecar(old_path), read_sidecar(new_path)) {
+    let (old, new) = match (
+        read_sidecar("diff", old_path),
+        read_sidecar("diff", new_path),
+    ) {
         (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => return usage(&e),
+        (Err(code), _) | (_, Err(code)) => return code,
     };
     let out = diff(&old, &new, tolerance);
     print!("{}", out.text);
@@ -151,9 +162,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
     };
     let mut sidecars = Vec::new();
     for p in sidecar_paths {
-        match read_sidecar(p) {
+        match read_sidecar("check", p) {
             Ok(sc) => sidecars.push(sc),
-            Err(e) => return usage(&e),
+            Err(code) => return code,
         }
     }
 
@@ -217,9 +228,9 @@ fn cmd_health(args: &[String]) -> ExitCode {
     };
     let mut sidecars = Vec::new();
     for p in sidecar_paths {
-        match read_sidecar(p) {
+        match read_sidecar("health", p) {
             Ok(sc) => sidecars.push(sc),
-            Err(e) => return usage(&e),
+            Err(code) => return code,
         }
     }
 

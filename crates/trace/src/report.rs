@@ -1,11 +1,11 @@
 //! `pvtm-trace report` — hot-span table and folded flamegraph stacks.
 
-use crate::sidecar::{Sidecar, Span};
+use pvtm_telemetry::{Report, SpanRow};
 
 /// Span weight used for ranking and folded stacks: self-time when the
 /// producer's clock ran, Newton iterations otherwise (a clock-gated run
 /// has every `*_ns` field at zero, so work counters are the only signal).
-fn weight(s: &Span, clock: bool) -> u64 {
+fn weight(s: &SpanRow, clock: bool) -> u64 {
     if clock {
         s.self_ns
     } else {
@@ -13,39 +13,40 @@ fn weight(s: &Span, clock: bool) -> u64 {
     }
 }
 
-fn sorted_spans(sc: &Sidecar) -> Vec<&Span> {
-    let mut spans: Vec<&Span> = sc.spans.iter().collect();
+fn sorted_spans(r: &Report) -> Vec<&SpanRow> {
+    let mut spans: Vec<&SpanRow> = r.spans.iter().collect();
     // Stable key: weight descending, then path, so clock-off output is
     // deterministic even among equal weights.
     spans.sort_by(|a, b| {
-        weight(b, sc.clock)
-            .cmp(&weight(a, sc.clock))
+        weight(b, r.clock)
+            .cmp(&weight(a, r.clock))
             .then_with(|| a.path.cmp(&b.path))
     });
     spans
 }
 
-/// Renders the hot-span table: one row per span path, hottest first.
+/// Renders the hot-span table of run `id`: one row per span path,
+/// hottest first.
 ///
 /// Hottest means largest self-time — the time a span spent *not* inside
 /// an instrumented child — falling back to attributed Newton iterations
-/// when the sidecar was produced with the clock gated off.
-pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
+/// when the run had the clock gated off.
+pub fn hot_span_table(id: &str, r: &Report, top: usize) -> String {
     let mut out = String::new();
-    let rank = if sc.clock {
+    let rank = if r.clock {
         "self-time"
     } else {
         "newton iterations (clock was gated off)"
     };
     out.push_str(&format!(
-        "hot spans of {} (mode {}, schema v{}) — ranked by {}\n",
-        sc.id, sc.mode, sc.schema_version, rank
+        "hot spans of {id} (mode {}) — ranked by {rank}\n",
+        r.mode.as_str()
     ));
     out.push_str(&format!(
         "{:<40} {:>8} {:>12} {:>12} {:>9} {:>9} {:>7} {:>8}\n",
         "span", "count", "total ms", "self ms", "solves", "newton", "cold", "rescue"
     ));
-    for s in sorted_spans(sc).into_iter().take(top) {
+    for s in sorted_spans(r).into_iter().take(top) {
         out.push_str(&format!(
             "{:<40} {:>8} {:>12.3} {:>12.3} {:>9} {:>9} {:>7} {:>8}\n",
             s.path,
@@ -60,7 +61,7 @@ pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
             format!("{}/{}", s.rescue_hits, s.rescue_attempts),
         ));
     }
-    if sc.spans.is_empty() {
+    if r.spans.is_empty() {
         out.push_str("(no spans — was the producer run with PVTM_TELEMETRY=full?)\n");
     }
     out
@@ -70,10 +71,10 @@ pub fn hot_span_table(sc: &Sidecar, top: usize) -> String {
 /// per span path, `/` separators rewritten to `;`, value = self-time in
 /// nanoseconds (or Newton iterations on clock-gated sidecars). Zero-weight
 /// spans are skipped — they would render as invisible frames anyway.
-pub fn folded_stacks(sc: &Sidecar) -> String {
+pub fn folded_stacks(r: &Report) -> String {
     let mut out = String::new();
-    for s in &sc.spans {
-        let w = weight(s, sc.clock);
+    for s in &r.spans {
+        let w = weight(s, r.clock);
         if w > 0 {
             out.push_str(&format!("{} {}\n", s.path.replace('/', ";"), w));
         }
@@ -85,11 +86,12 @@ pub fn folded_stacks(sc: &Sidecar) -> String {
 mod tests {
     use super::*;
 
-    fn span(path: &str, self_ns: u64, newton: u64) -> Span {
-        Span {
+    fn span(path: &str, self_ns: u64, newton: u64) -> SpanRow {
+        SpanRow {
             path: path.to_string(),
             count: 1,
             total_ns: self_ns,
+            child_ns: 0,
             self_ns,
             solves: 0,
             newton_iterations: newton,
@@ -100,18 +102,11 @@ mod tests {
         }
     }
 
-    fn sidecar(clock: bool, spans: Vec<Span>) -> Sidecar {
-        Sidecar {
-            id: "t".into(),
-            mode: "full".into(),
+    fn report(clock: bool, spans: Vec<SpanRow>) -> Report {
+        Report {
             clock,
-            schema_version: 2,
-            solver: Default::default(),
-            counters: Default::default(),
-            gauges: Default::default(),
-            histograms: Vec::new(),
             spans,
-            traces: Vec::new(),
+            ..Report::default()
         }
     }
 
@@ -120,17 +115,17 @@ mod tests {
         let mut s = span("fig/mc.chunk", 10, 100);
         s.rescue_attempts = 4;
         s.rescue_hits = 3;
-        let t = hot_span_table(&sidecar(true, vec![s]), 10);
+        let t = hot_span_table("t", &report(true, vec![s]), 10);
         assert!(t.contains("3/4"), "rescue column missing:\n{t}");
     }
 
     #[test]
     fn table_ranks_by_self_time_with_clock() {
-        let sc = sidecar(
+        let r = report(
             true,
             vec![span("a", 10, 999), span("b", 30, 1), span("c", 20, 5)],
         );
-        let t = hot_span_table(&sc, 10);
+        let t = hot_span_table("t", &r, 10);
         let b = t.find("\nb ").unwrap();
         let c = t.find("\nc ").unwrap();
         let a = t.find("\na ").unwrap();
@@ -139,18 +134,18 @@ mod tests {
 
     #[test]
     fn table_falls_back_to_newton_without_clock() {
-        let sc = sidecar(false, vec![span("a", 0, 999), span("b", 0, 1)]);
-        let t = hot_span_table(&sc, 10);
+        let r = report(false, vec![span("a", 0, 999), span("b", 0, 1)]);
+        let t = hot_span_table("t", &r, 10);
         assert!(t.contains("clock was gated off"));
         assert!(t.find("\na ").unwrap() < t.find("\nb ").unwrap());
     }
 
     #[test]
     fn folded_stacks_use_semicolons_and_skip_zero_weight() {
-        let sc = sidecar(
+        let r = report(
             true,
             vec![span("fig/mc.chunk", 40, 0), span("fig/idle", 0, 0)],
         );
-        assert_eq!(folded_stacks(&sc), "fig;mc.chunk 40\n");
+        assert_eq!(folded_stacks(&r), "fig;mc.chunk 40\n");
     }
 }

@@ -3,9 +3,10 @@
 //! Two sources, one display:
 //!
 //! - **live** (`pvtm-trace top 127.0.0.1:9184`): polls the producer's
-//!   `/snapshot.json` endpoint (a [`crate::sidecar::Sidecar`]-schema
-//!   document plus live-plane members) with a hand-rolled `std::net`
-//!   HTTP/1.1 client — no new dependencies, mirroring the server side;
+//!   `/snapshot.json` endpoint (a sidecar document plus live-plane
+//!   members, read by [`LiveSnapshot::parse`]) with a hand-rolled
+//!   `std::net` HTTP/1.1 client — no new dependencies, mirroring the
+//!   server side;
 //! - **journal** (`pvtm-trace top results/fig2a.events.jsonl`): degrades
 //!   to re-reading the event journal and folding it through
 //!   [`crate::tail`]'s Chan-merge reconstruction, for runs started
@@ -22,10 +23,9 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::snapshot::LiveSnapshot;
 
 use crate::report::hot_span_table;
-use crate::sidecar::Sidecar;
 use crate::tail;
 
 /// Where `top` reads its frames from.
@@ -79,37 +79,19 @@ pub fn http_get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
-/// One fetched live frame: the snapshot parsed both ways.
-#[derive(Debug, Clone)]
-pub struct LiveFrame {
-    /// The sidecar-schema view (spans, gauges, traces).
-    pub sidecar: Sidecar,
-    /// The raw document, for the live-plane members the sidecar parser
-    /// ignores (`epoch`, `elapsed_secs`, `open_spans`, `progress`, ...).
-    pub raw: Value,
-}
-
 /// Fetches and validates one `/snapshot.json` frame.
 ///
 /// # Errors
 ///
 /// Returns a message when the scrape fails, the status is not 200, or
-/// the body violates the sidecar/live contract — which is exactly what
-/// `top --once` gates on in CI.
-pub fn fetch_live(addr: SocketAddr) -> Result<LiveFrame, String> {
+/// the body is not what [`LiveSnapshot::to_value`] writes — which is
+/// exactly what `top --once` gates on in CI.
+pub fn fetch_live(addr: SocketAddr) -> Result<LiveSnapshot, String> {
     let (status, body) = http_get(addr, "/snapshot.json")?;
     if status != 200 {
         return Err(format!("{addr}/snapshot.json answered {status}"));
     }
-    let sidecar = Sidecar::parse(&body).map_err(|e| format!("{addr}/snapshot.json: {e}"))?;
-    let raw = json::parse(&body).map_err(|e| format!("{addr}/snapshot.json: {e}"))?;
-    if raw.get("live").and_then(Value::as_bool) != Some(true) {
-        return Err(format!("{addr}/snapshot.json: missing live marker"));
-    }
-    if !matches!(raw.get("progress"), Some(Value::Arr(_))) {
-        return Err(format!("{addr}/snapshot.json: missing progress array"));
-    }
-    Ok(LiveFrame { sidecar, raw })
+    LiveSnapshot::parse(&body).map_err(|e| format!("{addr}/snapshot.json: {e}"))
 }
 
 /// One dashboard row, whichever source it came from.
@@ -183,45 +165,33 @@ fn render_eta(out: &mut String, rows: &[Row], elapsed: f64) {
 }
 
 /// Renders one live-frame dashboard.
-pub fn render_live(frame: &LiveFrame, top_spans: usize) -> String {
-    let raw = &frame.raw;
-    let sc = &frame.sidecar;
-    let num = |key: &str| raw.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let elapsed = num("elapsed_secs");
+pub fn render_live(snap: &LiveSnapshot, top_spans: usize) -> String {
+    let elapsed = snap.elapsed_secs;
     let mut out = format!(
         "run {} — live (epoch {}, mode {}",
-        sc.id,
-        num("epoch") as u64,
-        sc.mode
+        snap.id,
+        snap.epoch,
+        snap.report.mode.as_str()
     );
     if elapsed > 0.0 {
         let _ = write!(out, ", {elapsed:.1} s elapsed");
     }
     out.push_str(")\n");
 
-    let rows: Vec<Row> = match raw.get("progress") {
-        Some(Value::Arr(entries)) => entries
-            .iter()
-            .map(|p| {
-                let f = |key: &str| p.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-                Row {
-                    name: p
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    chunks_done: f("chunks_done") as u64,
-                    chunks_total: f("chunks_total") as u64,
-                    samples_done: f("samples_done") as u64,
-                    samples_total: f("samples_total") as u64,
-                    value: f("value"),
-                    std_err: f("std_err"),
-                    ess: p.get("ess").and_then(Value::as_f64),
-                }
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let rows: Vec<Row> = snap
+        .progress
+        .iter()
+        .map(|p| Row {
+            name: p.name.clone(),
+            chunks_done: p.chunks_done,
+            chunks_total: p.chunks_total,
+            samples_done: p.samples_done,
+            samples_total: p.samples_total,
+            value: p.value,
+            std_err: p.std_err,
+            ess: Some(p.ess),
+        })
+        .collect();
     render_rows(&mut out, &rows);
     render_eta(&mut out, &rows, elapsed);
 
@@ -235,37 +205,34 @@ pub fn render_live(frame: &LiveFrame, top_spans: usize) -> String {
     ];
     let ledger: Vec<String> = axes
         .iter()
-        .filter_map(|(label, gauge)| sc.gauges.get(*gauge).map(|v| format!("{label} {v:.3}")))
+        .filter_map(|(label, gauge)| snap.report.gauge(gauge).map(|v| format!("{label} {v:.3}")))
         .collect();
     if !ledger.is_empty() {
         let _ = writeln!(out, "  health: {}", ledger.join(", "));
     }
-    let quarantined = num("quarantine_count") as u64;
+    let quarantined = snap.report.quarantine.len();
     if quarantined > 0 {
         let _ = writeln!(out, "  quarantined corners: {quarantined}");
     }
 
-    if let Some(Value::Arr(open)) = raw.get("open_spans") {
-        let spans: Vec<String> = open
-            .iter()
-            .filter_map(|s| {
-                let path = s.get("path").and_then(Value::as_str)?;
-                let n = s.get("open").and_then(Value::as_u64).unwrap_or(0);
-                Some(if n > 1 {
-                    format!("{path} (x{n})")
-                } else {
-                    path.to_string()
-                })
-            })
-            .collect();
-        if !spans.is_empty() {
-            let _ = writeln!(out, "  open spans: {}", spans.join(" "));
-        }
+    let open: Vec<String> = snap
+        .open_spans
+        .iter()
+        .map(|(path, n)| {
+            if *n > 1 {
+                format!("{path} (x{n})")
+            } else {
+                path.clone()
+            }
+        })
+        .collect();
+    if !open.is_empty() {
+        let _ = writeln!(out, "  open spans: {}", open.join(" "));
     }
 
-    if !sc.spans.is_empty() {
+    if !snap.report.spans.is_empty() {
         out.push('\n');
-        out.push_str(&hot_span_table(sc, top_spans));
+        out.push_str(&hot_span_table(&snap.id, &snap.report, top_spans));
     }
     out
 }
@@ -325,6 +292,8 @@ pub fn render_journal(s: &tail::Snapshot, elapsed: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvtm_telemetry::snapshot::TraceProgress;
+    use pvtm_telemetry::{Mode, Report};
 
     #[test]
     fn source_classifies_addresses_and_paths() {
@@ -347,23 +316,36 @@ mod tests {
 
     #[test]
     fn live_frame_renders_progress_health_and_spans() {
-        let body = concat!(
-            r#"{"clock":false,"counters":{},"elapsed_secs":10.0,"epoch":7,"#,
-            r#""gauges":{"mc.ess_fraction":0.5,"mc.stall_ratio":0.1},"#,
-            r#""id":"fig2a","live":true,"mode":"full","#,
-            r#""open_spans":[{"open":1,"path":"fig2a/mc"}],"#,
-            r#""progress":[{"chunks_done":1,"chunks_total":4,"contributing":10,"#,
-            r#""ess":9.5,"health_chunks":1,"name":"fig2a.mc","samples_done":4096,"#,
-            r#""samples_total":16384,"std_err":1e-5,"value":2e-4,"#,
-            r#""weight_max":0.1,"weight_sq_sum":0.5,"weight_sum":2.0}],"#,
-            r#""quarantine_count":0,"schema":"pvtm-telemetry/3","schema_version":3,"#,
-            r#""solver":{"solves":12},"spans":[],"traces":[]}"#
-        );
-        let frame = LiveFrame {
-            sidecar: Sidecar::parse(body).expect("snapshot body parses as sidecar"),
-            raw: json::parse(body).unwrap(),
+        let snap = LiveSnapshot {
+            epoch: 7,
+            id: "fig2a".to_string(),
+            elapsed_secs: 10.0,
+            report: Report {
+                mode: Mode::Full,
+                gauges: vec![
+                    ("mc.ess_fraction".to_string(), 0.5),
+                    ("mc.stall_ratio".to_string(), 0.1),
+                ],
+                ..Report::default()
+            },
+            open_spans: vec![("fig2a/mc".to_string(), 1)],
+            progress: vec![TraceProgress {
+                name: "fig2a.mc".to_string(),
+                chunks_done: 1,
+                chunks_total: 4,
+                samples_done: 4096,
+                samples_total: 16384,
+                health_chunks: 1,
+                contributing: 10,
+                weight_sum: 2.0,
+                weight_sq_sum: 0.5,
+                weight_max: 0.1,
+                ess: 9.5,
+                value: 2e-4,
+                std_err: 1e-5,
+            }],
         };
-        let text = render_live(&frame, 10);
+        let text = render_live(&snap, 10);
         assert!(text.contains("run fig2a — live (epoch 7"), "{text}");
         assert!(text.contains("1/4 chunks"), "{text}");
         assert!(text.contains("ess 9.5"), "{text}");

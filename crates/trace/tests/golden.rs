@@ -1,14 +1,16 @@
 //! Golden-fixture tests: checked-in sidecars run through report/diff/check
 //! and must reproduce the checked-in output byte-for-byte. The fixtures
-//! are clock-gated (`"clock": false`) sidecars, exactly what the CI
-//! perf-budget job compares, so these goldens double as format contracts.
+//! are clock-gated (`"clock": false`) sidecars exactly as the writer
+//! writes them, like the ones the CI perf-budget job compares, so these
+//! goldens double as format contracts.
 //!
 //! To regenerate after an intentional output change:
 //! `cargo test -p pvtm-trace --test golden -- --ignored bless`
 
+use pvtm_telemetry::Sidecar;
 use pvtm_trace::{
     check, diff, folded_stacks, health_check, hot_span_table, update_budgets,
-    update_health_budgets, Budgets, HealthBudgets, Sidecar,
+    update_health_budgets, Budgets, HealthBudgets,
 };
 
 const BASE: &str = include_str!("fixtures/fig_quick.telemetry.json");
@@ -80,13 +82,22 @@ fn assert_golden(name: &str, actual: &str) {
 }
 
 #[test]
+fn fixtures_are_what_the_writer_writes() {
+    for text in [BASE, REGRESSED, HEALTHY, LOW_ESS] {
+        let sc = Sidecar::parse(text).expect("fixture parses");
+        assert_eq!(sc.report.to_json_pretty(&sc.id), text);
+    }
+}
+
+#[test]
 fn report_table_matches_golden() {
-    assert_golden("report.golden.txt", &hot_span_table(&base(), 30));
+    let sc = base();
+    assert_golden("report.golden.txt", &hot_span_table(&sc.id, &sc.report, 30));
 }
 
 #[test]
 fn report_folded_matches_golden() {
-    assert_golden("folded.golden.txt", &folded_stacks(&base()));
+    assert_golden("folded.golden.txt", &folded_stacks(&base().report));
 }
 
 #[test]
@@ -166,8 +177,13 @@ fn budgets_fixture_is_the_update_fixpoint() {
 #[ignore = "writes the golden files; run explicitly to re-bless"]
 fn bless() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    std::fs::write(dir.join("report.golden.txt"), hot_span_table(&base(), 30)).unwrap();
-    std::fs::write(dir.join("folded.golden.txt"), folded_stacks(&base())).unwrap();
+    let sc = base();
+    std::fs::write(
+        dir.join("report.golden.txt"),
+        hot_span_table(&sc.id, &sc.report, 30),
+    )
+    .unwrap();
+    std::fs::write(dir.join("folded.golden.txt"), folded_stacks(&sc.report)).unwrap();
     std::fs::write(
         dir.join("diff.golden.txt"),
         diff(&base(), &regressed(), 0.2).text,
