@@ -253,12 +253,28 @@ impl DcSolution {
 /// Assembly runs in two passes over the elements: [`Self::residual`] at
 /// every point Newton evaluates, and [`Self::jacobian`] only at the points
 /// it factorizes, so a line-search trial that Newton rejects costs no
-/// Jacobian.
+/// Jacobian. A [bordered](Self::bordered) system overwrites one branch
+/// row after each pass; an unbordered one assembles as if the border did
+/// not exist.
 pub(crate) struct System<'a> {
     netlist: &'a Netlist,
     pub(crate) num_free_nodes: usize,
     pub(crate) num_unknowns: usize,
     num_mosfets: usize,
+    border: Option<Border>,
+}
+
+/// The row a bordered system swaps in: one voltage source's branch row
+/// holds `x[out] − level = 0` instead of the source's constraint, so the
+/// source's value (the voltage across it) is solved for rather than given.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Border {
+    /// The voltage source's branch row.
+    pub(crate) row: usize,
+    /// State index of the node the row pins.
+    pub(crate) out: usize,
+    /// The voltage the row pins that node to \[V\].
+    pub(crate) level: f64,
 }
 
 /// Backward-Euler companion data for transient steps.
@@ -285,6 +301,19 @@ impl<'a> System<'a> {
             num_free_nodes,
             num_unknowns: num_free_nodes + num_vsources,
             num_mosfets,
+            border: None,
+        }
+    }
+
+    /// The same system with `border` in place of its source's constraint
+    /// row. The matrix keeps its size: the source's branch current stays
+    /// an unknown, and its value is read back as the voltage across it.
+    pub(crate) fn bordered(self, border: Border) -> Self {
+        debug_assert!(border.row >= self.num_free_nodes && border.row < self.num_unknowns);
+        debug_assert!(border.out < self.num_free_nodes);
+        Self {
+            border: Some(border),
+            ..self
         }
     }
 
@@ -399,6 +428,9 @@ impl<'a> System<'a> {
                 }
             }
         }
+        if let Some(b) = self.border {
+            res[b.row] = x[b.out] - b.level;
+        }
     }
 
     /// Assembles the Jacobian `df/dx` at the state `x` of the last
@@ -478,6 +510,12 @@ impl<'a> System<'a> {
                     }
                 }
             }
+        }
+        if let Some(b) = self.border {
+            for col in 0..self.num_unknowns {
+                jac.set(b.row, col, 0.0);
+            }
+            jac.set(b.row, b.out, 1.0);
         }
     }
 

@@ -45,3 +45,9 @@ pub use netlist::{CircuitError, Element, Netlist, NodeId};
 pub use parser::{parse_netlist, ParseError};
 pub use template::{CircuitTemplate, MosfetSlot, VsourceSlot};
 pub use transient::{TransientOptions, TransientResult};
+
+/// Fault arming is process-global (the `STATE` atomic); tests that force a
+/// depth serialize on this lock so a concurrent test can't disable it
+/// mid-solve.
+#[cfg(test)]
+pub(crate) static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -161,13 +161,8 @@ fn wide_ramp(
 mod tests {
     use crate::dc::{self, DcOptions, DcWorkspace};
     use crate::netlist::Netlist;
+    use crate::FAULT_LOCK;
     use pvtm_device::{Mosfet, Technology};
-    use std::sync::Mutex;
-
-    /// Fault arming is process-global (the `STATE` atomic); tests that
-    /// force a depth serialize so a concurrent test can't disable it
-    /// mid-solve.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     fn inverter() -> (Netlist, crate::netlist::NodeId) {
         let tech = Technology::predictive_70nm();

@@ -16,7 +16,10 @@
 //!   reused across solves;
 //! - each solve is seeded from the previous solution (warm start) and only
 //!   falls back to Gmin continuation / source stepping on non-convergence,
-//!   with hit rates tracked in [`SolverStats`].
+//!   with hit rates tracked in [`SolverStats`];
+//! - [`CircuitTemplate::solve_trip`] inverts the circuit instead: it solves
+//!   for the source value that puts a node at a given level, in one
+//!   bordered Newton solve (an inverter's trip point without a bisection).
 //!
 //! # Example
 //!
@@ -43,7 +46,7 @@
 
 use std::sync::Arc;
 
-use crate::dc::{self, DcOptions, DcSolution, DcWorkspace, SolverStats, System};
+use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, SolverStats, System};
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
 use pvtm_device::Mosfet;
 
@@ -62,6 +65,12 @@ pub struct MosfetSlot {
     /// Element index in the netlist.
     elem: usize,
 }
+
+/// The KCL tolerance of [`CircuitTemplate::solve_trip`] as a fraction of
+/// [`DcOptions::current_tol`]. At the tolerance itself a root would be off
+/// by `current_tol / g_m` (~1 µV on an SRAM inverter, some sixteen cells of
+/// a 24-step bisection); 1e-4 of it leaves the root well inside one cell.
+const TRIP_TOL_FRACTION: f64 = 1e-4;
 
 /// A compiled circuit: fixed topology, patchable parameters, reusable
 /// solver state. See the [module documentation](self) for the rationale.
@@ -260,9 +269,18 @@ impl CircuitTemplate {
     /// when every strategy fails; the warm seed is dropped so the next
     /// solve starts cold.
     pub fn solve(&mut self) -> Result<(), CircuitError> {
+        self.logical_solve(Self::solve_inner)
+    }
+
+    /// Runs one logical solve under a `dc.solve` span and reports the
+    /// solver work it did to telemetry.
+    fn logical_solve<T>(
+        &mut self,
+        solve: impl FnOnce(&mut Self) -> Result<T, CircuitError>,
+    ) -> Result<T, CircuitError> {
         let _span = pvtm_telemetry::span("dc.solve");
         let before = self.ws.stats;
-        let result = self.solve_inner();
+        let result = solve(self);
         if pvtm_telemetry::is_enabled() {
             pvtm_telemetry::record_solver(&self.ws.stats.delta_since(&before));
         }
@@ -304,6 +322,123 @@ impl CircuitTemplate {
                 Err(e)
             }
         }
+    }
+
+    /// Solves for the value of source `input` at which node `out` sits at
+    /// `level` \[V\], patches the source to it and returns it.
+    ///
+    /// This is one bordered Newton solve: `input`'s constraint row is
+    /// replaced by `v(out) − level = 0`, so the voltage across the source
+    /// becomes an unknown while the matrix keeps its size. It warm-starts
+    /// from the last solution like [`Self::solve`]. Cold, it first solves
+    /// the ordinary circuit with the source at `guess` (the full cold
+    /// ladder; Gmin continuation of the bordered system itself can fail)
+    /// and runs the bordered Newton from there. It converges to
+    /// `current_tol × 1e-4`, so the root is resolved far below what an
+    /// ordinary solve's tolerance would allow. Stats, telemetry and fault
+    /// injection count it as one logical solve.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::SlotMismatch`] for a slot of another template;
+    /// [`CircuitError::SingularMatrix`] when `out` is ground (no level
+    /// can pin it), not a node of this template, or independent of the
+    /// input; otherwise those of [`Self::solve`]. When the cold start
+    /// fails, the source holds `guess` and the warm seed is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite `guess`, like [`Self::set_vsource`].
+    pub fn solve_trip(
+        &mut self,
+        input: VsourceSlot,
+        out: NodeId,
+        level: f64,
+        guess: f64,
+    ) -> Result<f64, CircuitError> {
+        self.logical_solve(|t| t.solve_trip_inner(input, out, level, guess))
+    }
+
+    fn solve_trip_inner(
+        &mut self,
+        input: VsourceSlot,
+        out: NodeId,
+        level: f64,
+        guess: f64,
+    ) -> Result<f64, CircuitError> {
+        let (pos, neg) = match self.netlist.elements().get(input.elem) {
+            Some((_, Element::Vsource { pos, neg, .. })) => (*pos, *neg),
+            _ => {
+                return Err(CircuitError::SlotMismatch {
+                    expected: "vsource",
+                    elem: input.elem,
+                })
+            }
+        };
+        if out.is_ground() || out.index() > self.num_free_nodes {
+            return Err(CircuitError::SingularMatrix { column: input.row });
+        }
+        let border = Border {
+            row: input.row,
+            out: out.index() - 1,
+            level,
+        };
+        let tight = DcOptions {
+            max_iterations: self.opts.max_iterations,
+            current_tol: self.opts.current_tol * TRIP_TOL_FRACTION,
+            max_step: self.opts.max_step,
+            gmin_start: self.opts.gmin_start,
+            gmin_final: self.opts.gmin_final,
+            initial: Vec::new(),
+        };
+        pvtm_telemetry::fault::next_solve();
+        if self.warm_start && self.have_warm {
+            self.ws.stats.warm_attempts += 1;
+            if !pvtm_telemetry::fault::trip() && self.newton_bordered(border, &tight).is_ok() {
+                self.ws.stats.warm_hits += 1;
+                self.ws.stats.solves += 1;
+                return Ok(self.patch_root(input, pos, neg));
+            }
+        }
+        self.set_vsource(input, guess)?;
+        let cold = {
+            let plain = System::new(&self.netlist);
+            dc::init_state(&mut self.state, &self.opts);
+            dc::cold_solve(&plain, &mut self.state, &self.opts, &mut self.ws)
+        };
+        match cold.and_then(|()| self.newton_bordered(border, &tight)) {
+            Ok(_) => {
+                self.ws.stats.solves += 1;
+                self.have_warm = true;
+                Ok(self.patch_root(input, pos, neg))
+            }
+            Err(e) => {
+                self.have_warm = false;
+                Err(e)
+            }
+        }
+    }
+
+    /// Newton on the bordered system from the current state.
+    fn newton_bordered(&mut self, border: Border, tight: &DcOptions) -> Result<f64, CircuitError> {
+        System::new(&self.netlist).bordered(border).newton(
+            &mut self.state,
+            tight.gmin_final,
+            1.0,
+            None,
+            tight,
+            &mut self.ws,
+        )
+    }
+
+    /// Patches source `input` (between `pos` and `neg`) to the voltage
+    /// across it in the last solution, a bordered one, and returns it.
+    fn patch_root(&mut self, input: VsourceSlot, pos: NodeId, neg: NodeId) -> f64 {
+        let root = self.voltage(pos) - self.voltage(neg);
+        if let Element::Vsource { volts, .. } = self.netlist.element_mut(input.elem) {
+            *volts = root;
+        }
+        root
     }
 
     /// Voltage of a node at the last solution \[V\]. Ground reads 0.
@@ -481,6 +616,79 @@ mod tests {
             let mid = tpl.node("mid").unwrap();
             tpl.voltage(mid)
         });
+    }
+
+    #[test]
+    fn solve_trip_puts_the_output_at_the_level() {
+        let mut tpl = CircuitTemplate::compile(inverter(), DcOptions::default()).unwrap();
+        let out = tpl.node("out").unwrap();
+        let vin = tpl.vsource_slot("VIN").unwrap();
+        for level in [0.2, 0.5, 0.8] {
+            for warm in [false, true] {
+                if !warm {
+                    tpl.invalidate_warm();
+                }
+                let root = tpl.solve_trip(vin, out, level, 0.5).unwrap();
+                assert_eq!(tpl.vsource_value(vin).unwrap(), root);
+                assert!((0.0..1.0).contains(&root), "level {level}: root {root}");
+                // A plain solve at the root reads the level.
+                tpl.solve().unwrap();
+                let v = tpl.voltage(out);
+                assert!((v - level).abs() < 1e-9, "level {level}, warm {warm}: {v}");
+                // Cold, a plain solve stops anywhere within `current_tol`,
+                // which resolves the output only to `current_tol / g_out`:
+                // the reason the bordered solve converges further.
+                tpl.invalidate_warm();
+                tpl.solve().unwrap();
+                let v = tpl.voltage(out);
+                assert!((v - level).abs() < 1e-6, "level {level}, cold: {v}");
+            }
+        }
+        assert!(tpl.stats().warm_hits > 0);
+    }
+
+    #[test]
+    fn solve_trip_is_one_logical_solve_under_fault_injection() {
+        let _l = crate::FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut tpl = CircuitTemplate::compile(inverter(), DcOptions::default()).unwrap();
+        let out = tpl.node("out").unwrap();
+        let vin = tpl.vsource_slot("VIN").unwrap();
+        let clean = tpl.solve_trip(vin, out, 0.5, 0.5).unwrap();
+        let mut injected = |depth: u32| {
+            let _g = pvtm_telemetry::fault::force_depth(depth);
+            let before = *tpl.stats();
+            let result = tpl.solve_trip(vin, out, 0.5, 0.5);
+            (result, tpl.stats().delta_since(&before))
+        };
+        // Depth 1 fails the warm attempt only; one arming means the cold
+        // ladder's first strategy then runs for real.
+        let (root, d) = injected(1);
+        assert!((root.unwrap() - clean).abs() < 1e-9);
+        assert_eq!((d.solves, d.warm_attempts, d.warm_hits), (1, 1, 0));
+        assert_eq!(
+            (d.cold_solves, d.damped_retries, d.rescue_attempts),
+            (1, 0, 0)
+        );
+        // Depth 7 also fails the three cold strategies and the three
+        // rescue rungs: the solve reports its failure and drops the seed.
+        let (err, d) = injected(7);
+        assert!(err.is_err());
+        assert_eq!((d.solves, d.warm_attempts, d.cold_solves), (0, 1, 1));
+        assert_eq!(
+            (d.rescue_attempts, d.rescue_rungs, d.rescue_hits),
+            (1, 3, 0)
+        );
+        let (root, d) = injected(0);
+        assert!((root.unwrap() - clean).abs() < 1e-9);
+        assert_eq!((d.solves, d.warm_attempts, d.cold_solves), (1, 0, 1));
+    }
+
+    #[test]
+    fn solve_trip_rejects_a_ground_output() {
+        let mut tpl = CircuitTemplate::compile(inverter(), DcOptions::default()).unwrap();
+        let vin = tpl.vsource_slot("VIN").unwrap();
+        let err = tpl.solve_trip(vin, Netlist::GROUND, 0.5, 0.5).unwrap_err();
+        assert!(matches!(err, CircuitError::SingularMatrix { .. }));
     }
 
     #[test]

@@ -39,7 +39,10 @@ pub struct AnalysisConfig {
     /// Output crossing level for trip-point extraction, as a fraction of
     /// the rail span (0.5 = midpoint).
     pub trip_level_frac: f64,
-    /// Bisection iterations for trip points (each halves the interval).
+    /// Bisection iterations that define a trip point (each halves the
+    /// interval): the trip is the midpoint of the bisection's final cell,
+    /// which `CellEvaluator` locates with a bordered solve and confirms
+    /// with two solves before it falls back to bisecting.
     pub bisection_iters: usize,
 }
 

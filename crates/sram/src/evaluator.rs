@@ -2,9 +2,16 @@
 //!
 //! [`CellEvaluator`] compiles the metrics' four DC topologies once into
 //! [`CircuitTemplate`]s — the read divider, the write level, the full 6T
-//! hold state, and the loaded inverter behind every trip-point bisection
-//! and butterfly curve — and re-solves them by patching typed parameter
+//! hold state, and the loaded inverter behind every trip point and
+//! butterfly curve — and re-solves them by patching typed parameter
 //! slots, so a margin evaluation builds no netlist.
+//!
+//! A trip point is defined by a 24-step bisection of the inverter's input,
+//! but is found with three solves: one bordered solve for the crossing,
+//! then two ordinary solves that confirm the bisection cell it lies in
+//! (see `inverter_trip`). The bisection itself runs only when that check
+//! fails, and it is the check's test oracle. A margin evaluation makes
+//! about eleven solves.
 //!
 //! Solves are warm-started from the previous solution, with cold Gmin
 //! continuation only as the fallback. With warm starts disabled
@@ -88,8 +95,8 @@ struct HoldTpl {
     devices: [MosfetSlot; 6],
 }
 
-/// The compiled loaded inverter used by every trip-point bisection. One
-/// template serves both sides: the three devices are patched per side.
+/// The compiled loaded inverter behind every trip point. One template
+/// serves both sides: the three devices are patched per side.
 struct InvTpl {
     tpl: CircuitTemplate,
     n_out: NodeId,
@@ -443,8 +450,9 @@ impl CellEvaluator {
     /// amplifies to percent-level drift — enough to distort the hold
     /// sensitivities behind the Fig. 6 source-bias ceilings. A cold solve
     /// starts from the stored-state guess every time, so the droop depends
-    /// on the cell alone; it costs one Gmin continuation out of the ~80
-    /// solves of a full margin evaluation.
+    /// on the cell alone. Its Gmin continuation is one of the ~11 solves of
+    /// a full margin evaluation, and a fifth of its Newton iterations at
+    /// the nominal corner.
     fn hold_state(&mut self, cond: &Conditions) -> Result<(f64, f64), CircuitError> {
         let t = &mut self.hold;
         t.tpl.invalidate_warm();
@@ -473,17 +481,18 @@ impl CellEvaluator {
         Ok((t.tpl.voltage(t.n_vl), t.tpl.voltage(t.n_vr)))
     }
 
-    /// Output voltage of one cross-coupled inverter for a forced input,
-    /// including the access transistor load: `wordline_high` turns the
-    /// access pull-up from the precharged bit line on (read/write
-    /// condition) or leaves it off (hold condition).
-    fn inverter_output(
+    /// Patches the loaded inverter for one side and condition with the
+    /// input at `vin`, and points the cold-start guess at the branch of
+    /// the VTC that input selects. `wordline_high` turns the access
+    /// pull-up from the precharged bit line on (read/write condition) or
+    /// leaves it off (hold condition).
+    fn patch_inverter(
         &mut self,
         cond: &Conditions,
         side: Side,
         wordline_high: bool,
         vin: f64,
-    ) -> Result<f64, CircuitError> {
+    ) -> Result<(), CircuitError> {
         let (pu, pd, ax) = match side {
             Side::Left => (Xtor::Pl, Xtor::Nl, Xtor::Axl),
             Side::Right => (Xtor::Pr, Xtor::Nr, Xtor::Axr),
@@ -500,7 +509,6 @@ impl CellEvaluator {
         t.tpl.set_device(t.pu, self.cell.device(pu))?;
         t.tpl.set_device(t.pd, self.cell.device(pd))?;
         t.tpl.set_device(t.ax, self.cell.device(ax))?;
-        // Guess the output on the branch of the VTC the input selects.
         let guess = if vin > cond.vdd * 0.5 {
             cond.vsb
         } else {
@@ -509,13 +517,102 @@ impl CellEvaluator {
         let opts = t.tpl.options_mut();
         opts.set_guess(t.n_out, guess);
         opts.set_guess(t.n_vdd, cond.vdd);
-        t.tpl.solve()?;
-        Ok(t.tpl.voltage(t.n_out))
+        Ok(())
+    }
+
+    /// Output voltage of one cross-coupled inverter for a forced input,
+    /// including the access transistor load (see [`Self::patch_inverter`]).
+    fn inverter_output(
+        &mut self,
+        cond: &Conditions,
+        side: Side,
+        wordline_high: bool,
+        vin: f64,
+    ) -> Result<f64, CircuitError> {
+        self.patch_inverter(cond, side, wordline_high, vin)?;
+        self.inv.tpl.solve()?;
+        Ok(self.inv.tpl.voltage(self.inv.n_out))
     }
 
     /// Finds the input level at which the inverter output crosses `level`
-    /// (output is monotone decreasing in the input), by bisection.
+    /// (the output falls as the input rises): the answer of
+    /// [`Self::bisect_trip`], mostly without its `bisection_iters + 2`
+    /// solves.
+    ///
+    /// One bordered solve ([`CircuitTemplate::solve_trip`]) puts the
+    /// crossing at `x̂`. Replaying the bisection with each comparison
+    /// answered by `mid < x̂` names the bisection cell that holds `x̂`, and
+    /// two ordinary solves at its ends confirm it: `out(lo) > level >
+    /// out(hi)`. When one end fails, the neighbouring cell on that side is
+    /// tried with one more solve. The checks are the very evaluations the
+    /// bisection makes at its last bracket, so on a cold evaluator a
+    /// confirmed cell is the bisection's cell, bit for bit, as long as the
+    /// solved VTC is monotone. Anything else (no root, a failed check on
+    /// both cells) counts an `eval.trip_fallback` and runs the bisection.
     fn inverter_trip(
+        &mut self,
+        cond: &Conditions,
+        side: Side,
+        wordline_high: bool,
+        level: f64,
+    ) -> Result<f64, CircuitError> {
+        match self.solved_trip(cond, side, wordline_high, level)? {
+            Some(trip) => Ok(trip),
+            None => {
+                pvtm_telemetry::counter_add("eval.trip_fallback", 1);
+                self.bisect_trip(cond, side, wordline_high, level)
+            }
+        }
+    }
+
+    /// The bordered solve and the check of [`Self::inverter_trip`]:
+    /// `None` when the bordered solve fails or no cell passes the check.
+    ///
+    /// # Errors
+    ///
+    /// Propagates failures of the checking solves, as the bisection
+    /// propagates failures of the same solves.
+    fn solved_trip(
+        &mut self,
+        cond: &Conditions,
+        side: Side,
+        wordline_high: bool,
+        level: f64,
+    ) -> Result<Option<f64>, CircuitError> {
+        let Some(cells) = Cells::new(cond.vdd, self.config.bisection_iters) else {
+            return Ok(None);
+        };
+        // A cold start begins where the bisection does, at its first midpoint.
+        let guess = 0.5 * cond.vdd;
+        self.patch_inverter(cond, side, wordline_high, guess)?;
+        let t = &mut self.inv;
+        let Ok(root) = t.tpl.solve_trip(t.vin, t.n_out, level, guess) else {
+            return Ok(None);
+        };
+        let mut k = cells.index_of(root);
+        let (mut lo, mut hi) = cells.bounds(k);
+        let mut out_lo = self.inverter_output(cond, side, wordline_high, lo)?;
+        let mut out_hi = self.inverter_output(cond, side, wordline_high, hi)?;
+        if out_lo > level && out_hi > level && k + 1 < cells.count() {
+            // The crossing lies above `hi`: move one cell up.
+            k += 1;
+            (lo, hi) = cells.bounds(k);
+            out_lo = out_hi;
+            out_hi = self.inverter_output(cond, side, wordline_high, hi)?;
+        } else if out_lo < level && out_hi < level && k > 0 {
+            // The crossing lies below `lo`: move one cell down.
+            k -= 1;
+            (lo, hi) = cells.bounds(k);
+            out_hi = out_lo;
+            out_lo = self.inverter_output(cond, side, wordline_high, lo)?;
+        }
+        Ok((out_lo > level && out_hi < level).then_some(0.5 * (lo + hi)))
+    }
+
+    /// The trip point by bisection on `[0, vdd]`: two solves at the ends,
+    /// then one per iteration. [`Self::inverter_trip`] falls back to it,
+    /// and it is the test oracle of that method.
+    fn bisect_trip(
         &mut self,
         cond: &Conditions,
         side: Side,
@@ -816,6 +913,60 @@ impl CellEvaluator {
     }
 }
 
+/// The final cells of a bisection on `[0, vdd]`, indexed by the bisection's
+/// decisions: bit `j` of an index (most significant first) is 1 when step
+/// `j` moved the lower end up. Bounds are replayed with the bisection's
+/// own midpoint arithmetic, so they are the floats it would reach.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    vdd: f64,
+    iters: u32,
+}
+
+impl Cells {
+    /// `None` when the indices would not fit in a `u64`.
+    fn new(vdd: f64, iters: usize) -> Option<Self> {
+        let iters = u32::try_from(iters).ok().filter(|&n| n < u64::BITS)?;
+        Some(Self { vdd, iters })
+    }
+
+    /// Number of cells, `2^iters`.
+    fn count(self) -> u64 {
+        1 << self.iters
+    }
+
+    /// The cell the bisection would end in if each of its comparisons
+    /// were answered by `mid < root`.
+    fn index_of(self, root: f64) -> u64 {
+        let (mut lo, mut hi, mut k) = (0.0f64, self.vdd, 0u64);
+        for _ in 0..self.iters {
+            let mid = 0.5 * (lo + hi);
+            k <<= 1;
+            if mid < root {
+                lo = mid;
+                k |= 1;
+            } else {
+                hi = mid;
+            }
+        }
+        k
+    }
+
+    /// The bracket `(lo, hi)` of cell `k`.
+    fn bounds(self, k: u64) -> (f64, f64) {
+        let (mut lo, mut hi) = (0.0f64, self.vdd);
+        for bit in (0..self.iters).rev() {
+            let mid = 0.5 * (lo + hi);
+            if (k >> bit) & 1 == 1 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, hi)
+    }
+}
+
 /// Which inverter of the cross-coupled pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Side {
@@ -829,12 +980,107 @@ enum Side {
 mod tests {
     use super::*;
     use crate::cell::CellSizing;
+    use proptest::prelude::*;
     use pvtm_device::Technology;
+    use rand_distr::{Distribution, StandardNormal};
 
     fn setup() -> (Technology, CellEvaluator) {
         let tech = Technology::predictive_70nm();
         let ev = CellEvaluator::new(AnalysisConfig::default(), &SramCell::nominal(&tech));
         (tech, ev)
+    }
+
+    /// The arguments of the read, write and hold trips under `cond`, as
+    /// `v_trip_rd`, `v_trip_wr` and `v_trip_hold` pass them.
+    fn trip_kinds(ev: &CellEvaluator, cond: &Conditions) -> [(Side, bool, f64); 3] {
+        let frac = ev.config.trip_level_frac;
+        [
+            (Side::Left, true, cond.vdd * frac),
+            (Side::Right, true, cond.vdd * frac),
+            (Side::Right, false, cond.vsb + (cond.vdd - cond.vsb) * frac),
+        ]
+    }
+
+    /// Deviations `σᵢ·zᵢ` for standardized `z`.
+    fn deviations(ev: &CellEvaluator, z: [f64; 6]) -> [f64; 6] {
+        std::array::from_fn(|i| ev.cell.sigma_vt(Xtor::ALL[i]) * z[i])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On a cold evaluator every solve depends on its question alone,
+        /// so a confirmed cell must be the bisection's answer bit for bit.
+        #[test]
+        fn certified_trips_equal_the_cold_bisection(
+            z in prop::collection::vec(-6.0f64..6.0, 6),
+            vsb in 0.0f64..0.74,
+            bb in -0.4f64..0.4,
+        ) {
+            let (tech, mut ev) = setup();
+            ev.set_warm_start(false);
+            ev.set_deviations(deviations(&ev, std::array::from_fn(|i| z[i])));
+            let cond = Conditions::standby(&tech, vsb).with_body_bias(bb);
+            for (side, wl, level) in trip_kinds(&ev, &cond) {
+                let oracle = ev.bisect_trip(&cond, side, wl, level).unwrap();
+                if let Some(trip) = ev.solved_trip(&cond, side, wl, level).unwrap() {
+                    prop_assert!(
+                        trip.to_bits() == oracle.to_bits(),
+                        "{side:?} wl={wl}: certified {trip} vs bisection {oracle}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a warm evaluator walked over Monte-Carlo samples the check
+    /// solves start from the bordered root, so a trip may land a cell or
+    /// two off the cold bisection (the warm bisection strays several
+    /// cells); read and write trips must stay within two cells, and at
+    /// most 1 % of them may fall back.
+    #[test]
+    fn warm_trips_stay_within_two_cells_of_the_cold_bisection() {
+        let (tech, mut warm) = setup();
+        let (_, mut cold) = setup();
+        cold.set_warm_start(false);
+        let cell = tech.vdd() / (1u64 << warm.config.bisection_iters) as f64;
+        let (mut worst, mut trips, mut fallbacks) = (0.0f64, 0u32, 0u32);
+        for (i, (vt_inter, bb)) in [(0.0, 0.0), (-0.08, 0.3), (0.08, -0.3)]
+            .into_iter()
+            .enumerate()
+        {
+            let cond = Conditions::active(&tech).with_body_bias(bb);
+            let mut rng = pvtm_stats::rng::substream(7, i as u64);
+            for _ in 0..150 {
+                let z: [f64; 6] = std::array::from_fn(|_| StandardNormal.sample(&mut rng));
+                let mut dvt = deviations(&warm, z);
+                for (d, x) in dvt.iter_mut().zip(Xtor::ALL) {
+                    if x.is_nmos() {
+                        *d += vt_inter;
+                    }
+                }
+                warm.set_deviations(dvt);
+                cold.set_deviations(dvt);
+                for (side, wl, level) in &trip_kinds(&warm, &cond)[..2] {
+                    let oracle = cold.bisect_trip(&cond, *side, *wl, *level).unwrap();
+                    let trip = match warm.solved_trip(&cond, *side, *wl, *level).unwrap() {
+                        Some(t) => t,
+                        None => {
+                            fallbacks += 1;
+                            warm.bisect_trip(&cond, *side, *wl, *level).unwrap()
+                        }
+                    };
+                    trips += 1;
+                    worst = worst.max((trip - oracle).abs() / cell);
+                }
+            }
+        }
+        eprintln!(
+            "warm read/write trips: worst {worst} cells from the cold bisection, \
+             {fallbacks} of {trips} fell back"
+        );
+        assert!(worst <= 2.0, "worst {worst} cells");
+        assert!(fallbacks * 100 <= trips, "{fallbacks} of {trips} fell back");
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! `pvtm-trace check` — gate sidecars against `perf-budgets.json`.
 //!
 //! A budget is a hard ceiling on a **deterministic work counter** (DC
-//! solves, Newton iterations, LU factorizations, cold solves) for one
-//! figure. Because those counters are byte-identical across runs with
-//! `PVTM_TELEMETRY_CLOCK=off`, the gate has zero flake: exceeding a
-//! budget means the code does more numerical work, full stop.
+//! solves, Newton iterations, LU factorizations, cold solves, trip points
+//! that fell back to bisection) for one figure. Because those counters
+//! are byte-identical across runs with `PVTM_TELEMETRY_CLOCK=off`, the
+//! gate has zero flake: exceeding a budget means the code does more
+//! numerical work, full stop.
 //!
 //! The ratchet:
 //!
 //! - observed > budget → violation (gate fails);
-//! - observed = 0 against a positive budget → violation: the solver did
-//!   not run, so the sidecar describes no real run of the figure;
+//! - a `solver.*` counter at 0 against a positive budget → violation: the
+//!   solver did not run, so the sidecar describes no real run of the
+//!   figure (an event counter at 0 is just work that was not needed);
 //! - observed < budget → pass, with a slack note nudging a ratchet-down;
 //! - `--update-budgets` rewrites the file to the observed values, which
 //!   is how both ratchets *and* intentional regressions get recorded —
@@ -26,12 +28,15 @@ use pvtm_telemetry::json::{self, Value};
 use pvtm_telemetry::Sidecar;
 
 /// The budget metrics maintained by `--update-budgets`: the solver work
-/// counters that are deterministic under a fixed seed.
+/// counters that are deterministic under a fixed seed, and the trip
+/// points whose bordered solve failed its check and fell back to
+/// bisection.
 pub const DEFAULT_METRICS: &[&str] = &[
     "solver.solves",
     "solver.newton_iterations",
     "solver.lu_factorizations",
     "solver.cold_solves",
+    "counter.eval.trip_fallback",
 ];
 
 /// Budget-file rejection.
@@ -175,7 +180,7 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
         for (name, &max) in figure {
             match metric(sc, name) {
                 None => out.fail(id, &format!("unknown budget metric {name}")),
-                Some(0) if max > 0 => out.fail(
+                Some(0) if max > 0 && name.starts_with("solver.") => out.fail(
                     id,
                     &format!("{name} = 0 against budget {max} — the solver did not run"),
                 ),
@@ -297,6 +302,34 @@ mod tests {
         assert!(out
             .text
             .contains("solver.solves = 0 against budget 100 — the solver did not run"));
+    }
+
+    #[test]
+    fn an_event_counter_falling_to_zero_passes() {
+        let sc = sidecar("fig2a", 100, 321);
+        let mut b = update_budgets(&Budgets::default(), std::slice::from_ref(&sc));
+        assert_eq!(b.figures["fig2a"]["counter.eval.trip_fallback"], 0);
+        b.figures
+            .get_mut("fig2a")
+            .unwrap()
+            .insert("counter.eval.trip_fallback".into(), 47);
+        let out = check(&b, &[sc]);
+        assert!(!out.failed(), "{}", out.text);
+        assert!(out
+            .text
+            .contains("counter.eval.trip_fallback = 0 is under budget 47"));
+    }
+
+    #[test]
+    fn more_trip_fallbacks_than_budgeted_fail() {
+        let b = update_budgets(&Budgets::default(), &[sidecar("fig2a", 100, 321)]);
+        let mut sc = sidecar("fig2a", 100, 321);
+        sc.report.counters = vec![("eval.trip_fallback".into(), 3)];
+        let out = check(&b, &[sc]);
+        assert!(out.failed());
+        assert!(out
+            .text
+            .contains("counter.eval.trip_fallback = 3 exceeds budget 0"));
     }
 
     #[test]
