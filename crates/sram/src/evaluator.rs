@@ -11,7 +11,10 @@
 //! then two ordinary solves that confirm the bisection cell it lies in
 //! (see `inverter_trip`). The bisection itself runs only when that check
 //! fails, and it is the check's test oracle. A margin evaluation makes
-//! about eleven solves.
+//! about eleven solves. The Monte-Carlo estimator asks only for the verdict
+//! (`any_failure`), which stops at the first failing mechanism: a cell that
+//! fails access costs one solve, and the hold state is solved only for
+//! cells that pass access, read and write.
 //!
 //! Solves are warm-started from the previous solution, with cold Gmin
 //! continuation only as the fallback. With warm starts disabled
@@ -452,7 +455,8 @@ impl CellEvaluator {
     /// starts from the stored-state guess every time, so the droop depends
     /// on the cell alone. Its Gmin continuation is one of the ~11 solves of
     /// a full margin evaluation, and a fifth of its Newton iterations at
-    /// the nominal corner.
+    /// the nominal corner. A verdict solves it last, and only for a cell
+    /// that passes access, read and write.
     fn hold_state(&mut self, cond: &Conditions) -> Result<(f64, f64), CircuitError> {
         let t = &mut self.hold;
         t.tpl.invalidate_warm();
@@ -731,6 +735,35 @@ impl CellEvaluator {
             access,
             hold: (hold.allowed / hold.droop).ln(),
         })
+    }
+
+    /// Whether any mechanism fails at the current deviations: the verdict
+    /// of `margins(cond)?.any_failure()`, without the margins a failing
+    /// cell does not need.
+    ///
+    /// The steps of [`Self::margins`] run cheapest first — the read divider
+    /// (access), the read trip (read), the write trip (write), then the
+    /// cold hold state and the hold trip (hold) — and each margin is
+    /// compared with zero as [`Margins::any_failure`] compares it, so the
+    /// first failing mechanism decides the verdict and no later step runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC-solver failures of the steps that ran: a solve after
+    /// the first failing mechanism never runs, so it cannot fail.
+    pub(crate) fn any_failure(&mut self, cond: &Conditions) -> Result<bool, CircuitError> {
+        let _span = pvtm_telemetry::span("eval.verdict");
+        let active = Conditions { vsb: 0.0, ..*cond };
+        let (v_read, i_read) = self.read_solution(&active)?;
+        if self.config.access_margin(i_read) < 0.0 || self.v_trip_rd(&active)? - v_read < 0.0 {
+            return Ok(true);
+        }
+        let t_write = self.write_time(&active)?;
+        if self.config.write_margin(t_write) < 0.0 {
+            return Ok(true);
+        }
+        let hold = self.hold_metrics(cond)?;
+        Ok((hold.allowed / hold.droop).ln() < 0.0)
     }
 
     /// The five raw metrics used by the linearized failure model:
@@ -1031,6 +1064,113 @@ mod tests {
                 }
             }
         }
+
+        /// On a cold evaluator the verdict is `margins`' verdict. An error
+        /// of the verdict is an error of `margins`; an error of `margins`
+        /// leaves the verdict only a failure found before the failing step.
+        #[test]
+        fn verdict_equals_the_margins_verdict(
+            z in prop::collection::vec(-6.0f64..6.0, 6),
+            vsb in 0.0f64..0.74,
+            bb in -0.4f64..0.4,
+        ) {
+            let (tech, mut ev) = setup();
+            ev.set_warm_start(false);
+            ev.set_deviations(deviations(&ev, std::array::from_fn(|i| z[i])));
+            let cond = Conditions::standby(&tech, vsb).with_body_bias(bb);
+            let verdict = ev.any_failure(&cond);
+            match (verdict, ev.margins(&cond)) {
+                (Ok(v), Ok(m)) => prop_assert!(v == m.any_failure(), "verdict {v}, margins {m:?}"),
+                (Err(e), Ok(m)) => prop_assert!(false, "verdict failed ({e}), margins {m:?}"),
+                (Ok(v), Err(e)) => prop_assert!(v, "verdict passed, margins failed ({e})"),
+                (Err(_), Err(_)) => {}
+            }
+        }
+    }
+
+    /// One verdict from a cold start and the solver statistics it left.
+    fn verdict_stats(ev: &mut CellEvaluator, cond: &Conditions) -> (bool, SolverStats) {
+        ev.invalidate_warm();
+        ev.reset_stats();
+        let verdict = ev.any_failure(cond).unwrap();
+        (verdict, ev.stats())
+    }
+
+    #[test]
+    fn a_cell_failing_access_costs_one_solve() {
+        let (tech, mut ev) = setup();
+        let cond = Conditions::standby(&tech, 0.5);
+        // A slow read path: NR and AXR 300 mV above nominal.
+        ev.set_deviations([0.0, 0.3, 0.0, 0.0, 0.0, 0.3]);
+        let m = ev.margins(&cond).unwrap();
+        assert!(m.access < 0.0, "premise: access fails, {m:?}");
+        let (verdict, stats) = verdict_stats(&mut ev, &cond);
+        assert!(verdict);
+        assert_eq!(stats.solves, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn a_cell_failing_read_makes_no_write_or_hold_solve() {
+        let (tech, mut ev) = setup();
+        let cond = Conditions::standby(&tech, 0.5);
+        // A low read trip (strong NL) against a high disturb (strong AXR,
+        // weak NR).
+        ev.set_deviations([-0.3, 0.1, 0.0, 0.0, 0.0, -0.3]);
+        let m = ev.margins(&cond).unwrap();
+        assert!(
+            m.access >= 0.0 && m.read < 0.0,
+            "premise: read fails first, {m:?}"
+        );
+        let (verdict, stats) = verdict_stats(&mut ev, &cond);
+        assert!(verdict);
+        assert_eq!(*ev.write.tpl.stats(), SolverStats::default());
+        assert_eq!(*ev.hold.tpl.stats(), SolverStats::default());
+        // The inverter ran the read trip and nothing else.
+        let active = Conditions { vsb: 0.0, ..cond };
+        ev.invalidate_warm();
+        ev.reset_stats();
+        ev.v_trip_rd(&active).unwrap();
+        assert_eq!(stats.solves, 1 + ev.inv.tpl.stats().solves, "{stats:?}");
+    }
+
+    /// Over samples at three corners, the hold state is solved exactly
+    /// for the cells whose access, read and write margins all pass.
+    #[test]
+    fn the_hold_template_solves_only_when_the_active_mechanisms_pass() {
+        let (tech, mut ev) = setup();
+        let (_, mut oracle) = setup();
+        oracle.set_warm_start(false);
+        let cond = Conditions::standby(&tech, 0.5);
+        let (mut solved, mut skipped) = (0u32, 0u32);
+        for (i, vt_inter) in [-0.15, 0.0, 0.15].into_iter().enumerate() {
+            let mut rng = pvtm_stats::rng::substream(19, i as u64);
+            for _ in 0..40 {
+                let z: [f64; 6] = std::array::from_fn(|_| 1.5 * StandardNormal.sample(&mut rng));
+                let mut dvt = deviations(&ev, z);
+                for (d, x) in dvt.iter_mut().zip(Xtor::ALL) {
+                    if x.is_nmos() {
+                        *d += vt_inter;
+                    }
+                }
+                ev.set_deviations(dvt);
+                oracle.set_deviations(dvt);
+                let m = oracle.margins(&cond).unwrap();
+                verdict_stats(&mut ev, &cond);
+                let hold_ran = ev.hold.tpl.stats().newton_iterations > 0;
+                let active_pass = m.access >= 0.0 && m.read >= 0.0 && m.write >= 0.0;
+                assert_eq!(hold_ran, active_pass, "{m:?}");
+                if hold_ran {
+                    solved += 1;
+                } else {
+                    skipped += 1;
+                }
+            }
+        }
+        eprintln!("hold solved for {solved} cells, skipped for {skipped}");
+        assert!(
+            solved > 0 && skipped > 0,
+            "{solved} solved, {skipped} skipped"
+        );
     }
 
     /// On a warm evaluator walked over Monte-Carlo samples the check

@@ -517,9 +517,11 @@ impl FailureAnalyzer {
     /// converge — after the solver's full rescue ladder — are quarantined
     /// rather than aborting the estimation; the returned estimate is the
     /// conservative fail bound (quarantined samples counted as failures,
-    /// matching the historical behavior of this method). Use
-    /// [`Self::failure_prob_mc_quarantined`] for the full both-sided
-    /// accounting.
+    /// matching the historical behavior of this method). A sample counts
+    /// as a failure as soon as one mechanism fails, so a solve that would
+    /// have failed after it never runs and cannot quarantine the sample
+    /// (see [`Self::failure_prob_mc_quarantined`], which also gives the
+    /// full both-sided accounting).
     ///
     /// # Errors
     ///
@@ -543,9 +545,45 @@ impl FailureAnalyzer {
         Ok(est.fail_bound)
     }
 
+    /// The importance sampler of [`Self::failure_prob_mc_quarantined`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC-solver failures from the linearization step.
+    fn mc_sampler(
+        &self,
+        vt_inter: f64,
+        cond: &Conditions,
+    ) -> Result<ImportanceSampler, CircuitError> {
+        let model = self.linearize(vt_inter, cond)?;
+        // Shift toward the dominant mechanism's boundary: distance
+        // m0/sigma along the normalized sensitivity direction (margin
+        // *decreases* along +sensitivity... flip to the failing side).
+        let models = model.as_array();
+        let mut dominant = 0usize;
+        for k in 1..4 {
+            if models[k].failure_prob() > models[dominant].failure_prob() {
+                dominant = k;
+            }
+        }
+        let m = &models[dominant];
+        let sigma = m.sigma().max(1e-12);
+        let beta = (m.nominal / sigma).clamp(-4.0, 4.0);
+        let shift: Vec<f64> = m.sensitivity.iter().map(|s| -s / sigma * beta).collect();
+        Ok(ImportanceSampler::new(shift))
+    }
+
     /// [`Self::failure_prob_mc`] with full quarantine accounting: both-sided
     /// bias bounds plus the quarantined-sample count, with no threshold
     /// check applied.
+    ///
+    /// Each sample asks for a verdict, not for margins: its mechanisms are
+    /// evaluated cheapest first and the first failing one makes it a
+    /// `Fail` (`CellEvaluator::any_failure`). A solve error quarantines a
+    /// sample only when no mechanism evaluated before it has failed. So,
+    /// against evaluating all four margins with the same solve outcomes,
+    /// `fail_bound` is unchanged, and `pass_bound` and `quarantined` can
+    /// only move toward it.
     ///
     /// Each unresolved sample is recorded in the telemetry quarantine
     /// sidecar (seed, sample stream index, corner, error kind), counted
@@ -569,22 +607,7 @@ impl FailureAnalyzer {
             Some(_) => None,
             None => Some(pvtm_telemetry::trace_scope("analyzer.mc")),
         };
-        let model = self.linearize(vt_inter, cond)?;
-        // Shift toward the dominant mechanism's boundary: distance
-        // m0/sigma along the normalized sensitivity direction (margin
-        // *decreases* along +sensitivity... flip to the failing side).
-        let models = model.as_array();
-        let mut dominant = 0usize;
-        for k in 1..4 {
-            if models[k].failure_prob() > models[dominant].failure_prob() {
-                dominant = k;
-            }
-        }
-        let m = &models[dominant];
-        let sigma = m.sigma().max(1e-12);
-        let beta = (m.nominal / sigma).clamp(-4.0, 4.0);
-        let shift: Vec<f64> = m.sensitivity.iter().map(|s| -s / sigma * beta).collect();
-        let sampler = ImportanceSampler::new(shift);
+        let sampler = self.mc_sampler(vt_inter, cond)?;
         // One compiled evaluator per parallel chunk: templates and
         // warm-started solver state are reused across that chunk's samples.
         let est = sampler.probability_init_quarantined(
@@ -593,9 +616,10 @@ impl FailureAnalyzer {
             || self.evaluator(),
             |ev, zs, idx| {
                 let z: [f64; 6] = std::array::from_fn(|i| zs[i]);
-                match self.margins_at_with(ev, &z, vt_inter, cond) {
-                    Ok(m) if m.any_failure() => SampleOutcome::Fail,
-                    Ok(_) => SampleOutcome::Pass,
+                self.apply_deviation(ev, &z, vt_inter);
+                match ev.any_failure(cond) {
+                    Ok(true) => SampleOutcome::Fail,
+                    Ok(false) => SampleOutcome::Pass,
                     Err(e) => {
                         pvtm_telemetry::record_quarantine(pvtm_telemetry::QuarantineRecord {
                             seed,
@@ -766,6 +790,79 @@ mod tests {
             "hold: predicted {pred_h:.4} vs exact {:.4}",
             exact.hold
         );
+    }
+
+    /// The standby conditions the benchmark's Monte-Carlo workloads sample.
+    fn standby() -> Conditions {
+        Conditions::standby(&Technology::predictive_70nm(), 0.5)
+    }
+
+    /// Two warm evaluators walk the estimator's importance samples in
+    /// lockstep, one asking for the verdict and one for all four margins;
+    /// the verdict's skipped solves change its warm starts, never a verdict.
+    #[test]
+    fn warm_verdicts_agree_with_warm_margins_over_importance_samples() {
+        use rand_distr::{Distribution, StandardNormal};
+        let fa = analyzer();
+        let cond = standby();
+        for (i, corner) in [-0.15, 0.0, 0.15].into_iter().enumerate() {
+            let sampler = fa.mc_sampler(corner, &cond).unwrap();
+            let (mut verdicts, mut margins) = (fa.evaluator(), fa.evaluator());
+            let mut rng = pvtm_stats::rng::substream(23, i as u64);
+            let (mut fails, mut disagreements) = (0u32, 0u32);
+            for _ in 0..256 {
+                let z: [f64; 6] = std::array::from_fn(|k| {
+                    let g: f64 = StandardNormal.sample(&mut rng);
+                    g + sampler.shift()[k]
+                });
+                fa.apply_deviation(&mut verdicts, &z, corner);
+                let verdict = verdicts.any_failure(&cond).unwrap();
+                let m = fa.margins_at_with(&mut margins, &z, corner, &cond).unwrap();
+                fails += u32::from(verdict);
+                disagreements += u32::from(verdict != m.any_failure());
+            }
+            eprintln!("corner {corner}: {fails} of 256 importance samples fail");
+            assert_eq!(disagreements, 0, "corner {corner}");
+        }
+    }
+
+    /// The estimator against the closure it replaced, which evaluated all
+    /// four margins of every sample: bit for bit at both benchmark corners.
+    #[test]
+    fn estimates_equal_those_of_the_all_margins_closure() {
+        let bits = |e: &QuarantinedEstimate| {
+            let (f, p) = (&e.fail_bound, &e.pass_bound);
+            [f.value, f.std_err, p.value, p.std_err]
+                .map(f64::to_bits)
+                .into_iter()
+                .chain([f.samples, p.samples, e.quarantined])
+                .collect::<Vec<u64>>()
+        };
+        let fa = analyzer();
+        let cond = standby();
+        // The corners and sizes of `mc_nominal` and `mc_skewed`.
+        for (corner, samples) in [(0.0, 512), (-0.15, 128)] {
+            let sampler = fa.mc_sampler(corner, &cond).unwrap();
+            for seed in [1, 2, 3] {
+                let old = sampler.probability_init_quarantined(
+                    samples,
+                    seed,
+                    || fa.evaluator(),
+                    |ev, zs, _| {
+                        let z: [f64; 6] = std::array::from_fn(|i| zs[i]);
+                        match fa.margins_at_with(ev, &z, corner, &cond) {
+                            Ok(m) if m.any_failure() => SampleOutcome::Fail,
+                            Ok(_) => SampleOutcome::Pass,
+                            Err(_) => SampleOutcome::Unresolved,
+                        }
+                    },
+                );
+                let new = fa
+                    .failure_prob_mc_quarantined(corner, &cond, samples, seed)
+                    .unwrap();
+                assert_eq!(bits(&new), bits(&old), "corner {corner}, seed {seed}");
+            }
+        }
     }
 
     #[test]
