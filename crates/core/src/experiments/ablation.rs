@@ -144,6 +144,13 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
 
     let (_, oracle_yield) = yield_for(memory.binner(), false, 0xAB1);
     let offsets = [0.0, 0.01, 0.03, 0.06, 0.12];
+    // The rows' reference currents are `die_leakage` at the region-B
+    // boundaries. They are not the production binner's: that draws its
+    // boundary means from another stream in `SelfRepairingMemory::new`, so
+    // the rows' `i_high` sits 4.5 % below the binner's and `i_low` 0.6 %
+    // above it, by sampling noise alone.
+    let i_high = memory.die_leakage(-memory.config().region_boundary, 0.0);
+    let i_low = memory.die_leakage(memory.config().region_boundary, 0.0);
     let rows = offsets
         .iter()
         .enumerate()
@@ -153,9 +160,6 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
                 memory.config().tech.vdd(),
             )
             .with_offset_sigma(offset_sigma);
-            // Same reference currents as the production binner.
-            let i_high = memory.die_leakage(-memory.config().region_boundary, 0.0);
-            let i_low = memory.die_leakage(memory.config().region_boundary, 0.0);
             let binner = LeakageBinner::from_current_thresholds(monitor, i_low, i_high);
             let (misbin_rate, parametric_yield) = yield_for(&binner, true, 0xAB2 + i as u64);
             MonitorAblationRow {

@@ -437,15 +437,16 @@ pub fn fig3(effort: Effort) -> Fig3 {
         .enumerate()
         .map(|(i, &c)| {
             let mut rng = pvtm_stats::rng::substream(0xF163, i as u64);
-            (0..effort.cells)
-                .map(|_| model.sample_cell(c, &cond, &mut rng))
-                .collect()
+            let mut cells = vec![0.0; effort.cells];
+            model.at_corner(c, &cond).fill(&mut cells, &mut rng);
+            cells
         })
         .collect();
     let array_samples: Vec<Vec<f64>> = corners
         .par_iter()
         .enumerate()
         .map(|(i, &c)| {
+            let corner = model.at_corner(c, &cond);
             (0..effort.arrays as u64)
                 .into_par_iter()
                 .map(|a| {
@@ -455,10 +456,9 @@ pub fn fig3(effort: Effort) -> Fig3 {
                     // is preserved by stratified subsampling at this size.
                     let n_sub = 2048.min(array_cells);
                     let scale = array_cells as f64 / n_sub as f64;
-                    let sum: f64 = (0..n_sub)
-                        .map(|_| model.sample_cell(c, &cond, &mut rng))
-                        .sum();
-                    sum * scale
+                    let mut cells = vec![0.0; n_sub];
+                    corner.fill(&mut cells, &mut rng);
+                    cells.iter().sum::<f64>() * scale
                 })
                 .collect()
         })

@@ -109,7 +109,6 @@ impl SelfRepairingMemory {
     pub fn new(cfg: SelfRepairConfig) -> Self {
         let fa = FailureAnalyzer::new(&cfg.tech, cfg.sizing, cfg.analysis);
         let leak = CellLeakageModel::new(&cfg.tech, cfg.sizing);
-        // Array leakage at the leakiest plausible corner sets full scale.
         let cond = Conditions::active(&cfg.tech);
         let cells = cfg.org.cells() as f64;
         let mean_at = |corner: f64| -> f64 {
@@ -118,14 +117,14 @@ impl SelfRepairingMemory {
                 .mean
                 * cells
         };
-        // Full scale anchored just above the region-A boundary: dies
-        // deeper into region A simply clamp at the rail (they are
-        // unambiguous anyway), while the B/C decision region keeps enough
-        // volts per decision to tolerate comparator offset.
-        let full_scale = mean_at(-cfg.region_boundary) * 2.0;
-        let monitor = LeakageMonitor::new(full_scale, cfg.tech.vdd())
-            .with_offset_sigma(cfg.monitor_offset_sigma);
+        // The high reference, the array leakage at the region-A boundary,
+        // also anchors full scale at twice itself: dies deeper into region
+        // A simply clamp at the rail (they are unambiguous anyway), while
+        // the B/C decision region keeps enough volts per decision to
+        // tolerate comparator offset.
         let i_high = mean_at(-cfg.region_boundary);
+        let monitor = LeakageMonitor::new(i_high * 2.0, cfg.tech.vdd())
+            .with_offset_sigma(cfg.monitor_offset_sigma);
         let i_low = mean_at(cfg.region_boundary);
         let binner = LeakageBinner::from_current_thresholds(monitor, i_low, i_high);
         Self {

@@ -176,6 +176,7 @@ impl Mosfet {
         let mu_cox = p.mu_cox * (temp_k / 300.0).powf(-p.mu_exp);
         MosfetAt {
             polarity: self.polarity,
+            vt0: p.vt0,
             vt_base: p.vt0 + self.delta_vt,
             phi_s: p.phi_s,
             sqrt_phi_s: p.phi_s.sqrt(),
@@ -235,6 +236,8 @@ impl Mosfet {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetAt {
     polarity: Polarity,
+    /// The card's `vt0` \[V\].
+    vt0: f64,
     /// `vt0 + ΔVt` \[V\].
     vt_base: f64,
     phi_s: f64,
@@ -252,6 +255,23 @@ pub struct MosfetAt {
 }
 
 impl MosfetAt {
+    /// The constants of the same device with threshold deviation
+    /// `delta_vt` in place of its own, for evaluating many RDF samples of
+    /// one device: `dev.at(t).with_delta_vt(d).ids(b)` is bitwise equal to
+    /// `dev.with_delta_vt(d).ids(b, t)`, since only `vt0 + ΔVt` depends on
+    /// the deviation and it is formed by the same addition.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite `delta_vt`, as [`Mosfet::with_delta_vt`]
+    /// does.
+    #[inline]
+    pub fn with_delta_vt(mut self, delta_vt: f64) -> Self {
+        assert!(delta_vt.is_finite(), "non-finite delta_vt");
+        self.vt_base = self.vt0 + delta_vt;
+        self
+    }
+
     /// Effective threshold voltage (own-polarity magnitude convention) for
     /// an NMOS-space bias with `vd >= vs`.
     #[inline]
@@ -567,6 +587,33 @@ mod tests {
                 let want_vt = reference::vt(&dev, b, temp).to_bits();
                 prop_assert_eq!(at.vt(b).to_bits(), want_vt);
                 prop_assert_eq!(dev.vt(b, temp).to_bits(), want_vt);
+            }
+        }
+
+        #[test]
+        fn repatched_delta_vt_matches_a_fresh_device_bitwise(
+            pmos in any::<bool>(),
+            w_nm in 70.0f64..400.0,
+            own in -0.2f64..0.2,
+            dvt in -0.4f64..0.4,
+            vg in -1.5f64..1.5,
+            vd in -1.5f64..1.5,
+            vs in -1.5f64..1.5,
+            vb in -1.5f64..1.5,
+            temp in 250.0f64..=400.0,
+        ) {
+            let t = tech();
+            let dev = if pmos {
+                Mosfet::pmos(&t, w_nm * 1e-9, t.lmin())
+            } else {
+                Mosfet::nmos(&t, w_nm * 1e-9, t.lmin())
+            };
+            // The re-patch replaces the device's own deviation.
+            let at = dev.clone().with_delta_vt(own).at(temp).with_delta_vt(dvt);
+            let fresh = dev.with_delta_vt(dvt);
+            for b in [Bias::new(vg, vd, vs, vb), Bias::new(vg, vs, vd, vb)] {
+                prop_assert_eq!(at.ids(b).to_bits(), fresh.ids(b, temp).to_bits());
+                prop_assert_eq!(at.vt(b).to_bits(), fresh.vt(b, temp).to_bits());
             }
         }
     }

@@ -162,8 +162,16 @@ pub const SPAN_ROOTS: &[&str] = &[
 
 /// First dotted segments of valid counter/gauge/histogram names
 /// (DESIGN.md §5b: solver counters, Monte-Carlo estimator health, evaluator
-/// and analyzer accounting, bench harness).
-pub const METRIC_ROOTS: &[&str] = &["solver", "mc", "optimizer", "eval", "analyzer", "bench"];
+/// and analyzer accounting, sampled leakage cells, bench harness).
+pub const METRIC_ROOTS: &[&str] = &[
+    "solver",
+    "mc",
+    "optimizer",
+    "eval",
+    "analyzer",
+    "leak",
+    "bench",
+];
 
 /// First dotted segments of valid event-journal kinds (DESIGN.md §5d:
 /// run lifecycle, figure milestones, Monte-Carlo estimator stream, solver

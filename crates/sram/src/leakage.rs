@@ -10,12 +10,17 @@
 //! Per the paper's §III.F, the leakage of a cell under RDF is approximately
 //! lognormal (subthreshold leakage is exponential in the Gaussian ΔVt), and
 //! the array total is Gaussian by the central limit theorem (Eq. (2)).
+//!
+//! Cells are sampled through [`CornerLeakage`], which evaluates once per
+//! corner everything a cell's RDF draw cannot change, so a cell costs its
+//! six normals and the three subthreshold currents.
 
 use rand::Rng;
+use rand_distr::StandardNormal;
 use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellSizing, Conditions, SramCell, Xtor};
-use pvtm_device::{thermal_voltage, Bias, LeakageComponents, Technology};
+use pvtm_device::{thermal_voltage, Bias, LeakageComponents, MosfetAt, Technology};
 use pvtm_stats::Summary;
 
 /// Standby-leakage evaluator for a cell design.
@@ -32,6 +37,48 @@ pub struct LeakageStats {
     pub mean: f64,
     /// Standard deviation across cells (intra-die RDF only).
     pub std_dev: f64,
+}
+
+/// The standby bias points of the three devices whose channel leaks, and
+/// the subthreshold expression that both [`CellLeakageModel::standby`] and
+/// [`CornerLeakage`] evaluate on them.
+#[derive(Debug, Clone, Copy)]
+struct ChannelLeak {
+    nl: Bias,
+    pr: Bias,
+    axr: Bias,
+}
+
+impl ChannelLeak {
+    fn new(cond: &Conditions) -> Self {
+        let (vl, vr, vbl, vwl) = standby_nodes(cond);
+        Self {
+            // NL: gate at VR=vsb, drain at VL=vdd, source at vsb, body at vbb.
+            nl: Bias::new(vr, vl, cond.vsb, cond.body_bias),
+            // PR: gate at VL=vdd (off), source at vdd, drain at VR=vsb.
+            pr: Bias::new(vl, vr, cond.vdd, cond.vdd),
+            // AXR: gate at WL=0, drain at BR=vdd, source at VR=vsb.
+            axr: Bias::new(vwl, vbl, vr, cond.body_bias),
+        }
+    }
+
+    /// Subthreshold leakage of a cell whose NL, PR and AXR have these
+    /// constants. AXL has both ends at vdd, and NR and PL are on with zero
+    /// Vds, so none of them carries channel leakage.
+    #[inline]
+    fn total(&self, nl: &MosfetAt, pr: &MosfetAt, axr: &MosfetAt) -> f64 {
+        let sub_nl = nl.ids(self.nl).max(0.0);
+        let sub_pr = (-pr.ids(self.pr)).max(0.0);
+        let sub_axr = axr.ids(self.axr).max(0.0);
+        sub_nl + sub_pr + sub_axr
+    }
+}
+
+/// Asymptotic standby node voltages `(VL, VR, BL = BR, WL)`: the stored 1,
+/// the stored 0 riding on the source line, the precharged bit lines and the
+/// low word line.
+fn standby_nodes(cond: &Conditions) -> (f64, f64, f64, f64) {
+    (cond.vdd, cond.vsb, cond.vdd, 0.0)
 }
 
 impl CellLeakageModel {
@@ -53,12 +100,7 @@ impl CellLeakageModel {
         let vsb = cond.vsb;
         let vbb = cond.body_bias;
         let t = cond.temp_k;
-
-        // Asymptotic standby node voltages.
-        let vl = vdd; // stored 1
-        let vr = vsb; // stored 0 rides on the source line
-        let vbl = vdd; // precharged bit lines
-        let vwl = 0.0;
+        let (vl, vr, vbl, vwl) = standby_nodes(cond);
 
         let nl = cell.device(Xtor::Nl);
         let nr = cell.device(Xtor::Nr);
@@ -68,15 +110,7 @@ impl CellLeakageModel {
         let axr = cell.device(Xtor::Axr);
 
         // --- Subthreshold (channel) components of the off devices.
-        // NL: gate at VR=vsb, drain at VL=vdd, source at vsb, body at vbb.
-        let sub_nl = nl.ids(Bias::new(vr, vl, vsb, vbb), t).max(0.0);
-        // PR: gate at VL=vdd (off), source at vdd, drain at VR=vsb.
-        let sub_pr = (-pr.ids(Bias::new(vl, vr, vdd, vdd), t)).max(0.0);
-        // AXR: gate at WL=0, drain at BR=vdd, source at VR=vsb.
-        let sub_axr = axr.ids(Bias::new(vwl, vbl, vr, vbb), t).max(0.0);
-        // AXL: both ends at vdd — no channel leakage; NR and PL are on with
-        // zero Vds — no channel leakage.
-        let subthreshold = sub_nl + sub_pr + sub_axr;
+        let subthreshold = ChannelLeak::new(cond).total(&nl.at(t), &pr.at(t), &axr.at(t));
 
         // --- Gate tunnelling.
         // On devices with full oxide drive: NR (gate vdd, channel at vsb)
@@ -117,16 +151,31 @@ impl CellLeakageModel {
         dev.sigma_vt() / (dev.params().n_sub * thermal_voltage(cond.temp_k))
     }
 
-    /// Samples one cell's total standby leakage with RDF deviations drawn
-    /// from `rng` on top of an inter-die shift.
-    pub fn sample_cell(&self, vt_inter: f64, cond: &Conditions, rng: &mut impl Rng) -> f64 {
-        let mut cell = SramCell::with_sizing(&self.tech, self.sizing);
-        let vm = pvtm_device::VariationModel::new(0.0);
-        let dvt: [f64; 6] =
-            std::array::from_fn(|i| vm.sample_device(&cell.device(Xtor::ALL[i]), rng));
-        cell.set_deviations(dvt);
-        let cell = cell.with_inter_die_shift(vt_inter);
-        self.standby(&cell, cond).total()
+    /// The leakage of cells at inter-die shift `vt_inter` and `cond`, for
+    /// sampling many of them. Builds (and so validates) the nominal cell
+    /// once, and keeps what no RDF draw changes: the six Pelgrom σ, the
+    /// temperature constants of NL, PR and AXR, their bias points, and the
+    /// gate, junction and diode components, which do not depend on ΔVt.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite `vt_inter`.
+    pub fn at_corner(&self, vt_inter: f64, cond: &Conditions) -> CornerLeakage {
+        assert!(vt_inter.is_finite(), "non-finite shift");
+        let cell = SramCell::with_sizing(&self.tech, self.sizing);
+        let t = cond.temp_k;
+        CornerLeakage {
+            sigma: Xtor::ALL.map(|x| cell.sigma_vt(x)),
+            vt_inter,
+            channel: ChannelLeak::new(cond),
+            nl: cell.device(Xtor::Nl).at(t),
+            pr: cell.device(Xtor::Pr).at(t),
+            axr: cell.device(Xtor::Axr).at(t),
+            fixed: LeakageComponents {
+                subthreshold: 0.0,
+                ..self.standby(&cell, cond)
+            },
+        }
     }
 
     /// Population statistics of per-cell leakage at a corner, by sampling
@@ -138,9 +187,87 @@ impl CellLeakageModel {
         n: usize,
         rng: &mut impl Rng,
     ) -> LeakageStats {
-        let s: Summary = (0..n)
-            .map(|_| self.sample_cell(vt_inter, cond, rng))
-            .collect();
+        self.at_corner(vt_inter, cond).population_stats(n, rng)
+    }
+}
+
+/// Cells sampled per block of normals.
+const BLOCK: usize = 64;
+
+/// Standby leakage of the cells of one corner and condition
+/// ([`CellLeakageModel::at_corner`]).
+///
+/// A cell draws six standard normals from the generator, one per device in
+/// canonical [`Xtor`] order, and its deviations are `σ_i·z_i`, plus the
+/// corner shift on the NMOS devices: the draws and the arithmetic of
+/// sampling an [`SramCell`] with `VariationModel::sample_device` and
+/// `with_inter_die_shift`, so every sample is bitwise that cell's
+/// `standby(..).total()`. Each batch adds its cell count to the
+/// `leak.cells` counter.
+#[derive(Debug, Clone)]
+pub struct CornerLeakage {
+    /// Pelgrom σ of the six devices, canonical order \[V\].
+    sigma: [f64; 6],
+    vt_inter: f64,
+    channel: ChannelLeak,
+    nl: MosfetAt,
+    pr: MosfetAt,
+    axr: MosfetAt,
+    /// The gate, junction and diode components, subthreshold 0.
+    fixed: LeakageComponents,
+}
+
+impl CornerLeakage {
+    /// Total standby leakage of the cell whose normals are `z` \[A\].
+    #[inline]
+    fn cell(&self, z: &[f64; 6]) -> f64 {
+        let dvt: [f64; 6] = std::array::from_fn(|i| self.sigma[i] * z[i]);
+        assert!(dvt.iter().all(|v| v.is_finite()), "non-finite deviation");
+        let at = |base: &MosfetAt, x: Xtor| {
+            let d = dvt[x.index()];
+            base.with_delta_vt(if x.is_nmos() { d + self.vt_inter } else { d })
+        };
+        let subthreshold = self.channel.total(
+            &at(&self.nl, Xtor::Nl),
+            &at(&self.pr, Xtor::Pr),
+            &at(&self.axr, Xtor::Axr),
+        );
+        LeakageComponents {
+            subthreshold,
+            ..self.fixed
+        }
+        .total()
+    }
+
+    /// Samples `out.len()` cells (at most [`BLOCK`]) into `out`.
+    fn sample_block(&self, out: &mut [f64], rng: &mut impl Rng) {
+        let mut normals = [0.0; 6 * BLOCK];
+        let z = &mut normals[..6 * out.len()];
+        StandardNormal.fill(rng, z);
+        for (x, z) in out.iter_mut().zip(z.as_chunks::<6>().0) {
+            *x = self.cell(z);
+        }
+    }
+
+    /// Fills `out` with the standby leakage of `out.len()` sampled cells
+    /// \[A\], in draw order.
+    pub fn fill(&self, out: &mut [f64], rng: &mut impl Rng) {
+        for block in out.chunks_mut(BLOCK) {
+            self.sample_block(block, rng);
+        }
+        pvtm_telemetry::counter_add("leak.cells", out.len() as u64);
+    }
+
+    /// Population statistics of `n` sampled cells.
+    pub fn population_stats(&self, n: usize, rng: &mut impl Rng) -> LeakageStats {
+        let mut s = Summary::new();
+        let mut buf = [0.0; BLOCK];
+        for start in (0..n).step_by(BLOCK) {
+            let block = &mut buf[..BLOCK.min(n - start)];
+            self.sample_block(block, rng);
+            s.extend(block.iter().copied());
+        }
+        pvtm_telemetry::counter_add("leak.cells", n as u64);
         LeakageStats {
             mean: s.mean(),
             std_dev: s.std_dev(),
@@ -217,9 +344,8 @@ mod tests {
         let (tech, m) = model();
         let cond = Conditions::active(&tech);
         let mut rng = pvtm_stats::rng::substream(41, 0);
-        let samples: Vec<f64> = (0..4000)
-            .map(|_| m.sample_cell(0.0, &cond, &mut rng))
-            .collect();
+        let mut samples = vec![0.0; 4000];
+        m.at_corner(0.0, &cond).fill(&mut samples, &mut rng);
         let s = Summary::from_slice(&samples);
         // Positive skew: mean above median.
         let median = pvtm_stats::histogram::quantile(&samples, 0.5);
@@ -247,5 +373,84 @@ mod tests {
         let stats = m.population_stats(0.0, &cond, 2000, &mut rng);
         assert!(stats.mean > 0.0 && stats.std_dev > 0.0);
         assert!(stats.std_dev < stats.mean * 2.0);
+    }
+
+    /// One cell sampled the way the kernel replaces: a fresh cell, one
+    /// `VariationModel::sample_device` draw per device, the inter-die
+    /// shift, and the whole `standby` decomposition.
+    fn oracle_cell(
+        m: &CellLeakageModel,
+        vt_inter: f64,
+        cond: &Conditions,
+        rng: &mut impl Rng,
+    ) -> f64 {
+        let mut cell = SramCell::with_sizing(&m.tech, m.sizing);
+        let vm = pvtm_device::VariationModel::new(0.0);
+        let dvt: [f64; 6] =
+            std::array::from_fn(|i| vm.sample_device(&cell.device(Xtor::ALL[i]), rng));
+        cell.set_deviations(dvt);
+        let cell = cell.with_inter_die_shift(vt_inter);
+        m.standby(&cell, cond).total()
+    }
+
+    /// Corners × VSB × body bias × temperature: RBB, ZBB, and FBB strong
+    /// enough to turn the body diodes on.
+    fn oracle_points(tech: &Technology) -> Vec<(f64, Conditions)> {
+        let mut points = Vec::new();
+        for vt_inter in [-0.3, -0.15, -0.05, 0.0, 0.05, 0.15, 0.3] {
+            for vsb in [0.0, 0.3, 0.74] {
+                for vbb in [-0.4, 0.0, 0.4] {
+                    for temp in [300.0, 375.0] {
+                        let cond = Conditions::standby(tech, vsb)
+                            .with_body_bias(vbb)
+                            .with_temperature(temp);
+                        points.push((vt_inter, cond));
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    #[test]
+    fn kernel_matches_the_per_cell_oracle_bitwise() {
+        let (tech, m) = model();
+        let diode_on = Conditions::standby(&tech, 0.0).with_body_bias(0.4);
+        assert!(m.at_corner(0.0, &diode_on).fixed.diode > 0.0);
+        // 150 cells cross two block boundaries.
+        let n = 150;
+        for (i, (vt_inter, cond)) in oracle_points(&tech).into_iter().enumerate() {
+            for seed in [1u64, 7, 4242] {
+                let mut by_oracle = pvtm_stats::rng::substream(seed, i as u64);
+                let mut by_kernel = by_oracle.clone();
+                let want: Vec<u64> = (0..n)
+                    .map(|_| oracle_cell(&m, vt_inter, &cond, &mut by_oracle).to_bits())
+                    .collect();
+                let mut got = vec![f64::NAN; n];
+                m.at_corner(vt_inter, &cond).fill(&mut got, &mut by_kernel);
+                let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "corner {vt_inter}, {cond:?}, seed {seed}");
+                assert_eq!(by_kernel, by_oracle, "corner {vt_inter}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn population_stats_match_the_oracle_summary_bitwise() {
+        let (tech, m) = model();
+        for (i, (vt_inter, cond)) in oracle_points(&tech).into_iter().enumerate() {
+            // A partial last block, an exact one, and a single cell.
+            for (seed, n) in [(3u64, 200usize), (11, 128), (29, 1)] {
+                let mut by_oracle = pvtm_stats::rng::substream(seed, i as u64);
+                let mut by_kernel = by_oracle.clone();
+                let want: Summary = (0..n)
+                    .map(|_| oracle_cell(&m, vt_inter, &cond, &mut by_oracle))
+                    .collect();
+                let got = m.population_stats(vt_inter, &cond, n, &mut by_kernel);
+                assert_eq!(got.mean.to_bits(), want.mean().to_bits());
+                assert_eq!(got.std_dev.to_bits(), want.std_dev().to_bits());
+                assert_eq!(by_kernel, by_oracle, "corner {vt_inter}, seed {seed}");
+            }
+        }
     }
 }

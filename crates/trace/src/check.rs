@@ -2,17 +2,19 @@
 //!
 //! A budget is a hard ceiling on a **deterministic work counter** (DC
 //! solves, Newton iterations, LU factorizations, cold solves, trip points
-//! that fell back to bisection) for one figure. Because those counters
-//! are byte-identical across runs with `PVTM_TELEMETRY_CLOCK=off`, the
-//! gate has zero flake: exceeding a budget means the code does more
-//! numerical work, full stop.
+//! that fell back to bisection, sampled leakage cells) for one figure.
+//! Because those counters are byte-identical across runs with
+//! `PVTM_TELEMETRY_CLOCK=off`, the gate has zero flake: exceeding a budget
+//! means the code does more numerical work, full stop.
 //!
 //! The ratchet:
 //!
 //! - observed > budget → violation (gate fails);
-//! - a `solver.*` counter at 0 against a positive budget → violation: the
-//!   solver did not run, so the sidecar describes no real run of the
-//!   figure (an event counter at 0 is just work that was not needed);
+//! - a work counter (`solver.*`, `counter.leak.cells`) at 0 against a
+//!   positive budget → violation: the solver or the leakage sampler did
+//!   not run, so the sidecar describes no real run of the figure (an
+//!   event counter such as `counter.eval.trip_fallback` at 0 is just work
+//!   that was not needed);
 //! - observed < budget → pass, with a slack note nudging a ratchet-down;
 //! - `--update-budgets` rewrites the file to the observed values, which
 //!   is how both ratchets *and* intentional regressions get recorded —
@@ -28,15 +30,16 @@ use pvtm_telemetry::json::{self, Value};
 use pvtm_telemetry::Sidecar;
 
 /// The budget metrics maintained by `--update-budgets`: the solver work
-/// counters that are deterministic under a fixed seed, and the trip
-/// points whose bordered solve failed its check and fell back to
-/// bisection.
+/// counters that are deterministic under a fixed seed, the trip points
+/// whose bordered solve failed its check and fell back to bisection, and
+/// the leakage cells sampled, the work of the figures that make no solve.
 pub const DEFAULT_METRICS: &[&str] = &[
     "solver.solves",
     "solver.newton_iterations",
     "solver.lu_factorizations",
     "solver.cold_solves",
     "counter.eval.trip_fallback",
+    "counter.leak.cells",
 ];
 
 /// Budget-file rejection.
@@ -134,6 +137,19 @@ fn metric(sc: &Sidecar, name: &str) -> Option<u64> {
     }
 }
 
+/// What did not run when a work counter budgeted above 0 reads 0: the
+/// solver for its counters, the leakage sampler for its cells. `None` for
+/// an event counter, which may fall to 0.
+fn idle_worker(name: &str) -> Option<&'static str> {
+    if name.starts_with("solver.") {
+        Some("the solver")
+    } else if name == "counter.leak.cells" {
+        Some("the leakage sampler")
+    } else {
+        None
+    }
+}
+
 /// Result of checking sidecars against budgets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOutcome {
@@ -178,20 +194,20 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
             continue;
         };
         for (name, &max) in figure {
-            match metric(sc, name) {
-                None => out.fail(id, &format!("unknown budget metric {name}")),
-                Some(0) if max > 0 && name.starts_with("solver.") => out.fail(
+            match (metric(sc, name), idle_worker(name)) {
+                (None, _) => out.fail(id, &format!("unknown budget metric {name}")),
+                (Some(0), Some(worker)) if max > 0 => out.fail(
                     id,
-                    &format!("{name} = 0 against budget {max} — the solver did not run"),
+                    &format!("{name} = 0 against budget {max} — {worker} did not run"),
                 ),
-                Some(observed) if observed > max => out.fail(
+                (Some(observed), _) if observed > max => out.fail(
                     id,
                     &format!(
                         "{name} = {observed} exceeds budget {max} (+{})",
                         observed - max
                     ),
                 ),
-                Some(observed) if observed < max => {
+                (Some(observed), _) if observed < max => {
                     out.slack_notes += 1;
                     out.text.push_str(&format!(
                         "note {id}: {name} = {observed} is under budget {max} (-{}) — \
@@ -199,7 +215,7 @@ pub fn check(budgets: &Budgets, sidecars: &[Sidecar]) -> CheckOutcome {
                         max - observed
                     ));
                 }
-                Some(observed) => out
+                (Some(observed), _) => out
                     .text
                     .push_str(&format!("ok   {id}: {name} = {observed}\n")),
             }
@@ -302,6 +318,20 @@ mod tests {
         assert!(out
             .text
             .contains("solver.solves = 0 against budget 100 — the solver did not run"));
+    }
+
+    #[test]
+    fn budgeted_leakage_cells_at_zero_fail() {
+        let mut sc = sidecar("fig3", 0, 0);
+        sc.report.counters = vec![("leak.cells".into(), 374_640)];
+        let b = update_budgets(&Budgets::default(), std::slice::from_ref(&sc));
+        assert!(!check(&b, std::slice::from_ref(&sc)).failed());
+        sc.report.counters.clear();
+        let out = check(&b, &[sc]);
+        assert_eq!(out.violations, 1, "{}", out.text);
+        assert!(out.text.contains(
+            "counter.leak.cells = 0 against budget 374640 — the leakage sampler did not run"
+        ));
     }
 
     #[test]

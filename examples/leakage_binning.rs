@@ -65,11 +65,12 @@ fn main() {
 
     println!("\n== the CLT at work: array leakage is Gaussian ==");
     let mut rng = pvtm_stats::rng::substream(17, 0);
+    let corner = model.at_corner(0.0, &cond);
+    let mut cells = vec![0.0; 2048];
     let arrays: Vec<f64> = (0..300)
         .map(|_| {
-            (0..2048)
-                .map(|_| model.sample_cell(0.0, &cond, &mut rng))
-                .sum::<f64>()
+            corner.fill(&mut cells, &mut rng);
+            cells.iter().sum::<f64>()
         })
         .collect();
     let s = Summary::from_slice(&arrays);

@@ -61,14 +61,15 @@ fn array_leakage_follows_the_clt_prediction() {
     let model = CellLeakageModel::new(&t, CellSizing::default_for(&t));
     let cond = Conditions::active(&t);
     let mut rng = pvtm_stats::rng::substream(55, 0);
-    let cell_stats = model.population_stats(0.0, &cond, 6000, &mut rng);
+    let corner = model.at_corner(0.0, &cond);
+    let cell_stats = corner.population_stats(6000, &mut rng);
 
     let n = 1024usize;
+    let mut cells = vec![0.0; n];
     let arrays: Vec<f64> = (0..250)
         .map(|_| {
-            (0..n)
-                .map(|_| model.sample_cell(0.0, &cond, &mut rng))
-                .sum::<f64>()
+            corner.fill(&mut cells, &mut rng);
+            cells.iter().sum::<f64>()
         })
         .collect();
     let s = Summary::from_slice(&arrays);
