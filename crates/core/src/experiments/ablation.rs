@@ -10,23 +10,13 @@ use std::fmt;
 
 use pvtm_bist::{BistController, Dac, Fault, FaultKind, MarchTest, MemoryModel};
 use pvtm_circuit::CircuitError;
-use pvtm_device::Technology;
-use pvtm_sram::{AnalysisConfig, CellLeakageModel, CellSizing, Conditions, FailureAnalyzer};
+use pvtm_sram::{CellLeakageModel, Conditions, FailureAnalyzer};
 
-use super::Effort;
+use super::{baseline, Effort};
 use crate::body_bias::BodyBiasGenerator;
 use crate::interp::{linspace, log_interp};
 use crate::monitor::{LeakageBinner, LeakageMonitor, VtRegion};
 use crate::self_repair::{SelfRepairConfig, SelfRepairingMemory};
-
-fn baseline() -> (Technology, CellSizing, AnalysisConfig) {
-    let tech = Technology::predictive_70nm();
-    (
-        tech.clone(),
-        CellSizing::default_for(&tech),
-        AnalysisConfig::default(),
-    )
-}
 
 // ------------------------------------------------------- monitor ablation
 

@@ -6,12 +6,11 @@ use std::fmt;
 
 use pvtm_bist::{Dac, MarchTest};
 use pvtm_circuit::CircuitError;
-use pvtm_device::Technology;
-use pvtm_sram::{AnalysisConfig, ArrayOrganization, CellSizing};
+use pvtm_sram::ArrayOrganization;
 use pvtm_stats::special::binomial_sf;
 use pvtm_stats::Histogram;
 
-use super::{Effort, Fig2c};
+use super::{baseline, Effort, Fig2c};
 use crate::adaptive::{AsbConfig, AsbEngine, StandbyLeakageGrid};
 use crate::interp::linspace;
 use crate::source_bias::{HoldModelGrid, SourceBiasAnalyzer};
@@ -22,15 +21,6 @@ pub const P_HF_TARGET: f64 = 1e-3;
 /// Source-bias search window \[V\].
 const VSB_LO: f64 = 0.30;
 const VSB_HI: f64 = 0.74;
-
-fn baseline() -> (Technology, CellSizing, AnalysisConfig) {
-    let tech = Technology::predictive_70nm();
-    (
-        tech.clone(),
-        CellSizing::default_for(&tech),
-        AnalysisConfig::default(),
-    )
-}
 
 /// The per-cell hold-failure probability at which a memory of organization
 /// `org` reaches the memory-level target `p_mem` (inverted through the

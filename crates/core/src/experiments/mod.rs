@@ -38,6 +38,8 @@ pub use repair::{
 };
 pub use scaling::{scaling, Scaling};
 
+use pvtm_device::Technology;
+use pvtm_sram::{AnalysisConfig, CellSizing};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -109,6 +111,14 @@ pub fn save_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf> 
     let file = std::fs::File::create(&path)?;
     serde_json::to_writer_pretty(file, value).map_err(std::io::Error::other)?;
     Ok(path)
+}
+
+/// The paper's design point: the 70 nm predictive technology, its default
+/// cell sizing and the default analysis configuration.
+pub(crate) fn baseline() -> (Technology, CellSizing, AnalysisConfig) {
+    let tech = Technology::predictive_70nm();
+    let sizing = CellSizing::default_for(&tech);
+    (tech, sizing, AnalysisConfig::default())
 }
 
 /// Records one quarantined corner/eval failure in the telemetry sidecar

@@ -5,29 +5,17 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use pvtm_circuit::CircuitError;
-use pvtm_device::Technology;
-use pvtm_sram::{
-    AnalysisConfig, CellLeakageModel, CellSizing, Conditions, FailureAnalyzer, SramCell,
-};
+use pvtm_sram::{CellLeakageModel, Conditions, FailureAnalyzer, SramCell};
 use pvtm_stats::Histogram;
 
-use super::{check_quarantine_rate, fmt_p, quarantine_corner, Effort};
+use super::{baseline, check_quarantine_rate, fmt_p, quarantine_corner, Effort};
 use crate::interp::linspace;
-use crate::self_repair::{Policy, SelfRepairConfig, SelfRepairingMemory};
+use crate::self_repair::{CornerResponse, Policy, SelfRepairConfig, SelfRepairingMemory};
 
 /// Standby source bias at which the hold mechanism is evaluated throughout
 /// the self-repair experiments (a low-power standby design point deep
 /// enough for hold failures to be observable, as in the paper's Fig. 2a).
 pub const HOLD_VSB: f64 = 0.5;
-
-fn baseline() -> (Technology, CellSizing, AnalysisConfig) {
-    let tech = Technology::predictive_70nm();
-    (
-        tech,
-        CellSizing::default_for(&Technology::predictive_70nm()),
-        AnalysisConfig::default(),
-    )
-}
 
 // ---------------------------------------------------------------- fig 2a
 
@@ -709,6 +697,17 @@ pub struct Fig5b {
     pub spread_repaired: f64,
 }
 
+/// The 64 KB self-repairing memory of Figs. 5b and 5c, and its response
+/// over the ±300 mV inter-die corner grid.
+fn response_64kib(effort: Effort) -> Result<CornerResponse, CircuitError> {
+    let memory = SelfRepairingMemory::new({
+        let mut cfg = SelfRepairConfig::default_70nm(64, 8);
+        cfg.org = pvtm_sram::ArrayOrganization::with_capacity_kib(64, 0.05);
+        cfg
+    });
+    memory.response(&linspace(-0.30, 0.30, effort.corners.max(9)))
+}
+
 /// Reproduces Fig. 5b: RBB on leaky dies and FBB on slow dies compress the
 /// leakage spread.
 ///
@@ -717,12 +716,7 @@ pub struct Fig5b {
 /// Propagates DC-solver failures.
 pub fn fig5b(effort: Effort) -> Result<Fig5b, CircuitError> {
     let _span = pvtm_telemetry::span("fig5b");
-    let memory = SelfRepairingMemory::new({
-        let mut cfg = SelfRepairConfig::default_70nm(64, 8);
-        cfg.org = pvtm_sram::ArrayOrganization::with_capacity_kib(64, 0.05);
-        cfg
-    });
-    let resp = memory.response(&linspace(-0.30, 0.30, effort.corners.max(9)))?;
+    let resp = response_64kib(effort)?;
     let sigma = 0.08;
     let mut rng = pvtm_stats::rng::substream(0xF165B, 0);
     let dies = (effort.dies * 10).max(500);
@@ -801,12 +795,7 @@ pub struct Fig5c {
 /// Propagates DC-solver failures.
 pub fn fig5c(effort: Effort) -> Result<Fig5c, CircuitError> {
     let _span = pvtm_telemetry::span("fig5c");
-    let memory = SelfRepairingMemory::new({
-        let mut cfg = SelfRepairConfig::default_70nm(64, 8);
-        cfg.org = pvtm_sram::ArrayOrganization::with_capacity_kib(64, 0.05);
-        cfg
-    });
-    let resp = memory.response(&linspace(-0.30, 0.30, effort.corners.max(9)))?;
+    let resp = response_64kib(effort)?;
     let l_max = 2.5 * resp.array_leak_mean(0.0, Policy::Zbb);
     let rows = linspace(0.025, 0.15, effort.sigmas.max(3))
         .iter()

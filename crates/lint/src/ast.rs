@@ -10,7 +10,7 @@
 //! skipped, never mis-extracted.
 
 use crate::lexer::TokKind;
-use crate::parser::{int_value, split_args, Group, Tree};
+use crate::parser::{contains_ident, int_value, split_args, Group, Tree};
 
 /// Extracted items of one file.
 #[derive(Debug, Default)]
@@ -116,35 +116,12 @@ struct Scope {
     in_test: bool,
 }
 
-/// Flattens a group to compact text (`cfg(test)`), for attribute matching.
-fn flatten(g: &Group) -> String {
-    let mut s = String::new();
-    flatten_into(&g.children, &mut s);
-    s
-}
-
-fn flatten_into(trees: &[Tree], s: &mut String) {
-    for t in trees {
-        match t {
-            Tree::Leaf(tok) => s.push_str(&tok.text),
-            Tree::Group(g) => {
-                s.push(g.delim);
-                flatten_into(&g.children, s);
-                s.push(match g.delim {
-                    '(' => ')',
-                    '[' => ']',
-                    _ => '}',
-                });
-            }
-        }
-    }
-}
-
-/// Mirrors `rules::test_regions` semantics on a flattened attribute:
-/// `test`, `cfg(test)`, `cfg(all(test, …))` are test context; anything
-/// mentioning `not` is conservatively not.
-fn attr_is_test(attr: &str) -> bool {
-    attr.contains("test") && !attr.contains("not")
+/// Mirrors `rules::test_regions` on one attribute: `test`, `cfg(test)`,
+/// `cfg(all(test, …))` are test context; anything with a `not` is
+/// conservatively not. Whole identifiers only, so `cfg(feature =
+/// "fastest")` is not test context.
+fn attr_is_test(attr: &Group) -> bool {
+    contains_ident(&attr.children, "test") && !contains_ident(&attr.children, "not")
 }
 
 fn ident_text(t: &Tree) -> Option<&str> {
@@ -155,7 +132,8 @@ fn ident_text(t: &Tree) -> Option<&str> {
 
 fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
     let mut i = 0usize;
-    let mut attrs: Vec<String> = Vec::new();
+    // Whether an attribute since the last item marks test context.
+    let mut test_attr = false;
     let mut is_pub = false;
     while i < trees.len() {
         // Attributes: `#[…]` / `#![…]`.
@@ -169,7 +147,7 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                 .and_then(Tree::group)
                 .filter(|g| g.delim == '[')
             {
-                attrs.push(flatten(g));
+                test_attr |= attr_is_test(g);
                 i = j + 1;
                 continue;
             }
@@ -195,21 +173,21 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                 continue;
             }
             Some("fn") => {
-                i = take_fn(trees, i, scope, is_pub, &attrs, out);
+                i = take_fn(trees, i, scope, is_pub, test_attr, out);
             }
             Some("const" | "static")
                 if ident_text(trees.get(i + 1).unwrap_or(&trees[i])) != Some("fn") =>
             {
-                i = take_const(trees, i, scope, &attrs, out);
+                i = take_const(trees, i, scope, test_attr, out);
             }
             Some("use") => {
                 i = take_use(trees, i, scope, out);
             }
             Some("mod") => {
-                i = take_mod(trees, i, scope, &attrs, out);
+                i = take_mod(trees, i, scope, test_attr, out);
             }
             Some("impl" | "trait") => {
-                i = take_impl(trees, i, scope, &attrs, out);
+                i = take_impl(trees, i, scope, test_attr, out);
             }
             _ => {
                 // `const fn` reaches here via the guard above: `const` is a
@@ -218,13 +196,13 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                     i += 1;
                     continue;
                 }
-                attrs.clear();
+                test_attr = false;
                 is_pub = false;
                 i += 1;
                 continue;
             }
         }
-        attrs.clear();
+        test_attr = false;
         is_pub = false;
     }
 }
@@ -252,7 +230,7 @@ fn take_fn(
     i: usize,
     scope: &Scope,
     is_pub: bool,
-    attrs: &[String],
+    test_attr: bool,
     out: &mut FileAst,
 ) -> usize {
     let (line, col) = trees[i].pos();
@@ -265,7 +243,7 @@ fn take_fn(
         self_type: scope.self_type.clone(),
         name: name.to_string(),
         is_pub,
-        is_test: scope.in_test || attrs.iter().any(|a| attr_is_test(a)),
+        is_test: scope.in_test || test_attr,
         line,
         col,
         body,
@@ -277,7 +255,7 @@ fn take_const(
     trees: &[Tree],
     i: usize,
     scope: &Scope,
-    attrs: &[String],
+    test_attr: bool,
     out: &mut FileAst,
 ) -> usize {
     let mut j = i + 1;
@@ -311,7 +289,7 @@ fn take_const(
         value,
         line,
         col,
-        is_test: scope.in_test || attrs.iter().any(|a| attr_is_test(a)),
+        is_test: scope.in_test || test_attr,
     });
     end + 1
 }
@@ -425,7 +403,7 @@ fn expand_use(trees: &[Tree], prefix: Vec<String>, scope: &Scope, out: &mut File
     }
 }
 
-fn take_mod(trees: &[Tree], i: usize, scope: &Scope, attrs: &[String], out: &mut FileAst) -> usize {
+fn take_mod(trees: &[Tree], i: usize, scope: &Scope, test_attr: bool, out: &mut FileAst) -> usize {
     let Some(name) = trees.get(i + 1).and_then(ident_text) else {
         return i + 1;
     };
@@ -433,7 +411,7 @@ fn take_mod(trees: &[Tree], i: usize, scope: &Scope, attrs: &[String], out: &mut
         Some(Tree::Group(g)) if g.delim == '{' => {
             let mut inner = scope.clone();
             inner.mod_path.push(name.to_string());
-            inner.in_test = inner.in_test || attrs.iter().any(|a| attr_is_test(a));
+            inner.in_test = inner.in_test || test_attr;
             walk_items(&g.children, &mut inner, out);
             i + 3
         }
@@ -441,13 +419,7 @@ fn take_mod(trees: &[Tree], i: usize, scope: &Scope, attrs: &[String], out: &mut
     }
 }
 
-fn take_impl(
-    trees: &[Tree],
-    i: usize,
-    scope: &Scope,
-    attrs: &[String],
-    out: &mut FileAst,
-) -> usize {
+fn take_impl(trees: &[Tree], i: usize, scope: &Scope, test_attr: bool, out: &mut FileAst) -> usize {
     // Collect path idents at angle-bracket depth 0 between the keyword and
     // the body; `for` resets the collection so `impl Trait for Type` names
     // `Type`.
@@ -484,7 +456,7 @@ fn take_impl(
     };
     let mut inner = scope.clone();
     inner.self_type = names.last().cloned();
-    inner.in_test = inner.in_test || attrs.iter().any(|a| attr_is_test(a));
+    inner.in_test = inner.in_test || test_attr;
     walk_items(&body.children, &mut inner, out);
     k + 1
 }
@@ -524,16 +496,29 @@ mod tests {
 
     #[test]
     fn test_context_marks_fns() {
+        // Whole identifiers only: "fastest" is no `test`, and a `not`
+        // anywhere makes the attribute non-test.
         let src = "#[test]\nfn t() {}\n\
                    #[cfg(test)]\nmod tests { fn helper() {} }\n\
-                   fn lib() {}\n";
+                   fn lib() {}\n\
+                   #[cfg(feature = \"fastest\")]\nfn fast() {}\n\
+                   #[cfg(not(test))]\nfn prod() {}\n";
         let ast = ast_of(src);
         let flags: Vec<(&str, bool)> = ast
             .fns
             .iter()
             .map(|f| (f.name.as_str(), f.is_test))
             .collect();
-        assert_eq!(flags, vec![("t", true), ("helper", true), ("lib", false)]);
+        assert_eq!(
+            flags,
+            vec![
+                ("t", true),
+                ("helper", true),
+                ("lib", false),
+                ("fast", false),
+                ("prod", false)
+            ]
+        );
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn site(kind: CallKind, line: u32, col: u32, args: &Group) -> CallSite {
 
 /// Skips a `::<…>` turbofish starting at `i` (pointing at `::`); returns
 /// the index after the closing `>`, or `i` unchanged if there is none.
-fn skip_turbofish(trees: &[Tree], i: usize) -> usize {
+pub(crate) fn skip_turbofish(trees: &[Tree], i: usize) -> usize {
     if !(trees.get(i).is_some_and(|t| t.is_punct("::"))
         && trees.get(i + 1).is_some_and(|t| t.is_punct("<")))
     {
@@ -126,34 +126,34 @@ fn scan(trees: &[Tree], out: &mut Vec<CallSite>) {
             i += 1;
             continue;
         }
-        // Identifier: macro, path call, or nothing interesting.
+        // Identifier: a path `a::b::f`, then a macro bang, an argument
+        // group (with optional turbofish), or nothing interesting.
         if let Some(first) = trees[i].leaf().filter(|t| t.kind == TokKind::Ident) {
-            // `name!(…)`.
-            if trees.get(i + 1).is_some_and(|t| t.is_punct("!")) {
-                if let Some(g) = trees.get(i + 2).and_then(Tree::group) {
-                    out.push(site(
-                        CallKind::Macro(first.text.clone()),
-                        first.line,
-                        first.col,
-                        g,
-                    ));
-                    i += 2; // the group itself is scanned by the main loop
-                    continue;
-                }
-            }
-            // `a::b::f(…)`: collect the path, then an optional turbofish,
-            // then require the argument group.
             let (line, col) = (first.line, first.col);
+            let mut last = first;
             let mut segs = vec![first.text.clone()];
             let mut k = i + 1;
-            while trees.get(k).is_some_and(|t| t.is_punct("::"))
-                && trees
-                    .get(k + 1)
-                    .and_then(Tree::leaf)
-                    .is_some_and(|t| t.kind == TokKind::Ident)
+            while let Some(next) = trees
+                .get(k + 1)
+                .and_then(Tree::leaf)
+                .filter(|t| t.kind == TokKind::Ident && trees[k].is_punct("::"))
             {
-                segs.push(trees[k + 1].leaf().unwrap().text.clone());
+                segs.push(next.text.clone());
+                last = next;
                 k += 2;
+            }
+            // `name!(…)` / `std::name![…]`, anchored at the macro name.
+            if trees.get(k).is_some_and(|t| t.is_punct("!")) {
+                if let Some(g) = trees.get(k + 1).and_then(Tree::group) {
+                    out.push(site(
+                        CallKind::Macro(last.text.clone()),
+                        last.line,
+                        last.col,
+                        g,
+                    ));
+                    i = k + 1; // the group itself is scanned by the main loop
+                    continue;
+                }
             }
             let after = skip_turbofish(trees, k);
             if let Some(g) = trees
@@ -165,7 +165,7 @@ fn scan(trees: &[Tree], out: &mut Vec<CallSite>) {
             }
             // Step past the whole path so `b::f` is not re-scanned as its
             // own call; the argument group is reached by the main loop.
-            i = k.max(i + 1);
+            i = k;
             continue;
         }
         if let Some(g) = trees[i].group() {
@@ -299,5 +299,7 @@ mod tests {
         assert_eq!(s("x.expect(\"slots minted by compile above\");"), 0);
         assert_eq!(s("self.expect(b'{')?;"), 0); // non-string argument
         assert_eq!(s("todo!();"), 1);
+        assert_eq!(s("std::panic!(\"boom\");"), 1); // path-qualified macro
+        assert_eq!(s("core::unimplemented![];"), 1);
     }
 }

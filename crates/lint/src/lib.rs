@@ -5,14 +5,15 @@
 //! clippy plugins or `syn`-based tools (no registry access, vendored shims
 //! only), so this crate carries its own Rust lexer ([`lexer`]), a token-
 //! tree parser ([`parser`]), an item extractor ([`ast`]), a workspace
-//! symbol table ([`symbols`]), a call graph ([`callgraph`]), a token-stream
-//! rule engine ([`rules`]) and a semantic rule engine ([`sema`]). The
-//! binary (`cargo run -p pvtm-lint`) walks `crates/`, `src/` and
-//! `examples/`, runs both passes via [`sema::analyze_tree`], prints
-//! `file:line:col [rule-id] message` diagnostics, and exits non-zero on
-//! any violation; the one way to accept a finding is a reasoned
-//! `// pvtm-lint: allow(rule-id) reason` comment. See DESIGN.md §7 for
-//! the rule catalogue and the analysis pipeline.
+//! symbol table ([`symbols`]) and a call graph ([`callgraph`]). One
+//! pipeline, [`sema::analyze`], runs every rule over them: the three
+//! lexical rules of [`rules`] on each file's tokens, the rest on the
+//! symbol table and call graph, one rule per invariant. The binary
+//! (`cargo run -p pvtm-lint`) walks `crates/`, `src/` and `examples/`
+//! ([`analyze_tree`]), prints `file:line:col [rule-id] message`
+//! diagnostics, and exits non-zero on any violation; the one way to
+//! accept a finding is a reasoned `// pvtm-lint: allow(rule-id) reason`
+//! comment. See DESIGN.md §7 for the rule catalogue and the pipeline.
 
 pub mod ast;
 pub mod callgraph;
@@ -22,8 +23,9 @@ pub mod rules;
 pub mod sema;
 pub mod symbols;
 
-pub use rules::{lint_source, Diagnostic, RuleId};
-pub use sema::analyze_tree;
+pub use rules::{Diagnostic, RuleId};
+pub use sema::{analyze, analyze_tree};
+pub use symbols::FileUnit;
 
 use std::fs;
 use std::io;
@@ -38,7 +40,7 @@ pub const LINT_ROOTS: &[&str] = &["crates", "src", "examples"];
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "fixtures"];
 
 /// Result of linting a source tree.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TreeLint {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
@@ -46,35 +48,10 @@ pub struct TreeLint {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Lints every `.rs` file under `root`'s [`LINT_ROOTS`], skipping
+/// Collects every `.rs` file under `root`'s [`LINT_ROOTS`], skipping
 /// `target`, `tests`, `benches` and `fixtures` directories. File order
 /// (and therefore output order) is sorted, so two runs over the same tree
 /// are byte-identical.
-///
-/// # Errors
-///
-/// Propagates I/O failures from directory walks and file reads.
-pub fn lint_tree(root: &Path) -> io::Result<TreeLint> {
-    let mut out = TreeLint::default();
-    for path in walk_tree(root)? {
-        let src = fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        out.diagnostics.extend(lint_source(&rel, &src));
-        out.files_scanned += 1;
-    }
-    out.diagnostics
-        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(out)
-}
-
-/// Collects every walked `.rs` file under `root`'s [`LINT_ROOTS`], sorted,
-/// skipping the same directories as [`lint_tree`]. Shared by the
-/// token-only [`lint_tree`] and the semantic [`sema::analyze_tree`], so
-/// both passes see the same files.
 ///
 /// # Errors
 ///

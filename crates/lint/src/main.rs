@@ -95,14 +95,13 @@ fn json_report(files_scanned: usize, diagnostics: &[Diagnostic]) -> Value {
                 ("col", Value::Num(f64::from(d.col))),
                 ("rule", Value::Str(d.rule.as_str().to_string())),
                 ("message", Value::Str(d.message.clone())),
-                ("status", Value::Str("new".to_string())),
             ])
         })
         .collect();
     obj(vec![
-        ("schema", Value::Str("pvtm-lint/1".to_string())),
+        ("schema", Value::Str("pvtm-lint/2".to_string())),
         ("files_scanned", Value::Num(files_scanned as f64)),
-        ("new_violations", Value::Num(diagnostics.len() as f64)),
+        ("violations", Value::Num(diagnostics.len() as f64)),
         ("diagnostics", Value::Arr(diags)),
     ])
 }

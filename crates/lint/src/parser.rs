@@ -129,6 +129,15 @@ fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<T
     out
 }
 
+/// True when the ident `name` appears anywhere in `trees`, nested groups
+/// included; whole identifiers only, never substrings or literals.
+pub fn contains_ident(trees: &[Tree], name: &str) -> bool {
+    trees.iter().any(|t| match t {
+        Tree::Leaf(tok) => tok.kind == TokKind::Ident && tok.text == name,
+        Tree::Group(g) => contains_ident(&g.children, name),
+    })
+}
+
 /// Splits a group's children at top-level commas — the argument list of a
 /// call-site group. Empty segments (trailing commas) are dropped.
 pub fn split_args(children: &[Tree]) -> Vec<&[Tree]> {

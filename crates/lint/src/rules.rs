@@ -1,13 +1,16 @@
-//! The lint rules and the per-file engine that runs them.
+//! Rule ids, diagnostics, the shared registries, the three lexical rules
+//! and suppression handling.
 //!
-//! Every rule walks the token stream produced by [`crate::lexer`]; none of
-//! them parse Rust properly, so each one is written to *miss* rather than
-//! crash or false-positive when it meets grammar it does not model. The
-//! escape hatch for deliberate violations is a
+//! `no-hashmap`, `no-wallclock` and `no-float-eq` are lexical by nature: a
+//! name or an operator next to a literal is the whole defect, so they walk
+//! the token stream produced by [`crate::lexer`]. None of them parses Rust,
+//! so each is written to *miss* rather than crash or false-positive when
+//! it meets grammar it does not model. Every other rule lives in
+//! [`crate::sema`]. The escape hatch for deliberate violations is a
 //! `// pvtm-lint: allow(rule-id) reason` comment on the offending line or
 //! the line above; the reason is mandatory and stale allows are reported.
 
-use crate::lexer::{self, Tok, TokKind};
+use crate::lexer::{Allow, Lexed, Tok, TokKind};
 use std::fmt;
 
 /// Stable identifiers of the lint rules.
@@ -19,26 +22,20 @@ pub enum RuleId {
     NoWallclock,
     /// `==`/`!=` against floating-point expressions.
     NoFloatEq,
-    /// `panic!`/`unwrap()`/bare `expect` in library code of the core crates.
+    /// Panic sinks in the policy crates' library code, and sinks elsewhere
+    /// that the policy crates' public API reaches on the call graph.
     PanicPolicy,
-    /// Telemetry span/counter/gauge/histogram names outside the §5b taxonomy.
+    /// Telemetry names (literal or const-resolved) outside the §5b/§5d
+    /// taxonomy, names that cannot be resolved, and `PROM_METRIC_MAP`
+    /// entries.
     TelemetryTaxonomy,
-    /// `env::var` reads of undocumented knobs.
-    NoEnvRead,
-    /// Semantic: `substream(seed, stream)` collisions, RNGs captured across
+    /// `substream(seed, stream)` collisions, RNGs captured across
     /// parallel-closure boundaries, stream-id reuse across chunk loops.
     RngStreamDiscipline,
-    /// Semantic: panic sinks reachable on the call graph from the policy
-    /// crates' public API.
-    PanicReachability,
-    /// Semantic: float accumulation in parallel chains not routed through
-    /// an order-fixed merge.
+    /// Float accumulation in parallel chains not routed through an
+    /// order-fixed merge.
     NondetReduction,
-    /// Semantic: telemetry names resolved through consts and checked
-    /// against the §5b/§5d registries.
-    TaxonomyResolution,
-    /// Semantic: two-way diff of `PVTM_*` reads against the documented
-    /// registry.
+    /// Two-way diff of environment reads against the documented registry.
     KnobCoverage,
     /// Malformed, unknown, reason-less or stale suppression comments.
     LintAllow,
@@ -51,11 +48,8 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::NoFloatEq,
     RuleId::PanicPolicy,
     RuleId::TelemetryTaxonomy,
-    RuleId::NoEnvRead,
     RuleId::RngStreamDiscipline,
-    RuleId::PanicReachability,
     RuleId::NondetReduction,
-    RuleId::TaxonomyResolution,
     RuleId::KnobCoverage,
     RuleId::LintAllow,
 ];
@@ -69,11 +63,8 @@ impl RuleId {
             RuleId::NoFloatEq => "no-float-eq",
             RuleId::PanicPolicy => "panic-policy",
             RuleId::TelemetryTaxonomy => "telemetry-taxonomy",
-            RuleId::NoEnvRead => "no-env-read",
             RuleId::RngStreamDiscipline => "rng-stream-discipline",
-            RuleId::PanicReachability => "panic-reachability",
             RuleId::NondetReduction => "nondet-reduction",
-            RuleId::TaxonomyResolution => "taxonomy-by-resolution",
             RuleId::KnobCoverage => "knob-coverage",
             RuleId::LintAllow => "lint-allow",
         }
@@ -121,7 +112,6 @@ impl fmt::Display for Diagnostic {
 pub const DOCUMENTED_ENV_KNOBS: &[&str] = &[
     "PVTM_TELEMETRY",
     "PVTM_TELEMETRY_CLOCK",
-    "PVTM_EVENTS",
     "PVTM_QUIET",
     "PVTM_EFFORT",
     "PVTM_RESULTS_DIR",
@@ -181,36 +171,10 @@ pub const EVENT_ROOTS: &[&str] = &["run", "figure", "mc", "solver", "eval", "ana
 /// The only file allowed to touch the wall clock directly.
 const WALLCLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
 
-/// Library trees under the strict panic policy.
-pub(crate) const PANIC_POLICY_PREFIXES: &[&str] = &[
-    "crates/circuit/src/",
-    "crates/stats/src/",
-    "crates/sram/src/",
-    "crates/core/src/",
-    "crates/bist/src/",
-];
-
-/// Lints one file. `rel_path` is the repo-relative path (used for rule
-/// scoping); `src` is its contents. Returns suppressed-and-sorted
-/// diagnostics — the caller only has to aggregate.
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let path = rel_path.replace('\\', "/");
-    if is_test_path(&path) {
-        return Vec::new();
-    }
-    let lexed = lexer::lex(src);
-    let mut diags = token_diags(&path, &lexed);
-    apply_allows(&path, &lexed.allows, &mut diags);
-    diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    diags
-}
-
-/// Runs the token-stream rules only — no suppression, no sorting. The
-/// semantic pass ([`crate::sema`]) calls this on its already-lexed files
-/// and applies allows itself, after the semantic rules have contributed
-/// their findings (so an allow covering a semantic finding is not reported
-/// stale by the token pass).
-pub(crate) fn token_diags(path: &str, lexed: &lexer::Lexed) -> Vec<Diagnostic> {
+/// Runs the lexical rules over one lexed file — no suppression, no
+/// sorting: [`crate::sema::analyze`] adds the semantic findings, then
+/// applies the file's allows to all of them at once.
+pub(crate) fn token_diags(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let regions = test_regions(&lexed.tokens);
     let ctx = Ctx {
         path,
@@ -221,15 +185,7 @@ pub(crate) fn token_diags(path: &str, lexed: &lexer::Lexed) -> Vec<Diagnostic> {
     rule_no_hashmap(&ctx, &mut diags);
     rule_no_wallclock(&ctx, &mut diags);
     rule_no_float_eq(&ctx, &mut diags);
-    rule_panic_policy(&ctx, &mut diags);
-    rule_telemetry_taxonomy(&ctx, &mut diags);
-    rule_no_env_read(&ctx, &mut diags);
     diags
-}
-
-/// Whole directories that are test context: integration tests and benches.
-pub(crate) fn is_test_path(path: &str) -> bool {
-    path.split('/').any(|c| c == "tests" || c == "benches")
 }
 
 struct Ctx<'a> {
@@ -440,217 +396,13 @@ fn rule_no_float_eq(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn rule_panic_policy(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    if !PANIC_POLICY_PREFIXES
-        .iter()
-        .any(|p| ctx.path.starts_with(p))
-    {
-        return;
-    }
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || ctx.in_test(i) {
-            continue;
-        }
-        let next_is = |k: usize, s: &str| toks.get(k).is_some_and(|t| t.text == s);
-        match t.text.as_str() {
-            "panic" | "todo" | "unimplemented" if next_is(i + 1, "!") => {
-                ctx.diag(
-                    out,
-                    i,
-                    RuleId::PanicPolicy,
-                    format!(
-                        "`{}!` in library code; return an error, or document the caller \
-                         contract with `// pvtm-lint: allow(panic-policy) <invariant>`",
-                        t.text
-                    ),
-                );
-            }
-            "unwrap"
-                if i > 0
-                    && toks[i - 1].text == "."
-                    && next_is(i + 1, "(")
-                    && next_is(i + 2, ")") =>
-            {
-                ctx.diag(
-                    out,
-                    i,
-                    RuleId::PanicPolicy,
-                    "`unwrap()` in library code; use `expect(\"<invariant>\")` stating why \
-                     this cannot fail, or propagate the error"
-                        .to_string(),
-                );
-            }
-            "expect" if i > 0 && toks[i - 1].text == "." && next_is(i + 1, "(") => {
-                // The message may be on the next line or wrapped
-                // (`&format!("…")`): scan the whole argument list, to its
-                // matching `)`, for the first string literal.
-                let mut depth = 1i64;
-                let mut j = i + 2;
-                let mut msg: Option<&Tok> = None;
-                while j < toks.len() && depth > 0 {
-                    match (toks[j].kind, toks[j].text.as_str()) {
-                        (TokKind::Punct, "(") => depth += 1,
-                        (TokKind::Punct, ")") => depth -= 1,
-                        (TokKind::Str, _) => {
-                            msg = Some(&toks[j]);
-                            break;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if let Some(msg) = msg {
-                    if msg.text.split_whitespace().count() < 3 {
-                        ctx.diag(
-                            out,
-                            i,
-                            RuleId::PanicPolicy,
-                            format!(
-                                "bare `expect(\"{}\")`; the message must state the violated \
-                                 invariant (at least three words on why this cannot fail)",
-                                msg.text
-                            ),
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Maps a telemetry API function name to the kind of name it registers;
-/// shared with the semantic pass.
-pub(crate) fn telemetry_kind(callee: &str) -> Option<&'static str> {
-    match callee {
-        "span" => Some("span"),
-        "trace_scope" => Some("trace"),
-        "counter_add" => Some("counter"),
-        "gauge_set" => Some("gauge"),
-        "hist_record" => Some("histogram"),
-        "emit" => Some("event"),
-        _ => None,
-    }
-}
-
-/// Checks a telemetry name against the shape convention and the §5b/§5d
-/// registries; returns the problem description if it violates either.
-/// Shared between the lexical rule (literal names) and the semantic rule
-/// (names resolved through consts).
-pub(crate) fn taxonomy_problem(kind: &str, name: &str) -> Option<String> {
-    let shape_ok = !name.is_empty()
-        && name.split('.').all(|seg| {
-            !seg.is_empty()
-                && seg
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        });
-    if !shape_ok {
-        return Some(format!(
-            "telemetry {kind} name \"{name}\" is not dotted lowercase \
-             (`[a-z0-9_]` segments separated by `.`)"
-        ));
-    }
-    let root = name.split('.').next().unwrap_or_default();
-    let (roots, section): (&[&str], &str) = match kind {
-        "span" | "trace" => (SPAN_ROOTS, "5b"),
-        "event" => (EVENT_ROOTS, "5d"),
-        _ => (METRIC_ROOTS, "5b"),
-    };
-    if !roots.contains(&root) {
-        return Some(format!(
-            "telemetry {kind} name \"{name}\" is outside the DESIGN.md §{section} \
-             taxonomy (unknown root \"{root}\"); extend the taxonomy and this registry \
-             together"
-        ));
-    }
-    None
-}
-
-fn rule_telemetry_taxonomy(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || ctx.in_test(i) {
-            continue;
-        }
-        let Some(kind) = telemetry_kind(&t.text) else {
-            continue;
-        };
-        // Only path-qualified calls (`pvtm_telemetry::span(…)`, `tm::span(…)`)
-        // are telemetry call sites; method calls and locals are not.
-        if i == 0 || toks[i - 1].text != "::" || toks.get(i + 1).is_none_or(|t| t.text != "(") {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 2) else {
-            continue;
-        };
-        if name_tok.kind != TokKind::Str {
-            ctx.diag(
-                out,
-                i,
-                RuleId::TelemetryTaxonomy,
-                format!("non-literal {kind} name cannot be checked against the §5b taxonomy"),
-            );
-            continue;
-        }
-        if let Some(problem) = taxonomy_problem(kind, &name_tok.text) {
-            ctx.diag(out, i, RuleId::TelemetryTaxonomy, problem);
-        }
-    }
-}
-
-fn rule_no_env_read(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    let toks = ctx.toks;
-    for i in 2..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || (t.text != "var" && t.text != "var_os")
-            || toks[i - 1].text != "::"
-            || toks[i - 2].text != "env"
-            || ctx.in_test(i)
-        {
-            continue;
-        }
-        match toks.get(i + 2) {
-            Some(name) if name.kind == TokKind::Str => {
-                if !DOCUMENTED_ENV_KNOBS.contains(&name.text.as_str()) {
-                    ctx.diag(
-                        out,
-                        i,
-                        RuleId::NoEnvRead,
-                        format!(
-                            "undocumented environment knob \"{}\"; the documented `PVTM_*` \
-                             knobs are: {}",
-                            name.text,
-                            DOCUMENTED_ENV_KNOBS.join(", ")
-                        ),
-                    );
-                }
-            }
-            _ => {
-                ctx.diag(
-                    out,
-                    i,
-                    RuleId::NoEnvRead,
-                    "`env::var` with a non-literal name cannot be audited; read documented \
-                     `PVTM_*` knobs by name"
-                        .to_string(),
-                );
-            }
-        }
-    }
-}
-
 // ------------------------------------------------------------ suppression
 
 /// Applies `// pvtm-lint: allow(rule) reason` comments: a well-formed allow
 /// suppresses matching diagnostics on its own line and the next one.
 /// Malformed, unknown-rule, reason-less and unused allows are themselves
 /// reported under `lint-allow` so the suppression inventory stays honest.
-pub(crate) fn apply_allows(path: &str, allows: &[lexer::Allow], diags: &mut Vec<Diagnostic>) {
+pub(crate) fn apply_allows(path: &str, allows: &[Allow], diags: &mut Vec<Diagnostic>) {
     let mut used = vec![false; allows.len()];
     diags.retain(|d| {
         let mut keep = true;
@@ -707,6 +459,12 @@ pub(crate) fn apply_allows(path: &str, allows: &[lexer::Allow], diags: &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::FileUnit;
+
+    /// Lints one in-memory file through the full pass.
+    fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
+        crate::analyze(&[FileUnit::new(path, src)]).diagnostics
+    }
 
     fn rules_of(path: &str, src: &str) -> Vec<(RuleId, u32)> {
         lint_source(path, src)
@@ -841,11 +599,11 @@ mod tests {
         let bad = "fn f() { let _ = std::env::var(\"PVTM_SECRET\"); }\n";
         let good = "fn f() { let _ = std::env::var(\"PVTM_TELEMETRY\"); }\n";
         let dynamic = "fn f(k: &str) { let _ = std::env::var(k); }\n";
-        assert_eq!(rules_of("src/lib.rs", bad), vec![(RuleId::NoEnvRead, 1)]);
+        assert_eq!(rules_of("src/lib.rs", bad), vec![(RuleId::KnobCoverage, 1)]);
         assert!(rules_of("src/lib.rs", good).is_empty());
         assert_eq!(
             rules_of("src/lib.rs", dynamic),
-            vec![(RuleId::NoEnvRead, 1)]
+            vec![(RuleId::KnobCoverage, 1)]
         );
     }
 
@@ -870,13 +628,6 @@ mod tests {
 
         let stale = "// pvtm-lint: allow(no-hashmap) nothing here\nfn f() {}\n";
         assert_eq!(rules_of("src/a.rs", stale), vec![(RuleId::LintAllow, 1)]);
-    }
-
-    #[test]
-    fn tests_and_benches_directories_are_skipped() {
-        let src = "use std::collections::HashMap;\n";
-        assert!(rules_of("crates/sram/tests/x.rs", src).is_empty());
-        assert!(rules_of("crates/bench/benches/x.rs", src).is_empty());
     }
 
     #[test]

@@ -1,28 +1,31 @@
-//! The semantic analysis pass: five rules over the AST, symbol table and
-//! call graph, layered on top of the token rules.
+//! The lint pipeline and its semantic rules, over the AST, symbol table
+//! and call graph.
 //!
-//! [`analyze_tree`] is the full pipeline the CLI runs: lex + parse every
-//! walked file once, run the token rules, build [`Symbols`] and the call
-//! graph, run the semantic rules, then resolve supersessions (a lexical
-//! "cannot be checked" finding is dropped when the semantic pass *did*
-//! check it through const resolution) and suppression comments. The five
-//! semantic rules:
+//! [`analyze`] is the one pipeline: every file is lexed and parsed once
+//! (by [`FileUnit::new`]), the lexical rules of [`crate::rules`] run on its
+//! tokens, [`Symbols`] and the call graph are built, the rules below run,
+//! and each file's suppression comments are applied to all of its findings
+//! at once. Each invariant has one rule, which judges literal,
+//! const-resolved and unresolvable inputs alike and reports one finding
+//! per defect:
 //!
+//! - `panic-policy` — panic sinks in the policy crates' library code, and
+//!   sinks elsewhere that the policy crates' public API reaches on the
+//!   call graph (with the call chain).
+//! - `telemetry-taxonomy` — telemetry names, literal or routed through a
+//!   string const, checked against the §5b/§5d registries; names that do
+//!   not resolve; `PROM_METRIC_MAP` entries.
 //! - `rng-stream-discipline` — literal `substream(seed, stream)` collisions,
 //!   RNGs captured across parallel-closure boundaries, and stream-id reuse
 //!   across chunk loops.
-//! - `panic-reachability` — panic sinks outside the policy crates that are
-//!   reachable on the call graph from the policy crates' public API.
 //! - `nondet-reduction` — float accumulation inside parallel chains that is
 //!   not routed through an order-insensitive merge.
-//! - `taxonomy-by-resolution` — telemetry names routed through consts,
-//!   resolved and checked against the §5b/§5d registries.
-//! - `knob-coverage` — two-way diff of `PVTM_*` reads against the
+//! - `knob-coverage` — two-way diff of environment reads against the
 //!   documented registry.
 
-use crate::callgraph::{self, Graph};
-use crate::lexer::TokKind;
-use crate::parser::{split_args, Tree};
+use crate::callgraph::{self, skip_turbofish, Graph};
+use crate::lexer::{Tok, TokKind};
+use crate::parser::{contains_ident, split_args, Tree};
 use crate::rules::{self, Diagnostic, RuleId};
 use crate::symbols::{self, path_segments, FileUnit, FnId, Symbols};
 use crate::TreeLint;
@@ -76,53 +79,44 @@ const RNG_MAKERS: &[&str] = &[
     "SmallRng",
 ];
 
-/// Runs the full pass — token rules plus semantic rules — over the tree.
+/// Loads every walked file under `root` and runs [`analyze`] on them.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the walk and file reads.
 pub fn analyze_tree(root: &Path) -> io::Result<TreeLint> {
-    let units = symbols::load_workspace(root)?;
-    let syms = Symbols::build(&units);
-    let graph = callgraph::build(&units, &syms);
+    Ok(analyze(&symbols::load_workspace(root)?))
+}
+
+/// Runs every rule over `units` as one tree (cross-file resolution, call
+/// graph, registries) and applies each file's allows. Diagnostics are
+/// sorted by (file, line, col, rule).
+pub fn analyze(units: &[FileUnit]) -> TreeLint {
+    let syms = Symbols::build(units);
+    let graph = callgraph::build(units, &syms);
+    let calls = path_calls(units);
 
     let mut per: Vec<Vec<Diagnostic>> = units
         .iter()
-        .map(|u| {
-            if rules::is_test_path(&u.rel) {
-                Vec::new()
-            } else {
-                rules::token_diags(&u.rel, &u.lexed)
-            }
-        })
+        .map(|u| rules::token_diags(&u.rel, &u.lexed))
         .collect();
-    // Lexical findings proven auditable by const resolution: (line, col,
-    // rule) per unit, removed before suppression handling.
-    let mut superseded: Vec<Vec<(u32, u32, RuleId)>> = vec![Vec::new(); units.len()];
-
-    rng_stream_discipline(&units, &syms, &mut per);
-    panic_reachability(&units, &syms, &graph, &mut per);
-    nondet_reduction(&units, &mut per);
-    taxonomy_by_resolution(&units, &syms, &mut per, &mut superseded);
-    prom_metric_map(&units, &mut per);
-    knob_coverage(&units, &syms, &mut per, &mut superseded);
+    rng_stream_discipline(units, &syms, &mut per);
+    panic_policy(units, &syms, &graph, &mut per);
+    nondet_reduction(units, &mut per);
+    telemetry_taxonomy(units, &syms, &calls, &mut per);
+    knob_coverage(units, &syms, &calls, &mut per);
 
     let mut diagnostics = Vec::new();
-    for (i, unit) in units.iter().enumerate() {
-        let sup = &superseded[i];
-        per[i].retain(|d| {
-            !sup.iter()
-                .any(|&(l, c, r)| d.line == l && d.col == c && d.rule == r)
-        });
-        rules::apply_allows(&unit.rel, &unit.lexed.allows, &mut per[i]);
-        diagnostics.append(&mut per[i]);
+    for (unit, mut found) in units.iter().zip(per) {
+        rules::apply_allows(&unit.rel, &unit.lexed.allows, &mut found);
+        diagnostics.append(&mut found);
     }
     diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(TreeLint {
+    TreeLint {
         files_scanned: units.len(),
         diagnostics,
-    })
+    }
 }
 
 fn diag(unit: &FileUnit, line: u32, col: u32, rule: RuleId, message: String) -> Diagnostic {
@@ -159,44 +153,11 @@ fn flatten_trees(trees: &[Tree]) -> String {
     s
 }
 
-fn contains_ident(trees: &[Tree], name: &str) -> bool {
-    trees.iter().any(|t| match t {
-        Tree::Leaf(tok) => tok.kind == TokKind::Ident && tok.text == name,
-        Tree::Group(g) => contains_ident(&g.children, name),
-    })
-}
-
 fn contains_float(trees: &[Tree]) -> bool {
     trees.iter().any(|t| match t {
         Tree::Leaf(tok) => tok.kind == TokKind::Float,
         Tree::Group(g) => contains_float(&g.children),
     })
-}
-
-/// Skips a `::<…>` turbofish starting at `i`; returns the index after it.
-fn skip_turbofish(trees: &[Tree], i: usize) -> usize {
-    if !(trees.get(i).is_some_and(|t| t.is_punct("::"))
-        && trees.get(i + 1).is_some_and(|t| t.is_punct("<")))
-    {
-        return i;
-    }
-    let mut depth = 0i64;
-    let mut k = i + 1;
-    while k < trees.len() {
-        if let Some(tok) = trees[k].leaf() {
-            match tok.text.as_str() {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-        }
-        k += 1;
-        if depth <= 0 {
-            return k;
-        }
-    }
-    i
 }
 
 /// True when `trees[..i]` ends with a method chain that contains a rayon
@@ -473,9 +434,6 @@ fn rng_stream_discipline(units: &[FileUnit], syms: &Symbols, per: &mut [Vec<Diag
     let mut sites: Vec<SubSite> = Vec::new();
     let mut captures: Vec<(usize, u32, u32, String)> = Vec::new();
     for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
         for (d, f) in unit.ast.fns.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -594,29 +552,29 @@ fn rng_stream_discipline(units: &[FileUnit], syms: &Symbols, per: &mut [Vec<Diag
     }
 }
 
-// --------------------------------------------------- panic-reachability
+// ---------------------------------------------------------- panic-policy
 
-fn panic_reachability(
-    units: &[FileUnit],
-    syms: &Symbols,
-    graph: &Graph,
-    per: &mut [Vec<Diagnostic>],
-) {
-    let policy = |rel: &str| {
-        rules::PANIC_POLICY_PREFIXES
-            .iter()
-            .any(|p| rel.starts_with(p))
-    };
+/// Library trees under the strict panic policy.
+const PANIC_POLICY_PREFIXES: &[&str] = &[
+    "crates/circuit/src/",
+    "crates/stats/src/",
+    "crates/sram/src/",
+    "crates/core/src/",
+    "crates/bist/src/",
+];
+
+/// Reports the call graph's panic sinks: every sink in a non-test function
+/// of a policy crate, and every sink elsewhere that a policy crate's public
+/// API reaches, with the shortest call chain. Examples are leaf demo
+/// binaries, never linked under the API.
+fn panic_policy(units: &[FileUnit], syms: &Symbols, graph: &Graph, per: &mut [Vec<Diagnostic>]) {
+    let policy = |rel: &str| PANIC_POLICY_PREFIXES.iter().any(|p| rel.starts_with(p));
     let n = syms.fns.len();
-    let is_test_fn = |id: usize| units[syms.fns[id].unit].ast.fns[syms.fns[id].def].is_test;
+    let def = |id: usize| &units[syms.fns[id].unit].ast.fns[syms.fns[id].def];
 
     // Entry points: unrestricted-pub functions of the policy crates.
     let mut entries: Vec<usize> = (0..n)
-        .filter(|&id| {
-            let sym = &syms.fns[id];
-            let def = &units[sym.unit].ast.fns[sym.def];
-            def.is_pub && !def.is_test && policy(&units[sym.unit].rel)
-        })
+        .filter(|&id| def(id).is_pub && !def(id).is_test && policy(&units[syms.fns[id].unit].rel))
         .collect();
     entries.sort_by_key(|&id| syms.path_of(FnId(id)).to_string());
 
@@ -631,7 +589,7 @@ fn panic_reachability(
     }
     while let Some(f) = queue.pop_front() {
         for &FnId(g) in &graph.calls[f] {
-            if !seen[g] && !is_test_fn(g) {
+            if !seen[g] && !def(g).is_test {
                 seen[g] = true;
                 parent[g] = Some(f);
                 queue.push_back(g);
@@ -639,43 +597,45 @@ fn panic_reachability(
         }
     }
 
-    for (id, &reached) in seen.iter().enumerate() {
-        if !reached {
-            continue;
-        }
+    for (id, sinks) in graph.sinks.iter().enumerate() {
         let sym = &syms.fns[id];
-        let rel = &units[sym.unit].rel;
-        // Sinks inside the policy crates are the lexical rule's job;
-        // examples are leaf demo binaries, never linked under the API.
-        if policy(rel) || rel.starts_with("examples/") {
+        let unit = &units[sym.unit];
+        // `None` inside a policy crate, else the chain that reaches the sink.
+        let chain = if sinks.is_empty() || def(id).is_test {
             continue;
-        }
-        if graph.sinks[id].is_empty() {
+        } else if policy(&unit.rel) {
+            None
+        } else if seen[id] && !unit.rel.starts_with("examples/") {
+            // Shortest example chain from an entry point, via BFS parents.
+            let mut chain = vec![id];
+            while let Some(p) = chain.last().and_then(|&f| parent[f]) {
+                chain.push(p);
+            }
+            let path: Vec<&str> = chain.iter().rev().map(|&f| syms.path_of(FnId(f))).collect();
+            Some(path.join(" -> "))
+        } else {
             continue;
-        }
-        // Shortest example chain from an entry point, via BFS parents.
-        let mut chain = vec![id];
-        while let Some(p) = parent[*chain.last().unwrap()] {
-            chain.push(p);
-        }
-        chain.reverse();
-        let shown = chain
-            .iter()
-            .map(|&f| syms.path_of(FnId(f)))
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        for sink in &graph.sinks[id] {
+        };
+        for sink in sinks {
+            let what = &sink.what;
+            let message = match &chain {
+                None => format!(
+                    "`{what}` in library code; return an error, or state the invariant that \
+                     rules it out (an `expect` message of at least three words, or \
+                     `// pvtm-lint: allow(panic-policy) <invariant>`)"
+                ),
+                Some(chain) => format!(
+                    "`{what}` is reachable from public API ({chain}); return an error, or \
+                     justify with `// pvtm-lint: allow(panic-policy) <invariant>` at this \
+                     sink (one allow covers every caller)"
+                ),
+            };
             per[sym.unit].push(diag(
-                &units[sym.unit],
+                unit,
                 sink.line,
                 sink.col,
-                RuleId::PanicReachability,
-                format!(
-                    "`{}` is reachable from public API ({shown}); return an error, or \
-                     justify with `// pvtm-lint: allow(panic-reachability) <invariant>` \
-                     at this sink (one allow covers every caller)",
-                    sink.what
-                ),
+                RuleId::PanicPolicy,
+                message,
             ));
         }
     }
@@ -685,9 +645,6 @@ fn panic_reachability(
 
 fn nondet_reduction(units: &[FileUnit], per: &mut [Vec<Diagnostic>]) {
     for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
         for f in &unit.ast.fns {
             if f.is_test {
                 continue;
@@ -795,108 +752,174 @@ fn float_sum(trees: &[Tree], dot: usize, group_idx: usize) -> bool {
             .is_some_and(|t| t.text == "f64" || t.text == "f32")
 }
 
-// ----------------------------------------------- taxonomy-by-resolution
+// ------------------------------------------------------ name arguments
 
-fn taxonomy_by_resolution(
-    units: &[FileUnit],
-    syms: &Symbols,
-    per: &mut [Vec<Diagnostic>],
-    superseded: &mut [Vec<(u32, u32, RuleId)>],
-) {
-    for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
-        for f in &unit.ast.fns {
-            if f.is_test {
+/// One `…::callee(args)` call in a non-test function body: the shape of
+/// telemetry calls (`pvtm_telemetry::span(NAME)`) and environment reads
+/// (`std::env::var(NAME)`).
+struct PathCall<'a> {
+    unit: usize,
+    mod_path: &'a [String],
+    /// The path segment before the callee (`env` in `env::var`).
+    qualifier: Option<&'a Tok>,
+    callee: &'a Tok,
+    args: &'a [Tree],
+}
+
+/// What the first argument of a [`PathCall`] names.
+enum NameArg<'a> {
+    /// A string literal (the argument's first token).
+    Literal(&'a Tok),
+    /// A path to a string const: the path as written, and its value.
+    Const(String, String),
+    /// Anything else: a parameter, a call, a non-string or unknown const.
+    Unresolved,
+}
+
+fn path_calls(units: &[FileUnit]) -> Vec<PathCall<'_>> {
+    fn scan<'a>(
+        unit: usize,
+        mod_path: &'a [String],
+        trees: &'a [Tree],
+        out: &mut Vec<PathCall<'a>>,
+    ) {
+        for (i, t) in trees.iter().enumerate() {
+            if let Some(g) = t.group() {
+                scan(unit, mod_path, &g.children, out);
                 continue;
             }
-            if let Some(body) = &f.body {
-                taxonomy_scan(
-                    units,
-                    syms,
-                    u,
-                    unit,
-                    &f.mod_path,
-                    &body.children,
-                    per,
-                    superseded,
-                );
+            if !t.is_punct("::") {
+                continue;
             }
+            let callee = trees.get(i + 1).and_then(Tree::leaf);
+            let args = trees.get(i + 2).and_then(Tree::group);
+            if let (Some(callee), Some(args)) = (callee, args) {
+                if callee.kind == TokKind::Ident && args.delim == '(' {
+                    out.push(PathCall {
+                        unit,
+                        mod_path,
+                        qualifier: i.checked_sub(1).and_then(|k| trees[k].leaf()),
+                        callee,
+                        args: &args.children,
+                    });
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (u, unit) in units.iter().enumerate() {
+        for f in unit.ast.fns.iter().filter(|f| !f.is_test) {
+            if let Some(body) = &f.body {
+                scan(u, &f.mod_path, &body.children, &mut out);
+            }
+        }
+    }
+    out
+}
+
+impl<'a> PathCall<'a> {
+    fn name_arg(&self, units: &[FileUnit], syms: &Symbols) -> NameArg<'a> {
+        let arg = split_args(self.args).first().copied().unwrap_or_default();
+        if let Some(tok) = arg
+            .first()
+            .and_then(Tree::leaf)
+            .filter(|t| t.kind == TokKind::Str)
+        {
+            return NameArg::Literal(tok);
+        }
+        let unit = &units[self.unit];
+        match (
+            path_segments(arg),
+            syms.resolve_str(units, unit, self.mod_path, arg),
+        ) {
+            (Some(segs), Some(name)) => NameArg::Const(segs.join("::"), name),
+            _ => NameArg::Unresolved,
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn taxonomy_scan(
+// ---------------------------------------------------- telemetry-taxonomy
+
+/// Maps a telemetry API function name to the kind of name it registers.
+fn telemetry_kind(callee: &str) -> Option<&'static str> {
+    match callee {
+        "span" => Some("span"),
+        "trace_scope" => Some("trace"),
+        "counter_add" => Some("counter"),
+        "gauge_set" => Some("gauge"),
+        "hist_record" => Some("histogram"),
+        "emit" => Some("event"),
+        _ => None,
+    }
+}
+
+/// Checks a telemetry name against the shape convention and the §5b/§5d
+/// registries; returns the problem description if it violates either.
+fn taxonomy_problem(kind: &str, name: &str) -> Option<String> {
+    let shape_ok = !name.is_empty()
+        && name.split('.').all(|seg| {
+            !seg.is_empty()
+                && seg
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        });
+    if !shape_ok {
+        return Some(format!(
+            "telemetry {kind} name \"{name}\" is not dotted lowercase \
+             (`[a-z0-9_]` segments separated by `.`)"
+        ));
+    }
+    let root = name.split('.').next().unwrap_or_default();
+    let (roots, section): (&[&str], &str) = match kind {
+        "span" | "trace" => (rules::SPAN_ROOTS, "5b"),
+        "event" => (rules::EVENT_ROOTS, "5d"),
+        _ => (rules::METRIC_ROOTS, "5b"),
+    };
+    if !roots.contains(&root) {
+        return Some(format!(
+            "telemetry {kind} name \"{name}\" is outside the DESIGN.md §{section} \
+             taxonomy (unknown root \"{root}\"); extend the taxonomy and this registry \
+             together"
+        ));
+    }
+    None
+}
+
+/// Checks the name of every telemetry call, literal or routed through a
+/// string const, and flags names that resolve to neither; then the
+/// Prometheus name maps.
+fn telemetry_taxonomy(
     units: &[FileUnit],
     syms: &Symbols,
-    u: usize,
-    unit: &FileUnit,
-    mod_path: &[String],
-    trees: &[Tree],
+    calls: &[PathCall<'_>],
     per: &mut [Vec<Diagnostic>],
-    superseded: &mut [Vec<(u32, u32, RuleId)>],
 ) {
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(g) = t.group() {
-            taxonomy_scan(units, syms, u, unit, mod_path, &g.children, per, superseded);
-            continue;
-        }
-        // `…::<telemetry fn>(NAME_CONST, …)`.
-        if !t.is_punct("::") {
-            continue;
-        }
-        let Some(callee) = trees
-            .get(i + 1)
-            .and_then(Tree::leaf)
-            .filter(|t| t.kind == TokKind::Ident)
-        else {
+    for c in calls {
+        let Some(kind) = telemetry_kind(&c.callee.text) else {
             continue;
         };
-        let Some(kind) = rules::telemetry_kind(&callee.text) else {
-            continue;
+        let problem = match c.name_arg(units, syms) {
+            NameArg::Literal(tok) => taxonomy_problem(kind, &tok.text),
+            NameArg::Const(path, name) => taxonomy_problem(kind, &name)
+                .map(|p| format!("{p} (name resolved through const `{path}`)")),
+            NameArg::Unresolved => Some(format!(
+                "non-literal {kind} name resolves to no string const and cannot be checked \
+                 against the §5b taxonomy"
+            )),
         };
-        let Some(g) = trees
-            .get(i + 2)
-            .and_then(Tree::group)
-            .filter(|g| g.delim == '(')
-        else {
-            continue;
-        };
-        let args = split_args(&g.children);
-        let Some(arg0) = args.first() else { continue };
-        // Literal names are the lexical rule's territory.
-        if let [one] = arg0 {
-            if one.leaf().is_some_and(|t| t.kind == TokKind::Str) {
-                continue;
-            }
-        }
-        let Some(segs) = path_segments(arg0) else {
-            continue;
-        };
-        let Some(name) = syms.resolve_str(units, unit, mod_path, arg0) else {
-            continue;
-        };
-        // Resolution succeeded: the lexical "non-literal name cannot be
-        // checked" finding at this call is superseded either way.
-        superseded[u].push((callee.line, callee.col, RuleId::TelemetryTaxonomy));
-        if let Some(problem) = rules::taxonomy_problem(kind, &name) {
-            per[u].push(diag(
-                unit,
-                callee.line,
-                callee.col,
-                RuleId::TaxonomyResolution,
-                format!(
-                    "{problem} (name resolved through const `{}`)",
-                    segs.join("::")
-                ),
+        if let Some(message) = problem {
+            let (line, col) = (c.callee.line, c.callee.col);
+            per[c.unit].push(diag(
+                &units[c.unit],
+                line,
+                col,
+                RuleId::TelemetryTaxonomy,
+                message,
             ));
         }
     }
+    prom_metric_map(units, per);
 }
-
-// ------------------------------------------------------- prom-name maps
 
 /// Validates Prometheus name-mapping registries: every non-test const
 /// named `PROM_METRIC_MAP` with a `&[(&str, &str)]` shape. The left side
@@ -906,9 +929,6 @@ fn taxonomy_scan(
 /// ones.
 fn prom_metric_map(units: &[FileUnit], per: &mut [Vec<Diagnostic>]) {
     for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
         for c in &unit.ast.consts {
             if c.name != "PROM_METRIC_MAP" || c.is_test {
                 continue;
@@ -917,12 +937,12 @@ fn prom_metric_map(units: &[FileUnit], per: &mut [Vec<Diagnostic>]) {
                 continue;
             };
             for (metric, prom) in pairs {
-                if let Some(problem) = rules::taxonomy_problem("metric", &metric.value) {
+                if let Some(problem) = taxonomy_problem("metric", &metric.value) {
                     per[u].push(diag(
                         unit,
                         metric.line,
                         metric.col,
-                        RuleId::TaxonomyResolution,
+                        RuleId::TelemetryTaxonomy,
                         format!("{problem} (entry of `PROM_METRIC_MAP`)"),
                     ));
                 }
@@ -932,7 +952,7 @@ fn prom_metric_map(units: &[FileUnit], per: &mut [Vec<Diagnostic>]) {
                         unit,
                         prom.line,
                         prom.col,
-                        RuleId::TaxonomyResolution,
+                        RuleId::TelemetryTaxonomy,
                         format!(
                             "Prometheus name \"{}\" is not the mechanical mangle of \
                              \"{}\" (expected \"{expected}\"); `PROM_METRIC_MAP` must \
@@ -957,11 +977,25 @@ fn is_knob_shape(s: &str) -> bool {
     })
 }
 
+fn undocumented(name: &str) -> String {
+    format!(
+        "environment knob `{name}` is read but not in `DOCUMENTED_ENV_KNOBS`; document it \
+         (README knob table) and register it, or drop the read"
+    )
+}
+
+/// Two-way diff of environment reads against the documented registry.
+/// An `env::var`/`var_os` read is judged at its `var` token: a literal name
+/// of any shape, a name routed through a string const that is not
+/// knob-shaped, and a name that resolves to nothing. Every other
+/// knob-shaped string in non-test code counts as a read where it is
+/// written (helpers, const definitions). A documented entry nothing reads
+/// is stale.
 fn knob_coverage(
     units: &[FileUnit],
     syms: &Symbols,
+    calls: &[PathCall<'_>],
     per: &mut [Vec<Diagnostic>],
-    superseded: &mut [Vec<(u32, u32, RuleId)>],
 ) {
     // The registry: every non-test `DOCUMENTED_ENV_KNOBS` string-list const
     // in the analyzed tree. Its entry positions anchor stale-doc findings;
@@ -989,73 +1023,72 @@ fn knob_coverage(
         entries.iter().map(|(_, v, _, _)| v.clone()).collect()
     };
 
-    // Reads: every knob-shaped string in walked non-test code, except the
-    // registry entries themselves.
+    // Literals the shape scan below skips: the registry entries, and the
+    // names of `env::var` reads, judged at the read.
+    let mut skip: BTreeSet<(usize, u32, u32)> = entries.iter().map(|e| (e.0, e.2, e.3)).collect();
     let mut reads: BTreeSet<String> = BTreeSet::new();
-    let mut read_sites: Vec<(usize, u32, u32, String)> = Vec::new();
-    for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
-        let regions = rules::test_regions(&unit.lexed.tokens);
-        let in_test = |idx: usize| regions.iter().any(|&(s, e)| s <= idx && idx <= e);
-        for (idx, tok) in unit.lexed.tokens.iter().enumerate() {
-            if tok.kind != TokKind::Str || !is_knob_shape(&tok.text) || in_test(idx) {
-                continue;
+    let env_reads = calls.iter().filter(|c| {
+        c.qualifier.is_some_and(|q| q.text == "env")
+            && matches!(c.callee.text.as_str(), "var" | "var_os")
+    });
+    for c in env_reads {
+        let message = match c.name_arg(units, syms) {
+            NameArg::Literal(tok) => {
+                skip.insert((c.unit, tok.line, tok.col));
+                reads.insert(tok.text.clone());
+                (!documented.contains(&tok.text)).then(|| undocumented(&tok.text))
             }
-            if entries
-                .iter()
-                .any(|&(eu, _, l, c)| eu == u && l == tok.line && c == tok.col)
-            {
-                continue;
+            // A knob-shaped const is flagged by the shape scan where it is
+            // spelled; any other undocumented name only shows here.
+            NameArg::Const(path, name) => {
+                let found = !documented.contains(&name) && !is_knob_shape(&name);
+                reads.insert(name.clone());
+                found.then(|| {
+                    format!(
+                        "{} (name resolved through const `{path}`)",
+                        undocumented(&name)
+                    )
+                })
             }
-            reads.insert(tok.text.clone());
-            read_sites.push((u, tok.line, tok.col, tok.text.clone()));
-        }
-    }
-
-    // `env::var(CONST)` sites: resolving the const supersedes the lexical
-    // "non-literal name cannot be audited" finding and counts as a read.
-    for (u, unit) in units.iter().enumerate() {
-        if rules::is_test_path(&unit.rel) {
-            continue;
-        }
-        for f in &unit.ast.fns {
-            if f.is_test {
-                continue;
-            }
-            if let Some(body) = &f.body {
-                env_const_scan(
-                    units,
-                    syms,
-                    u,
-                    unit,
-                    &f.mod_path,
-                    &body.children,
-                    &mut reads,
-                    superseded,
-                );
-            }
-        }
-    }
-
-    // Direction 1: reads of undocumented knobs.
-    for (u, line, col, name) in read_sites {
-        if !documented.contains(&name) {
-            per[u].push(diag(
-                &units[u],
+            NameArg::Unresolved => Some(
+                "`env::var` with a name that resolves to no literal or string const cannot \
+                 be audited; read documented `PVTM_*` knobs by name"
+                    .to_string(),
+            ),
+        };
+        if let Some(message) = message {
+            let (line, col) = (c.callee.line, c.callee.col);
+            per[c.unit].push(diag(
+                &units[c.unit],
                 line,
                 col,
                 RuleId::KnobCoverage,
-                format!(
-                    "environment knob `{name}` is used but not in `DOCUMENTED_ENV_KNOBS`; \
-                     document it (README knob table) and register it, or drop the read"
-                ),
+                message,
             ));
         }
     }
 
-    // Direction 2: documented knobs nothing reads.
+    // Every other knob-shaped string in non-test code.
+    for (u, unit) in units.iter().enumerate() {
+        let regions = rules::test_regions(&unit.lexed.tokens);
+        let in_test = |idx: usize| regions.iter().any(|&(s, e)| s <= idx && idx <= e);
+        for (idx, tok) in unit.lexed.tokens.iter().enumerate() {
+            if tok.kind != TokKind::Str
+                || !is_knob_shape(&tok.text)
+                || in_test(idx)
+                || skip.contains(&(u, tok.line, tok.col))
+            {
+                continue;
+            }
+            reads.insert(tok.text.clone());
+            if !documented.contains(&tok.text) {
+                let message = undocumented(&tok.text);
+                per[u].push(diag(unit, tok.line, tok.col, RuleId::KnobCoverage, message));
+            }
+        }
+    }
+
+    // Documented knobs nothing reads.
     for (u, name, line, col) in entries {
         if !reads.contains(&name) {
             per[u].push(diag(
@@ -1068,63 +1101,6 @@ fn knob_coverage(
                      registry entry or wire the read it promises"
                 ),
             ));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn env_const_scan(
-    units: &[FileUnit],
-    syms: &Symbols,
-    u: usize,
-    unit: &FileUnit,
-    mod_path: &[String],
-    trees: &[Tree],
-    reads: &mut BTreeSet<String>,
-    superseded: &mut [Vec<(u32, u32, RuleId)>],
-) {
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(g) = t.group() {
-            env_const_scan(
-                units,
-                syms,
-                u,
-                unit,
-                mod_path,
-                &g.children,
-                reads,
-                superseded,
-            );
-            continue;
-        }
-        // `env :: var|var_os ( ARG )`.
-        if !t.is_ident("env") || !trees.get(i + 1).is_some_and(|t| t.is_punct("::")) {
-            continue;
-        }
-        let Some(callee) = trees
-            .get(i + 2)
-            .and_then(Tree::leaf)
-            .filter(|t| t.kind == TokKind::Ident && (t.text == "var" || t.text == "var_os"))
-        else {
-            continue;
-        };
-        let Some(g) = trees
-            .get(i + 3)
-            .and_then(Tree::group)
-            .filter(|g| g.delim == '(')
-        else {
-            continue;
-        };
-        let args = split_args(&g.children);
-        let Some(arg0) = args.first() else { continue };
-        if let [one] = arg0 {
-            if one.leaf().is_some_and(|t| t.kind == TokKind::Str) {
-                continue; // literal: lexical rule audits it
-            }
-        }
-        if let Some(name) = syms.resolve_str(units, unit, mod_path, arg0) {
-            superseded[u].push((callee.line, callee.col, RuleId::NoEnvRead));
-            reads.insert(name);
         }
     }
 }

@@ -34,6 +34,27 @@ pub struct FileUnit {
     pub file_mods: Vec<String>,
 }
 
+impl FileUnit {
+    /// Lexes, parses and extracts one file. `rel` is its repo-relative
+    /// path, which fixes its crate identity and every path-scoped rule, so
+    /// an in-memory file is linted exactly as it would be at that path.
+    pub fn new(rel: &str, src: &str) -> FileUnit {
+        let rel = rel.replace('\\', "/");
+        let lexed = lexer::lex(src);
+        let trees = parser::build_trees(&lexed.tokens);
+        let ast = ast::extract(&trees);
+        let (crate_name, file_mods) = crate_identity(&rel);
+        FileUnit {
+            rel,
+            lexed,
+            trees,
+            ast,
+            crate_name,
+            file_mods,
+        }
+    }
+}
+
 /// Loads every walked `.rs` file under `root` as a [`FileUnit`], sorted by
 /// path so downstream output is deterministic.
 ///
@@ -44,23 +65,8 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<FileUnit>> {
     let mut units = Vec::new();
     for path in crate::walk_tree(root)? {
         let src = fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let lexed = lexer::lex(&src);
-        let trees = parser::build_trees(&lexed.tokens);
-        let ast = ast::extract(&trees);
-        let (crate_name, file_mods) = crate_identity(&rel);
-        units.push(FileUnit {
-            rel,
-            lexed,
-            trees,
-            ast,
-            crate_name,
-            file_mods,
-        });
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+        units.push(FileUnit::new(&rel, &src));
     }
     Ok(units)
 }
@@ -390,33 +396,18 @@ mod tests {
         }
     }
 
-    fn unit_of(rel: &str, src: &str) -> FileUnit {
-        let lexed = lexer::lex(src);
-        let trees = parser::build_trees(&lexed.tokens);
-        let ast = ast::extract(&trees);
-        let (crate_name, file_mods) = crate_identity(rel);
-        FileUnit {
-            rel: rel.to_string(),
-            lexed,
-            trees,
-            ast,
-            crate_name,
-            file_mods,
-        }
-    }
-
     #[test]
     fn resolves_crate_use_and_suffix_paths() {
         let units = vec![
-            unit_of(
+            FileUnit::new(
                 "crates/stats/src/rng.rs",
                 "pub fn substream(seed: u64, stream: u64) -> u64 { seed ^ stream }\n",
             ),
-            unit_of(
+            FileUnit::new(
                 "crates/stats/src/montecarlo.rs",
                 "pub fn run() { crate::rng::substream(1, 2); }\n",
             ),
-            unit_of(
+            FileUnit::new(
                 "crates/sram/src/evaluator.rs",
                 "use pvtm_stats::rng::substream;\npub fn eval() { substream(1, 2); }\n",
             ),
@@ -443,11 +434,11 @@ mod tests {
     #[test]
     fn resolves_int_and_str_consts_through_paths() {
         let units = vec![
-            unit_of(
+            FileUnit::new(
                 "crates/stats/src/config.rs",
                 "pub const SEED: u64 = 0xF163;\npub const SPAN: &str = \"mc.chunk\";\n",
             ),
-            unit_of(
+            FileUnit::new(
                 "crates/stats/src/montecarlo.rs",
                 "use crate::config::SEED;\n",
             ),
@@ -473,7 +464,7 @@ mod tests {
 
     #[test]
     fn method_index_covers_impl_fns() {
-        let units = vec![unit_of(
+        let units = vec![FileUnit::new(
             "crates/circuit/src/template.rs",
             "impl Template { pub fn bake(&self) {} }\nimpl Other { fn bake(&self) {} }\n",
         )];

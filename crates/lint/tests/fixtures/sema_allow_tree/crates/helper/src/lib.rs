@@ -2,6 +2,6 @@
 
 /// Picks the first element; callers guarantee non-empty input.
 pub fn pick(v: &[u64]) -> u64 {
-    // pvtm-lint: allow(panic-reachability) callers pass non-empty slices by construction
+    // pvtm-lint: allow(panic-policy) callers pass non-empty slices by construction
     *v.first().unwrap()
 }

@@ -1,5 +1,5 @@
-//! Non-policy helper crate reached from the policy API: the lexical
-//! panic rule does not apply here, only reachability does.
+//! Non-policy helper crate reached from the policy API: only the sinks
+//! that API reaches are flagged here, with their call chain.
 
 pub mod knobs;
 pub mod prom_map;

@@ -1,10 +1,15 @@
 //! Golden fixture tests: every rule fires on its seeded-violation fixture
 //! with exact positions, the suppression machinery behaves, the lexer edge
 //! cases stay silent, and the walker works end to end on the committed
-//! fixture tree.
+//! fixture tree. Each fixture is linted as one in-memory file through the
+//! full pass, at the path its rule scoping needs.
 
-use pvtm_lint::{lint_source, lint_tree, Diagnostic, RuleId};
+use pvtm_lint::{analyze, analyze_tree, Diagnostic, FileUnit, RuleId};
 use std::path::Path;
+
+fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
+    analyze(&[FileUnit::new(rel, src)]).diagnostics
+}
 
 /// 1-based column of `needle` on 1-based `line` of `src`.
 fn col_of(src: &str, line: u32, needle: &str) -> u32 {
@@ -107,6 +112,11 @@ fn panic_policy_fires_on_fixture() {
             (6, "panic", RuleId::PanicPolicy),
             (11, "unwrap", RuleId::PanicPolicy),
             (15, "expect", RuleId::PanicPolicy),
+            // Inside a closure, a private `impl` method, and behind a
+            // path-qualified macro.
+            (26, "unwrap", RuleId::PanicPolicy),
+            (33, "expect", RuleId::PanicPolicy),
+            (38, "unimplemented", RuleId::PanicPolicy),
         ],
     );
     // Outside the policy crates the same file is quiet.
@@ -161,19 +171,42 @@ fn telemetry_taxonomy_fires_on_fixture() {
 }
 
 #[test]
-fn no_env_read_fires_on_fixture() {
+fn knob_coverage_audits_env_reads_on_fixture() {
     let src = include_str!("fixtures/no_env_read.rs");
     let diags = lint_source("crates/x/src/seeded.rs", src);
     assert_diags(
         src,
         &diags,
-        &[(4, "var", RuleId::NoEnvRead), (8, "var", RuleId::NoEnvRead)],
+        &[
+            (4, "var", RuleId::KnobCoverage),
+            // A parameter: nothing to resolve.
+            (8, "var", RuleId::KnobCoverage),
+            // A literal of any shape is judged at the read.
+            (18, "var", RuleId::KnobCoverage),
+            // A knob-shaped name routed through a const: once, where the
+            // const spells it, not again at its read on line 25.
+            (22, "\"PVTM_ROUTED_KNOB", RuleId::KnobCoverage),
+            // A const-routed name of any other shape: at the read.
+            (32, "var_os", RuleId::KnobCoverage),
+        ],
     );
     assert!(
         diags[0].message.contains("PVTM_SECRET_KNOB"),
         "{}",
         diags[0].message
     );
+    assert!(
+        diags[4].message.contains("through const `ROUTED_NAME`"),
+        "{}",
+        diags[4].message
+    );
+}
+
+#[test]
+fn an_undocumented_literal_env_read_is_one_finding() {
+    let src = "pub fn f() -> bool {\n    std::env::var(\"PVTM_SECRET_KNOB\").is_ok()\n}\n";
+    let diags = lint_source("crates/x/src/seeded.rs", src);
+    assert_diags(src, &diags, &[(2, "var", RuleId::KnobCoverage)]);
 }
 
 #[test]
@@ -224,7 +257,9 @@ fn fixture_tree() -> &'static Path {
 
 #[test]
 fn walker_lints_the_fixture_tree() {
-    let tree = lint_tree(fixture_tree()).expect("fixture tree is committed and readable");
+    // The tree also holds seeded violations under `crates/sram/tests/` and
+    // `crates/sram/benches/`: the walk skips both directories.
+    let tree = analyze_tree(fixture_tree()).expect("fixture tree is committed and readable");
     assert_eq!(tree.files_scanned, 2);
     let pairs: Vec<(&str, RuleId)> = tree
         .diagnostics
@@ -240,7 +275,7 @@ fn walker_lints_the_fixture_tree() {
             ("src/bad_env.rs", RuleId::NoWallclock),
             ("src/bad_env.rs", RuleId::NoWallclock),
             ("src/bad_env.rs", RuleId::TelemetryTaxonomy),
-            ("src/bad_env.rs", RuleId::NoEnvRead),
+            ("src/bad_env.rs", RuleId::KnobCoverage),
             ("src/bad_env.rs", RuleId::NoFloatEq),
         ],
     );

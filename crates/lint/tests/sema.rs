@@ -1,9 +1,8 @@
-//! Golden tests for the semantic pass: `analyze_tree` over the committed
+//! Golden tests for the semantic rules: `analyze_tree` over the committed
 //! fixture trees finds exactly the seeded violations (position-exact), the
-//! interprocedural finding names its call chain, const resolution
-//! supersedes the lexical "cannot be checked" findings, output is
-//! deterministic across runs, and one sink-side allow silences a
-//! reachability finding for every caller at once.
+//! interprocedural finding names its call chain, output is deterministic
+//! across runs, and one sink-side allow silences a reachability finding
+//! for every caller at once.
 
 use pvtm_lint::{analyze_tree, RuleId, TreeLint};
 use std::path::Path;
@@ -64,21 +63,21 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
             "crates/mcplan/src/lib.rs",
             13,
             col_of(lib, 13, "unwrap"),
-            RuleId::PanicReachability,
+            RuleId::PanicPolicy,
         ),
         // Prometheus map: a metric outside the §5b taxonomy...
         (
             "crates/mcplan/src/prom_map.rs",
             10,
             col_of(prom, 10, "\"custom.latency"),
-            RuleId::TaxonomyResolution,
+            RuleId::TelemetryTaxonomy,
         ),
         // ...and an exposition name that is not the mechanical mangle.
         (
             "crates/mcplan/src/prom_map.rs",
             11,
             col_of(prom, 11, "\"pvtm_mc_essfrac"),
-            RuleId::TaxonomyResolution,
+            RuleId::TelemetryTaxonomy,
         ),
         // Parallel float sum and reduce outside the Summary::merge idiom.
         (
@@ -119,7 +118,7 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
             "crates/mcplan/src/telemetry_names.rs",
             9,
             col_of(telem, 9, "span"),
-            RuleId::TaxonomyResolution,
+            RuleId::TelemetryTaxonomy,
         ),
     ];
     let got: Vec<(&str, u32, u32, RuleId)> = tree
@@ -155,21 +154,6 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
         msg(10).contains("resolved through const `STAGE_SPAN`"),
         "{}",
         msg(10)
-    );
-}
-
-#[test]
-fn const_resolution_supersedes_lexical_cannot_check_findings() {
-    // The fixture routes a telemetry name and an `env::var` argument
-    // through consts; because the semantic pass resolved both, the lexical
-    // "non-literal name cannot be checked/audited" findings must be gone.
-    let tree = analyze_tree(sema_tree()).expect("fixture tree is committed and readable");
-    assert!(
-        tree.diagnostics
-            .iter()
-            .all(|d| d.rule != RuleId::TelemetryTaxonomy && d.rule != RuleId::NoEnvRead),
-        "superseded lexical findings leaked: {:#?}",
-        tree.diagnostics
     );
 }
 

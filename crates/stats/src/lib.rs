@@ -41,8 +41,6 @@ pub mod summary;
 
 pub use distribution::{LogNormal, Normal};
 pub use histogram::Histogram;
-pub use montecarlo::{
-    mc_mean, mc_probability, ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome,
-};
+pub use montecarlo::{ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome};
 pub use quadrature::GaussHermite;
 pub use summary::Summary;

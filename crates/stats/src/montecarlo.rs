@@ -145,93 +145,6 @@ impl WeightHealth {
     }
 }
 
-/// Estimates `E[f(rng)]` with `n` samples, parallelized over chunks with
-/// independent deterministic substreams derived from `seed`.
-///
-/// # Example
-///
-/// ```
-/// use pvtm_stats::mc_mean;
-/// use rand::Rng;
-///
-/// // Mean of U(0,1) is 0.5.
-/// let est = mc_mean(100_000, 7, |rng| rng.gen::<f64>());
-/// assert!((est.value - 0.5).abs() < 5.0 * est.std_err.max(1e-4));
-/// ```
-pub fn mc_mean(n: u64, seed: u64, f: impl Fn(&mut StdRng) -> f64 + Sync) -> McEstimate {
-    assert!(n > 0, "mc_mean needs at least one sample");
-    let chunks = n.div_ceil(CHUNK);
-    let trace = trace_for_chunks();
-    record_start(&trace, n, chunks);
-    let ctx = pvtm_telemetry::parallel_context();
-    let summary = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let _adopt = pvtm_telemetry::adopt(&ctx);
-            let _span = pvtm_telemetry::span("mc.chunk");
-            let mut rng = crate::rng::substream(seed, c);
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
-            let mut s = Summary::new();
-            for _ in lo..hi {
-                s.add(f(&mut rng));
-            }
-            record_trace_chunk(&trace, c, &s);
-            s
-        })
-        .reduce(Summary::new, |mut a, b| {
-            a.merge(&b);
-            a
-        });
-    McEstimate {
-        value: summary.mean(),
-        std_err: summary.std_err(),
-        samples: summary.count(),
-    }
-}
-
-/// Estimates `P[event(rng)]` with `n` Bernoulli samples.
-///
-/// The standard error uses the binomial formula, which is tighter than the
-/// generic sample variance when the count of successes is small.
-pub fn mc_probability(n: u64, seed: u64, event: impl Fn(&mut StdRng) -> bool + Sync) -> McEstimate {
-    assert!(n > 0, "mc_probability needs at least one sample");
-    let chunks = n.div_ceil(CHUNK);
-    let trace = trace_for_chunks();
-    record_start(&trace, n, chunks);
-    let ctx = pvtm_telemetry::parallel_context();
-    let hits: u64 = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let _adopt = pvtm_telemetry::adopt(&ctx);
-            let _span = pvtm_telemetry::span("mc.chunk");
-            let mut rng = crate::rng::substream(seed, c);
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
-            let mut h = 0u64;
-            for _ in lo..hi {
-                if event(&mut rng) {
-                    h += 1;
-                }
-            }
-            if let Some(t) = &trace {
-                // Bernoulli moments of the chunk: mean p, M2 = h(1 - p)
-                // (a chunk of h ones and nc - h zeros has exactly these).
-                let nc = hi - lo;
-                let p = h as f64 / nc as f64;
-                pvtm_telemetry::record_chunk(t, c, nc, p, h as f64 * (1.0 - p));
-            }
-            h
-        })
-        .sum();
-    let p = hits as f64 / n as f64;
-    McEstimate {
-        value: p,
-        std_err: (p * (1.0 - p) / n as f64).sqrt(),
-        samples: n,
-    }
-}
-
 /// Mean-shifted importance sampler for rare events over a standard
 /// multivariate normal.
 ///
@@ -286,105 +199,51 @@ impl ImportanceSampler {
     }
 
     /// Estimates `P[event(z)]` for `z ~ N(0, I_d)` with `n` weighted samples.
+    ///
+    /// The fully resolved case of
+    /// [`Self::probability_init_quarantined`]: every sample is a pass or a
+    /// fail, so the estimate is its `fail_bound` (equal to `pass_bound`).
     pub fn probability(
         &self,
         n: u64,
         seed: u64,
         event: impl Fn(&[f64]) -> bool + Sync,
     ) -> McEstimate {
-        self.probability_init(n, seed, || (), |(), z| event(z))
-    }
-
-    /// [`Self::probability`] with per-chunk worker state: `init` runs once
-    /// per parallel chunk and its result is passed (mutably) to every event
-    /// evaluation of that chunk.
-    ///
-    /// This is the entry point for stateful evaluators — e.g. compiled
-    /// circuit templates whose warm-started solver state must live on one
-    /// thread — without giving up chunk-level parallelism. The random
-    /// stream is identical to [`Self::probability`] for the same seed, so
-    /// the two produce the same estimate for equivalent events.
-    pub fn probability_init<S>(
-        &self,
-        n: u64,
-        seed: u64,
-        init: impl Fn() -> S + Sync,
-        event: impl Fn(&mut S, &[f64]) -> bool + Sync,
-    ) -> McEstimate {
-        assert!(n > 0, "importance sampling needs at least one sample");
-        let d = self.shift.len();
-        let chunks = n.div_ceil(CHUNK);
-        let trace = trace_for_chunks();
-        record_start(&trace, n, chunks);
-        let ctx = pvtm_telemetry::parallel_context();
-        let summary = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let _adopt = pvtm_telemetry::adopt(&ctx);
-                let _span = pvtm_telemetry::span("mc.chunk");
-                let mut rng = crate::rng::substream(seed, c);
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                let mut s = Summary::new();
-                let mut health = WeightHealth::default();
-                let mut z = vec![0.0f64; d];
-                let mut state = init();
-                for _ in lo..hi {
-                    let mut dot = 0.0;
-                    for (zi, &mi) in z.iter_mut().zip(&self.shift) {
-                        let g: f64 = StandardNormal.sample(&mut rng);
-                        *zi = g + mi;
-                        dot += mi * *zi;
-                    }
-                    let w = if event(&mut state, &z) {
-                        let w = (-dot + 0.5 * self.shift_norm2).exp();
-                        // Weight spread is the health metric of a shifted
-                        // estimator: a long right tail means the shift
-                        // overshot and single samples dominate.
-                        pvtm_telemetry::hist_record("mc.is_weight", w);
-                        health.observe(w);
-                        w
-                    } else {
-                        0.0
-                    };
-                    s.add(w);
+        self.probability_init_quarantined(
+            n,
+            seed,
+            || (),
+            |(), z, _| {
+                if event(z) {
+                    SampleOutcome::Fail
+                } else {
+                    SampleOutcome::Pass
                 }
-                // One write scope: a live scrape sees this chunk's moments
-                // and health together or not at all (ESS stays recomputable
-                // from any snapshot).
-                pvtm_telemetry::update_scope(|| {
-                    record_trace_chunk(&trace, c, &s);
-                    health.record(&trace, c);
-                });
-                s
-            })
-            .reduce(Summary::new, |mut a, b| {
-                a.merge(&b);
-                a
-            });
-        McEstimate {
-            value: summary.mean(),
-            std_err: summary.std_err(),
-            samples: summary.count(),
-        }
+            },
+        )
+        .fail_bound
     }
 
-    /// [`Self::probability_init`] with per-sample quarantine instead of
-    /// fail-stop.
+    /// [`Self::probability`] with per-chunk worker state and per-sample
+    /// quarantine instead of fail-stop.
     ///
-    /// The event closure receives the worker state, the sampled vector, and
-    /// the sample's global index, and returns a three-way
-    /// [`SampleOutcome`]. Unresolved samples do not abort the estimation;
-    /// they are counted and bracketed by both-sided bias bounds (see
-    /// [`QuarantinedEstimate`]).
+    /// `init` runs once per parallel chunk and its result is passed
+    /// (mutably) to every event evaluation of that chunk: the entry point
+    /// for stateful evaluators, e.g. compiled circuit templates whose
+    /// warm-started solver state must live on one thread, without giving
+    /// up chunk-level parallelism. The event closure receives the worker
+    /// state, the sampled vector, and the sample's global index, and
+    /// returns a three-way [`SampleOutcome`]. Unresolved samples do not
+    /// abort the estimation; they are counted and bracketed by both-sided
+    /// bias bounds (see [`QuarantinedEstimate`]).
     ///
     /// Each event evaluation runs inside a deterministic fault-injection
     /// stream keyed by the sample's global index
     /// ([`pvtm_telemetry::fault::begin_stream`]), so injected solver
     /// failures land on the same samples regardless of how chunks are
-    /// scheduled across threads. The random stream is identical to
-    /// [`Self::probability_init`] for the same seed: with no unresolved
-    /// samples, `fail_bound` equals its estimate bit-for-bit.
+    /// scheduled across threads. The random stream depends only on the
+    /// seed: with no unresolved samples, `fail_bound` and `pass_bound` are
+    /// both the estimate [`Self::probability`] returns for the same seed.
     pub fn probability_init_quarantined<S>(
         &self,
         n: u64,
@@ -443,7 +302,9 @@ impl ImportanceSampler {
                     s_hi.add(w_hi);
                     s_lo.add(w_lo);
                 }
-                // Paired under one write scope, as in `probability_init`.
+                // One write scope: a live scrape sees this chunk's moments
+                // and health together or not at all (ESS stays recomputable
+                // from any snapshot).
                 pvtm_telemetry::update_scope(|| {
                     record_trace_chunk(&trace, c, &s_hi);
                     health.record(&trace, c);
@@ -489,27 +350,6 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 mod tests {
     use super::*;
     use crate::special::norm_cdf;
-
-    #[test]
-    fn mc_mean_of_constant() {
-        let est = mc_mean(10_000, 1, |_| 3.25);
-        assert_eq!(est.value, 3.25);
-        assert_eq!(est.std_err, 0.0);
-        assert_eq!(est.samples, 10_000);
-    }
-
-    #[test]
-    fn mc_mean_is_deterministic_for_fixed_seed() {
-        let a = mc_mean(50_000, 42, |rng| rng.gen::<f64>());
-        let b = mc_mean(50_000, 42, |rng| rng.gen::<f64>());
-        assert_eq!(a.value, b.value);
-    }
-
-    #[test]
-    fn mc_probability_coin_flip() {
-        let est = mc_probability(200_000, 3, |rng| rng.gen::<f64>() < 0.25);
-        assert!((est.value - 0.25).abs() < 5.0 * est.std_err);
-    }
 
     #[test]
     fn importance_sampling_matches_analytic_tail() {
@@ -565,17 +405,19 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_estimator_without_unresolved_matches_probability_init() {
-        // The random stream is shared with `probability_init`, so a fully
-        // resolved run must reproduce its estimate bit-for-bit.
+    fn quarantined_estimator_without_unresolved_matches_probability() {
+        // The random stream depends only on the seed, and a per-chunk
+        // scratch buffer must not change the weighting: a fully resolved
+        // stateful run reproduces `probability` bit-for-bit, both bounds.
         let is = ImportanceSampler::new(vec![3.0, 0.5]);
-        let plain = is.probability_init(50_000, 23, || (), |(), z| z[0] + 0.1 * z[1] > 3.0);
+        let plain = is.probability(100_000, 23, |z| z[0] + 0.1 * z[1] > 3.0);
         let q = is.probability_init_quarantined(
-            50_000,
+            100_000,
             23,
-            || (),
-            |(), z, _i| {
-                if z[0] + 0.1 * z[1] > 3.0 {
+            || vec![0.0f64; 2],
+            |buf, z, _i| {
+                buf.copy_from_slice(z);
+                if buf[0] + 0.1 * buf[1] > 3.0 {
                     SampleOutcome::Fail
                 } else {
                     SampleOutcome::Pass
@@ -639,25 +481,5 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn probability_init_matches_stateless_probability() {
-        // A per-chunk scratch buffer must not change the estimate: the
-        // random stream and weighting are identical to `probability`.
-        let is = ImportanceSampler::new(vec![3.0, 0.5]);
-        let plain = is.probability(100_000, 23, |z| z[0] + 0.1 * z[1] > 3.0);
-        let stateful = is.probability_init(
-            100_000,
-            23,
-            || vec![0.0f64; 2],
-            |buf, z| {
-                buf.copy_from_slice(z);
-                buf[0] + 0.1 * buf[1] > 3.0
-            },
-        );
-        assert_eq!(plain.value, stateful.value);
-        assert_eq!(plain.std_err, stateful.std_err);
-        assert_eq!(plain.samples, stateful.samples);
     }
 }

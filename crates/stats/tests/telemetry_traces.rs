@@ -7,8 +7,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use pvtm_stats::{mc_mean, mc_probability, ImportanceSampler};
-use rand::Rng;
+use pvtm_stats::ImportanceSampler;
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -75,35 +74,6 @@ fn trace_scope_records_convergence_without_changing_estimate() {
     assert_eq!(gauge("mc.max_weight_fraction"), health.max_weight_fraction);
     assert_eq!(gauge("mc.stall_ratio"), health.stall_ratio);
 
-    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
-    pvtm_telemetry::reset();
-}
-
-#[test]
-fn mc_mean_and_probability_record_traces() {
-    let _g = lock();
-    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Summary);
-    pvtm_telemetry::reset();
-    {
-        let _t = pvtm_telemetry::trace_scope("test.mean");
-        let est = mc_mean(10_000, 3, |rng| rng.gen::<f64>());
-        let r = pvtm_telemetry::snapshot();
-        let last = *r.trace("test.mean").unwrap().points.last().unwrap();
-        assert_eq!(last.samples, 10_000);
-        assert_eq!(last.value, est.value);
-    }
-    pvtm_telemetry::reset();
-    {
-        let _t = pvtm_telemetry::trace_scope("test.prob");
-        let est = mc_probability(10_000, 3, |rng| rng.gen::<f64>() < 0.25);
-        let r = pvtm_telemetry::snapshot();
-        let last = *r.trace("test.prob").unwrap().points.last().unwrap();
-        assert_eq!(last.samples, 10_000);
-        assert_eq!(last.value, est.value);
-        // Welford-based running std_err vs the binomial formula: close
-        // but not identical by construction.
-        assert!((last.std_err - est.std_err).abs() < 0.1 * est.std_err);
-    }
     pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
     pvtm_telemetry::reset();
 }

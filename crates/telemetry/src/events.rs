@@ -37,14 +37,14 @@
 //! # Gating
 //!
 //! Recording follows the telemetry mode (`PVTM_TELEMETRY`): events are
-//! dropped entirely in `off` mode. `PVTM_EVENTS=off|0` additionally
-//! disables the journal while leaving the rest of telemetry on; the
-//! disabled fast path is one atomic load.
+//! dropped entirely in `off` mode. [`set_enabled`] additionally disables
+//! the journal while leaving the rest of telemetry on (the benchmark
+//! harness does); the disabled fast path is one atomic load.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{obj, Value};
@@ -53,37 +53,18 @@ use crate::Mode;
 /// Journal schema marker written into every `run.start` line.
 pub const SCHEMA: &str = "pvtm-events/1";
 
-const STATE_UNSET: u8 = u8::MAX;
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-/// Whether event recording is enabled (`PVTM_EVENTS` unset or not
-/// `off`/`0`, *and* telemetry itself is on).
+/// Whether event recording is enabled: telemetry is on and
+/// [`set_enabled`] has not switched the journal off.
 pub fn enabled() -> bool {
-    if crate::mode() == Mode::Off {
-        return false;
-    }
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = !matches!(
-                std::env::var("PVTM_EVENTS")
-                    .unwrap_or_default()
-                    .to_ascii_lowercase()
-                    .as_str(),
-                "off" | "0"
-            );
-            set_enabled(on);
-            on
-        }
-    }
+    crate::mode() != Mode::Off && ENABLED.load(Ordering::Relaxed)
 }
 
-/// Overrides the `PVTM_EVENTS` gate (tests and harnesses). Telemetry mode
+/// Switches the journal on or off (tests and harnesses). Telemetry mode
 /// still applies: events are never recorded in `Mode::Off`.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(u8::from(on), Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// One buffered event. `k1`/`k2` are the deterministic sort keys supplied
