@@ -5,9 +5,11 @@
 //! hold literal values that call sites route names through, and what the
 //! `use` declarations alias. This module walks the top level of each
 //! module — it deliberately does not descend into function bodies, struct
-//! fields or macro definitions — and records exactly those items. Like the
-//! lexer and the parser it is infallible: grammar it does not model is
-//! skipped, never mis-extracted.
+//! fields or macro definitions — and records exactly those items, plus the
+//! source span of every item in test context, which the lexical rules read.
+//! So "test context" is decided once, here, for every rule. Like the lexer
+//! and the parser it is infallible: grammar it does not model is skipped,
+//! never mis-extracted.
 
 use crate::lexer::TokKind;
 use crate::parser::{contains_ident, int_value, split_args, Group, Tree};
@@ -21,6 +23,18 @@ pub struct FileAst {
     pub consts: Vec<ConstDef>,
     /// Fully expanded `use` declarations (one entry per bound name).
     pub uses: Vec<UseDef>,
+    /// Source spans of the outermost test-context items, inclusive: from
+    /// the test attribute's `#` to the item's closing `}` or its `;`.
+    pub test_spans: Vec<((u32, u32), (u32, u32))>,
+}
+
+impl FileAst {
+    /// Whether the token at 1-based `line`:`col` lies in test context.
+    pub fn in_test(&self, line: u32, col: u32) -> bool {
+        self.test_spans
+            .iter()
+            .any(|&(start, end)| start <= (line, col) && (line, col) <= end)
+    }
 }
 
 /// One function definition.
@@ -116,8 +130,8 @@ struct Scope {
     in_test: bool,
 }
 
-/// Mirrors `rules::test_regions` on one attribute: `test`, `cfg(test)`,
-/// `cfg(all(test, …))` are test context; anything with a `not` is
+/// Whether one attribute puts its item in test context: `test`,
+/// `cfg(test)`, `cfg(all(test, …))` do; anything with a `not` is
 /// conservatively not. Whole identifiers only, so `cfg(feature =
 /// "fastest")` is not test context.
 fn attr_is_test(attr: &Group) -> bool {
@@ -130,10 +144,24 @@ fn ident_text(t: &Tree) -> Option<&str> {
         .map(|t| t.text.as_str())
 }
 
+/// Position of the end of the item starting at `i`: the close of its
+/// first top-level `{…}` group, or its `;` before any brace opens.
+fn item_end(trees: &[Tree], i: usize) -> (u32, u32) {
+    trees[i..]
+        .iter()
+        .find_map(|t| match t {
+            Tree::Group(g) if g.delim == '{' => Some(g.end),
+            t if t.is_punct(";") => Some(t.pos()),
+            _ => None,
+        })
+        .unwrap_or((u32::MAX, u32::MAX))
+}
+
 fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
     let mut i = 0usize;
-    // Whether an attribute since the last item marks test context.
-    let mut test_attr = false;
+    // Position of the first attribute since the last item that marks test
+    // context.
+    let mut test_attr: Option<(u32, u32)> = None;
     let mut is_pub = false;
     while i < trees.len() {
         // Attributes: `#[…]` / `#![…]`.
@@ -147,12 +175,23 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                 .and_then(Tree::group)
                 .filter(|g| g.delim == '[')
             {
-                test_attr |= attr_is_test(g);
+                if attr_is_test(g) {
+                    test_attr = test_attr.or(Some(trees[i].pos()));
+                }
                 i = j + 1;
                 continue;
             }
         }
         let word = ident_text(&trees[i]);
+        let qualifier = matches!(
+            word,
+            Some("pub" | "unsafe" | "async" | "default" | "extern")
+        ) || (word == Some("const")
+            && trees.get(i + 1).and_then(ident_text) == Some("fn"));
+        if let Some(start) = test_attr.filter(|_| !qualifier && !scope.in_test) {
+            out.test_spans.push((start, item_end(trees, i)));
+        }
+        let test_attr_set = test_attr.is_some();
         match word {
             Some("pub") => {
                 is_pub = true;
@@ -173,21 +212,21 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                 continue;
             }
             Some("fn") => {
-                i = take_fn(trees, i, scope, is_pub, test_attr, out);
+                i = take_fn(trees, i, scope, is_pub, test_attr_set, out);
             }
             Some("const" | "static")
                 if ident_text(trees.get(i + 1).unwrap_or(&trees[i])) != Some("fn") =>
             {
-                i = take_const(trees, i, scope, test_attr, out);
+                i = take_const(trees, i, scope, test_attr_set, out);
             }
             Some("use") => {
                 i = take_use(trees, i, scope, out);
             }
             Some("mod") => {
-                i = take_mod(trees, i, scope, test_attr, out);
+                i = take_mod(trees, i, scope, test_attr_set, out);
             }
             Some("impl" | "trait") => {
-                i = take_impl(trees, i, scope, test_attr, out);
+                i = take_impl(trees, i, scope, test_attr_set, out);
             }
             _ => {
                 // `const fn` reaches here via the guard above: `const` is a
@@ -196,13 +235,13 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
                     i += 1;
                     continue;
                 }
-                test_attr = false;
+                test_attr = None;
                 is_pub = false;
                 i += 1;
                 continue;
             }
         }
-        test_attr = false;
+        test_attr = None;
         is_pub = false;
     }
 }
@@ -519,6 +558,22 @@ mod tests {
                 ("prod", false)
             ]
         );
+        // One span per outermost test item, from its attribute to its end.
+        assert_eq!(ast.test_spans, [((1, 1), (2, 9)), ((3, 1), (4, 28))]);
+    }
+
+    #[test]
+    fn test_spans_cover_every_item_kind() {
+        let src = "#[cfg(test)]\nuse std::collections::HashMap;\n\
+                   #[cfg(all(test, unix))] #[derive(Debug)]\npub struct S { m: HashMap<u8, u8> }\n\
+                   impl S {\n    #[test]\n    fn t() {}\n}\n\
+                   pub struct Shipped;\n";
+        let ast = ast_of(src);
+        assert_eq!(
+            ast.test_spans,
+            [((1, 1), (2, 30)), ((3, 1), (4, 35)), ((6, 5), (7, 13))]
+        );
+        assert!(ast.in_test(4, 18) && !ast.in_test(5, 1) && !ast.in_test(9, 12));
     }
 
     #[test]

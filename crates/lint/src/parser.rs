@@ -21,7 +21,7 @@ pub enum Tree {
     Group(Group),
 }
 
-/// A delimited group with the position of its opening delimiter.
+/// A delimited group with the positions of its delimiters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
     /// Opening delimiter: `'('`, `'['` or `'{'`.
@@ -30,6 +30,10 @@ pub struct Group {
     pub line: u32,
     /// 1-based column of the opening delimiter.
     pub col: u32,
+    /// Position of the token that closed the group: its closing delimiter,
+    /// or the mismatched closer that ended it; `(u32::MAX, u32::MAX)` for
+    /// a group left open at EOF.
+    pub end: (u32, u32),
     /// Nested children in source order.
     pub children: Vec<Tree>,
 }
@@ -84,12 +88,14 @@ fn closer(open: char) -> char {
 /// Builds the token tree. Infallible; see the module docs.
 pub fn build_trees(toks: &[Tok]) -> Vec<Tree> {
     let mut pos = 0usize;
-    parse_group_body(toks, &mut pos, None)
+    parse_group_body(toks, &mut pos, None).0
 }
 
-/// Parses children until `until` (exclusive) or EOF. A closer that does not
-/// match any open group is kept as a leaf so positions stay faithful.
-fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<Tree> {
+/// Parses children until `until` (exclusive) or EOF, returning them with
+/// the position of the token that ended the group (see [`Group::end`]). A
+/// closer that does not match any open group is kept as a leaf so
+/// positions stay faithful.
+fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> (Vec<Tree>, (u32, u32)) {
     let mut out = Vec::new();
     while *pos < toks.len() {
         let t = &toks[*pos];
@@ -98,11 +104,12 @@ fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<T
             if matches!(c, '(' | '[' | '{') {
                 let (line, col) = (t.line, t.col);
                 *pos += 1;
-                let children = parse_group_body(toks, pos, Some(closer(c)));
+                let (children, end) = parse_group_body(toks, pos, Some(closer(c)));
                 out.push(Tree::Group(Group {
                     delim: c,
                     line,
                     col,
+                    end,
                     children,
                 }));
                 continue;
@@ -110,13 +117,13 @@ fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<T
             if matches!(c, ')' | ']' | '}') {
                 if until == Some(c) {
                     *pos += 1; // consume the closer
-                    return out;
+                    return (out, (t.line, t.col));
                 }
                 // Mismatched closer: with an open group, let the outer
                 // level handle it (the group closes implicitly); at the
                 // top level keep it as a leaf and move on.
                 if until.is_some() {
-                    return out;
+                    return (out, (t.line, t.col));
                 }
                 out.push(Tree::Leaf(t.clone()));
                 *pos += 1;
@@ -126,7 +133,7 @@ fn parse_group_body(toks: &[Tok], pos: &mut usize, until: Option<char>) -> Vec<T
         out.push(Tree::Leaf(t.clone()));
         *pos += 1;
     }
-    out
+    (out, (u32::MAX, u32::MAX))
 }
 
 /// True when the ident `name` appears anywhere in `trees`, nested groups

@@ -10,7 +10,8 @@
 //! `// pvtm-lint: allow(rule-id) reason` comment on the offending line or
 //! the line above; the reason is mandatory and stale allows are reported.
 
-use crate::lexer::{Allow, Lexed, Tok, TokKind};
+use crate::ast::FileAst;
+use crate::lexer::{Allow, Tok, TokKind};
 use std::fmt;
 
 /// Stable identifiers of the lint rules.
@@ -171,16 +172,12 @@ pub const EVENT_ROOTS: &[&str] = &["run", "figure", "mc", "solver", "eval", "ana
 /// The only file allowed to touch the wall clock directly.
 const WALLCLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
 
-/// Runs the lexical rules over one lexed file — no suppression, no
-/// sorting: [`crate::sema::analyze`] adds the semantic findings, then
-/// applies the file's allows to all of them at once.
-pub(crate) fn token_diags(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
-    let regions = test_regions(&lexed.tokens);
-    let ctx = Ctx {
-        path,
-        toks: &lexed.tokens,
-        regions: &regions,
-    };
+/// Runs the lexical rules over one file's tokens, skipping the test
+/// context its `ast` marks — no suppression, no sorting:
+/// [`crate::sema::analyze`] adds the semantic findings, then applies the
+/// file's allows to all of them at once.
+pub(crate) fn token_diags(path: &str, toks: &[Tok], ast: &FileAst) -> Vec<Diagnostic> {
+    let ctx = Ctx { path, toks, ast };
     let mut diags = Vec::new();
     rule_no_hashmap(&ctx, &mut diags);
     rule_no_wallclock(&ctx, &mut diags);
@@ -191,13 +188,12 @@ pub(crate) fn token_diags(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
 struct Ctx<'a> {
     path: &'a str,
     toks: &'a [Tok],
-    /// Token-index ranges covered by `#[test]` / `#[cfg(test)]` items.
-    regions: &'a [(usize, usize)],
+    ast: &'a FileAst,
 }
 
 impl Ctx<'_> {
     fn in_test(&self, i: usize) -> bool {
-        self.regions.iter().any(|&(s, e)| s <= i && i <= e)
+        self.ast.in_test(self.toks[i].line, self.toks[i].col)
     }
 
     fn diag(&self, out: &mut Vec<Diagnostic>, i: usize, rule: RuleId, message: String) {
@@ -209,78 +205,6 @@ impl Ctx<'_> {
             message,
         });
     }
-}
-
-/// Finds token ranges of items annotated with a test attribute:
-/// `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]`. An attribute
-/// containing `not` (e.g. `#[cfg(not(test))]`) is conservatively treated as
-/// non-test. The range runs from the attribute to the item's closing brace
-/// (or terminating semicolon for brace-less items like `use`).
-pub(crate) fn test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if !(toks[i].kind == TokKind::Punct
-            && toks[i].text == "#"
-            && toks[i + 1].kind == TokKind::Punct
-            && toks[i + 1].text == "[")
-        {
-            i += 1;
-            continue;
-        }
-        // Scan the attribute body to its matching `]`.
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let (mut has_test, mut has_not) = (false, false);
-        while j < toks.len() && depth > 0 {
-            match (&toks[j].kind, toks[j].text.as_str()) {
-                (TokKind::Punct, "[") => depth += 1,
-                (TokKind::Punct, "]") => depth -= 1,
-                (TokKind::Ident, "test") => has_test = true,
-                (TokKind::Ident, "not") => has_not = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if !has_test || has_not {
-            i = j;
-            continue;
-        }
-        // Find the annotated item's extent: the first top-level `{…}`
-        // group, or a `;` before any brace opens.
-        let mut k = j;
-        let mut nest = 0i64;
-        let mut end = toks.len().saturating_sub(1);
-        while k < toks.len() {
-            match (&toks[k].kind, toks[k].text.as_str()) {
-                (TokKind::Punct, "(") | (TokKind::Punct, "[") => nest += 1,
-                (TokKind::Punct, ")") | (TokKind::Punct, "]") => nest -= 1,
-                (TokKind::Punct, ";") if nest == 0 => {
-                    end = k;
-                    break;
-                }
-                (TokKind::Punct, "{") if nest == 0 => {
-                    let mut braces = 1i64;
-                    let mut m = k + 1;
-                    while m < toks.len() && braces > 0 {
-                        match toks[m].text.as_str() {
-                            "{" => braces += 1,
-                            "}" => braces -= 1,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    end = m.saturating_sub(1);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        regions.push((i, end));
-        i = end + 1;
-    }
-    regions
 }
 
 // ----------------------------------------------------------------- rules

@@ -98,7 +98,7 @@ pub fn analyze(units: &[FileUnit]) -> TreeLint {
 
     let mut per: Vec<Vec<Diagnostic>> = units
         .iter()
-        .map(|u| rules::token_diags(&u.rel, &u.lexed))
+        .map(|u| rules::token_diags(&u.rel, &u.lexed.tokens, &u.ast))
         .collect();
     rng_stream_discipline(units, &syms, &mut per);
     panic_policy(units, &syms, &graph, &mut per);
@@ -1070,12 +1070,10 @@ fn knob_coverage(
 
     // Every other knob-shaped string in non-test code.
     for (u, unit) in units.iter().enumerate() {
-        let regions = rules::test_regions(&unit.lexed.tokens);
-        let in_test = |idx: usize| regions.iter().any(|&(s, e)| s <= idx && idx <= e);
-        for (idx, tok) in unit.lexed.tokens.iter().enumerate() {
+        for tok in &unit.lexed.tokens {
             if tok.kind != TokKind::Str
                 || !is_knob_shape(&tok.text)
-                || in_test(idx)
+                || unit.ast.in_test(tok.line, tok.col)
                 || skip.contains(&(u, tok.line, tok.col))
             {
                 continue;

@@ -37,3 +37,10 @@ const QUIET: &str = "PVTM_QUIET";
 pub fn routed_documented_knob_is_fine() -> Option<String> {
     std::env::var(QUIET).ok()
 }
+
+// The knob-shaped string scan skips the same test context as every rule.
+#[cfg(feature = "fastest")]
+pub const FEATURE_KNOB: &str = "PVTM_FEATURE_KNOB";
+
+#[cfg(all(test, unix))]
+const UNIX_TEST_KNOB: &str = "PVTM_UNIX_TEST_KNOB";

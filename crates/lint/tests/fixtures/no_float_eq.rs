@@ -19,3 +19,13 @@ pub fn fract_guard_is_fine(x: f64) -> bool {
 pub fn integers_are_fine(n: u32) -> bool {
     n == 0
 }
+
+#[cfg(feature = "fastest")]
+pub fn feature_gated(x: f64) -> bool {
+    x == 0.5
+}
+
+#[cfg(all(test, unix))]
+fn unix_test_helper(x: f64) -> bool {
+    x == 0.5
+}

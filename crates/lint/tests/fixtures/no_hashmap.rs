@@ -17,3 +17,15 @@ mod tests {
         let _ = HashSet::<u8>::new();
     }
 }
+
+// Test context is decided by whole identifiers: a feature gate is shipped
+// code, and `test` inside `all(…)` is test context.
+#[cfg(feature = "fastest")]
+pub fn feature_gated() -> HashSet<u8> {
+    HashSet::new()
+}
+
+#[cfg(all(test, unix))]
+mod unix_tests {
+    use std::collections::HashMap;
+}

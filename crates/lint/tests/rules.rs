@@ -45,6 +45,10 @@ fn no_hashmap_fires_on_fixture() {
             (4, "HashSet", RuleId::NoHashmap),
             (6, "HashMap", RuleId::NoHashmap),
             (7, "HashMap", RuleId::NoHashmap),
+            // `#[cfg(feature = "fastest")]` is shipped code; the
+            // `#[cfg(all(test, unix))]` module on line 28 is not.
+            (24, "HashSet", RuleId::NoHashmap),
+            (25, "HashSet", RuleId::NoHashmap),
         ],
     );
     assert!(
@@ -86,6 +90,9 @@ fn no_float_eq_fires_on_fixture() {
             (4, "==", RuleId::NoFloatEq),
             (8, "!=", RuleId::NoFloatEq),
             (12, "==", RuleId::NoFloatEq),
+            // Feature-gated, so shipped; line 30 is under
+            // `#[cfg(all(test, unix))]`.
+            (25, "==", RuleId::NoFloatEq),
         ],
     );
     // `== 0.0` gets the dedicated sentinel fix-hint; the others do not.
@@ -188,6 +195,9 @@ fn knob_coverage_audits_env_reads_on_fixture() {
             (22, "\"PVTM_ROUTED_KNOB", RuleId::KnobCoverage),
             // A const-routed name of any other shape: at the read.
             (32, "var_os", RuleId::KnobCoverage),
+            // A knob-shaped string in feature-gated code; the one under
+            // `#[cfg(all(test, unix))]` on line 46 is test context.
+            (43, "\"PVTM_FEATURE_KNOB", RuleId::KnobCoverage),
         ],
     );
     assert!(

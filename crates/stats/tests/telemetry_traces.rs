@@ -77,3 +77,41 @@ fn trace_scope_records_convergence_without_changing_estimate() {
     pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
     pvtm_telemetry::reset();
 }
+
+/// The journal of an importance-sampled run, read back, folds to the
+/// sidecar's numbers: each trace's progress is the last trace point of
+/// `snapshot()` and its weight health, bit for bit.
+#[test]
+fn journal_progress_reads_back_the_sidecar_bits() {
+    let _g = lock();
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Summary);
+    pvtm_telemetry::events::set_enabled(true);
+    pvtm_telemetry::reset();
+    for (name, shift, seed) in [("test.mc_a", 3.0, 11), ("test.mc_b", 2.5, 12)] {
+        let _t = pvtm_telemetry::trace_scope(name);
+        let is = ImportanceSampler::new(vec![shift]);
+        is.probability(6 * 4096 + 100, seed, |z| z[0] > 3.0);
+    }
+    let r = pvtm_telemetry::snapshot();
+    let text = pvtm_telemetry::events::render("journal_fold", &[]);
+    let journal = pvtm_telemetry::events::Journal::parse(&text).expect("journal parses");
+    let progress = journal.progress();
+    assert_eq!(progress.len(), r.traces.len());
+    assert_eq!(progress.len(), 2);
+    for (p, t) in progress.iter().zip(&r.traces) {
+        assert_eq!(p.name, t.name);
+        let last = t.points.last().expect("trace has points");
+        assert_eq!(p.samples_done, last.samples);
+        assert_eq!(p.samples_total, last.samples);
+        assert_eq!(p.chunks_done, t.points.len() as u64);
+        assert_eq!(p.chunks_total, t.points.len() as u64);
+        assert_eq!(p.value.to_bits(), last.value.to_bits());
+        assert_eq!(p.std_err.to_bits(), last.std_err.to_bits());
+        let health = t.health.expect("trace health");
+        assert_eq!(p.contributing, health.contributing);
+        assert_eq!(p.ess.to_bits(), health.ess.to_bits());
+    }
+
+    pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
+    pvtm_telemetry::reset();
+}

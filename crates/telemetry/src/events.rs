@@ -4,9 +4,10 @@
 //! Monte-Carlo estimator starts, per-chunk convergence and weight-health
 //! snapshots, rescue-ladder escalations, quarantined samples, experiment
 //! milestones — one JSON object per line. The journal is the streaming
-//! counterpart of the sidecar: `pvtm-trace tail` renders progress from it
-//! while a run is still going, and `pvtm-trace health` cross-checks it
-//! against the final sidecar afterwards.
+//! counterpart of the sidecar: [`Journal::parse`] reads it back, live or
+//! finalized, and [`Journal::progress`] folds it into the per-trace
+//! progress a live scrape reports, which `pvtm-trace tail` renders while a
+//! run is still going.
 //!
 //! # Two orders, one contract
 //!
@@ -32,7 +33,9 @@
 //! `run.end` with the event count. Body kinds follow the DESIGN.md §5d
 //! taxonomy (`mc.start`, `mc.chunk`, `mc.health`, `mc.quarantine`,
 //! `mc.estimate`, `solver.rescue`, `figure.corner`). Consumers must ignore
-//! unknown kinds and unknown fields.
+//! unknown kinds and unknown fields. [`Journal::parse`] enforces the rest:
+//! a `run.start` header carrying [`SCHEMA`], one JSON object per line, and
+//! dense sequence numbers, tolerating only a torn final line.
 //!
 //! # Gating
 //!
@@ -41,14 +44,17 @@
 //! the journal while leaving the rest of telemetry on (the benchmark
 //! harness does); the disabled fast path is one atomic load.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::json::{obj, Value};
-use crate::Mode;
+use crate::json::{self, obj, Value};
+use crate::snapshot::{progress, Plan, TraceProgress};
+use crate::{ChunkStat, HealthChunk, Mode};
 
 /// Journal schema marker written into every `run.start` line.
 pub const SCHEMA: &str = "pvtm-events/1";
@@ -90,7 +96,7 @@ impl EventRec {
 }
 
 #[derive(Debug, Default)]
-struct Journal {
+struct Buffer {
     /// All events of the current run, in arrival order.
     events: Vec<EventRec>,
     /// Live sink: open while a figure run is journaling to disk.
@@ -106,13 +112,13 @@ struct LiveSink {
     written: usize,
 }
 
-static JOURNAL: Mutex<Journal> = Mutex::new(Journal {
+static BUFFER: Mutex<Buffer> = Mutex::new(Buffer {
     events: Vec::new(),
     live: None,
 });
 
-fn journal() -> MutexGuard<'static, Journal> {
-    JOURNAL.lock().unwrap_or_else(|e| e.into_inner())
+fn buffer() -> MutexGuard<'static, Buffer> {
+    BUFFER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// FNV-1a over a name — the stable `k1` grouping key for per-trace events.
@@ -151,7 +157,7 @@ pub fn emit(kind: &'static str, k1: u64, k2: u64, fields: Vec<(&'static str, Val
         k2,
         fields,
     };
-    let mut j = journal();
+    let mut j = buffer();
     if let Some(live) = j.live.as_mut() {
         let mut line = rec.line(live.written);
         line.push('\n');
@@ -168,7 +174,7 @@ pub fn emit(kind: &'static str, k1: u64, k2: u64, fields: Vec<(&'static str, Val
 pub fn render(id: &str, extra: &[(&'static str, Value)]) -> String {
     let mut out = header_line(id);
     out.push('\n');
-    let j = journal();
+    let j = buffer();
     // The rendered payload (with a placeholder seq) is the final
     // tie-breaker: events identical in key and payload are interchangeable.
     let mut indexed: Vec<&EventRec> = j.events.iter().collect();
@@ -211,7 +217,7 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
     header.push('\n');
     file.write_all(header.as_bytes())?;
     file.flush()?;
-    journal().live = Some(LiveSink {
+    buffer().live = Some(LiveSink {
         file,
         path: path.to_path_buf(),
         id: id.to_string(),
@@ -231,7 +237,7 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
 /// place when the canonical rewrite fails.
 pub fn finalize_journal(extra: &[(&'static str, Value)]) -> std::io::Result<Option<PathBuf>> {
     let _scope = crate::snapshot::write_scope();
-    let Some(live) = journal().live.take() else {
+    let Some(live) = buffer().live.take() else {
         return Ok(None);
     };
     let text = render(&live.id, extra);
@@ -244,21 +250,320 @@ pub fn finalize_journal(extra: &[(&'static str, Value)]) -> std::io::Result<Opti
 /// The id of the currently open live journal, if any — what live scrapes
 /// report as the run id.
 pub(crate) fn live_id() -> Option<String> {
-    journal().live.as_ref().map(|l| l.id.clone())
+    buffer().live.as_ref().map(|l| l.id.clone())
 }
 
 /// Drops all buffered events and closes any live journal without
 /// finalizing it (the partial live file stays on disk). Called by
 /// [`crate::reset`] at figure boundaries.
 pub(crate) fn clear() {
-    let mut j = journal();
+    let mut j = buffer();
     j.events.clear();
     j.live = None;
+}
+
+// ------------------------------------------------------------------ reader
+
+/// Journal rejection: a schema-contract violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalError {
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.message)
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+fn err(message: impl Into<String>) -> JournalError {
+    JournalError {
+        message: message.into(),
+    }
+}
+
+/// A parsed event journal: the header identity plus the body events.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Journal {
+    /// Figure id from the `run.start` header.
+    pub id: String,
+    /// Producer mode string from the header.
+    pub mode: String,
+    /// Body events (everything between `run.start` and `run.end`).
+    pub events: Vec<Value>,
+    /// The `run.end` footer when the journal is finalized.
+    pub end: Option<Value>,
+    /// Whether a torn (unparsable, kill-truncated) final line was dropped.
+    pub torn_tail: bool,
+}
+
+impl Journal {
+    /// Parses journal text, live or finalized, validating the
+    /// `pvtm-events/1` contract: line 0 is a `run.start` carrying the
+    /// schema marker, every line is a JSON object with a `kind`, and
+    /// sequence numbers are dense and ascending from zero. A torn final
+    /// line (kill mid-append) is dropped, not fatal.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an empty file, a bad header, an unparsable non-final
+    /// line, or a sequence-number gap.
+    pub fn parse(text: &str) -> Result<Journal, JournalError> {
+        let lines: Vec<&str> = text.lines().collect();
+        if lines.is_empty() {
+            return Err(err("empty journal"));
+        }
+        let mut docs = Vec::with_capacity(lines.len());
+        let mut torn_tail = false;
+        for (i, l) in lines.iter().enumerate() {
+            match json::parse(l) {
+                Ok(doc) => docs.push(doc),
+                Err(_) if i == lines.len() - 1 && i > 0 => torn_tail = true,
+                Err(e) => return Err(err(format!("line {}: unparsable JSON: {e}", i + 1))),
+            }
+        }
+
+        let header = &docs[0];
+        if header.get("kind").and_then(Value::as_str) != Some("run.start") {
+            return Err(err("line 1: journal must open with a run.start event"));
+        }
+        match header.get("schema").and_then(Value::as_str) {
+            Some(SCHEMA) => {}
+            other => {
+                return Err(err(format!(
+                    "line 1: schema {other:?}, expected {SCHEMA:?}"
+                )))
+            }
+        }
+        for (i, doc) in docs.iter().enumerate() {
+            if doc.get("seq").and_then(Value::as_u64) != Some(i as u64) {
+                return Err(err(format!(
+                    "line {}: sequence numbers must be dense and ascending from 0",
+                    i + 1
+                )));
+            }
+            if doc.get("kind").and_then(Value::as_str).is_none() {
+                return Err(err(format!("line {}: missing \"kind\"", i + 1)));
+            }
+        }
+
+        let id = header
+            .get("id")
+            .and_then(Value::as_str)
+            .unwrap_or("?")
+            .to_string();
+        let mode = header
+            .get("mode")
+            .and_then(Value::as_str)
+            .unwrap_or("?")
+            .to_string();
+        let mut body = docs.split_off(1);
+        let end = match body.last() {
+            Some(doc) if doc.get("kind").and_then(Value::as_str) == Some("run.end") => body.pop(),
+            _ => None,
+        };
+        Ok(Journal {
+            id,
+            mode,
+            events: body,
+            end,
+            torn_tail,
+        })
+    }
+
+    /// Whether the journal carries the `run.end` footer (canonical form).
+    pub fn finalized(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Per-trace progress folded from the `mc.start`, `mc.chunk` and
+    /// `mc.health` events, name-sorted — by the fold a live scrape of the
+    /// same registry uses, so a finalized journal reads back the sidecar's
+    /// last trace point and the producer's `mc.estimate` bit for bit.
+    pub fn progress(&self) -> Vec<TraceProgress> {
+        let mut plans: BTreeMap<String, Vec<Plan>> = BTreeMap::new();
+        let mut chunks: BTreeMap<String, Vec<ChunkStat>> = BTreeMap::new();
+        let mut health: BTreeMap<String, Vec<(u64, HealthChunk)>> = BTreeMap::new();
+        for e in &self.events {
+            let int = |key: &str| e.get(key).and_then(Value::as_u64).unwrap_or(0);
+            let num = |key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+            let trace = e.get("trace").and_then(Value::as_str).unwrap_or("?");
+            match e.get("kind").and_then(Value::as_str) {
+                Some("mc.start") => plans.entry(trace.to_string()).or_default().push(Plan {
+                    samples: int("samples"),
+                    chunks: int("chunks"),
+                }),
+                Some("mc.chunk") => chunks
+                    .entry(trace.to_string())
+                    .or_default()
+                    .push(ChunkStat {
+                        chunk: int("chunk"),
+                        n: int("n"),
+                        mean: num("mean"),
+                        m2: num("m2"),
+                    }),
+                Some("mc.health") => health.entry(trace.to_string()).or_default().push((
+                    int("chunk"),
+                    HealthChunk {
+                        fails: int("fails"),
+                        weight_sum: num("weight_sum"),
+                        weight_sq_sum: num("weight_sq_sum"),
+                        weight_max: num("weight_max"),
+                    },
+                )),
+                _ => {}
+            }
+        }
+        progress(&plans, &chunks, &health)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A live (or, with `finalize`, finalized) journal of one two-chunk
+    /// trace plus one event of each tallied kind.
+    fn journal_text(finalize: bool) -> String {
+        let mut t = String::from(concat!(
+            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"fig2a","mode":"full","clock":false}"#,
+            "\n",
+            r#"{"seq":1,"kind":"mc.start","trace":"fig2a.mc","samples":8192,"chunks":2}"#,
+            "\n",
+            r#"{"seq":2,"kind":"mc.chunk","trace":"fig2a.mc","chunk":0,"n":4096,"mean":0.25,"m2":768.0}"#,
+            "\n",
+            r#"{"seq":3,"kind":"mc.chunk","trace":"fig2a.mc","chunk":1,"n":4096,"mean":0.25,"m2":768.0}"#,
+            "\n",
+            r#"{"seq":4,"kind":"figure.corner","figure":"fig2a","corner":0,"quarantined":true}"#,
+            "\n",
+            r#"{"seq":5,"kind":"solver.rescue","stream":3,"rungs":1,"hit":true}"#,
+            "\n",
+            r#"{"seq":6,"kind":"mc.quarantine","stream":3,"corner":0.1,"reason":"clamp"}"#,
+            "\n",
+        ));
+        if finalize {
+            t.push_str(r#"{"seq":7,"kind":"run.end","id":"fig2a","events":6,"solves":10}"#);
+            t.push('\n');
+        }
+        t
+    }
+
+    #[test]
+    fn parses_live_and_finalized_journals() {
+        let live = Journal::parse(&journal_text(false)).unwrap();
+        assert_eq!(live.id, "fig2a");
+        assert!(!live.finalized());
+        assert_eq!(live.events.len(), 6);
+        let done = Journal::parse(&journal_text(true)).unwrap();
+        assert!(done.finalized());
+        assert_eq!(done.events.len(), 6, "run.end is footer, not body");
+    }
+
+    #[test]
+    fn tolerates_exactly_one_torn_final_line() {
+        let mut t = journal_text(false);
+        t.push_str(r#"{"seq":7,"kind":"mc.chu"#); // kill mid-append
+        let j = Journal::parse(&t).unwrap();
+        assert!(j.torn_tail);
+        assert_eq!(j.events.len(), 6);
+    }
+
+    #[test]
+    fn rejects_contract_violations() {
+        assert!(Journal::parse("").is_err());
+        assert!(Journal::parse("{\"seq\":0,\"kind\":\"other\"}\n").is_err());
+        let wrong_schema =
+            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/9","id":"x","mode":"full"}"#;
+        assert!(Journal::parse(wrong_schema).is_err());
+        let gap = format!(
+            "{}\n{}\n",
+            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"x","mode":"full"}"#,
+            r#"{"seq":5,"kind":"mc.start"}"#
+        );
+        let e = Journal::parse(&gap).unwrap_err();
+        assert!(e.message.contains("dense"), "{e}");
+        // A torn line anywhere but the tail is fatal.
+        let mid = format!(
+            "{}\n{}\n{}\n",
+            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"x","mode":"full"}"#,
+            r#"{"seq":1,"kind":"mc.st"#,
+            r#"{"seq":2,"kind":"mc.start"}"#
+        );
+        assert!(Journal::parse(&mid).is_err());
+    }
+
+    #[test]
+    fn progress_folds_plans_and_merges_moments() {
+        let p = Journal::parse(&journal_text(false)).unwrap().progress();
+        assert_eq!(p.len(), 1);
+        let t = &p[0];
+        assert_eq!(t.name, "fig2a.mc");
+        assert_eq!((t.chunks_done, t.chunks_total), (2, 2));
+        assert_eq!((t.samples_done, t.samples_total), (8192, 8192));
+        assert!((t.value - 0.25).abs() < 1e-12);
+        // Two identical-mean chunks: merged m2 = 1536, var = m2/(n-1).
+        let expect = (1536.0f64 / 8191.0 / 8192.0).sqrt();
+        assert!((t.std_err - expect).abs() < 1e-15);
+        assert_eq!((t.health_chunks, t.contributing), (0, 0));
+    }
+
+    /// The quick fig2a journal, finalized: its two chunks fold to the
+    /// sidecar's last trace point and to the journal's own `mc.estimate`
+    /// bit for bit, and its weight moments to the sidecar's trace health.
+    #[test]
+    fn finalized_fig2a_journal_reads_back_the_sidecar_bits() {
+        let text = concat!(
+            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"fig2a","mode":"full","clock":false}"#,
+            "\n",
+            r#"{"seq":1,"kind":"figure.corner","figure":"fig2a","corner":0,"vt_inter":-0.15,"quarantined":false}"#,
+            "\n",
+            r#"{"seq":2,"kind":"figure.corner","figure":"fig2a","corner":1,"vt_inter":-0.075,"quarantined":false}"#,
+            "\n",
+            r#"{"seq":3,"kind":"figure.corner","figure":"fig2a","corner":2,"vt_inter":0,"quarantined":false}"#,
+            "\n",
+            r#"{"seq":4,"kind":"figure.corner","figure":"fig2a","corner":3,"vt_inter":0.07499999999999998,"quarantined":false}"#,
+            "\n",
+            r#"{"seq":5,"kind":"figure.corner","figure":"fig2a","corner":4,"vt_inter":0.15,"quarantined":false}"#,
+            "\n",
+            r#"{"seq":6,"kind":"mc.estimate","corner":0.15,"samples":8192,"value":0.20139554010996258,"std_err":0.003747935178448554,"pass_bound":0.20139554010996258,"quarantined":0}"#,
+            "\n",
+            r#"{"seq":7,"kind":"mc.chunk","trace":"fig2a.mc","chunk":0,"n":4096,"mean":0.20459777491674136,"m2":479.5678591758963}"#,
+            "\n",
+            r#"{"seq":8,"kind":"mc.health","trace":"fig2a.mc","chunk":0,"fails":2193,"weight_sum":838.0324860589739,"weight_sq_sum":651.0274411315065,"weight_max":8.092181760769314}"#,
+            "\n",
+            r#"{"seq":9,"kind":"mc.chunk","trace":"fig2a.mc","chunk":1,"n":4096,"mean":0.1981933053031838,"m2":462.91249176539907}"#,
+            "\n",
+            r#"{"seq":10,"kind":"mc.health","trace":"fig2a.mc","chunk":1,"fails":2262,"weight_sum":811.7997785218417,"weight_sq_sum":623.805773115034,"weight_max":12.390758710797876}"#,
+            "\n",
+            r#"{"seq":11,"kind":"mc.start","trace":"fig2a.mc","samples":8192,"chunks":2}"#,
+            "\n",
+            r#"{"seq":12,"kind":"run.end","id":"fig2a","events":11,"solves":47766,"quarantined":0}"#,
+            "\n",
+        );
+        let j = Journal::parse(text).unwrap();
+        let [t] = j.progress().try_into().unwrap();
+        assert_eq!((t.chunks_done, t.chunks_total), (2, 2));
+        assert_eq!((t.samples_done, t.samples_total), (8192, 8192));
+        // The sidecar's last trace point: value 0.20139554010996258,
+        // std_err 0.003747935178448554 (a merge adding m2₁ + m2₂ before the
+        // cross term gives 0.0037479351784485545).
+        assert_eq!(t.value.to_bits(), 0.201_395_540_109_962_58f64.to_bits());
+        assert_eq!(t.std_err.to_bits(), 0.003_747_935_178_448_554f64.to_bits());
+        let estimate = j
+            .events
+            .iter()
+            .find(|e| e.get("kind").and_then(Value::as_str) == Some("mc.estimate"))
+            .unwrap();
+        let field = |key: &str| estimate.get(key).and_then(Value::as_f64).unwrap().to_bits();
+        assert_eq!(t.value.to_bits(), field("value"));
+        assert_eq!(t.std_err.to_bits(), field("std_err"));
+        // The sidecar's trace health: contributing 4455, ess 2135.1393035838055.
+        assert_eq!((t.health_chunks, t.contributing), (2, 4455));
+        assert_eq!(t.ess.to_bits(), 2_135.139_303_583_805_5f64.to_bits());
+    }
 
     #[test]
     fn disabled_mode_buffers_nothing() {
@@ -267,7 +572,7 @@ mod tests {
         set_enabled(true);
         clear();
         emit("mc.start", 0, 0, vec![("samples", Value::Num(1.0))]);
-        assert_eq!(journal().events.len(), 0);
+        assert_eq!(buffer().events.len(), 0);
     }
 
     #[test]
@@ -277,10 +582,10 @@ mod tests {
         set_enabled(false);
         clear();
         emit("mc.start", 0, 0, vec![]);
-        assert_eq!(journal().events.len(), 0);
+        assert_eq!(buffer().events.len(), 0);
         set_enabled(true);
         emit("mc.start", 0, 0, vec![]);
-        assert_eq!(journal().events.len(), 1);
+        assert_eq!(buffer().events.len(), 1);
         crate::set_mode(Mode::Off);
         clear();
     }

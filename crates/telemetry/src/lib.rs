@@ -60,8 +60,8 @@ pub mod snapshot;
 mod trace_events;
 
 pub use report::{
-    HistBucket, HistRow, Report, Sidecar, SidecarError, SolverSummary, SpanRow, TraceHealth,
-    TracePoint, TraceRow, SCHEMA_VERSION,
+    HealthCheck, HealthEntry, HistBucket, HistRow, Report, Sidecar, SidecarError, SolverSummary,
+    SpanRow, TraceHealth, TracePoint, TraceRow, SCHEMA_VERSION,
 };
 pub use snapshot::update_scope;
 

@@ -297,7 +297,7 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
 /// Reconstructs the running estimate after each chunk by merging the
 /// per-chunk Welford moments in chunk order (Chan's parallel update —
 /// deterministic, independent of the order chunks were recorded in).
-fn running_points(chunks: &[ChunkStat]) -> Vec<TracePoint> {
+pub(crate) fn running_points(chunks: &[ChunkStat]) -> Vec<TracePoint> {
     let mut sorted: Vec<ChunkStat> = chunks.to_vec();
     sorted.sort_by_key(|c| c.chunk);
     let (mut n, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
@@ -377,26 +377,100 @@ fn trace_health(
         },
     };
     if let Some(chunks) = chunks {
-        let mut sorted: Vec<(u64, HealthChunk)> = chunks.to_vec();
-        sorted.sort_by_key(|&(chunk, _)| chunk);
-        let (mut fails, mut ws, mut wss, mut wmax) = (0u64, 0.0f64, 0.0f64, 0.0f64);
-        for (_, h) in &sorted {
-            fails += h.fails;
-            ws += h.weight_sum;
-            wss += h.weight_sq_sum;
-            wmax = wmax.max(h.weight_max);
-        }
+        let w = fold_weights(chunks);
         health.has_weights = true;
-        health.contributing = fails;
-        health.ess = if wss > 0.0 { ws * ws / wss } else { 0.0 };
-        health.ess_fraction = if fails == 0 {
+        health.contributing = w.fails;
+        health.ess = ess(&w);
+        health.ess_fraction = if w.fails == 0 {
             1.0
         } else {
-            health.ess / fails as f64
+            health.ess / w.fails as f64
         };
-        health.max_weight_fraction = if ws > 0.0 { wmax / ws } else { 0.0 };
+        health.max_weight_fraction = if w.weight_sum > 0.0 {
+            w.weight_max / w.weight_sum
+        } else {
+            0.0
+        };
     }
     Some(health)
+}
+
+/// Folds a trace's per-chunk weight moments in chunk-index order, so the
+/// f64 sums are schedule-independent: counts and sums add, maxima max.
+pub(crate) fn fold_weights(chunks: &[(u64, HealthChunk)]) -> HealthChunk {
+    let mut sorted: Vec<(u64, HealthChunk)> = chunks.to_vec();
+    sorted.sort_by_key(|&(chunk, _)| chunk);
+    sorted
+        .iter()
+        .fold(HealthChunk::default(), |acc, (_, h)| HealthChunk {
+            fails: acc.fails + h.fails,
+            weight_sum: acc.weight_sum + h.weight_sum,
+            weight_sq_sum: acc.weight_sq_sum + h.weight_sq_sum,
+            weight_max: acc.weight_max.max(h.weight_max),
+        })
+}
+
+/// Effective sample size of folded weight moments, `(Σw)²/Σw²` (0 without
+/// weights).
+pub(crate) fn ess(w: &HealthChunk) -> f64 {
+    if w.weight_sq_sum > 0.0 {
+        w.weight_sum * w.weight_sum / w.weight_sq_sum
+    } else {
+        0.0
+    }
+}
+
+/// One figure's estimator-health thresholds: a `health-budgets.json`
+/// entry, or [`HealthEntry::FALLBACK`] for a figure without one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HealthEntry {
+    /// Floor on per-trace `ess_fraction` (weighted traces only).
+    pub min_ess_fraction: f64,
+    /// Ceiling on per-trace `max_weight_fraction` (weighted traces only).
+    pub max_weight_fraction: f64,
+    /// Ceiling on per-trace `stall_ratio`.
+    pub max_stall_ratio: f64,
+    /// Ceiling on the `mc.quarantine_ci_share` gauge.
+    pub max_quarantine_ci_share: f64,
+}
+
+impl Default for HealthEntry {
+    /// Permissive: every check passes. What a budget entry reads for a
+    /// threshold it leaves out; not the thresholds of a figure without an
+    /// entry, which are [`HealthEntry::FALLBACK`].
+    fn default() -> Self {
+        HealthEntry {
+            min_ess_fraction: 0.0,
+            max_weight_fraction: 1.0,
+            max_stall_ratio: 1.0,
+            max_quarantine_ci_share: 1.0,
+        }
+    }
+}
+
+impl HealthEntry {
+    /// The thresholds of a figure without a budget entry of its own, and
+    /// of the live `/healthz` verdict: loose enough for any honest
+    /// importance-sampled run, tight enough to reject a degenerate one.
+    pub const FALLBACK: HealthEntry = HealthEntry {
+        min_ess_fraction: 0.2,
+        max_weight_fraction: 0.25,
+        max_stall_ratio: 0.5,
+        max_quarantine_ci_share: 0.25,
+    };
+}
+
+/// One line of the confidence ledger: one trace's health (or the run's
+/// quarantine share) judged against one threshold of a [`HealthEntry`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HealthCheck {
+    /// Whether the threshold was crossed.
+    pub failed: bool,
+    /// Failure tag: `LOW_ESS`, `WEIGHT_DEGENERATE`, `STALLED` or
+    /// `QUARANTINE_BIASED`.
+    pub tag: &'static str,
+    /// The observed value against its threshold.
+    pub detail: String,
 }
 
 /// The run-level `mc.*` health gauges derived from per-trace health:
@@ -453,6 +527,64 @@ impl Report {
     /// A convergence trace by name.
     pub fn trace(&self, name: &str) -> Option<&TraceRow> {
         self.traces.iter().find(|t| t.name == name)
+    }
+
+    /// Judges estimator health against `entry`, trace by trace in name
+    /// order: weighted traces on ESS fraction (`LOW_ESS`) and weight
+    /// concentration (`WEIGHT_DEGENERATE`), every trace with health on its
+    /// stall ratio (`STALLED`), then the run's `mc.quarantine_ci_share`
+    /// gauge when recorded (`QUARANTINE_BIASED`).
+    pub fn health_checks(&self, entry: &HealthEntry) -> Vec<HealthCheck> {
+        let mut out = Vec::new();
+        let mut check = |failed, tag, detail| {
+            out.push(HealthCheck {
+                failed,
+                tag,
+                detail,
+            })
+        };
+        for t in &self.traces {
+            let (name, Some(h)) = (&t.name, t.health) else {
+                continue;
+            };
+            if h.has_weights {
+                check(
+                    h.ess_fraction < entry.min_ess_fraction,
+                    "LOW_ESS",
+                    format!(
+                        "{name}: ess_fraction {:.4} (floor {:.4}, ess {:.1} of {} contributing)",
+                        h.ess_fraction, entry.min_ess_fraction, h.ess, h.contributing
+                    ),
+                );
+                check(
+                    h.max_weight_fraction > entry.max_weight_fraction,
+                    "WEIGHT_DEGENERATE",
+                    format!(
+                        "{name}: max_weight_fraction {:.4} (ceiling {:.4})",
+                        h.max_weight_fraction, entry.max_weight_fraction
+                    ),
+                );
+            }
+            check(
+                h.stall_ratio > entry.max_stall_ratio,
+                "STALLED",
+                format!(
+                    "{name}: stall_ratio {:.4} (ceiling {:.4}, {}/{} steps)",
+                    h.stall_ratio, entry.max_stall_ratio, h.stalled_steps, h.steps
+                ),
+            );
+        }
+        if let Some(share) = self.gauge("mc.quarantine_ci_share") {
+            check(
+                share > entry.max_quarantine_ci_share,
+                "QUARANTINE_BIASED",
+                format!(
+                    "quarantine_ci_share {:.4} (ceiling {:.4})",
+                    share, entry.max_quarantine_ci_share
+                ),
+            );
+        }
+        out
     }
 
     /// The solver-counter object of the sidecar. The rescue keys are

@@ -13,9 +13,10 @@
 //!   [`crate::snapshot::live`] capture;
 //! - `/snapshot.json` — the same capture as sorted-key JSON (sidecar
 //!   schema plus live-plane members);
-//! - `/healthz` — `200 ok` or `503` with one line per tripped
-//!   `pvtm-trace health` axis (LOW_ESS / WEIGHT_DEGENERATE / STALLED /
-//!   QUARANTINE_BIASED).
+//! - `/healthz` — `200 ok` or `503` with one line per failed
+//!   [`crate::Report::health_checks`] check (LOW_ESS / WEIGHT_DEGENERATE /
+//!   STALLED / QUARANTINE_BIASED, the checks of `pvtm-trace health`)
+//!   against [`HealthEntry::FALLBACK`].
 //!
 //! Architecture: one accept thread feeding a bounded queue, a two-thread
 //! worker pool draining it (excess connections are dropped, never
@@ -33,6 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::snapshot;
+use crate::HealthEntry;
 
 /// Worker threads draining the accept queue.
 const WORKERS: usize = 2;
@@ -204,13 +206,18 @@ fn handle(mut conn: TcpStream) {
                 ("200 OK", "application/json", snap.to_json())
             }
             "/healthz" => {
-                let snap = snapshot::live();
-                let failures = snap.health_failures();
-                if failures.is_empty() {
+                let mut body = String::new();
+                for c in snapshot::live()
+                    .report
+                    .health_checks(&HealthEntry::FALLBACK)
+                {
+                    if c.failed {
+                        body.push_str(&format!("{} {}\n", c.tag, c.detail));
+                    }
+                }
+                if body.is_empty() {
                     ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())
                 } else {
-                    let mut body = failures.join("\n");
-                    body.push('\n');
                     ("503 Service Unavailable", "text/plain; charset=utf-8", body)
                 }
             }

@@ -20,13 +20,16 @@
 //! sidecars or journals, so runs without a metrics server are byte-identical
 //! to runs that never loaded this module.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{obj, Value};
-use crate::report::{int, items, num, parse_json, same, text, Report, SidecarError};
-use crate::{clock, events};
+use crate::report::{
+    ess, fold_weights, int, items, num, parse_json, running_points, same, text, Report,
+    SidecarError,
+};
+use crate::{clock, events, ChunkStat, HealthChunk};
 
 // ------------------------------------------------------------ write epoch
 
@@ -41,9 +44,10 @@ static LIVE: AtomicBool = AtomicBool::new(false);
 /// only while a server is live; never rendered into deterministic outputs.
 static OPEN_SPANS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
-/// Planned estimator work recorded by [`crate::record_mc_start`]:
-/// trace name → (samples, chunks). Gives live progress its denominators.
-static PLANS: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
+/// Planned estimator work recorded by [`crate::record_mc_start`]: trace
+/// name → one (samples, chunks) plan per start. Gives live progress its
+/// denominators.
+static PLANS: Mutex<BTreeMap<String, Vec<Plan>>> = Mutex::new(BTreeMap::new());
 
 /// Stopwatch started when a metrics server comes up; read by [`live`] so
 /// scrape timestamps route through `clock` (zero when the clock is gated).
@@ -53,7 +57,7 @@ fn open_spans() -> MutexGuard<'static, BTreeMap<String, u64>> {
     OPEN_SPANS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn plans() -> MutexGuard<'static, BTreeMap<String, (u64, u64)>> {
+fn plans() -> MutexGuard<'static, BTreeMap<String, Vec<Plan>>> {
     PLANS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -122,7 +126,10 @@ pub(crate) fn span_closed(path: &str) {
 }
 
 pub(crate) fn record_plan(name: &str, samples: u64, chunks: u64) {
-    plans().insert(name.to_string(), (samples, chunks));
+    plans()
+        .entry(name.to_string())
+        .or_default()
+        .push(Plan { samples, chunks });
 }
 
 pub(crate) fn clear() {
@@ -132,20 +139,75 @@ pub(crate) fn clear() {
 
 // ------------------------------------------------------------- snapshots
 
-/// Per-trace live progress: done vs planned work, the Chan-merged running
+/// One estimator start's planned work, as [`crate::record_mc_start`]
+/// records it and an `mc.start` event journals it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Plan {
+    pub(crate) samples: u64,
+    pub(crate) chunks: u64,
+}
+
+/// Per-trace progress, name-sorted, from what a run recorded per trace
+/// name — the plans of its starts, its chunk moments and its chunk weight
+/// moments, each in any order: the one fold behind live scrapes and
+/// journal replays. A trace started more than once sums its plans, since
+/// every chunk recorded under its name counts as done. The running
+/// estimate is the sidecar's last trace point, and the weight moments are
+/// folded as the sidecar's trace health folds them, so both agree with
+/// the sidecar bit for bit.
+pub(crate) fn progress(
+    plans: &BTreeMap<String, Vec<Plan>>,
+    chunks: &BTreeMap<String, Vec<ChunkStat>>,
+    health: &BTreeMap<String, Vec<(u64, HealthChunk)>>,
+) -> Vec<TraceProgress> {
+    let names: BTreeSet<&String> = plans
+        .keys()
+        .chain(chunks.keys())
+        .chain(health.keys())
+        .collect();
+    names
+        .into_iter()
+        .map(|name| {
+            let plans = plans.get(name).map_or(&[][..], Vec::as_slice);
+            let chunks = chunks.get(name).map_or(&[][..], Vec::as_slice);
+            let health = health.get(name).map_or(&[][..], Vec::as_slice);
+            let last = running_points(chunks).last().copied();
+            let w = fold_weights(health);
+            TraceProgress {
+                name: name.clone(),
+                chunks_done: chunks.len() as u64,
+                chunks_total: plans.iter().map(|p| p.chunks).sum(),
+                samples_done: last.map_or(0, |p| p.samples),
+                samples_total: plans.iter().map(|p| p.samples).sum(),
+                health_chunks: health.len() as u64,
+                contributing: w.fails,
+                weight_sum: w.weight_sum,
+                weight_sq_sum: w.weight_sq_sum,
+                weight_max: w.weight_max,
+                ess: ess(&w),
+                value: last.map_or(0.0, |p| p.value),
+                std_err: last.map_or(0.0, |p| p.std_err),
+            }
+        })
+        .collect()
+}
+
+/// Per-trace progress: done vs planned work, the Chan-merged running
 /// estimate, and the raw weight moments the health diagnostics derive from
-/// (exposed so ESS is recomputable from the snapshot itself).
+/// (exposed so ESS is recomputable from the progress row itself).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceProgress {
     /// Trace name (the `trace_scope` label).
     pub name: String,
     /// Chunks whose moments have been recorded so far.
     pub chunks_done: u64,
-    /// Planned chunk count (0 when no `mc.start` was recorded).
+    /// Planned chunks, summed over the trace's starts (0 when none was
+    /// recorded).
     pub chunks_total: u64,
     /// Samples folded into the running estimate so far.
     pub samples_done: u64,
-    /// Planned sample count (0 when no `mc.start` was recorded).
+    /// Planned samples, summed over the trace's starts (0 when none was
+    /// recorded).
     pub samples_total: u64,
     /// Health chunks recorded so far — equals `chunks_done` at every
     /// consistent snapshot of a weight-tracking estimator.
@@ -164,6 +226,28 @@ pub struct TraceProgress {
     pub value: f64,
     /// Standard error of the running estimate.
     pub std_err: f64,
+}
+
+impl TraceProgress {
+    /// The progress row as written into `/snapshot.json`'s `progress` and
+    /// `pvtm-trace tail --json`'s `traces`, keys sorted.
+    pub fn to_value(&self) -> Value {
+        obj(vec![
+            ("chunks_done", Value::Num(self.chunks_done as f64)),
+            ("chunks_total", Value::Num(self.chunks_total as f64)),
+            ("contributing", Value::Num(self.contributing as f64)),
+            ("ess", Value::Num(self.ess)),
+            ("health_chunks", Value::Num(self.health_chunks as f64)),
+            ("name", Value::Str(self.name.clone())),
+            ("samples_done", Value::Num(self.samples_done as f64)),
+            ("samples_total", Value::Num(self.samples_total as f64)),
+            ("std_err", Value::Num(self.std_err)),
+            ("value", Value::Num(self.value)),
+            ("weight_max", Value::Num(self.weight_max)),
+            ("weight_sq_sum", Value::Num(self.weight_sq_sum)),
+            ("weight_sum", Value::Num(self.weight_sum)),
+        ])
+    }
 }
 
 /// One consistent scrape of the full registry, as served by
@@ -201,60 +285,10 @@ pub fn live() -> LiveSnapshot {
 }
 
 fn capture(g: MutexGuard<'static, crate::Global>, epoch: u64) -> LiveSnapshot {
-    let (report, progress) = {
-        // Read under the registry mutex: a plan is recorded before its
-        // estimator's first chunk.
-        let planned: BTreeMap<String, (u64, u64)> = plans().clone();
-        let report = crate::report::build(&g, crate::mode(), crate::clock_enabled());
-        let mut names: Vec<&String> = g.traces.keys().collect();
-        for name in planned.keys() {
-            if !g.traces.contains_key(name) {
-                names.push(name);
-            }
-        }
-        names.sort();
-        let progress = names
-            .iter()
-            .map(|name| {
-                let (samples_total, chunks_total) = planned.get(*name).copied().unwrap_or((0, 0));
-                let chunks_done = g.traces.get(*name).map_or(0, |c| c.len() as u64);
-                let last = report.trace(name).and_then(|t| t.points.last().copied());
-                let (samples_done, value, std_err) =
-                    last.map_or((0, 0.0, 0.0), |p| (p.samples, p.value, p.std_err));
-                // Fold health moments in chunk order, mirroring the report,
-                // so `ess` here is bit-identical to the derived gauges.
-                let (mut health_chunks, mut fails) = (0u64, 0u64);
-                let (mut ws, mut wss, mut wmax) = (0.0f64, 0.0f64, 0.0f64);
-                if let Some(chunks) = g.health.get(*name) {
-                    let mut sorted = chunks.clone();
-                    sorted.sort_by_key(|&(chunk, _)| chunk);
-                    health_chunks = sorted.len() as u64;
-                    for (_, h) in &sorted {
-                        fails += h.fails;
-                        ws += h.weight_sum;
-                        wss += h.weight_sq_sum;
-                        wmax = wmax.max(h.weight_max);
-                    }
-                }
-                TraceProgress {
-                    name: (*name).clone(),
-                    chunks_done,
-                    chunks_total,
-                    samples_done,
-                    samples_total,
-                    health_chunks,
-                    contributing: fails,
-                    weight_sum: ws,
-                    weight_sq_sum: wss,
-                    weight_max: wmax,
-                    ess: if wss > 0.0 { ws * ws / wss } else { 0.0 },
-                    value,
-                    std_err,
-                }
-            })
-            .collect();
-        (report, progress)
-    };
+    // Read under the registry mutex: a plan is recorded before its
+    // estimator's first chunk.
+    let progress = progress(&plans(), &g.traces, &g.health);
+    let report = crate::report::build(&g, crate::mode(), crate::clock_enabled());
     drop(g);
     let open = open_spans().iter().map(|(p, &n)| (p.clone(), n)).collect();
     let elapsed_secs = WATCH
@@ -288,17 +322,6 @@ pub const PROM_METRIC_MAP: &[(&str, &str)] = &[
     ("mc.is_weight", "pvtm_mc_is_weight"),
     ("solver.newton_per_solve", "pvtm_solver_newton_per_solve"),
 ];
-
-/// `/healthz` thresholds — the conservative `default` entry of the
-/// checked-in health budgets (`pvtm-trace health` gates figures tighter,
-/// per-figure; the live endpoint only flags clearly unhealthy runs).
-pub const HEALTHZ_MIN_ESS_FRACTION: f64 = 0.2;
-/// Ceiling on `mc.max_weight_fraction` before `WEIGHT_DEGENERATE`.
-pub const HEALTHZ_MAX_WEIGHT_FRACTION: f64 = 0.25;
-/// Ceiling on `mc.stall_ratio` before `STALLED`.
-pub const HEALTHZ_MAX_STALL_RATIO: f64 = 0.5;
-/// Ceiling on `mc.quarantine_ci_share` before `QUARANTINE_BIASED`.
-pub const HEALTHZ_MAX_QUARANTINE_CI_SHARE: f64 = 0.25;
 
 /// The mechanical §5b → Prometheus mangling: `pvtm_` prefix, every
 /// character outside `[a-z0-9_]` becomes `_`.
@@ -422,28 +445,7 @@ impl LiveSnapshot {
         ));
         members.push((
             "progress".to_string(),
-            Value::Arr(
-                self.progress
-                    .iter()
-                    .map(|p| {
-                        obj(vec![
-                            ("chunks_done", Value::Num(p.chunks_done as f64)),
-                            ("chunks_total", Value::Num(p.chunks_total as f64)),
-                            ("contributing", Value::Num(p.contributing as f64)),
-                            ("ess", Value::Num(p.ess)),
-                            ("health_chunks", Value::Num(p.health_chunks as f64)),
-                            ("name", Value::Str(p.name.clone())),
-                            ("samples_done", Value::Num(p.samples_done as f64)),
-                            ("samples_total", Value::Num(p.samples_total as f64)),
-                            ("std_err", Value::Num(p.std_err)),
-                            ("value", Value::Num(p.value)),
-                            ("weight_max", Value::Num(p.weight_max)),
-                            ("weight_sq_sum", Value::Num(p.weight_sq_sum)),
-                            ("weight_sum", Value::Num(p.weight_sum)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Arr(self.progress.iter().map(TraceProgress::to_value).collect()),
         ));
         members.push((
             "quarantine_count".to_string(),
@@ -591,43 +593,6 @@ impl LiveSnapshot {
             "counter",
             &[(String::new(), self.report.quarantine.len() as f64)],
         );
-        out
-    }
-
-    /// The `/healthz` verdict: one failure line per tripped axis, using
-    /// the same axes (and tags) as `pvtm-trace health` — LOW_ESS,
-    /// WEIGHT_DEGENERATE, STALLED, QUARANTINE_BIASED — against the
-    /// conservative default thresholds. Empty means healthy (HTTP 200).
-    pub fn health_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if let Some(v) = self.report.gauge("mc.ess_fraction") {
-            if v < HEALTHZ_MIN_ESS_FRACTION {
-                out.push(format!(
-                    "LOW_ESS ess_fraction {v:.4} (floor {HEALTHZ_MIN_ESS_FRACTION})"
-                ));
-            }
-        }
-        if let Some(v) = self.report.gauge("mc.max_weight_fraction") {
-            if v > HEALTHZ_MAX_WEIGHT_FRACTION {
-                out.push(format!(
-                    "WEIGHT_DEGENERATE max_weight_fraction {v:.4} (ceiling {HEALTHZ_MAX_WEIGHT_FRACTION})"
-                ));
-            }
-        }
-        if let Some(v) = self.report.gauge("mc.stall_ratio") {
-            if v > HEALTHZ_MAX_STALL_RATIO {
-                out.push(format!(
-                    "STALLED stall_ratio {v:.4} (ceiling {HEALTHZ_MAX_STALL_RATIO})"
-                ));
-            }
-        }
-        if let Some(v) = self.report.gauge("mc.quarantine_ci_share") {
-            if v > HEALTHZ_MAX_QUARANTINE_CI_SHARE {
-                out.push(format!(
-                    "QUARANTINE_BIASED quarantine_ci_share {v:.4} (ceiling {HEALTHZ_MAX_QUARANTINE_CI_SHARE})"
-                ));
-            }
-        }
         out
     }
 }
@@ -827,16 +792,6 @@ pvtm_mc_quarantined_total 0
             err(&snap.report.to_json_pretty(&snap.id)),
             "elapsed_secs: missing"
         );
-    }
-
-    #[test]
-    fn healthz_trips_on_low_ess_and_stays_quiet_when_healthy() {
-        let mut snap = fixture();
-        assert!(snap.health_failures().is_empty());
-        snap.report.gauges[0].1 = 0.05;
-        let fails = snap.health_failures();
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].starts_with("LOW_ESS"), "{fails:?}");
     }
 
     #[test]

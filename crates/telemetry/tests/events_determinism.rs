@@ -105,7 +105,9 @@ fn finalized_file_is_byte_identical_across_runs() {
         tm::reset();
         let path = dir.join(name);
         assert!(tm::events::open_journal(&path, "par").unwrap());
-        {
+        // The trace is started twice under one name, as two estimators in
+        // one trace scope would.
+        for _ in 0..2 {
             let _t = tm::trace_scope("mc.journal_test");
             let h = tm::active_trace().unwrap();
             tm::record_mc_start(&h, 100 * CHUNKS, CHUNKS);
@@ -114,11 +116,25 @@ fn finalized_file_is_byte_identical_across_runs() {
             });
         }
         tm::events::finalize_journal(&[]).unwrap().unwrap();
-        std::fs::read(&path).unwrap()
+        (std::fs::read(&path).unwrap(), tm::snapshot::live().progress)
     };
-    let a = run_to_file("a.events.jsonl");
-    let b = run_to_file("b.events.jsonl");
+    let (a, live) = run_to_file("a.events.jsonl");
+    let (b, _) = run_to_file("b.events.jsonl");
     assert_eq!(a, b, "finalized journal files must be byte-identical");
+
+    // The journal and a live scrape fold the same progress: both count
+    // every chunk recorded under the name against the sum of its plans.
+    let text = String::from_utf8(a).unwrap();
+    let journal = tm::events::Journal::parse(&text).expect("finalized journal parses");
+    assert_eq!(journal.progress(), live);
+    let [p] = live.as_slice() else {
+        panic!("one trace expected: {live:?}");
+    };
+    assert_eq!((p.chunks_done, p.chunks_total), (2 * CHUNKS, 2 * CHUNKS));
+    assert_eq!(
+        (p.samples_done, p.samples_total),
+        (200 * CHUNKS, 200 * CHUNKS)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 
     tm::set_mode(tm::Mode::Off);

@@ -12,7 +12,9 @@
 //! entry is only ever recorded from a sidecar with Monte-Carlo traces, so
 //! a sidecar without them means the estimator did not run.
 //!
-//! A budget entry is four thresholds:
+//! A budget entry is four thresholds ([`HealthEntry`]), judged by
+//! [`pvtm_telemetry::Report::health_checks`] — the checks the live
+//! `/healthz` endpoint applies too:
 //!
 //! - `min_ess_fraction` — floor on effective-sample-size / contributing
 //!   samples; falling below it means importance weights are carrying the
@@ -24,17 +26,18 @@
 //! - `max_quarantine_ci_share` — ceiling on the quarantine bias band as a
 //!   share of the CI half-width (`QUARANTINE_BIASED`).
 //!
-//! Figures resolve their entry by id, falling back to `"default"`; the
-//! ratchet (`--update-budgets`) rewrites only per-figure entries, leaving
-//! `"default"` as the hand-maintained floor for new figures.
+//! Figures resolve their entry by id, falling back to the constant
+//! [`HealthEntry::FALLBACK`] (reported as `"default"`); the ratchet
+//! (`--update-budgets`) records per-figure entries only.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use pvtm_telemetry::json::{self, Value};
-use pvtm_telemetry::{Sidecar, TraceHealth};
+use pvtm_telemetry::{HealthEntry, Sidecar, TraceHealth};
 
-/// Name of the fallback budget entry.
+/// The ledger's name for [`HealthEntry::FALLBACK`], which a budget file
+/// cannot hold as an entry.
 pub const DEFAULT_ENTRY: &str = "default";
 
 /// Budget-file rejection.
@@ -52,58 +55,30 @@ impl fmt::Display for HealthBudgetError {
 
 impl std::error::Error for HealthBudgetError {}
 
-/// One figure's health thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthEntry {
-    /// Floor on per-trace `ess_fraction` (weighted traces only).
-    pub min_ess_fraction: f64,
-    /// Ceiling on per-trace `max_weight_fraction` (weighted traces only).
-    pub max_weight_fraction: f64,
-    /// Ceiling on per-trace `stall_ratio`.
-    pub max_stall_ratio: f64,
-    /// Ceiling on the `mc.quarantine_ci_share` gauge.
-    pub max_quarantine_ci_share: f64,
-}
-
-impl Default for HealthEntry {
-    /// Permissive defaults: everything passes until a budget tightens it.
-    fn default() -> Self {
-        HealthEntry {
-            min_ess_fraction: 0.0,
-            max_weight_fraction: 1.0,
-            max_stall_ratio: 1.0,
-            max_quarantine_ci_share: 1.0,
-        }
+fn entry_from_value(v: &Value) -> HealthEntry {
+    let f = |key: &str, fallback: f64| v.get(key).and_then(Value::as_f64).unwrap_or(fallback);
+    let d = HealthEntry::default();
+    HealthEntry {
+        min_ess_fraction: f("min_ess_fraction", d.min_ess_fraction),
+        max_weight_fraction: f("max_weight_fraction", d.max_weight_fraction),
+        max_stall_ratio: f("max_stall_ratio", d.max_stall_ratio),
+        max_quarantine_ci_share: f("max_quarantine_ci_share", d.max_quarantine_ci_share),
     }
 }
 
-impl HealthEntry {
-    fn from_value(v: &Value) -> HealthEntry {
-        let f = |key: &str, fallback: f64| v.get(key).and_then(Value::as_f64).unwrap_or(fallback);
-        let d = HealthEntry::default();
-        HealthEntry {
-            min_ess_fraction: f("min_ess_fraction", d.min_ess_fraction),
-            max_weight_fraction: f("max_weight_fraction", d.max_weight_fraction),
-            max_stall_ratio: f("max_stall_ratio", d.max_stall_ratio),
-            max_quarantine_ci_share: f("max_quarantine_ci_share", d.max_quarantine_ci_share),
-        }
-    }
-
-    fn to_value(self) -> Value {
-        json::obj(vec![
-            ("min_ess_fraction", Value::Num(self.min_ess_fraction)),
-            ("max_weight_fraction", Value::Num(self.max_weight_fraction)),
-            ("max_stall_ratio", Value::Num(self.max_stall_ratio)),
-            (
-                "max_quarantine_ci_share",
-                Value::Num(self.max_quarantine_ci_share),
-            ),
-        ])
-    }
+fn entry_to_value(e: HealthEntry) -> Value {
+    json::obj(vec![
+        ("min_ess_fraction", Value::Num(e.min_ess_fraction)),
+        ("max_weight_fraction", Value::Num(e.max_weight_fraction)),
+        ("max_stall_ratio", Value::Num(e.max_stall_ratio)),
+        (
+            "max_quarantine_ci_share",
+            Value::Num(e.max_quarantine_ci_share),
+        ),
+    ])
 }
 
-/// Parsed `health-budgets.json`: entry name (`"default"` or a figure id)
-/// → thresholds.
+/// Parsed `health-budgets.json`: figure id → thresholds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthBudgets {
     /// Name-sorted threshold entries.
@@ -115,7 +90,9 @@ impl HealthBudgets {
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON or the wrong `schema` marker.
+    /// Fails on malformed JSON, the wrong `schema` marker, or an entry
+    /// named `"default"`: the fallback thresholds are
+    /// [`HealthEntry::FALLBACK`], not a file entry.
     pub fn parse(text: &str) -> Result<HealthBudgets, HealthBudgetError> {
         let doc = json::parse(text).map_err(|e| HealthBudgetError {
             message: format!("malformed health-budgets JSON: {e}"),
@@ -128,7 +105,14 @@ impl HealthBudgets {
         let mut entries = BTreeMap::new();
         if let Some(Value::Obj(members)) = doc.get("budgets") {
             for (name, v) in members {
-                entries.insert(name.clone(), HealthEntry::from_value(v));
+                if name == DEFAULT_ENTRY {
+                    return Err(HealthBudgetError {
+                        message: "health-budgets file has a \"default\" entry; figures \
+                                  without an entry use the built-in fallback thresholds"
+                            .into(),
+                    });
+                }
+                entries.insert(name.clone(), entry_from_value(v));
             }
         }
         Ok(HealthBudgets { entries })
@@ -139,7 +123,7 @@ impl HealthBudgets {
         let members: Vec<(String, Value)> = self
             .entries
             .iter()
-            .map(|(name, e)| (name.clone(), e.to_value()))
+            .map(|(name, e)| (name.clone(), entry_to_value(*e)))
             .collect();
         let mut s = json::obj(vec![
             ("schema", Value::Str("pvtm-health-budgets/1".into())),
@@ -150,13 +134,14 @@ impl HealthBudgets {
         s
     }
 
-    /// The thresholds applying to `figure`: the figure's own entry, else
-    /// `"default"`, else `None` (which the gate treats as a violation).
-    pub fn entry_for<'a>(&self, figure: &'a str) -> Option<(&'a str, HealthEntry)> {
-        if let Some(e) = self.entries.get(figure) {
-            return Some((figure, *e));
+    /// The thresholds applying to `figure` with the name of their source:
+    /// the figure's own entry, else [`HealthEntry::FALLBACK`] as
+    /// [`DEFAULT_ENTRY`].
+    pub fn entry_for<'a>(&self, figure: &'a str) -> (&'a str, HealthEntry) {
+        match self.entries.get(figure) {
+            Some(e) => (figure, *e),
+            None => (DEFAULT_ENTRY, HealthEntry::FALLBACK),
         }
-        self.entries.get(DEFAULT_ENTRY).map(|e| (DEFAULT_ENTRY, *e))
     }
 }
 
@@ -165,10 +150,10 @@ impl HealthBudgets {
 pub struct HealthOutcome {
     /// The confidence ledger, one line per trace/metric finding.
     pub text: String,
-    /// Hard failures: threshold crossed, no budget entry at all, or a
-    /// figure with its own entry but no trace health.
+    /// Hard failures: threshold crossed, or a figure with its own entry
+    /// but no trace health.
     pub violations: usize,
-    /// Advisory notes (figures without traces on the default entry).
+    /// Advisory notes (figures without traces on the fallback entry).
     pub notes: usize,
 }
 
@@ -197,23 +182,10 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
         notes: 0,
     };
     for sc in sidecars {
-        let Some((source, entry)) = budgets.entry_for(&sc.id) else {
-            out.violations += 1;
-            out.text.push_str(&format!(
-                "FAIL {}: no budget entry and no \"default\" — record one with --update-budgets\n",
-                sc.id
-            ));
-            continue;
-        };
+        let (source, entry) = budgets.entry_for(&sc.id);
         out.text
             .push_str(&format!("== {} (thresholds from {:?}) ==\n", sc.id, source));
-        let with_health: Vec<_> = sc
-            .report
-            .traces
-            .iter()
-            .filter_map(|t| t.health.map(|h| (t.name.as_str(), h)))
-            .collect();
-        if with_health.is_empty() {
+        if sc.report.traces.iter().all(|t| t.health.is_none()) {
             // Only a figure with an entry of its own must have traces.
             if source == sc.id {
                 let detail = "no Monte-Carlo trace health".to_string();
@@ -224,51 +196,8 @@ pub fn health_check(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthOutc
                     .push_str(&format!("note {}: no Monte-Carlo trace health\n", sc.id));
             }
         }
-        for (name, h) in with_health {
-            if h.has_weights {
-                verdict(
-                    &mut out,
-                    h.ess_fraction < entry.min_ess_fraction,
-                    &sc.id,
-                    "LOW_ESS",
-                    format!(
-                        "{name}: ess_fraction {:.4} (floor {:.4}, ess {:.1} of {} contributing)",
-                        h.ess_fraction, entry.min_ess_fraction, h.ess, h.contributing
-                    ),
-                );
-                verdict(
-                    &mut out,
-                    h.max_weight_fraction > entry.max_weight_fraction,
-                    &sc.id,
-                    "WEIGHT_DEGENERATE",
-                    format!(
-                        "{name}: max_weight_fraction {:.4} (ceiling {:.4})",
-                        h.max_weight_fraction, entry.max_weight_fraction
-                    ),
-                );
-            }
-            verdict(
-                &mut out,
-                h.stall_ratio > entry.max_stall_ratio,
-                &sc.id,
-                "STALLED",
-                format!(
-                    "{name}: stall_ratio {:.4} (ceiling {:.4}, {}/{} steps)",
-                    h.stall_ratio, entry.max_stall_ratio, h.stalled_steps, h.steps
-                ),
-            );
-        }
-        if let Some(share) = sc.report.gauge("mc.quarantine_ci_share") {
-            verdict(
-                &mut out,
-                share > entry.max_quarantine_ci_share,
-                &sc.id,
-                "QUARANTINE_BIASED",
-                format!(
-                    "quarantine_ci_share {:.4} (ceiling {:.4})",
-                    share, entry.max_quarantine_ci_share
-                ),
-            );
+        for c in sc.report.health_checks(&entry) {
+            verdict(&mut out, c.failed, &sc.id, c.tag, c.detail);
         }
     }
     out
@@ -288,8 +217,7 @@ fn ceil4(x: f64) -> f64 {
 /// observed health, rounded in the *permissive* direction (floors down,
 /// ceilings up) so a byte-identical rerun passes exactly. A sidecar
 /// without trace health gets no entry (and loses a stale one), so the
-/// gate's missing-trace rule never applies to it. The `"default"` entry
-/// is never rewritten.
+/// gate's missing-trace rule never applies to it.
 pub fn update_health_budgets(budgets: &HealthBudgets, sidecars: &[Sidecar]) -> HealthBudgets {
     let mut next = budgets.clone();
     for sc in sidecars {
@@ -386,8 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_schema() {
+    fn rejects_wrong_schema_and_a_default_entry() {
         assert!(HealthBudgets::parse(r#"{"schema": "nope", "budgets": {}}"#).is_err());
+        let with_default = r#"{"schema": "pvtm-health-budgets/1",
+            "budgets": {"default": {"min_ess_fraction": 0.2}}}"#;
+        let e = HealthBudgets::parse(with_default).unwrap_err();
+        assert!(e.message.contains("\"default\" entry"), "{e}");
     }
 
     #[test]
@@ -446,33 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn default_entry_covers_unlisted_figures() {
-        let b = budgets(
-            DEFAULT_ENTRY,
-            HealthEntry {
-                min_ess_fraction: 0.1,
-                ..HealthEntry::default()
-            },
-        );
+    fn the_fallback_covers_unlisted_figures() {
+        let b = HealthBudgets::default();
         let out = health_check(&b, &[sidecar("fig9", Some(health(0.9, 0.01, 0.0)))]);
         assert!(!out.failed(), "{}", out.text);
         assert!(out.text.contains("thresholds from \"default\""));
+        // The fallback is HealthEntry::FALLBACK, not the permissive default.
+        let out = health_check(&b, &[sidecar("fig9", Some(health(0.1, 0.01, 0.0)))]);
+        assert!(out.text.contains("LOW_ESS"), "{}", out.text);
+        assert!(out.text.contains("(floor 0.2000,"), "{}", out.text);
     }
 
     #[test]
-    fn missing_entry_without_default_fails() {
-        let out = health_check(
-            &HealthBudgets::default(),
-            &[sidecar("fig9", Some(health(0.9, 0.01, 0.0)))],
-        );
-        assert!(out.failed());
-        assert!(out.text.contains("no budget entry"));
-    }
-
-    #[test]
-    fn traceless_figure_on_the_default_entry_is_a_note() {
-        let b = budgets(DEFAULT_ENTRY, HealthEntry::default());
-        let out = health_check(&b, &[sidecar("fig8", None)]);
+    fn traceless_figure_on_the_fallback_is_a_note() {
+        let out = health_check(&HealthBudgets::default(), &[sidecar("fig8", None)]);
         assert!(!out.failed());
         assert_eq!(out.notes, 1);
         assert!(out.text.contains("note fig8: no Monte-Carlo trace health"));
@@ -491,10 +410,10 @@ mod tests {
 
     #[test]
     fn update_records_no_entry_without_trace_health() {
-        let b = budgets(DEFAULT_ENTRY, HealthEntry::default());
+        let b = HealthBudgets::default();
         let next = update_health_budgets(&b, &[sidecar("fig8", None)]);
         assert_eq!(next, b);
-        // A stale entry goes, so the figure falls back to "default".
+        // A stale entry goes, so the figure falls back to the constant.
         let stale = update_health_budgets(&b, &[sidecar("fig8", Some(health(0.9, 0.01, 0.0)))]);
         assert_eq!(update_health_budgets(&stale, &[sidecar("fig8", None)]), b);
     }
@@ -516,19 +435,11 @@ mod tests {
     }
 
     #[test]
-    fn update_preserves_default_and_rounds_permissively() {
-        let b0 = budgets(
-            DEFAULT_ENTRY,
-            HealthEntry {
-                min_ess_fraction: 0.2,
-                ..HealthEntry::default()
-            },
-        );
+    fn update_rounds_permissively() {
         let next = update_health_budgets(
-            &b0,
+            &HealthBudgets::default(),
             &[sidecar("fig2a", Some(health(0.82159, 0.03001, 0.25)))],
         );
-        assert_eq!(next.entries[DEFAULT_ENTRY].min_ess_fraction, 0.2);
         let e = next.entries["fig2a"];
         assert_eq!(e.min_ess_fraction, 0.8215, "floor rounds down");
         assert_eq!(e.max_weight_fraction, 0.0301, "ceiling rounds up");

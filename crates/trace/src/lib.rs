@@ -1,9 +1,12 @@
 //! `pvtm-trace` — the consumer half of the workspace's observability loop.
 //!
 //! `pvtm-telemetry` (the producer) writes one `results/<id>.telemetry.json`
-//! sidecar per figure run, and reads it back strictly with
-//! [`pvtm_telemetry::Sidecar`]. This crate turns what it reads into
-//! decisions:
+//! sidecar and one `results/<id>.events.jsonl` journal per figure run, and
+//! reads them back: the sidecar strictly with [`pvtm_telemetry::Sidecar`],
+//! the journal with [`pvtm_telemetry::events::Journal`], which folds its
+//! run progress exactly as a live scrape does. Telemetry also judges
+//! estimator health ([`pvtm_telemetry::Report::health_checks`]). This
+//! crate only reads and renders, turning what it reads into decisions:
 //!
 //! - [`report`] renders a hot-span table (sorted by self-time, or by Newton
 //!   iterations when the run was clock-gated) and folded flamegraph stacks;
@@ -11,17 +14,15 @@
 //!   with a noise tolerance;
 //! - [`check`](mod@check) gates a sidecar against checked-in `perf-budgets.json`
 //!   ceilings on the deterministic work counters;
-//! - [`health`] gates the sidecar's estimator-health diagnostics
-//!   (ESS fraction, weight degeneracy, CI stalls, quarantine bias)
+//! - [`health`] renders the confidence ledger of the sidecar's estimator
+//!   health (ESS fraction, weight degeneracy, CI stalls, quarantine bias)
 //!   against checked-in `health-budgets.json` thresholds;
-//! - [`tail`] parses the `results/<id>.events.jsonl` run journal — live
-//!   or finalized — into a progress snapshot, and doubles as the
-//!   `pvtm-events/1` schema validator in CI;
-//! - [`top`] renders a polling terminal dashboard, scraping a live
-//!   `/snapshot.json` endpoint when the run exported one
-//!   (`PVTM_METRICS_ADDR`, read with
-//!   [`pvtm_telemetry::snapshot::LiveSnapshot::parse`]) and degrading to
-//!   the event journal otherwise.
+//! - [`tail`] renders a run journal — live or finalized — as a progress
+//!   snapshot, and doubles as the `pvtm-events/1` schema validator in CI;
+//! - [`top`] renders a polling terminal dashboard of a live
+//!   `/snapshot.json` endpoint (`PVTM_METRICS_ADDR`, read with
+//!   [`pvtm_telemetry::snapshot::LiveSnapshot::parse`]), drawing its
+//!   progress rows and ETA as `tail` does.
 //!
 //! The design point carried through all of them: **wall-clock is advisory,
 //! work counters are the contract.** With `PVTM_TELEMETRY_CLOCK=off` the
@@ -43,5 +44,5 @@ pub use check::{check, update_budgets, Budgets, CheckOutcome};
 pub use diff::{diff, DiffOutcome};
 pub use health::{health_check, update_health_budgets, HealthBudgets, HealthOutcome};
 pub use report::{folded_stacks, hot_span_table};
-pub use tail::{snapshot, Journal, Snapshot};
-pub use top::{fetch_live, parse_source, render_journal, render_live, Source};
+pub use tail::{render_progress, snapshot, Snapshot};
+pub use top::{fetch_live, render_live};

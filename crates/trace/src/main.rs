@@ -6,20 +6,21 @@
 //! pvtm-trace check  <budgets.json> <sidecar.json>... [--update-budgets]
 //! pvtm-trace health <budgets.json> <sidecar.json>... [--update-budgets]
 //! pvtm-trace tail   <events.jsonl> [--json | --follow [--interval S]]
-//! pvtm-trace top    <addr | events.jsonl> [--interval S] [--once] [--top N]
+//! pvtm-trace top    <addr> [--interval S] [--once] [--top N]
 //! ```
 //!
 //! Exit codes: 0 success, 1 gate failure (budget exceeded / work-counter
 //! regression / estimator-health violation / a sidecar the telemetry
 //! writer would not write), 2 usage or I/O error.
 
+use std::net::SocketAddr;
 use std::process::ExitCode;
 
+use pvtm_telemetry::events::Journal;
 use pvtm_telemetry::Sidecar;
 use pvtm_trace::{
-    check, diff, fetch_live, folded_stacks, health_check, hot_span_table, parse_source,
-    render_journal, render_live, snapshot, update_budgets, update_health_budgets, Budgets,
-    HealthBudgets, Journal, Source,
+    check, diff, fetch_live, folded_stacks, health_check, hot_span_table, render_live, snapshot,
+    update_budgets, update_health_budgets, Budgets, HealthBudgets,
 };
 
 const USAGE: &str = "usage:
@@ -28,7 +29,7 @@ const USAGE: &str = "usage:
   pvtm-trace check  <budgets.json> <sidecar.json>... [--update-budgets]
   pvtm-trace health <budgets.json> <sidecar.json>... [--update-budgets]
   pvtm-trace tail   <events.jsonl> [--json | --follow [--interval S]]
-  pvtm-trace top    <addr | events.jsonl> [--interval S] [--once] [--top N]";
+  pvtm-trace top    <addr> [--interval S] [--once] [--top N]";
 
 const EXIT_GATE: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -305,7 +306,7 @@ fn cmd_tail(args: &[String]) -> ExitCode {
                 if json_out {
                     print!("{}", s.to_json());
                 } else {
-                    print!("{}", s.render());
+                    print!("{}", s.render(0.0));
                 }
                 ExitCode::SUCCESS
             }
@@ -323,15 +324,7 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     loop {
         match read(false) {
             Ok(s) => {
-                let mut text = s.render();
-                let (done, total) = s.work();
-                let elapsed = watch.elapsed_secs();
-                if !s.finalized && done > 0 && total > done && elapsed > 0.0 {
-                    // Work-based ETA: chunks are equal-sized by
-                    // construction, so elapsed/done extrapolates.
-                    let eta = elapsed * (total - done) as f64 / done as f64;
-                    text.push_str(&format!("  eta: ~{eta:.0} s\n"));
-                }
+                let text = s.render(watch.elapsed_secs());
                 if last.as_deref() != Some(text.as_str()) {
                     print!("{text}");
                     last = Some(text);
@@ -364,33 +357,24 @@ fn cmd_top(args: &[String]) -> ExitCode {
                 _ => return usage("--top needs an integer"),
             },
             _ if target.is_none() => target = Some(a.clone()),
-            _ => return usage("top takes one metrics address or journal"),
+            _ => return usage("top takes one metrics address"),
         }
     }
     let Some(target) = target else {
-        return usage("top needs a metrics address or an events.jsonl path");
+        return usage("top needs a metrics address");
     };
-    let source = parse_source(&target);
+    let Ok(addr) = target.parse::<SocketAddr>() else {
+        return usage(&format!(
+            "top reads a live metrics address (host:port), not {target:?}; \
+             follow a journal with `tail --follow`"
+        ));
+    };
 
-    // Journal-mode ETA falls back to a local stopwatch (a journal carries
-    // no elapsed time); live frames bring their own `elapsed_secs`.
-    let watch = pvtm_telemetry::clock::Stopwatch::started();
     let mut frames = 0u64;
     loop {
-        // (rendered dashboard, run finished) per tick.
-        let outcome: Result<(String, bool), String> = match &source {
-            Source::Addr(addr) => fetch_live(*addr).map(|f| (render_live(&f, top), false)),
-            Source::Journal(path) => std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))
-                .and_then(|text| Journal::parse(&text).map_err(|e| format!("{path}: {e}")))
-                .map(|j| {
-                    let s = snapshot(&j);
-                    let finalized = s.finalized;
-                    (render_journal(&s, watch.elapsed_secs()), finalized)
-                }),
-        };
-        match outcome {
-            Ok((text, finished)) => {
+        match fetch_live(addr) {
+            Ok(frame) => {
+                let text = render_live(&frame, top);
                 frames += 1;
                 if once {
                     // One validated frame: this is the CI schema check.
@@ -400,16 +384,13 @@ fn cmd_top(args: &[String]) -> ExitCode {
                 print!("\x1b[2J\x1b[H{text}");
                 use std::io::Write as _;
                 let _ = std::io::stdout().flush();
-                if finished {
-                    return ExitCode::SUCCESS;
-                }
             }
             Err(e) => {
                 if once {
                     eprintln!("pvtm-trace top: FAIL — {e}");
                     return ExitCode::from(EXIT_GATE);
                 }
-                if frames > 0 && matches!(source, Source::Addr(_)) {
+                if frames > 0 {
                     // The endpoint served frames and then went away: the
                     // run finalized and shut its server down. Clean exit.
                     println!("pvtm-trace top: run finished ({e})");

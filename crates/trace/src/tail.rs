@@ -1,12 +1,14 @@
-//! `pvtm-trace tail` — follow a run's event journal.
+//! `pvtm-trace tail` — render a run's event journal.
 //!
 //! The producer ([`pvtm_telemetry::events`]) appends one JSON object per
 //! line to `results/<id>.events.jsonl` while a figure runs, then rewrites
-//! the file in canonical order at the end. This module parses either form
-//! — live (arrival order, possibly mid-write) or finalized (sorted, with
-//! a `run.end` footer) — and folds it into a progress snapshot: per-trace
-//! chunk counts against the `mc.start` totals, a running estimate merged
-//! from the `mc.chunk` moments, and corner/rescue/quarantine tallies.
+//! the file in canonical order at the end. [`Journal::parse`] reads either
+//! form and [`Journal::progress`] folds its per-trace progress — by the
+//! fold a live `/snapshot.json` scrape uses, so the running estimate of a
+//! finalized journal is the sidecar's. This module adds the journal's
+//! corner, rescue and quarantine tallies and renders the snapshot, and
+//! [`render_progress`] draws the progress rows and the ETA for both `tail`
+//! and `top`.
 //!
 //! Run once without `--follow`, the strict parse doubles as the CI schema
 //! validator: a journal that violates the `pvtm-events/1` contract
@@ -14,151 +16,13 @@
 //! rejected with a diagnostic. The only tolerated defect is a torn final
 //! line, which a kill mid-append legitimately produces.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::Write as _;
 
+use pvtm_telemetry::events::Journal;
 use pvtm_telemetry::json::{self, Value};
+use pvtm_telemetry::snapshot::TraceProgress;
 
-/// Journal rejection: a schema-contract violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-fn err(message: impl Into<String>) -> JournalError {
-    JournalError {
-        message: message.into(),
-    }
-}
-
-/// A parsed event journal: the header identity plus the body events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Journal {
-    /// Figure id from the `run.start` header.
-    pub id: String,
-    /// Producer mode string from the header.
-    pub mode: String,
-    /// Body events (everything between `run.start` and `run.end`).
-    pub events: Vec<Value>,
-    /// The `run.end` footer when the journal is finalized.
-    pub end: Option<Value>,
-    /// Whether a torn (unparsable, kill-truncated) final line was dropped.
-    pub torn_tail: bool,
-}
-
-impl Journal {
-    /// Parses journal text, validating the `pvtm-events/1` contract:
-    /// line 0 is a `run.start` carrying the schema marker, every line is
-    /// a JSON object, and sequence numbers are dense and ascending from
-    /// zero. A torn final line (kill mid-append) is dropped, not fatal.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty file, a bad header, an unparsable non-final
-    /// line, or a sequence-number gap.
-    pub fn parse(text: &str) -> Result<Journal, JournalError> {
-        let lines: Vec<&str> = text.lines().collect();
-        if lines.is_empty() {
-            return Err(err("empty journal"));
-        }
-        let mut docs = Vec::with_capacity(lines.len());
-        let mut torn_tail = false;
-        for (i, l) in lines.iter().enumerate() {
-            match json::parse(l) {
-                Ok(doc) => docs.push(doc),
-                Err(_) if i == lines.len() - 1 && i > 0 => torn_tail = true,
-                Err(e) => return Err(err(format!("line {}: unparsable JSON: {e}", i + 1))),
-            }
-        }
-
-        let header = &docs[0];
-        if header.get("kind").and_then(Value::as_str) != Some("run.start") {
-            return Err(err("line 1: journal must open with a run.start event"));
-        }
-        match header.get("schema").and_then(Value::as_str) {
-            Some(SCHEMA) => {}
-            other => {
-                return Err(err(format!(
-                    "line 1: schema {other:?}, expected {SCHEMA:?}"
-                )))
-            }
-        }
-        for (i, doc) in docs.iter().enumerate() {
-            if doc.get("seq").and_then(Value::as_u64) != Some(i as u64) {
-                return Err(err(format!(
-                    "line {}: sequence numbers must be dense and ascending from 0",
-                    i + 1
-                )));
-            }
-            if doc.get("kind").and_then(Value::as_str).is_none() {
-                return Err(err(format!("line {}: missing \"kind\"", i + 1)));
-            }
-        }
-
-        let id = header
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let mode = header
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let mut body = docs.split_off(1);
-        let end = match body.last() {
-            Some(doc) if doc.get("kind").and_then(Value::as_str) == Some("run.end") => body.pop(),
-            _ => None,
-        };
-        Ok(Journal {
-            id,
-            mode,
-            events: body,
-            end,
-            torn_tail,
-        })
-    }
-
-    /// Whether the journal carries the `run.end` footer (canonical form).
-    pub fn finalized(&self) -> bool {
-        self.end.is_some()
-    }
-}
-
-/// Journal schema this parser accepts (mirrors the producer's marker).
-pub const SCHEMA: &str = "pvtm-events/1";
-
-/// One trace's progress, folded from its `mc.start` / `mc.chunk` events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceProgress {
-    /// Trace label.
-    pub name: String,
-    /// Chunks recorded so far.
-    pub chunks_done: u64,
-    /// Planned chunks from `mc.start` (0 when the start event is missing,
-    /// e.g. a tail that attached after a canonical rewrite trimmed nothing
-    /// — totals then read as unknown).
-    pub chunks_total: u64,
-    /// Samples recorded so far (sum of chunk `n`s).
-    pub samples_done: u64,
-    /// Planned samples from `mc.start`.
-    pub samples_total: u64,
-    /// Running estimate from the merged chunk moments.
-    pub value: f64,
-    /// Running standard error from the merged chunk moments.
-    pub std_err: f64,
-}
-
-/// A progress snapshot folded from one journal.
+/// A progress snapshot of one journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Figure id.
@@ -169,7 +33,7 @@ pub struct Snapshot {
     pub torn_tail: bool,
     /// Body events seen.
     pub events: usize,
-    /// Per-trace progress, name-sorted.
+    /// Per-trace progress, name-sorted ([`Journal::progress`]).
     pub traces: Vec<TraceProgress>,
     /// `figure.corner` events seen.
     pub corners: u64,
@@ -185,51 +49,15 @@ pub struct Snapshot {
     pub quarantined: u64,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct Moments {
-    n: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    /// Chan parallel merge — same combination the estimators use, so the
-    /// tailed running estimate matches the sidecar's convergence trace.
-    fn merge(self, other: Moments) -> Moments {
-        // pvtm-lint: allow(no-float-eq) n is a whole-number sample count; 0.0 is the assigned empty sentinel
-        if other.n == 0.0 {
-            return self;
-        }
-        // pvtm-lint: allow(no-float-eq) n is a whole-number sample count; 0.0 is the assigned empty sentinel
-        if self.n == 0.0 {
-            return other;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        Moments {
-            n,
-            mean: self.mean + delta * other.n / n,
-            m2: self.m2 + other.m2 + delta * delta * self.n * other.n / n,
-        }
-    }
-}
-
-/// Folds a journal into a progress snapshot.
+/// Reads a journal's progress and tallies its corner, estimate, rescue and
+/// quarantine events. Unknown kinds are ignored (forward compatibility).
 pub fn snapshot(j: &Journal) -> Snapshot {
-    #[derive(Default)]
-    struct Acc {
-        chunks_done: u64,
-        chunks_total: u64,
-        samples_total: u64,
-        moments: Moments,
-    }
-    let mut traces: BTreeMap<String, Acc> = BTreeMap::new();
     let mut s = Snapshot {
         id: j.id.clone(),
         finalized: j.finalized(),
         torn_tail: j.torn_tail,
         events: j.events.len(),
-        traces: Vec::new(),
+        traces: j.progress(),
         corners: 0,
         corners_quarantined: 0,
         estimates: 0,
@@ -237,115 +65,113 @@ pub fn snapshot(j: &Journal) -> Snapshot {
         rescue_hits: 0,
         quarantined: 0,
     };
-    let f = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
     for e in &j.events {
-        let trace_of = |e: &Value| {
-            e.get("trace")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
+        let flag = |key: &str| u64::from(e.get(key) == Some(&Value::Bool(true)));
         match e.get("kind").and_then(Value::as_str) {
-            Some("mc.start") => {
-                let acc = traces.entry(trace_of(e)).or_default();
-                acc.chunks_total += f(e, "chunks") as u64;
-                acc.samples_total += f(e, "samples") as u64;
-            }
-            Some("mc.chunk") => {
-                let acc = traces.entry(trace_of(e)).or_default();
-                acc.chunks_done += 1;
-                acc.moments = acc.moments.merge(Moments {
-                    n: f(e, "n"),
-                    mean: f(e, "mean"),
-                    m2: f(e, "m2"),
-                });
-            }
             Some("figure.corner") => {
                 s.corners += 1;
-                if e.get("quarantined") == Some(&Value::Bool(true)) {
-                    s.corners_quarantined += 1;
-                }
+                s.corners_quarantined += flag("quarantined");
             }
             Some("mc.estimate") => s.estimates += 1,
             Some("solver.rescue") => {
                 s.rescue_attempts += 1;
-                if e.get("hit") == Some(&Value::Bool(true)) {
-                    s.rescue_hits += 1;
-                }
+                s.rescue_hits += flag("hit");
             }
             Some("mc.quarantine") => s.quarantined += 1,
-            _ => {} // forward compatibility: unknown kinds are ignored
+            _ => {}
         }
     }
-    s.traces = traces
-        .into_iter()
-        .map(|(name, a)| {
-            let std_err = if a.moments.n > 1.0 {
-                (a.moments.m2 / (a.moments.n - 1.0) / a.moments.n).sqrt()
-            } else {
-                0.0
-            };
-            TraceProgress {
-                name,
-                chunks_done: a.chunks_done,
-                chunks_total: a.chunks_total,
-                samples_done: a.moments.n as u64,
-                samples_total: a.samples_total,
-                value: a.moments.mean,
-                std_err,
-            }
-        })
-        .collect();
     s
 }
 
-impl Snapshot {
-    /// Work completed and planned, in chunks — the ETA numerator and
-    /// denominator. The total reads 0 when no `mc.start` has landed yet.
-    pub fn work(&self) -> (u64, u64) {
-        let done = self.traces.iter().map(|t| t.chunks_done).sum();
-        let total = self.traces.iter().map(|t| t.chunks_total).sum();
-        (done, total)
-    }
+/// Chunks done and planned over `rows` — the ETA numerator and
+/// denominator. The total reads 0 while no `mc.start` has landed.
+fn work(rows: &[TraceProgress]) -> (u64, u64) {
+    let done = rows.iter().map(|t| t.chunks_done).sum();
+    let total = rows.iter().map(|t| t.chunks_total).sum();
+    (done, total)
+}
 
+/// A fixed-width `#`/`.` progress bar; all-`.` when the total is unknown.
+fn bar(done: u64, total: u64, width: usize) -> String {
+    let filled = if total == 0 {
+        0
+    } else {
+        (done.min(total) as usize * width) / total as usize
+    };
+    (0..width)
+        .map(|i| if i < filled { '#' } else { '.' })
+        .collect()
+}
+
+/// Renders one row per trace — a progress bar, chunk and sample counts,
+/// the running estimate once samples landed, the ESS once weight moments
+/// did — then the work-based ETA: chunks are equal-sized by construction,
+/// so `elapsed / done` extrapolates. The ETA is left out when `elapsed` is
+/// 0 (the clock is gated off, or the run is over), when nothing has
+/// landed, or when no work is left.
+pub fn render_progress(out: &mut String, rows: &[TraceProgress], elapsed: f64) {
+    for r in rows {
+        let pct = if r.chunks_total > 0 {
+            format!(
+                "{:3.0}%",
+                100.0 * r.chunks_done as f64 / r.chunks_total as f64
+            )
+        } else {
+            "  ?%".to_string()
+        };
+        let _ = write!(
+            out,
+            "  {:<28} [{}] {} {}/{} chunks, {}/{} samples",
+            r.name,
+            bar(r.chunks_done, r.chunks_total, 20),
+            pct,
+            r.chunks_done,
+            r.chunks_total,
+            r.samples_done,
+            r.samples_total
+        );
+        if r.samples_done > 0 {
+            let _ = write!(out, ", est {:.4e} ± {:.2e}", r.value, r.std_err);
+        }
+        if r.health_chunks > 0 {
+            let _ = write!(out, ", ess {:.1}", r.ess);
+        }
+        out.push('\n');
+    }
+    let (done, total) = work(rows);
+    if done > 0 && total > done && elapsed > 0.0 {
+        let eta = elapsed * (total - done) as f64 / done as f64;
+        let _ = writeln!(out, "  eta: ~{eta:.0} s ({done}/{total} chunks)");
+    }
+}
+
+impl Snapshot {
     /// The snapshot as a JSON value with alphabetically sorted keys —
-    /// the `tail --json` machine-readable contract. `work_done` /
-    /// `work_total` are denormalized in so scripted consumers do not
-    /// have to re-sum the traces.
+    /// the `tail --json` machine-readable contract. Each trace row is what
+    /// `/snapshot.json` writes for it ([`TraceProgress::to_value`]);
+    /// `work_done` / `work_total` are denormalized in so scripted consumers
+    /// do not have to re-sum the traces.
     pub fn to_value(&self) -> Value {
-        let (work_done, work_total) = self.work();
-        let traces = self
-            .traces
-            .iter()
-            .map(|t| {
-                json::obj(vec![
-                    ("chunks_done", Value::Num(t.chunks_done as f64)),
-                    ("chunks_total", Value::Num(t.chunks_total as f64)),
-                    ("name", Value::Str(t.name.clone())),
-                    ("samples_done", Value::Num(t.samples_done as f64)),
-                    ("samples_total", Value::Num(t.samples_total as f64)),
-                    ("std_err", Value::Num(t.std_err)),
-                    ("value", Value::Num(t.value)),
-                ])
-            })
-            .collect();
+        let (work_done, work_total) = work(&self.traces);
+        let count = |n: u64| Value::Num(n as f64);
         json::obj(vec![
-            ("corners", Value::Num(self.corners as f64)),
-            (
-                "corners_quarantined",
-                Value::Num(self.corners_quarantined as f64),
-            ),
-            ("estimates", Value::Num(self.estimates as f64)),
-            ("events", Value::Num(self.events as f64)),
+            ("corners", count(self.corners)),
+            ("corners_quarantined", count(self.corners_quarantined)),
+            ("estimates", count(self.estimates)),
+            ("events", count(self.events as u64)),
             ("finalized", Value::Bool(self.finalized)),
             ("id", Value::Str(self.id.clone())),
-            ("quarantined", Value::Num(self.quarantined as f64)),
-            ("rescue_attempts", Value::Num(self.rescue_attempts as f64)),
-            ("rescue_hits", Value::Num(self.rescue_hits as f64)),
+            ("quarantined", count(self.quarantined)),
+            ("rescue_attempts", count(self.rescue_attempts)),
+            ("rescue_hits", count(self.rescue_hits)),
             ("torn_tail", Value::Bool(self.torn_tail)),
-            ("traces", Value::Arr(traces)),
-            ("work_done", Value::Num(work_done as f64)),
-            ("work_total", Value::Num(work_total as f64)),
+            (
+                "traces",
+                Value::Arr(self.traces.iter().map(TraceProgress::to_value).collect()),
+            ),
+            ("work_done", count(work_done)),
+            ("work_total", count(work_total)),
         ])
     }
 
@@ -357,8 +183,9 @@ impl Snapshot {
         out
     }
 
-    /// Renders the human-readable snapshot.
-    pub fn render(&self) -> String {
+    /// Renders the human-readable snapshot, with an ETA from `elapsed`
+    /// seconds of watching while the run is in flight.
+    pub fn render(&self, elapsed: f64) -> String {
         let mut out = format!(
             "run {} — {} ({} events{})\n",
             self.id,
@@ -374,27 +201,21 @@ impl Snapshot {
                 ""
             },
         );
-        for t in &self.traces {
-            out.push_str(&format!(
-                "  trace {}: {}/{} chunks, {}/{} samples",
-                t.name, t.chunks_done, t.chunks_total, t.samples_done, t.samples_total
-            ));
-            if t.samples_done > 0 {
-                out.push_str(&format!(", est {:.4e} ± {:.2e}", t.value, t.std_err));
-            }
-            out.push('\n');
-        }
+        let elapsed = if self.finalized { 0.0 } else { elapsed };
+        render_progress(&mut out, &self.traces, elapsed);
         if self.corners > 0 {
-            out.push_str(&format!(
-                "  corners: {} done ({} quarantined), {} estimates\n",
+            let _ = writeln!(
+                out,
+                "  corners: {} done ({} quarantined), {} estimates",
                 self.corners, self.corners_quarantined, self.estimates
-            ));
+            );
         }
         if self.rescue_attempts > 0 || self.quarantined > 0 {
-            out.push_str(&format!(
-                "  rescue: {}/{} hits/attempts, quarantined samples: {}\n",
+            let _ = writeln!(
+                out,
+                "  rescue: {}/{} hits/attempts, quarantined samples: {}",
                 self.rescue_hits, self.rescue_attempts, self.quarantined
-            ));
+            );
         }
         out
     }
@@ -408,11 +229,11 @@ mod tests {
         let mut t = String::from(concat!(
             r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"fig2a","mode":"full","clock":false}"#,
             "\n",
-            r#"{"seq":1,"kind":"mc.start","trace":"fig2a.mc","samples":8192,"chunks":2}"#,
+            r#"{"seq":1,"kind":"mc.start","trace":"fig2a.mc","samples":16384,"chunks":4}"#,
             "\n",
             r#"{"seq":2,"kind":"mc.chunk","trace":"fig2a.mc","chunk":0,"n":4096,"mean":0.25,"m2":768.0}"#,
             "\n",
-            r#"{"seq":3,"kind":"mc.chunk","trace":"fig2a.mc","chunk":1,"n":4096,"mean":0.25,"m2":768.0}"#,
+            r#"{"seq":3,"kind":"mc.health","trace":"fig2a.mc","chunk":0,"fails":10,"weight_sum":2.0,"weight_sq_sum":0.5,"weight_max":0.5}"#,
             "\n",
             r#"{"seq":4,"kind":"figure.corner","figure":"fig2a","corner":0,"quarantined":true}"#,
             "\n",
@@ -428,75 +249,50 @@ mod tests {
         t
     }
 
-    #[test]
-    fn parses_live_and_finalized_journals() {
-        let live = Journal::parse(&journal_text(false)).unwrap();
-        assert_eq!(live.id, "fig2a");
-        assert!(!live.finalized());
-        assert_eq!(live.events.len(), 6);
-        let done = Journal::parse(&journal_text(true)).unwrap();
-        assert!(done.finalized());
-        assert_eq!(done.events.len(), 6, "run.end is footer, not body");
+    fn snap(finalize: bool) -> Snapshot {
+        snapshot(&Journal::parse(&journal_text(finalize)).unwrap())
     }
 
     #[test]
-    fn tolerates_exactly_one_torn_final_line() {
-        let mut t = journal_text(false);
-        t.push_str(r#"{"seq":7,"kind":"mc.chu"#); // kill mid-append
-        let j = Journal::parse(&t).unwrap();
-        assert!(j.torn_tail);
-        assert_eq!(j.events.len(), 6);
+    fn bar_fills_proportionally_and_handles_unknown_totals() {
+        assert_eq!(bar(0, 4, 8), "........");
+        assert_eq!(bar(2, 4, 8), "####....");
+        assert_eq!(bar(4, 4, 8), "########");
+        assert_eq!(bar(9, 4, 8), "########", "overshoot clamps");
+        assert_eq!(bar(3, 0, 8), "........", "unknown total stays empty");
     }
 
     #[test]
-    fn rejects_contract_violations() {
-        assert!(Journal::parse("").is_err());
-        assert!(Journal::parse("{\"seq\":0,\"kind\":\"other\"}\n").is_err());
-        let wrong_schema =
-            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/9","id":"x","mode":"full"}"#;
-        assert!(Journal::parse(wrong_schema).is_err());
-        let gap = format!(
-            "{}\n{}\n",
-            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"x","mode":"full"}"#,
-            r#"{"seq":5,"kind":"mc.start"}"#
-        );
-        let e = Journal::parse(&gap).unwrap_err();
-        assert!(e.message.contains("dense"), "{e}");
-        // A torn line anywhere but the tail is fatal.
-        let mid = format!(
-            "{}\n{}\n{}\n",
-            r#"{"seq":0,"kind":"run.start","schema":"pvtm-events/1","id":"x","mode":"full"}"#,
-            r#"{"seq":1,"kind":"mc.st"#,
-            r#"{"seq":2,"kind":"mc.start"}"#
-        );
-        assert!(Journal::parse(&mid).is_err());
-    }
-
-    #[test]
-    fn snapshot_folds_progress_and_merges_moments() {
-        let j = Journal::parse(&journal_text(false)).unwrap();
-        let s = snapshot(&j);
-        assert_eq!(s.work(), (2, 2));
-        let t = &s.traces[0];
-        assert_eq!(t.name, "fig2a.mc");
-        assert_eq!((t.samples_done, t.samples_total), (8192, 8192));
-        assert!((t.value - 0.25).abs() < 1e-12);
-        // Two identical-mean chunks: merged m2 = 1536, var = m2/(n-1).
-        let expect = (1536.0f64 / 8191.0 / 8192.0).sqrt();
-        assert!((t.std_err - expect).abs() < 1e-15);
+    fn snapshot_tallies_events_and_renders_progress() {
+        let s = snap(false);
+        assert_eq!(work(&s.traces), (1, 4));
         assert_eq!((s.corners, s.corners_quarantined), (1, 1));
         assert_eq!((s.rescue_attempts, s.rescue_hits), (1, 1));
         assert_eq!(s.quarantined, 1);
-        let text = s.render();
-        assert!(text.contains("in flight"), "{text}");
-        assert!(text.contains("2/2 chunks"), "{text}");
+        let text = s.render(5.0);
+        assert!(text.contains("run fig2a — in flight"), "{text}");
+        assert!(
+            text.contains("[#####...............]  25% 1/4 chunks"),
+            "{text}"
+        );
+        assert!(text.contains("ess 8.0"), "{text}");
+        assert!(text.contains("eta: ~15 s (1/4 chunks)"), "{text}");
         assert!(text.contains("1/1 hits/attempts"), "{text}");
+        assert!(!s.render(0.0).contains("eta"), "no ETA with the clock off");
     }
 
     #[test]
-    fn json_snapshot_is_sorted_and_denormalizes_work() {
-        let j = Journal::parse(&journal_text(false)).unwrap();
-        let s = snapshot(&j);
+    fn finalized_snapshot_reports_it_without_an_eta() {
+        let s = snap(true);
+        assert!(s.finalized);
+        let text = s.render(5.0);
+        assert!(text.contains("finalized"), "{text}");
+        assert!(!text.contains("eta"), "{text}");
+    }
+
+    #[test]
+    fn json_snapshot_is_sorted_and_writes_the_snapshot_json_rows() {
+        let s = snap(false);
         let v = s.to_value();
         let Value::Obj(members) = &v else {
             panic!("snapshot JSON must be an object");
@@ -507,24 +303,12 @@ mod tests {
         assert_eq!(keys, sorted, "top-level keys must be alphabetical");
         assert_eq!(v.get("id").and_then(Value::as_str), Some("fig2a"));
         assert_eq!(v.get("finalized").and_then(Value::as_bool), Some(false));
-        assert_eq!(v.get("work_done").and_then(Value::as_u64), Some(2));
-        assert_eq!(v.get("work_total").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("work_done").and_then(Value::as_u64), Some(1));
+        assert_eq!(v.get("work_total").and_then(Value::as_u64), Some(4));
         let text = s.to_json();
         assert!(text.ends_with('\n'));
         let reparsed = json::parse(text.trim_end()).expect("tail --json output reparses");
-        assert_eq!(
-            reparsed
-                .get("traces")
-                .map(|t| matches!(t, Value::Arr(a) if a.len() == 1)),
-            Some(true)
-        );
-    }
-
-    #[test]
-    fn finalized_snapshot_reports_it() {
-        let j = Journal::parse(&journal_text(true)).unwrap();
-        let s = snapshot(&j);
-        assert!(s.finalized);
-        assert!(s.render().contains("finalized"));
+        let rows = reparsed.get("traces").and_then(Value::as_array).unwrap();
+        assert_eq!(rows, [s.traces[0].to_value()]);
     }
 }

@@ -44,26 +44,6 @@ fn health_budgets() -> HealthBudgets {
     HealthBudgets::parse(HEALTH_BUDGETS).expect("health-budgets fixture parses")
 }
 
-/// The hand-maintained `"default"` entry the health fixture is built on:
-/// loose enough for any honest importance-sampled figure, tight enough to
-/// reject the seeded low-ESS run.
-fn default_health_entry() -> HealthBudgets {
-    HealthBudgets::parse(
-        r#"{
-          "schema": "pvtm-health-budgets/1",
-          "budgets": {
-            "default": {
-              "min_ess_fraction": 0.2,
-              "max_weight_fraction": 0.25,
-              "max_stall_ratio": 0.5,
-              "max_quarantine_ci_share": 0.25
-            }
-          }
-        }"#,
-    )
-    .expect("inline default budgets parse")
-}
-
 fn assert_golden(name: &str, actual: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -144,9 +124,10 @@ fn health_passes_healthy_fixture_against_budgets() {
 }
 
 #[test]
-fn health_fails_low_ess_fixture_against_default_entry() {
-    // fig_low_ess has no per-figure entry, so the "default" thresholds
-    // apply — and its seeded weight degeneracy must trip every axis.
+fn health_fails_low_ess_fixture_against_the_fallback() {
+    // fig_low_ess has no per-figure entry, so the fallback thresholds
+    // (`HealthEntry::FALLBACK`, reported as "default") apply — and its
+    // seeded weight degeneracy must trip every axis.
     let out = health_check(&health_budgets(), &[low_ess()]);
     assert!(out.failed(), "seeded low-ESS fixture must fail the gate");
     assert!(out.text.contains("LOW_ESS"), "{}", out.text);
@@ -157,9 +138,9 @@ fn health_fails_low_ess_fixture_against_default_entry() {
 
 #[test]
 fn health_budgets_fixture_is_the_update_fixpoint() {
-    // --update-budgets on the healthy sidecar, starting from the default
-    // entry, must reproduce the checked-in health-budgets fixture.
-    let next = update_health_budgets(&default_health_entry(), &[healthy()]);
+    // --update-budgets on the healthy sidecar, starting from no budgets,
+    // must reproduce the checked-in health-budgets fixture.
+    let next = update_health_budgets(&HealthBudgets::default(), &[healthy()]);
     assert_eq!(next.to_json_pretty(), HEALTH_BUDGETS);
 }
 
@@ -194,7 +175,7 @@ fn bless() {
         check(&budgets(), &[regressed()]).text,
     )
     .unwrap();
-    let hb = update_health_budgets(&default_health_entry(), &[healthy()]);
+    let hb = update_health_budgets(&HealthBudgets::default(), &[healthy()]);
     std::fs::write(dir.join("health-budgets.json"), hb.to_json_pretty()).unwrap();
     std::fs::write(
         dir.join("health.golden.txt"),
