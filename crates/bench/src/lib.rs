@@ -1,11 +1,11 @@
 //! Experiment-harness support for the `pvtm` workspace benches.
 //!
-//! The real content lives in the two bench targets:
+//! The real content lives in two targets:
 //!
 //! - `benches/figures.rs` (`cargo bench --bench figures`) regenerates every
 //!   figure of the paper and writes `results/<id>.json`;
-//! - `benches/perf.rs` (`cargo bench --bench perf`) runs criterion
-//!   performance benchmarks of the substrates.
+//! - the `benchmark` binary (`crates/bench/src/bin/benchmark/run.sh`)
+//!   measures performance end to end and layer by layer.
 
 use std::fmt::Display;
 use std::io::Write as _;

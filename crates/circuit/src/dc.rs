@@ -1,14 +1,12 @@
 //! DC operating-point solver: damped Newton–Raphson with Gmin continuation
 //! and source-stepping fallback.
 //!
-//! The solver comes in two flavours. The plain [`solve`]/[`solve_from`]
-//! entry points allocate their scratch buffers per call — fine for one-off
-//! solves. Hot paths (Monte-Carlo loops, sweeps) should hold a
-//! [`DcWorkspace`] and call [`solve_with`]/[`solve_from_with`], which reuse
-//! the Jacobian, residual and state buffers across solves and accumulate
-//! [`SolverStats`]. See also [`crate::template::CircuitTemplate`], which
-//! additionally keeps the netlist itself alive across solves and
-//! warm-starts Newton from the previous solution.
+//! This module holds the solver's parts: the options, the MNA assembler,
+//! the Newton loop and the cold strategy ladder. Every DC solve runs them
+//! through [`crate::template::CircuitTemplate`]: it owns the scratch
+//! buffers and the warm start, arms fault injection once per solve and
+//! reports every solve to telemetry. [`Netlist::solve_dc`] is one cold
+//! template solve.
 
 use std::sync::Arc;
 
@@ -67,11 +65,12 @@ impl DcOptions {
     }
 }
 
-/// Counters accumulated by a [`DcWorkspace`] across solves.
+/// Counters accumulated by a [`CircuitTemplate`](crate::CircuitTemplate)
+/// across solves.
 ///
-/// `warm_hits / warm_attempts` is the warm-start hit rate; `fallbacks`
-/// counts solves that needed the damped retry or the source ramp on top of
-/// plain Gmin continuation.
+/// `warm_hits / warm_attempts` is the warm-start hit rate;
+/// `damped_retries` and `source_ramps` count cold solves that needed the
+/// damped retry or the source ramp on top of plain Gmin continuation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Completed solves (converged operating points).
@@ -164,10 +163,9 @@ impl SolverStats {
 ///
 /// Holding one of these across solves removes every per-solve heap
 /// allocation from the Newton loop: the Jacobian, residual, update and
-/// line-search backup vectors are sized once and reused. Not thread-safe —
-/// use one workspace per thread.
+/// line-search backup vectors are sized once and reused.
 #[derive(Debug, Clone, Default)]
-pub struct DcWorkspace {
+pub(crate) struct DcWorkspace {
     jac: Matrix,
     res: Vec<f64>,
     rhs: Vec<f64>,
@@ -176,15 +174,10 @@ pub struct DcWorkspace {
     /// last residual pass, where the Jacobian pass differences from.
     ids: Vec<f64>,
     /// Counters accumulated by every solve run through this workspace.
-    pub stats: SolverStats,
+    pub(crate) stats: SolverStats,
 }
 
 impl DcWorkspace {
-    /// Creates an empty workspace; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resizes the scratch buffers for a system of `n` unknowns and
     /// `num_mosfets` transistors.
     fn ensure(&mut self, n: usize, num_mosfets: usize) {
@@ -195,11 +188,6 @@ impl DcWorkspace {
             self.x_old = vec![0.0; n];
         }
         self.ids.resize(num_mosfets, 0.0);
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
     }
 }
 
@@ -239,7 +227,8 @@ impl DcSolution {
     }
 
     /// Full solver state (node voltages then branch currents), usable as a
-    /// warm start for [`solve_from`] or a transient initial condition.
+    /// transient initial condition
+    /// ([`TransientOptions::with_initial_state`](crate::TransientOptions::with_initial_state)).
     pub fn state(&self) -> &[f64] {
         &self.state
     }
@@ -643,58 +632,6 @@ impl<'a> System<'a> {
     }
 }
 
-/// Solves the DC operating point of a netlist.
-///
-/// Strategy: Gmin continuation from `gmin_start` down to `gmin_final`
-/// (factor-100 steps), warm-starting each stage. If that fails, a source
-/// ramp (25 % → 100 % of every voltage source) is attempted on top.
-///
-/// Allocates a fresh [`DcWorkspace`] per call; hot loops should hold one
-/// and use [`solve_with`] instead.
-///
-/// # Errors
-///
-/// [`CircuitError::EmptyCircuit`] for a netlist with no unknowns;
-/// [`CircuitError::NoConvergence`] / [`CircuitError::SingularMatrix`] when
-/// both strategies fail.
-pub fn solve(netlist: &Netlist, opts: &DcOptions) -> Result<DcSolution, CircuitError> {
-    solve_with(netlist, opts, &mut DcWorkspace::new())
-}
-
-/// [`solve`] with caller-provided scratch buffers (no per-solve
-/// allocations beyond the returned solution).
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`].
-pub fn solve_with(
-    netlist: &Netlist,
-    opts: &DcOptions,
-    ws: &mut DcWorkspace,
-) -> Result<DcSolution, CircuitError> {
-    pvtm_telemetry::fault::next_solve();
-    solve_with_unarmed(netlist, opts, ws)
-}
-
-/// [`solve_with`] without marking a new logical solve for fault injection
-/// — the warm-start fallback path re-enters here so one logical solve is
-/// armed exactly once.
-fn solve_with_unarmed(
-    netlist: &Netlist,
-    opts: &DcOptions,
-    ws: &mut DcWorkspace,
-) -> Result<DcSolution, CircuitError> {
-    let sys = System::new(netlist);
-    if sys.num_unknowns == 0 {
-        return Err(CircuitError::EmptyCircuit);
-    }
-    let mut x = vec![0.0; sys.num_unknowns];
-    init_state(&mut x, opts);
-    cold_solve(&sys, &mut x, opts, ws)?;
-    ws.stats.solves += 1;
-    Ok(DcSolution::new(x, sys.num_free_nodes, sys.branch_names()))
-}
-
 /// The failure an injected strategy reports in place of running (the
 /// infinite residual marks it as synthetic in error messages).
 pub(crate) fn injected_failure() -> CircuitError {
@@ -739,85 +676,6 @@ pub(crate) fn cold_solve(
     // Everything the standard ladder has failed: escalate to the rescue
     // ladder before declaring the sample unsolvable.
     crate::rescue::rescue(sys, x, opts, ws)
-}
-
-/// Solves starting from a previous solution's state (warm start).
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`].
-///
-/// # Panics
-///
-/// Panics if `state` has the wrong length for this netlist.
-pub fn solve_from(
-    netlist: &Netlist,
-    opts: &DcOptions,
-    state: &[f64],
-) -> Result<DcSolution, CircuitError> {
-    solve_from_with(netlist, opts, state, &mut DcWorkspace::new())
-}
-
-/// [`solve_from`] with caller-provided scratch buffers.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`].
-///
-/// # Panics
-///
-/// Panics if `state` has the wrong length for this netlist.
-pub fn solve_from_with(
-    netlist: &Netlist,
-    opts: &DcOptions,
-    state: &[f64],
-    ws: &mut DcWorkspace,
-) -> Result<DcSolution, CircuitError> {
-    let sys = System::new(netlist);
-    assert_eq!(state.len(), sys.num_unknowns, "warm-start state length");
-    pvtm_telemetry::fault::next_solve();
-    let mut x = state.to_vec();
-    ws.stats.warm_attempts += 1;
-    let warm = if pvtm_telemetry::fault::trip() {
-        Err(injected_failure())
-    } else {
-        sys.newton(&mut x, opts.gmin_final, 1.0, None, opts, ws)
-            .map(|_| ())
-    };
-    match warm {
-        Ok(()) => {
-            ws.stats.warm_hits += 1;
-            ws.stats.solves += 1;
-            Ok(DcSolution::new(x, sys.num_free_nodes, sys.branch_names()))
-        }
-        // Warm start failed: fall back to the full strategy.
-        Err(_) => solve_with_unarmed(netlist, opts, ws),
-    }
-}
-
-/// Sweeps a named voltage source over `values`, warm-starting each point.
-///
-/// # Errors
-///
-/// Fails on the first value whose operating point cannot be found, or if
-/// the source name is unknown.
-pub fn sweep_vsource(
-    netlist: &mut Netlist,
-    source: &str,
-    values: &[f64],
-    opts: &DcOptions,
-) -> Result<Vec<DcSolution>, CircuitError> {
-    let mut ws = DcWorkspace::new();
-    let mut out: Vec<DcSolution> = Vec::with_capacity(values.len());
-    for &v in values {
-        netlist.set_vsource(source, v)?;
-        let sol = match out.last() {
-            Some(prev) => solve_from_with(netlist, opts, prev.state(), &mut ws)?,
-            None => solve_with(netlist, opts, &mut ws)?,
-        };
-        out.push(sol);
-    }
-    Ok(out)
 }
 
 /// Per-element currents at a converged operating point \[A\] — the
@@ -899,16 +757,71 @@ mod kernel_oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::CircuitTemplate;
     use pvtm_device::{Mosfet, Technology};
 
-    #[test]
-    fn resistive_divider() {
+    /// 2 V across 3 kΩ over 1 kΩ.
+    fn divider(volts: f64) -> Netlist {
         let mut ckt = Netlist::new();
         let top = ckt.node("top");
         let mid = ckt.node("mid");
-        ckt.vsource("V1", top, Netlist::GROUND, 2.0);
+        ckt.vsource("V1", top, Netlist::GROUND, volts);
         ckt.resistor("R1", top, mid, 3e3);
         ckt.resistor("R2", mid, Netlist::GROUND, 1e3);
+        ckt
+    }
+
+    /// A CMOS inverter driven by `VIN`; returns the netlist and its output.
+    fn inverter(vin: f64) -> (Netlist, NodeId) {
+        let tech = Technology::predictive_70nm();
+        let mut ckt = Netlist::new();
+        let vdd = ckt.node("vdd");
+        let input = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
+        ckt.vsource("VIN", input, Netlist::GROUND, vin);
+        ckt.mosfet(
+            "MP",
+            out,
+            input,
+            vdd,
+            vdd,
+            Mosfet::pmos(&tech, 200e-9, tech.lmin()),
+        );
+        ckt.mosfet(
+            "MN",
+            out,
+            input,
+            Netlist::GROUND,
+            Netlist::GROUND,
+            Mosfet::nmos(&tech, 140e-9, tech.lmin()),
+        );
+        (ckt, out)
+    }
+
+    /// A resistor-loaded NMOS pull-down.
+    fn loaded_nmos() -> (Netlist, NodeId) {
+        let tech = Technology::predictive_70nm();
+        let mut ckt = Netlist::new();
+        let vdd = ckt.node("vdd");
+        let out = ckt.node("out");
+        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
+        ckt.resistor("RL", vdd, out, 50e3);
+        ckt.mosfet(
+            "MN",
+            out,
+            vdd,
+            Netlist::GROUND,
+            Netlist::GROUND,
+            Mosfet::nmos(&tech, 200e-9, tech.lmin()),
+        );
+        (ckt, out)
+    }
+
+    #[test]
+    fn resistive_divider() {
+        let ckt = divider(2.0);
+        let (top, mid) = (ckt.find_node("top").unwrap(), ckt.find_node("mid").unwrap());
         let sol = ckt.solve_dc().unwrap();
         assert!((sol.voltage(mid) - 0.5).abs() < 1e-8);
         assert!((sol.voltage(top) - 2.0).abs() < 1e-12);
@@ -941,66 +854,28 @@ mod tests {
 
     #[test]
     fn nmos_inverter_vtc_endpoints() {
-        let tech = Technology::predictive_70nm();
-        let mut ckt = Netlist::new();
-        let vdd = ckt.node("vdd");
-        let input = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
-        ckt.vsource("VIN", input, Netlist::GROUND, 0.0);
-        ckt.mosfet(
-            "MP",
-            out,
-            input,
-            vdd,
-            vdd,
-            Mosfet::pmos(&tech, 200e-9, tech.lmin()),
-        );
-        ckt.mosfet(
-            "MN",
-            out,
-            input,
-            Netlist::GROUND,
-            Netlist::GROUND,
-            Mosfet::nmos(&tech, 140e-9, tech.lmin()),
-        );
         // Input low → output high.
+        let (ckt, out) = inverter(0.0);
         let sol = ckt.solve_dc().unwrap();
         assert!(sol.voltage(out) > 0.95, "out = {}", sol.voltage(out));
         // Input high → output low.
-        ckt.set_vsource("VIN", 1.0).unwrap();
+        let (ckt, out) = inverter(1.0);
         let sol = ckt.solve_dc().unwrap();
         assert!(sol.voltage(out) < 0.05, "out = {}", sol.voltage(out));
     }
 
     #[test]
     fn inverter_vtc_is_monotone_under_sweep() {
-        let tech = Technology::predictive_70nm();
-        let mut ckt = Netlist::new();
-        let vdd = ckt.node("vdd");
-        let input = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
-        ckt.vsource("VIN", input, Netlist::GROUND, 0.0);
-        ckt.mosfet(
-            "MP",
-            out,
-            input,
-            vdd,
-            vdd,
-            Mosfet::pmos(&tech, 200e-9, tech.lmin()),
-        );
-        ckt.mosfet(
-            "MN",
-            out,
-            input,
-            Netlist::GROUND,
-            Netlist::GROUND,
-            Mosfet::nmos(&tech, 140e-9, tech.lmin()),
-        );
-        let vin: Vec<f64> = (0..=20).map(|i| i as f64 * 0.05).collect();
-        let sols = sweep_vsource(&mut ckt, "VIN", &vin, &DcOptions::default()).unwrap();
-        let vout: Vec<f64> = sols.iter().map(|s| s.voltage(out)).collect();
+        let (ckt, out) = inverter(0.0);
+        let mut tpl = CircuitTemplate::compile(ckt, DcOptions::default()).unwrap();
+        let vin = tpl.vsource_slot("VIN").unwrap();
+        let vout: Vec<f64> = (0..=20)
+            .map(|i| {
+                tpl.set_vsource(vin, i as f64 * 0.05).unwrap();
+                tpl.solve().unwrap();
+                tpl.voltage(out)
+            })
+            .collect();
         for w in vout.windows(2) {
             assert!(w[1] <= w[0] + 1e-6, "VTC must fall monotonically: {vout:?}");
         }
@@ -1010,26 +885,13 @@ mod tests {
     #[test]
     fn kcl_residual_property_at_solution() {
         // At any converged solution, the assembled residual must be tiny.
-        let tech = Technology::predictive_70nm();
-        let mut ckt = Netlist::new();
-        let vdd = ckt.node("vdd");
-        let out = ckt.node("out");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
-        ckt.resistor("RL", vdd, out, 50e3);
-        ckt.mosfet(
-            "MN",
-            out,
-            vdd,
-            Netlist::GROUND,
-            Netlist::GROUND,
-            Mosfet::nmos(&tech, 200e-9, tech.lmin()),
-        );
-        let opts = DcOptions::default();
-        let sol = solve(&ckt, &opts).unwrap();
+        let (ckt, _) = loaded_nmos();
+        let sol = ckt.solve_dc().unwrap();
         let sys = System::new(&ckt);
         let mut res = vec![0.0; sys.num_unknowns];
         let mut ids = vec![0.0; sys.num_mosfets];
-        sys.residual(sol.state(), opts.gmin_final, 1.0, None, &mut res, &mut ids);
+        let gmin = DcOptions::default().gmin_final;
+        sys.residual(sol.state(), gmin, 1.0, None, &mut res, &mut ids);
         assert!(sys.kcl_norm(&res) < 1e-9);
     }
 
@@ -1054,12 +916,7 @@ mod tests {
 
     #[test]
     fn operating_point_satisfies_kcl_per_element() {
-        let mut ckt = Netlist::new();
-        let top = ckt.node("top");
-        let mid = ckt.node("mid");
-        ckt.vsource("V1", top, Netlist::GROUND, 2.0);
-        ckt.resistor("R1", top, mid, 3e3);
-        ckt.resistor("R2", mid, Netlist::GROUND, 1e3);
+        let ckt = divider(2.0);
         let sol = ckt.solve_dc().unwrap();
         let op = operating_point(&ckt, &sol);
         let get = |n: &str| op.iter().find(|(name, _)| *name == n).unwrap().1;
@@ -1071,60 +928,39 @@ mod tests {
 
     #[test]
     fn warm_start_matches_cold_start() {
-        let mut ckt = Netlist::new();
-        let top = ckt.node("top");
-        let mid = ckt.node("mid");
-        ckt.vsource("V1", top, Netlist::GROUND, 1.0);
-        ckt.resistor("R1", top, mid, 1e3);
-        ckt.resistor("R2", mid, Netlist::GROUND, 1e3);
-        let opts = DcOptions::default();
-        let cold = solve(&ckt, &opts).unwrap();
-        let warm = solve_from(&ckt, &opts, cold.state()).unwrap();
-        assert!((warm.voltage(mid) - cold.voltage(mid)).abs() < 1e-12);
+        let ckt = divider(1.0);
+        let mid = ckt.find_node("mid").unwrap();
+        let cold = ckt.solve_dc().unwrap();
+        let mut tpl = CircuitTemplate::compile(ckt, DcOptions::default()).unwrap();
+        tpl.solve().unwrap();
+        tpl.solve().unwrap();
+        assert_eq!(tpl.stats().warm_hits, 1);
+        assert!((tpl.voltage(mid) - cold.voltage(mid)).abs() < 1e-12);
     }
 
     #[test]
     fn workspace_reuse_matches_fresh_solves() {
-        // The same circuit solved through one workspace twice must agree
+        // One template solving cold twice through its workspace must agree
         // with independent fresh solves, and the stats must add up.
-        let tech = Technology::predictive_70nm();
-        let mut ckt = Netlist::new();
-        let vdd = ckt.node("vdd");
-        let out = ckt.node("out");
-        ckt.vsource("VDD", vdd, Netlist::GROUND, 1.0);
-        ckt.resistor("RL", vdd, out, 50e3);
-        ckt.mosfet(
-            "MN",
-            out,
-            vdd,
-            Netlist::GROUND,
-            Netlist::GROUND,
-            Mosfet::nmos(&tech, 200e-9, tech.lmin()),
-        );
-        let opts = DcOptions::default();
-        let fresh = solve(&ckt, &opts).unwrap();
-        let mut ws = DcWorkspace::new();
-        let a = solve_with(&ckt, &opts, &mut ws).unwrap();
-        let b = solve_with(&ckt, &opts, &mut ws).unwrap();
-        assert_eq!(a.voltage(out), fresh.voltage(out));
-        assert_eq!(b.voltage(out), fresh.voltage(out));
-        assert_eq!(ws.stats.solves, 2);
-        assert_eq!(ws.stats.cold_solves, 2);
-        assert!(ws.stats.newton_iterations > 0);
+        let (ckt, out) = loaded_nmos();
+        let fresh = ckt.solve_dc().unwrap();
+        let mut tpl = CircuitTemplate::compile(ckt, DcOptions::default()).unwrap();
+        tpl.set_warm_start(false);
+        for _ in 0..2 {
+            tpl.solve().unwrap();
+            assert_eq!(tpl.voltage(out), fresh.voltage(out));
+        }
+        assert_eq!(tpl.stats().solves, 2);
+        assert_eq!(tpl.stats().cold_solves, 2);
+        assert!(tpl.stats().newton_iterations > 0);
     }
 
     #[test]
     fn source_ramp_scaling_matches_explicit_netlist() {
         // Assembling with vsource_scale = α must equal assembling a netlist
         // whose sources were explicitly scaled by α.
-        let mut ckt = Netlist::new();
-        let top = ckt.node("top");
-        let mid = ckt.node("mid");
-        ckt.vsource("V1", top, Netlist::GROUND, 2.0);
-        ckt.resistor("R1", top, mid, 3e3);
-        ckt.resistor("R2", mid, Netlist::GROUND, 1e3);
-        let mut scaled = ckt.clone();
-        scaled.set_vsource("V1", 2.0 * 0.25).unwrap();
+        let ckt = divider(2.0);
+        let scaled = divider(2.0 * 0.25);
 
         let sys = System::new(&ckt);
         let sys_scaled = System::new(&scaled);
@@ -1146,15 +982,15 @@ mod tests {
         let top = ckt.node("top");
         ckt.vsource("V1", top, Netlist::GROUND, 1.0);
         ckt.resistor("R1", top, Netlist::GROUND, 1e3);
-        let opts = DcOptions::default();
-        let mut ws = DcWorkspace::new();
-        let cold = solve_with(&ckt, &opts, &mut ws).unwrap();
-        let _warm = solve_from_with(&ckt, &opts, cold.state(), &mut ws).unwrap();
-        assert_eq!(ws.stats.warm_attempts, 1);
-        assert_eq!(ws.stats.warm_hits, 1);
-        assert!((ws.stats.warm_hit_rate() - 1.0).abs() < 1e-15);
+        let mut tpl = CircuitTemplate::compile(ckt, DcOptions::default()).unwrap();
+        tpl.solve().unwrap();
+        tpl.solve().unwrap();
+        let stats = *tpl.stats();
+        assert_eq!(stats.warm_attempts, 1);
+        assert_eq!(stats.warm_hits, 1);
+        assert!((stats.warm_hit_rate() - 1.0).abs() < 1e-15);
         let mut total = SolverStats::default();
-        total.merge(&ws.stats);
-        assert_eq!(total, ws.stats);
+        total.merge(&stats);
+        assert_eq!(total, stats);
     }
 }

@@ -11,6 +11,13 @@
 //! - **transient analysis** via backward Euler (bit-line discharge for
 //!   access-time extraction).
 //!
+//! Every DC solve runs through [`CircuitTemplate`]: a netlist
+//! compiled once, patched through typed slots and re-solved from its last
+//! solution. [`Netlist::solve_dc`] and a transient run's initial operating
+//! point are one cold template solve each, so every solve is armed for
+//! fault injection once and reported to telemetry (a `dc.solve` span and
+//! its solver counters).
+//!
 //! Circuits here are small (an SRAM cell plus periphery is under twenty
 //! nodes), so the solver uses dense LU factorization and per-element
 //! numeric derivatives — simple, robust, and fast at this scale.
@@ -40,7 +47,7 @@ pub(crate) mod rescue;
 pub mod template;
 pub mod transient;
 
-pub use dc::{DcOptions, DcSolution, DcWorkspace, SolverStats};
+pub use dc::{DcOptions, DcSolution, SolverStats};
 pub use netlist::{CircuitError, Element, Netlist, NodeId};
 pub use parser::{parse_netlist, ParseError};
 pub use template::{CircuitTemplate, MosfetSlot, VsourceSlot};

@@ -1,5 +1,7 @@
 //! Netlist representation: named nodes and circuit elements.
 
+use crate::dc::{DcOptions, DcSolution};
+use crate::template::CircuitTemplate;
 use pvtm_device::Mosfet;
 
 /// Identifier of a circuit node. Node 0 is always ground.
@@ -88,8 +90,6 @@ pub enum CircuitError {
         /// Iterations spent.
         iterations: usize,
     },
-    /// A named source was not found by `set_vsource`.
-    UnknownSource(String),
     /// The netlist has no unknowns to solve for.
     EmptyCircuit,
     /// A Monte-Carlo estimator quarantined more samples than the
@@ -120,7 +120,6 @@ impl CircuitError {
         match self {
             CircuitError::SingularMatrix { .. } => "singular_matrix",
             CircuitError::NoConvergence { .. } => "no_convergence",
-            CircuitError::UnknownSource(_) => "unknown_source",
             CircuitError::EmptyCircuit => "empty_circuit",
             CircuitError::QuarantineExceeded { .. } => "quarantine_exceeded",
             CircuitError::SlotMismatch { .. } => "slot_mismatch",
@@ -141,7 +140,6 @@ impl std::fmt::Display for CircuitError {
                 f,
                 "newton iteration did not converge after {iterations} iterations (residual {residual:.3e} A)"
             ),
-            CircuitError::UnknownSource(name) => write!(f, "unknown voltage source `{name}`"),
             CircuitError::EmptyCircuit => write!(f, "circuit has no unknowns"),
             CircuitError::QuarantineExceeded { quarantined, total } => write!(
                 f,
@@ -301,33 +299,21 @@ impl Netlist {
         self
     }
 
-    /// Re-points a named voltage source at a new value (for sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownSource`] if no voltage source has the
-    /// given instance name.
-    pub fn set_vsource(&mut self, name: &str, volts: f64) -> Result<(), CircuitError> {
-        assert!(volts.is_finite(), "invalid source voltage {volts}");
-        for (n, el) in &mut self.elements {
-            if n == name {
-                if let Element::Vsource { volts: v, .. } = el {
-                    *v = volts;
-                    return Ok(());
-                }
-            }
-        }
-        Err(CircuitError::UnknownSource(name.to_string()))
-    }
-
-    /// Convenience wrapper: solve the DC operating point with default
-    /// options.
+    /// Solves the DC operating point with default options.
     ///
     /// # Errors
     ///
     /// Propagates solver failures; see [`CircuitError`].
-    pub fn solve_dc(&self) -> Result<crate::dc::DcSolution, CircuitError> {
-        crate::dc::solve(self, &crate::dc::DcOptions::default())
+    pub fn solve_dc(&self) -> Result<DcSolution, CircuitError> {
+        self.solve_dc_with(&DcOptions::default())
+    }
+
+    /// One cold solve of this netlist compiled into a [`CircuitTemplate`],
+    /// through which every DC solve of the crate runs.
+    pub(crate) fn solve_dc_with(&self, opts: &DcOptions) -> Result<DcSolution, CircuitError> {
+        let mut tpl = CircuitTemplate::compile(self.clone(), opts.clone())?;
+        tpl.solve()?;
+        Ok(tpl.solution())
     }
 }
 
@@ -354,25 +340,6 @@ mod tests {
         assert_eq!(n.find_node("zzz"), None);
         assert_eq!(n.node_name(a), "a");
         assert_eq!(n.num_nodes(), 3);
-    }
-
-    #[test]
-    fn set_vsource_updates_value() {
-        let mut n = Netlist::new();
-        let a = n.node("a");
-        n.vsource("V1", a, Netlist::GROUND, 1.0);
-        n.set_vsource("V1", 0.5).unwrap();
-        match &n.elements()[0].1 {
-            Element::Vsource { volts, .. } => assert_eq!(*volts, 0.5),
-            other => panic!("unexpected element {other:?}"),
-        }
-    }
-
-    #[test]
-    fn set_vsource_unknown_name_errors() {
-        let mut n = Netlist::new();
-        let err = n.set_vsource("nope", 1.0).unwrap_err();
-        assert_eq!(err, CircuitError::UnknownSource("nope".into()));
     }
 
     #[test]

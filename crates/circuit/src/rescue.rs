@@ -159,12 +159,13 @@ fn wide_ramp(
 
 #[cfg(test)]
 mod tests {
-    use crate::dc::{self, DcOptions, DcWorkspace};
-    use crate::netlist::Netlist;
+    use crate::dc::DcOptions;
+    use crate::netlist::{Netlist, NodeId};
+    use crate::template::CircuitTemplate;
     use crate::FAULT_LOCK;
     use pvtm_device::{Mosfet, Technology};
 
-    fn inverter() -> (Netlist, crate::netlist::NodeId) {
+    fn inverter() -> (CircuitTemplate, NodeId) {
         let tech = Technology::predictive_70nm();
         let mut ckt = Netlist::new();
         let vdd = ckt.node("vdd");
@@ -188,24 +189,23 @@ mod tests {
             Netlist::GROUND,
             Mosfet::nmos(&tech, 140e-9, tech.lmin()),
         );
-        (ckt, out)
+        let tpl = CircuitTemplate::compile(ckt, DcOptions::default()).expect("non-empty");
+        (tpl, out)
     }
 
     #[test]
     fn injected_standard_ladder_failure_is_rescued() {
         let _l = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Depth 3 kills the three standard cold strategies (a cold
-        // `solve_with` has no warm slot); the first rescue rung then runs
+        // Depth 3 kills the three standard cold strategies (a template's
+        // first solve has no warm slot); the first rescue rung then runs
         // for real and must converge this ordinary circuit.
         let _g = pvtm_telemetry::fault::force_depth(3);
-        let (ckt, out) = inverter();
-        let mut ws = DcWorkspace::new();
-        let sol = dc::solve_with(&ckt, &DcOptions::default(), &mut ws)
-            .expect("rescue rung 1 converges the inverter");
-        assert!(sol.voltage(out) > 0.95, "out = {}", sol.voltage(out));
-        assert_eq!(ws.stats.rescue_attempts, 1);
-        assert_eq!(ws.stats.rescue_hits, 1);
-        assert_eq!(ws.stats.rescue_rungs, 1);
+        let (mut tpl, out) = inverter();
+        tpl.solve().expect("rescue rung 1 converges the inverter");
+        assert!(tpl.voltage(out) > 0.95, "out = {}", tpl.voltage(out));
+        assert_eq!(tpl.stats().rescue_attempts, 1);
+        assert_eq!(tpl.stats().rescue_hits, 1);
+        assert_eq!(tpl.stats().rescue_rungs, 1);
     }
 
     #[test]
@@ -214,13 +214,11 @@ mod tests {
         // Depth 6 exhausts the 3 standard cold strategies + 3 rescue
         // rungs; depth 7 leaves one unused kill on top.
         let _g = pvtm_telemetry::fault::force_depth(7);
-        let (ckt, _) = inverter();
-        let mut ws = DcWorkspace::new();
-        let sol = dc::solve_with(&ckt, &DcOptions::default(), &mut ws);
-        assert!(sol.is_err(), "all strategies injected to fail");
-        assert_eq!(ws.stats.rescue_attempts, 1);
-        assert_eq!(ws.stats.rescue_hits, 0);
-        assert_eq!(ws.stats.rescue_rungs, 3);
+        let (mut tpl, _) = inverter();
+        assert!(tpl.solve().is_err(), "all strategies injected to fail");
+        assert_eq!(tpl.stats().rescue_attempts, 1);
+        assert_eq!(tpl.stats().rescue_hits, 0);
+        assert_eq!(tpl.stats().rescue_rungs, 3);
     }
 
     #[test]
@@ -230,22 +228,23 @@ mod tests {
         // every rung must converge the inverter on its own.
         for depth in 3..=5u32 {
             let _g = pvtm_telemetry::fault::force_depth(depth);
-            let (ckt, out) = inverter();
-            let mut ws = DcWorkspace::new();
-            let sol = dc::solve_with(&ckt, &DcOptions::default(), &mut ws)
-                .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
-            assert!(sol.voltage(out) > 0.95);
-            assert_eq!(ws.stats.rescue_hits, 1, "depth {depth}");
-            assert_eq!(ws.stats.rescue_rungs, u64::from(depth) - 2, "depth {depth}");
+            let (mut tpl, out) = inverter();
+            tpl.solve().unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+            assert!(tpl.voltage(out) > 0.95);
+            assert_eq!(tpl.stats().rescue_hits, 1, "depth {depth}");
+            assert_eq!(
+                tpl.stats().rescue_rungs,
+                u64::from(depth) - 2,
+                "depth {depth}"
+            );
         }
     }
 
     #[test]
     fn rescue_is_never_entered_on_healthy_solves() {
-        let (ckt, _) = inverter();
-        let mut ws = DcWorkspace::new();
-        dc::solve_with(&ckt, &DcOptions::default(), &mut ws).expect("healthy solve");
-        assert_eq!(ws.stats.rescue_attempts, 0);
-        assert_eq!(ws.stats.rescue_rungs, 0);
+        let (mut tpl, _) = inverter();
+        tpl.solve().expect("healthy solve");
+        assert_eq!(tpl.stats().rescue_attempts, 0);
+        assert_eq!(tpl.stats().rescue_rungs, 0);
     }
 }

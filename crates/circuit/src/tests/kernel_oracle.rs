@@ -501,7 +501,7 @@ proptest! {
                 .newton_reference(&mut x_ref, gmin, scale, companion, &opts, &mut stats_ref)
                 .map(f64::to_bits);
             let mut x = start;
-            let mut ws = DcWorkspace::new();
+            let mut ws = DcWorkspace::default();
             let out = sys
                 .newton(&mut x, gmin, scale, companion, &opts, &mut ws)
                 .map(f64::to_bits);

@@ -16,7 +16,8 @@ pub struct TransientOptions {
     pub t_stop: f64,
     /// Newton options used inside each time step.
     pub newton: DcOptions,
-    /// Initial solver state; when empty, a DC solve provides it.
+    /// Initial solver state; when empty, a cold DC solve under
+    /// [`Self::newton`] provides it.
     pub initial_state: Vec<f64>,
 }
 
@@ -107,7 +108,7 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
     }
 
     let mut state = if opts.initial_state.is_empty() {
-        crate::dc::solve(netlist, &opts.newton)?.state().to_vec()
+        netlist.solve_dc_with(&opts.newton)?.state
     } else {
         assert_eq!(
             opts.initial_state.len(),
@@ -133,7 +134,7 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
     record(0.0, &state, &mut times, &mut traces);
 
     let mut prev = state.clone();
-    let mut ws = DcWorkspace::new();
+    let mut ws = DcWorkspace::default();
     for k in 1..=steps {
         let companion = Companion {
             dt: opts.dt,

@@ -114,12 +114,6 @@ impl Mosfet {
         self
     }
 
-    /// Sets the threshold deviation in place.
-    pub fn set_delta_vt(&mut self, delta_vt: f64) {
-        assert!(delta_vt.is_finite(), "non-finite delta_vt");
-        self.delta_vt = delta_vt;
-    }
-
     /// Channel polarity.
     pub fn polarity(&self) -> Polarity {
         self.polarity

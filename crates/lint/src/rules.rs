@@ -144,7 +144,6 @@ pub const SPAN_ROOTS: &[&str] = &[
     "ablation_march",
     "ablation_temperature",
     "analyzer",
-    "optimizer",
     "eval",
     "dc",
     "mc",
@@ -154,15 +153,7 @@ pub const SPAN_ROOTS: &[&str] = &[
 /// First dotted segments of valid counter/gauge/histogram names
 /// (DESIGN.md §5b: solver counters, Monte-Carlo estimator health, evaluator
 /// and analyzer accounting, sampled leakage cells, bench harness).
-pub const METRIC_ROOTS: &[&str] = &[
-    "solver",
-    "mc",
-    "optimizer",
-    "eval",
-    "analyzer",
-    "leak",
-    "bench",
-];
+pub const METRIC_ROOTS: &[&str] = &["solver", "mc", "eval", "analyzer", "leak", "bench"];
 
 /// First dotted segments of valid event-journal kinds (DESIGN.md §5d:
 /// run lifecycle, figure milestones, Monte-Carlo estimator stream, solver

@@ -90,12 +90,6 @@ impl CellSizing {
         (self.wpd / self.lpd) / (self.wax / self.lax)
     }
 
-    /// Total active gate area of the six transistors \[m²\] — the area cost
-    /// used by the sizing optimizer.
-    pub fn area(&self) -> f64 {
-        2.0 * (self.wpd * self.lpd + self.wpu * self.lpu + self.wax * self.lax)
-    }
-
     /// Validates that every dimension is positive and finite.
     ///
     /// # Errors
@@ -304,7 +298,6 @@ mod tests {
         assert!(s.beta() > 1.0, "pull-down must beat access");
         assert!(s.wpu < s.wax, "pull-up must be weakest");
         s.validate().unwrap();
-        assert!(s.area() > 0.0);
     }
 
     #[test]

@@ -345,18 +345,6 @@ impl CellEvaluator {
         self.cell.set_deviations(dvt);
     }
 
-    /// Retargets the evaluator to a different base cell — e.g. the next
-    /// candidate sizing in an optimizer sweep. Cheap: the templates
-    /// re-patch every device from the scratch cell on each solve, so only
-    /// the cell is replaced; warm seeds survive (Newton falls back to a
-    /// cold start if the new cell's operating points moved too far).
-    ///
-    /// The cell must have the topology and technology this evaluator was
-    /// compiled for.
-    pub fn set_cell(&mut self, cell: &SramCell) {
-        self.cell = cell.clone();
-    }
-
     /// Enables or disables warm starting on all four templates. Disabled,
     /// every solve runs cold from the template's guesses, so each result
     /// depends only on the question asked.

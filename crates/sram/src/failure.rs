@@ -375,11 +375,9 @@ impl FailureAnalyzer {
     }
 
     /// [`Self::linearize`] against a caller-held evaluator: sweeps and
-    /// per-thread loops (corner grids, optimizer candidates) keep the
-    /// compiled templates and warm-started solver state alive across
-    /// calls. The evaluator must come from this analyzer's
-    /// [`Self::evaluator`] (or be retargeted to [`Self::base`] via
-    /// [`CellEvaluator::set_cell`]).
+    /// per-thread loops (corner grids) keep the compiled templates and
+    /// warm-started solver state alive across calls. The evaluator must
+    /// come from this analyzer's [`Self::evaluator`].
     ///
     /// # Errors
     ///

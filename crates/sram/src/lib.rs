@@ -18,8 +18,6 @@
 //!   source bias; lognormal cell-population statistics.
 //! - `array` — array organization, column-redundancy memory-failure model
 //!   (paper Eq. (1) machinery) and CLT array-leakage statistics (Eq. (2)).
-//! - [`optimizer`] — cell sizing search that equalizes the four failure
-//!   probabilities at zero body bias (the premise of the paper's Fig. 2b).
 //!
 //! # Example
 //!
@@ -41,7 +39,6 @@ pub mod cell;
 pub mod evaluator;
 pub mod failure;
 pub mod leakage;
-pub mod optimizer;
 
 pub use analysis::{AnalysisConfig, Margins};
 pub use array::{ArrayOrganization, ArrayYield};
@@ -49,4 +46,3 @@ pub use cell::{CellSizing, Conditions, SramCell, Xtor};
 pub use evaluator::CellEvaluator;
 pub use failure::{FailureAnalyzer, FailureProbs};
 pub use leakage::CellLeakageModel;
-pub use optimizer::SizeOptimizer;

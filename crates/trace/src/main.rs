@@ -134,127 +134,101 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let mut update = false;
-    let mut paths = Vec::new();
-    for a in args {
-        if a == "--update-budgets" {
-            update = true;
-        } else {
-            paths.push(a.clone());
-        }
-    }
-    let [budget_path, sidecar_paths @ ..] = paths.as_slice() else {
-        return usage("check needs a budgets file");
-    };
-    if sidecar_paths.is_empty() {
-        return usage("check needs at least one sidecar");
-    }
-    // A missing budgets file is fine with --update-budgets (first ratchet).
-    let budgets = match std::fs::read_to_string(budget_path) {
-        Ok(text) => match Budgets::parse(&text) {
-            Ok(b) => b,
-            Err(e) => return usage(&format!("{budget_path}: {e}")),
-        },
-        Err(e) if update => {
-            eprintln!("pvtm-trace check: starting fresh budgets ({budget_path}: {e})");
-            Budgets::default()
-        }
-        Err(e) => return usage(&format!("cannot read {budget_path}: {e}")),
-    };
-    let mut sidecars = Vec::new();
-    for p in sidecar_paths {
-        match read_sidecar("check", p) {
-            Ok(sc) => sidecars.push(sc),
-            Err(code) => return code,
-        }
-    }
-
-    if update {
-        let next = update_budgets(&budgets, &sidecars);
-        if let Err(e) = std::fs::write(budget_path, next.to_json_pretty()) {
-            return usage(&format!("cannot write {budget_path}: {e}"));
-        }
-        println!(
-            "pvtm-trace check: recorded budgets for {} figure(s) in {budget_path}",
-            sidecars.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let out = check(&budgets, &sidecars);
-    print!("{}", out.text);
-    if out.failed() {
-        eprintln!("pvtm-trace check: FAIL — {} violation(s)", out.violations);
-        ExitCode::from(EXIT_GATE)
-    } else {
-        println!(
-            "pvtm-trace check: OK — {} figure(s) within budget{}",
-            sidecars.len(),
-            if out.slack_notes > 0 {
-                " (slack available; see notes)"
+    cmd_gate(
+        "check",
+        "budgets",
+        args,
+        Budgets::parse,
+        update_budgets,
+        Budgets::to_json_pretty,
+        |budgets, sidecars| {
+            let out = check(budgets, sidecars);
+            let claim = if out.slack_notes > 0 {
+                "within budget (slack available; see notes)"
             } else {
-                ""
-            }
-        );
-        ExitCode::SUCCESS
-    }
+                "within budget"
+            };
+            (out.text, out.violations, claim)
+        },
+    )
 }
 
 fn cmd_health(args: &[String]) -> ExitCode {
-    let mut update = false;
-    let mut paths = Vec::new();
-    for a in args {
-        if a == "--update-budgets" {
-            update = true;
-        } else {
-            paths.push(a.clone());
-        }
-    }
+    cmd_gate(
+        "health",
+        "thresholds",
+        args,
+        HealthBudgets::parse,
+        update_health_budgets,
+        HealthBudgets::to_json_pretty,
+        |budgets, sidecars| {
+            let out = health_check(budgets, sidecars);
+            (out.text, out.violations, "within confidence thresholds")
+        },
+    )
+}
+
+/// The procedure `check` and `health` share. It reads the budgets file
+/// (a missing one starts fresh under `--update-budgets`) and the sidecars,
+/// then either ratchets the budgets and writes them back, or gates the
+/// sidecars and reports. `recorded` names what a ratchet records; `gate`
+/// returns the report, its violation count and what the OK line claims.
+fn cmd_gate<B: Default, E: std::fmt::Display>(
+    cmd: &str,
+    recorded: &str,
+    args: &[String],
+    parse: fn(&str) -> Result<B, E>,
+    update: fn(&B, &[Sidecar]) -> B,
+    render: fn(&B) -> String,
+    gate: fn(&B, &[Sidecar]) -> (String, usize, &'static str),
+) -> ExitCode {
+    let update_flag = args.iter().any(|a| a == "--update-budgets");
+    let paths: Vec<&String> = args.iter().filter(|a| *a != "--update-budgets").collect();
     let [budget_path, sidecar_paths @ ..] = paths.as_slice() else {
-        return usage("health needs a budgets file");
+        return usage(&format!("{cmd} needs a budgets file"));
     };
     if sidecar_paths.is_empty() {
-        return usage("health needs at least one sidecar");
+        return usage(&format!("{cmd} needs at least one sidecar"));
     }
     let budgets = match std::fs::read_to_string(budget_path) {
-        Ok(text) => match HealthBudgets::parse(&text) {
+        Ok(text) => match parse(&text) {
             Ok(b) => b,
             Err(e) => return usage(&format!("{budget_path}: {e}")),
         },
-        Err(e) if update => {
-            eprintln!("pvtm-trace health: starting fresh budgets ({budget_path}: {e})");
-            HealthBudgets::default()
+        Err(e) if update_flag => {
+            eprintln!("pvtm-trace {cmd}: starting fresh budgets ({budget_path}: {e})");
+            B::default()
         }
         Err(e) => return usage(&format!("cannot read {budget_path}: {e}")),
     };
     let mut sidecars = Vec::new();
     for p in sidecar_paths {
-        match read_sidecar("health", p) {
+        match read_sidecar(cmd, p) {
             Ok(sc) => sidecars.push(sc),
             Err(code) => return code,
         }
     }
 
-    if update {
-        let next = update_health_budgets(&budgets, &sidecars);
-        if let Err(e) = std::fs::write(budget_path, next.to_json_pretty()) {
+    if update_flag {
+        let next = update(&budgets, &sidecars);
+        if let Err(e) = std::fs::write(budget_path, render(&next)) {
             return usage(&format!("cannot write {budget_path}: {e}"));
         }
         println!(
-            "pvtm-trace health: recorded thresholds for {} figure(s) in {budget_path}",
+            "pvtm-trace {cmd}: recorded {recorded} for {} figure(s) in {budget_path}",
             sidecars.len()
         );
         return ExitCode::SUCCESS;
     }
 
-    let out = health_check(&budgets, &sidecars);
-    print!("{}", out.text);
-    if out.failed() {
-        eprintln!("pvtm-trace health: FAIL — {} violation(s)", out.violations);
+    let (text, violations, claim) = gate(&budgets, &sidecars);
+    print!("{text}");
+    if violations > 0 {
+        eprintln!("pvtm-trace {cmd}: FAIL — {violations} violation(s)");
         ExitCode::from(EXIT_GATE)
     } else {
         println!(
-            "pvtm-trace health: OK — {} figure(s) within confidence thresholds",
+            "pvtm-trace {cmd}: OK — {} figure(s) {claim}",
             sidecars.len()
         );
         ExitCode::SUCCESS

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pvtm_bist::{BistController, Fault, FaultKind, MarchTest, MemoryModel};
-use pvtm_circuit::{dc, DcOptions, Netlist};
+use pvtm_circuit::Netlist;
 use pvtm_device::{Bias, Mosfet, Technology};
 use pvtm_sram::ArrayOrganization;
 use pvtm_stats::special::{binomial_cdf, binomial_sf, norm_cdf, norm_ppf};
@@ -78,7 +78,7 @@ proptest! {
         }
         // Tie the ladder end to ground so current flows.
         ckt.resistor("Rend", prev, Netlist::GROUND, 1e3);
-        let sol = dc::solve(&ckt, &DcOptions::default()).expect("ladder must solve");
+        let sol = ckt.solve_dc().expect("ladder must solve");
         // Current through the chain is v / total R; check each drop. The
         // solver's error budget is its KCL residual tolerance (1e-10 A)
         // times the circuit impedance, plus the residual Gmin loading.
