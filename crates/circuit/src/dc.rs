@@ -13,6 +13,7 @@ use std::sync::Arc;
 use crate::linalg::Matrix;
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
 use pvtm_device::Bias;
+use pvtm_telemetry::SolverStats;
 
 /// Options controlling the Newton iteration.
 #[derive(Debug, Clone)]
@@ -62,100 +63,6 @@ impl DcOptions {
             }
         }
         self.initial.push((node, volts));
-    }
-}
-
-/// Counters accumulated by a [`CircuitTemplate`](crate::CircuitTemplate)
-/// across solves.
-///
-/// `warm_hits / warm_attempts` is the warm-start hit rate;
-/// `damped_retries` and `source_ramps` count cold solves that needed the
-/// damped retry or the source ramp on top of plain Gmin continuation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Completed solves (converged operating points).
-    pub solves: u64,
-    /// Total Newton iterations, across all continuation stages and solves.
-    pub newton_iterations: u64,
-    /// Warm-start Newton attempts (seeded from a previous solution).
-    pub warm_attempts: u64,
-    /// Warm-start attempts that converged without a cold restart.
-    pub warm_hits: u64,
-    /// Cold solves (Gmin continuation from the initial guess).
-    pub cold_solves: u64,
-    /// Cold solves that needed the heavily damped retry.
-    pub damped_retries: u64,
-    /// Cold solves that fell through to the source-stepping ramp.
-    pub source_ramps: u64,
-    /// LU factorizations (one per Newton linear solve).
-    pub lu_factorizations: u64,
-    /// Gmin-continuation stages run (each is one Newton solve at a fixed
-    /// Gmin).
-    pub gmin_steps: u64,
-    /// Source-ramp steps run (each is a full Gmin continuation at one
-    /// source scale).
-    pub ramp_steps: u64,
-    /// Solves that exhausted the standard cold ladder and entered the
-    /// rescue ladder (the crate's `rescue` module).
-    pub rescue_attempts: u64,
-    /// Rescue-ladder entries that ultimately converged.
-    pub rescue_hits: u64,
-    /// Individual rescue rungs run (≤ 3 per attempt).
-    pub rescue_rungs: u64,
-}
-
-impl SolverStats {
-    /// Warm-start hit rate in `[0, 1]`; 1.0 when no warm start was tried.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.warm_attempts == 0 {
-            1.0
-        } else {
-            self.warm_hits as f64 / self.warm_attempts as f64
-        }
-    }
-
-    /// Merges another set of counters into this one (for per-thread stats).
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.solves += other.solves;
-        self.newton_iterations += other.newton_iterations;
-        self.warm_attempts += other.warm_attempts;
-        self.warm_hits += other.warm_hits;
-        self.cold_solves += other.cold_solves;
-        self.damped_retries += other.damped_retries;
-        self.source_ramps += other.source_ramps;
-        self.lu_factorizations += other.lu_factorizations;
-        self.gmin_steps += other.gmin_steps;
-        self.ramp_steps += other.ramp_steps;
-        self.rescue_attempts += other.rescue_attempts;
-        self.rescue_hits += other.rescue_hits;
-        self.rescue_rungs += other.rescue_rungs;
-    }
-
-    /// The increments accumulated between a `before` snapshot and `self`,
-    /// as a telemetry delta (the per-solve record of
-    /// [`CircuitTemplate::solve`](crate::template::CircuitTemplate::solve)).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `before` is an earlier snapshot of the same
-    /// counters (every field monotonically non-decreasing).
-    pub fn delta_since(&self, before: &SolverStats) -> pvtm_telemetry::SolverDelta {
-        debug_assert!(self.solves >= before.solves, "stats went backwards");
-        pvtm_telemetry::SolverDelta {
-            solves: self.solves - before.solves,
-            newton_iterations: self.newton_iterations - before.newton_iterations,
-            lu_factorizations: self.lu_factorizations - before.lu_factorizations,
-            warm_attempts: self.warm_attempts - before.warm_attempts,
-            warm_hits: self.warm_hits - before.warm_hits,
-            cold_solves: self.cold_solves - before.cold_solves,
-            damped_retries: self.damped_retries - before.damped_retries,
-            source_ramps: self.source_ramps - before.source_ramps,
-            gmin_steps: self.gmin_steps - before.gmin_steps,
-            ramp_steps: self.ramp_steps - before.ramp_steps,
-            rescue_attempts: self.rescue_attempts - before.rescue_attempts,
-            rescue_hits: self.rescue_hits - before.rescue_hits,
-            rescue_rungs: self.rescue_rungs - before.rescue_rungs,
-        }
     }
 }
 

@@ -47,9 +47,10 @@ pub(crate) mod rescue;
 pub mod template;
 pub mod transient;
 
-pub use dc::{DcOptions, DcSolution, SolverStats};
+pub use dc::{DcOptions, DcSolution};
 pub use netlist::{CircuitError, Element, Netlist, NodeId};
 pub use parser::{parse_netlist, ParseError};
+pub use pvtm_telemetry::SolverStats;
 pub use template::{CircuitTemplate, MosfetSlot, VsourceSlot};
 pub use transient::{TransientOptions, TransientResult};
 

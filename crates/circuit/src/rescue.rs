@@ -20,7 +20,7 @@
 //!    monotone enough to creep along a fold.
 //!
 //! Every entry, rung and success is counted in
-//! [`SolverStats`](crate::dc::SolverStats) (`rescue_attempts`,
+//! [`SolverStats`](crate::SolverStats) (`rescue_attempts`,
 //! `rescue_rungs`, `rescue_hits`), so telemetry sidecars and `pvtm-trace`
 //! budgets see rescue work like any other solver work. The ladder is also
 //! a fault-injection target: each rung checks

@@ -46,8 +46,9 @@
 
 use std::sync::Arc;
 
-use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, SolverStats, System};
+use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, System};
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
+use crate::SolverStats;
 use pvtm_device::Mosfet;
 
 /// Typed handle to a voltage source inside a [`CircuitTemplate`].

@@ -135,7 +135,7 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
 
     let mut prev = state.clone();
     let mut ws = DcWorkspace::default();
-    for k in 1..=steps {
+    let stepped = (1..=steps).try_for_each(|k| {
         let companion = Companion {
             dt: opts.dt,
             prev: &prev,
@@ -150,7 +150,12 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
         )?;
         record(k as f64 * opts.dt, &state, &mut times, &mut traces);
         prev.copy_from_slice(&state);
-    }
+        Ok(())
+    });
+    // The steps' Newton work, once per run (failed or not); a time step
+    // is not a DC solve, so `solves` stays 0.
+    pvtm_telemetry::record_solver(&ws.stats);
+    stepped?;
 
     Ok(TransientResult { times, traces })
 }

@@ -96,52 +96,10 @@ fn trace_for_chunks() -> Option<pvtm_telemetry::TraceHandle> {
     pvtm_telemetry::active_trace()
 }
 
-/// Records one finished chunk's moments into the enclosing trace scope.
-fn record_trace_chunk(trace: &Option<pvtm_telemetry::TraceHandle>, chunk: u64, s: &Summary) {
-    if let Some(t) = trace {
-        pvtm_telemetry::record_chunk(t, chunk, s.count(), s.mean(), s.m2());
-    }
-}
-
 /// Journals the estimator's planned work (`mc.start`) before fan-out.
 fn record_start(trace: &Option<pvtm_telemetry::TraceHandle>, n: u64, chunks: u64) {
     if let Some(t) = trace {
         pvtm_telemetry::record_mc_start(t, n, chunks);
-    }
-}
-
-/// Importance-weight health moments of one chunk, accumulated *beside* the
-/// estimate arithmetic (never inside it — the reproduced numbers must be
-/// bit-identical with health recording on or off).
-#[derive(Debug, Clone, Copy, Default)]
-struct WeightHealth {
-    fails: u64,
-    sum: f64,
-    sq_sum: f64,
-    max: f64,
-}
-
-impl WeightHealth {
-    fn observe(&mut self, w: f64) {
-        self.fails += 1;
-        self.sum += w;
-        self.sq_sum += w * w;
-        self.max = self.max.max(w);
-    }
-
-    fn record(&self, trace: &Option<pvtm_telemetry::TraceHandle>, chunk: u64) {
-        if let Some(t) = trace {
-            pvtm_telemetry::record_chunk_health(
-                t,
-                chunk,
-                pvtm_telemetry::HealthChunk {
-                    fails: self.fails,
-                    weight_sum: self.sum,
-                    weight_sq_sum: self.sq_sum,
-                    weight_max: self.max,
-                },
-            );
-        }
     }
 }
 
@@ -267,7 +225,7 @@ impl ImportanceSampler {
                 let hi = ((c + 1) * CHUNK).min(n);
                 let mut s_hi = Summary::new();
                 let mut s_lo = Summary::new();
-                let mut health = WeightHealth::default();
+                let mut health = pvtm_telemetry::HealthChunk::default();
                 let mut quarantined = 0u64;
                 let mut z = vec![0.0f64; d];
                 let mut state = init();
@@ -302,13 +260,13 @@ impl ImportanceSampler {
                     s_hi.add(w_hi);
                     s_lo.add(w_lo);
                 }
-                // One write scope: a live scrape sees this chunk's moments
-                // and health together or not at all (ESS stays recomputable
-                // from any snapshot).
-                pvtm_telemetry::update_scope(|| {
-                    record_trace_chunk(&trace, c, &s_hi);
-                    health.record(&trace, c);
-                });
+                // One record: a live scrape sees this chunk's moments and
+                // its weight moments together or not at all (ESS stays
+                // recomputable from any snapshot).
+                if let Some(t) = &trace {
+                    let (n, mean, m2) = (s_hi.count(), s_hi.mean(), s_hi.m2());
+                    pvtm_telemetry::record_chunk(t, c, n, mean, m2, Some(health));
+                }
                 (s_hi, s_lo, quarantined)
             })
             .reduce(

@@ -3,10 +3,11 @@
 //! records chunks from rayon workers. Every captured snapshot must be
 //! internally consistent:
 //!
-//! - `health_chunks == chunks_done` — the estimator pairs each chunk's
-//!   moments with its health record inside one `update_scope`, so no
-//!   scrape may ever observe one half of the pair (the torn state the
-//!   seqlock exists to prevent);
+//! - `health_chunks == chunks_done` — the estimator records each chunk's
+//!   moments and weight moments as one record, which lands under one
+//!   acquisition of the registry mutex that a scrape captures under, so
+//!   no scrape may ever observe one half of the pair (the torn state that
+//!   lock prevents);
 //! - `ess` equals `(Σw)²/Σw²` recomputed from the snapshot's own weight
 //!   moments, bit-identical — the snapshot is self-describing;
 //! - `chunks_done` is monotone non-decreasing across consecutive scrapes.

@@ -210,8 +210,6 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
     if !enabled() {
         return Ok(false);
     }
-    // The run id changes what live scrapes report; bump the write epoch.
-    let _scope = crate::snapshot::write_scope();
     let mut file = File::create(path)?;
     let mut header = header_line(id);
     header.push('\n');
@@ -236,7 +234,6 @@ pub fn open_journal(path: &Path, id: &str) -> std::io::Result<bool> {
 /// Propagates filesystem errors; the live (arrival-order) file is left in
 /// place when the canonical rewrite fails.
 pub fn finalize_journal(extra: &[(&'static str, Value)]) -> std::io::Result<Option<PathBuf>> {
-    let _scope = crate::snapshot::write_scope();
     let Some(live) = buffer().live.take() else {
         return Ok(None);
     };

@@ -7,8 +7,9 @@
 //! - **Hierarchical timed spans** ([`span`]): RAII guards that aggregate
 //!   `{count, total_ns}` per `/`-joined path in a thread-local collector.
 //! - **Typed counters, gauges and log2-bucketed histograms**
-//!   ([`counter_add`], [`gauge_set`], [`hist_record`]), plus a fixed-layout
-//!   fast path for the DC solver's per-solve deltas ([`record_solver`]).
+//!   ([`counter_add`], [`gauge_set`], [`hist_record`]), plus a fast path
+//!   for the DC solver's per-solve counters ([`SolverStats`],
+//!   [`record_solver`]).
 //! - **Convergence traces** ([`trace_scope`], [`record_chunk`]): Monte-Carlo
 //!   chunk loops snapshot their running moments every chunk, and the final
 //!   [`Report`] reconstructs a per-chunk `value / std_err / rel_err` series.
@@ -63,12 +64,11 @@ pub use report::{
     HealthCheck, HealthEntry, HistBucket, HistRow, Report, Sidecar, SidecarError, SolverSummary,
     SpanRow, TraceHealth, TracePoint, TraceRow, SCHEMA_VERSION,
 };
-pub use snapshot::update_scope;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------- mode gate
 
@@ -163,29 +163,6 @@ pub fn set_clock_enabled(on: bool) {
 
 // ---------------------------------------------------------------- collector
 
-/// Solver work charged to a span: the subset of [`SolverDelta`] that the
-/// attribution model follows per span path (the rest stays global-only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SpanSolver {
-    pub(crate) solves: u64,
-    pub(crate) newton_iterations: u64,
-    pub(crate) lu_factorizations: u64,
-    pub(crate) cold_solves: u64,
-    pub(crate) rescue_attempts: u64,
-    pub(crate) rescue_hits: u64,
-}
-
-impl SpanSolver {
-    fn add(&mut self, other: &SpanSolver) {
-        self.solves += other.solves;
-        self.newton_iterations += other.newton_iterations;
-        self.lu_factorizations += other.lu_factorizations;
-        self.cold_solves += other.cold_solves;
-        self.rescue_attempts += other.rescue_attempts;
-        self.rescue_hits += other.rescue_hits;
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct SpanStat {
     pub(crate) count: u64,
@@ -197,7 +174,7 @@ pub(crate) struct SpanStat {
     /// parent's wall-clock.
     pub(crate) child_ns: u64,
     /// Solver work recorded while this path was the innermost span.
-    pub(crate) solver: SpanSolver,
+    pub(crate) solver: SolverStats,
 }
 
 /// A log2-bucketed histogram: bucket `e` counts values in `[2^e, 2^(e+1))`.
@@ -239,53 +216,105 @@ fn bucket_exp(v: f64) -> Option<i16> {
     Some(e as i16)
 }
 
-/// One solve's worth of DC-solver counter increments, recorded through a
-/// single thread-local access by [`record_solver`].
+/// DC-solver work counters: what a `pvtm_circuit::CircuitTemplate`
+/// accumulates across its solves, what one solve adds
+/// ([`SolverStats::delta_since`]), and what [`record_solver`] merges into
+/// a run and charges to its innermost span.
+///
+/// `warm_hits / warm_attempts` is the warm-start hit rate;
+/// `damped_retries` and `source_ramps` count cold solves that needed the
+/// damped retry or the source ramp on top of plain Gmin continuation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverDelta {
-    /// Completed solves.
+pub struct SolverStats {
+    /// Completed solves (converged operating points).
     pub solves: u64,
-    /// Newton iterations.
+    /// Total Newton iterations, across all continuation stages and solves.
     pub newton_iterations: u64,
-    /// LU factorizations.
+    /// LU factorizations (one per Newton linear solve).
     pub lu_factorizations: u64,
-    /// Warm-start attempts.
+    /// Warm-start Newton attempts (seeded from a previous solution).
     pub warm_attempts: u64,
-    /// Warm-start attempts that converged.
+    /// Warm-start attempts that converged without a cold restart.
     pub warm_hits: u64,
-    /// Cold solves (fallbacks included).
+    /// Cold solves (Gmin continuation from the initial guess).
     pub cold_solves: u64,
-    /// Cold solves that needed the damped retry.
+    /// Cold solves that needed the heavily damped retry.
     pub damped_retries: u64,
-    /// Cold solves that fell through to the source ramp.
+    /// Cold solves that fell through to the source-stepping ramp.
     pub source_ramps: u64,
-    /// Gmin-continuation stages run.
+    /// Gmin-continuation stages run (each is one Newton solve at a fixed
+    /// Gmin).
     pub gmin_steps: u64,
-    /// Source-ramp steps run.
+    /// Source-ramp steps run (each is a full Gmin continuation at one
+    /// source scale).
     pub ramp_steps: u64,
-    /// Solves that entered the rescue ladder after the cold ladder failed.
+    /// Solves that exhausted the standard cold ladder and entered the
+    /// rescue ladder.
     pub rescue_attempts: u64,
-    /// Rescue-ladder entries that converged.
+    /// Rescue-ladder entries that ultimately converged.
     pub rescue_hits: u64,
-    /// Individual rescue rungs run.
+    /// Individual rescue rungs run (≤ 3 per attempt).
     pub rescue_rungs: u64,
 }
 
-impl SolverDelta {
-    fn add(&mut self, other: &SolverDelta) {
-        self.solves += other.solves;
-        self.newton_iterations += other.newton_iterations;
-        self.lu_factorizations += other.lu_factorizations;
-        self.warm_attempts += other.warm_attempts;
-        self.warm_hits += other.warm_hits;
-        self.cold_solves += other.cold_solves;
-        self.damped_retries += other.damped_retries;
-        self.source_ramps += other.source_ramps;
-        self.gmin_steps += other.gmin_steps;
-        self.ramp_steps += other.ramp_steps;
-        self.rescue_attempts += other.rescue_attempts;
-        self.rescue_hits += other.rescue_hits;
-        self.rescue_rungs += other.rescue_rungs;
+impl SolverStats {
+    /// The name table: every counter beside its sidecar member name, in
+    /// the sidecar's member order. Merging, differencing, the sidecar's
+    /// writer and reader and the Prometheus names all go through it.
+    pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64); 13] {
+        [
+            ("solves", &mut self.solves),
+            ("newton_iterations", &mut self.newton_iterations),
+            ("lu_factorizations", &mut self.lu_factorizations),
+            ("warm_attempts", &mut self.warm_attempts),
+            ("warm_hits", &mut self.warm_hits),
+            ("cold_solves", &mut self.cold_solves),
+            ("damped_retries", &mut self.damped_retries),
+            ("source_ramps", &mut self.source_ramps),
+            ("gmin_steps", &mut self.gmin_steps),
+            ("ramp_steps", &mut self.ramp_steps),
+            ("rescue_attempts", &mut self.rescue_attempts),
+            ("rescue_hits", &mut self.rescue_hits),
+            ("rescue_rungs", &mut self.rescue_rungs),
+        ]
+    }
+
+    /// The 13 counters under their sidecar member names, in the sidecar's
+    /// member order. `warm_hit_rate` is derived, so it is not among them.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        let mut copy = *self;
+        copy.fields().map(|(name, v)| (name, *v))
+    }
+
+    /// Warm-start hit rate in `[0, 1]`; 1.0 when no warm start was tried.
+    pub fn warm_hit_rate(&self) -> f64 {
+        if self.warm_attempts == 0 {
+            1.0
+        } else {
+            self.warm_hits as f64 / self.warm_attempts as f64
+        }
+    }
+
+    /// Adds another set of counters to this one.
+    pub fn merge(&mut self, other: &SolverStats) {
+        for ((_, v), (_, o)) in self.fields().into_iter().zip(other.counters()) {
+            *v += o;
+        }
+    }
+
+    /// The increments accumulated between a `before` snapshot and `self`
+    /// (the per-solve record of a template solve).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `before` is not an earlier snapshot of the
+    /// same counters (some counter went backwards).
+    pub fn delta_since(&self, before: &SolverStats) -> SolverStats {
+        let mut delta = *self;
+        for ((_, v), (_, b)) in delta.fields().into_iter().zip(before.counters()) {
+            *v -= b;
+        }
+        delta
     }
 }
 
@@ -314,7 +343,7 @@ struct Collector {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
-    solver: SolverDelta,
+    solver: SolverStats,
 }
 
 impl Collector {
@@ -323,7 +352,7 @@ impl Collector {
         self.counters.clear();
         self.gauges.clear();
         self.hists.clear();
-        self.solver = SolverDelta::default();
+        self.solver = SolverStats::default();
     }
 
     fn merge_into(&mut self, g: &mut Global) {
@@ -332,7 +361,7 @@ impl Collector {
             e.count += s.count;
             e.total_ns += s.total_ns;
             e.child_ns += s.child_ns;
-            e.solver.add(&s.solver);
+            e.solver.merge(&s.solver);
         }
         for (k, v) in std::mem::take(&mut self.counters) {
             *g.counters.entry(k).or_insert(0) += v;
@@ -345,8 +374,7 @@ impl Collector {
         for (k, h) in std::mem::take(&mut self.hists) {
             g.hists.entry(k).or_default().merge(&h);
         }
-        g.solver.add(&self.solver);
-        self.solver = SolverDelta::default();
+        g.solver.merge(&std::mem::take(&mut self.solver));
     }
 }
 
@@ -366,36 +394,19 @@ struct Global {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
-    solver: SolverDelta,
+    solver: SolverStats,
+    /// Planned work of each estimator start, by trace name.
+    plans: BTreeMap<String, Vec<snapshot::Plan>>,
     traces: BTreeMap<String, Vec<ChunkStat>>,
     health: BTreeMap<String, Vec<(u64, HealthChunk)>>,
     quarantine: Vec<QuarantineRecord>,
+    /// Records landed since the process started (plans, chunks,
+    /// quarantined samples), each under one acquisition of the mutex:
+    /// what a live scrape reports as its epoch. [`reset`] keeps it.
+    epoch: u64,
 }
 
-static GLOBAL: Mutex<Global> = Mutex::new(Global {
-    spans: BTreeMap::new(),
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    hists: BTreeMap::new(),
-    solver: SolverDelta {
-        solves: 0,
-        newton_iterations: 0,
-        lu_factorizations: 0,
-        warm_attempts: 0,
-        warm_hits: 0,
-        cold_solves: 0,
-        damped_retries: 0,
-        source_ramps: 0,
-        gmin_steps: 0,
-        ramp_steps: 0,
-        rescue_attempts: 0,
-        rescue_hits: 0,
-        rescue_rungs: 0,
-    },
-    traces: BTreeMap::new(),
-    health: BTreeMap::new(),
-    quarantine: Vec::new(),
-});
+static GLOBAL: LazyLock<Mutex<Global>> = LazyLock::new(Mutex::default);
 
 fn global() -> MutexGuard<'static, Global> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -602,16 +613,16 @@ pub fn hist_record(name: &'static str, v: f64) {
     with_local(|c| c.hists.entry(name).or_default().record(v));
 }
 
-/// Records one solve's counter increments and a `solver.newton_per_solve`
-/// histogram sample, through a single thread-local access. This is the DC
-/// hot path: disabled cost is one atomic load. No-op unless
-/// `mode() >= Summary`.
-pub fn record_solver(delta: &SolverDelta) {
+/// Records one solve's counter increments (or a transient run's time
+/// steps') and a `solver.newton_per_solve` histogram sample, through a
+/// single thread-local access. This is the DC hot path: disabled cost is
+/// one atomic load. No-op unless `mode() >= Summary`.
+pub fn record_solver(delta: &SolverStats) {
     if mode() == Mode::Off {
         return;
     }
     with_local(|c| {
-        c.solver.add(delta);
+        c.solver.merge(delta);
         c.hists
             .entry("solver.newton_per_solve")
             .or_default()
@@ -619,21 +630,13 @@ pub fn record_solver(delta: &SolverDelta) {
         // Attribution: charge the innermost span (empty outside Full mode,
         // so this costs nothing on the Summary-mode hot path).
         if !c.path.is_empty() {
-            let charge = SpanSolver {
-                solves: delta.solves,
-                newton_iterations: delta.newton_iterations,
-                lu_factorizations: delta.lu_factorizations,
-                cold_solves: delta.cold_solves,
-                rescue_attempts: delta.rescue_attempts,
-                rescue_hits: delta.rescue_hits,
-            };
             if let Some(s) = c.spans.get_mut(&c.path) {
-                s.solver.add(&charge);
+                s.solver.merge(delta);
             } else {
                 c.spans.insert(
                     c.path.clone(),
                     SpanStat {
-                        solver: charge,
+                        solver: *delta,
                         ..SpanStat::default()
                     },
                 );
@@ -701,20 +704,36 @@ pub fn active_trace() -> Option<TraceHandle> {
         .map(TraceHandle)
 }
 
-/// Records one chunk's running moments (`n` observations, Welford `mean`
-/// and `m2`) under the handle's trace. Chunks may arrive in any order from
-/// any thread; the report sorts by `chunk`. Also journals an `mc.chunk`
-/// event keyed by `(trace, chunk)`.
-pub fn record_chunk(handle: &TraceHandle, chunk: u64, n: u64, mean: f64, m2: f64) {
+/// Records one Monte-Carlo chunk under the handle's trace: its running
+/// moments (`n` observations, Welford `mean` and `m2`) and, for an
+/// estimator that tracks importance weights, its weight moments. Both land
+/// in one record, so a live scrape sees the chunk whole or not at all.
+/// Chunks may arrive in any order from any thread; the report sorts by
+/// `chunk` and folds the weight moments (sums and a maximum, commutative)
+/// into per-trace ESS and max-weight-fraction diagnostics. Also journals
+/// an `mc.chunk` event keyed by `(trace, chunk)`, and an `mc.health` event
+/// beside it when `health` is given. No-op unless `mode() >= Summary`.
+pub fn record_chunk(
+    handle: &TraceHandle,
+    chunk: u64,
+    n: u64,
+    mean: f64,
+    m2: f64,
+    health: Option<HealthChunk>,
+) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
-    global()
-        .traces
-        .entry(handle.0.to_string())
-        .or_default()
-        .push(ChunkStat { chunk, n, mean, m2 });
+    land(|g| {
+        let name = handle.0.to_string();
+        if let Some(h) = health {
+            g.health.entry(name.clone()).or_default().push((chunk, h));
+        }
+        g.traces
+            .entry(name)
+            .or_default()
+            .push(ChunkStat { chunk, n, mean, m2 });
+    });
     events::emit(
         "mc.chunk",
         events::name_key(&handle.0),
@@ -727,18 +746,37 @@ pub fn record_chunk(handle: &TraceHandle, chunk: u64, n: u64, mean: f64, m2: f64
             ("m2", json::Value::Num(m2)),
         ],
     );
+    if let Some(h) = health {
+        events::emit(
+            "mc.health",
+            events::name_key(&handle.0),
+            chunk,
+            vec![
+                ("trace", json::Value::Str(handle.0.to_string())),
+                ("chunk", json::Value::Num(chunk as f64)),
+                ("fails", json::Value::Num(h.fails as f64)),
+                ("weight_sum", json::Value::Num(h.weight_sum)),
+                ("weight_sq_sum", json::Value::Num(h.weight_sq_sum)),
+                ("weight_max", json::Value::Num(h.weight_max)),
+            ],
+        );
+    }
 }
 
-/// Journals an `mc.start` event announcing a chunked estimator's total
-/// planned work (`samples` observations over `chunks` chunks) under the
-/// handle's trace — what gives `pvtm-trace tail` its denominator for
-/// progress and ETA. No-op unless `mode() >= Summary`.
+/// Records a chunked estimator's total planned work (`samples`
+/// observations over `chunks` chunks) under the handle's trace and
+/// journals it as an `mc.start` event: the denominators of live progress
+/// and of `pvtm-trace tail`'s ETA. No-op unless `mode() >= Summary`.
 pub fn record_mc_start(handle: &TraceHandle, samples: u64, chunks: u64) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
-    snapshot::record_plan(&handle.0, samples, chunks);
+    land(|g| {
+        g.plans
+            .entry(handle.0.to_string())
+            .or_default()
+            .push(snapshot::Plan { samples, chunks });
+    });
     events::emit(
         "mc.start",
         events::name_key(&handle.0),
@@ -770,34 +808,14 @@ pub struct HealthChunk {
     pub weight_max: f64,
 }
 
-/// Records one chunk's health moments under the handle's trace and
-/// journals an `mc.health` event. Chunks may arrive in any order from any
-/// thread; the report sorts by chunk index and folds the moments (all
-/// sums/max — commutative) into per-trace ESS and max-weight-fraction
-/// diagnostics. No-op unless `mode() >= Summary`.
-pub fn record_chunk_health(handle: &TraceHandle, chunk: u64, h: HealthChunk) {
-    if mode() == Mode::Off {
-        return;
+impl HealthChunk {
+    /// Adds one contributing sample of weight `w`.
+    pub fn observe(&mut self, w: f64) {
+        self.fails += 1;
+        self.weight_sum += w;
+        self.weight_sq_sum += w * w;
+        self.weight_max = self.weight_max.max(w);
     }
-    let _scope = snapshot::write_scope();
-    global()
-        .health
-        .entry(handle.0.to_string())
-        .or_default()
-        .push((chunk, h));
-    events::emit(
-        "mc.health",
-        events::name_key(&handle.0),
-        chunk,
-        vec![
-            ("trace", json::Value::Str(handle.0.to_string())),
-            ("chunk", json::Value::Num(chunk as f64)),
-            ("fails", json::Value::Num(h.fails as f64)),
-            ("weight_sum", json::Value::Num(h.weight_sum)),
-            ("weight_sq_sum", json::Value::Num(h.weight_sq_sum)),
-            ("weight_max", json::Value::Num(h.weight_max)),
-        ],
-    );
 }
 
 // ---------------------------------------------------------------- quarantine
@@ -811,7 +829,6 @@ pub fn record_quarantine(rec: QuarantineRecord) {
     if mode() == Mode::Off {
         return;
     }
-    let _scope = snapshot::write_scope();
     events::emit(
         "mc.quarantine",
         rec.stream,
@@ -825,7 +842,16 @@ pub fn record_quarantine(rec: QuarantineRecord) {
             ("reason", json::Value::Str(rec.kind.clone())),
         ],
     );
-    global().quarantine.push(rec);
+    land(|g| g.quarantine.push(rec));
+}
+
+/// Lands one record in the registry under one acquisition of its mutex,
+/// and counts it in the epoch. A live scrape captures under the same
+/// mutex, so it sees every record whole or not at all.
+fn land(record: impl FnOnce(&mut Global)) {
+    let mut g = global();
+    record(&mut g);
+    g.epoch += 1;
 }
 
 // ---------------------------------------------------------------- lifecycle
@@ -840,19 +866,15 @@ pub fn snapshot() -> Report {
 }
 
 /// Clears all recorded data (global and this thread's collector). The mode
-/// and clock settings are untouched. Open spans keep their path and will
-/// still record on drop.
+/// and clock settings are untouched, and so is the epoch. Open spans keep
+/// their path and will still record on drop.
 pub fn reset() {
     with_local(Collector::clear_stats);
     let mut g = global();
-    g.spans.clear();
-    g.counters.clear();
-    g.gauges.clear();
-    g.hists.clear();
-    g.solver = SolverDelta::default();
-    g.traces.clear();
-    g.health.clear();
-    g.quarantine.clear();
+    *g = Global {
+        epoch: g.epoch,
+        ..Global::default()
+    };
     drop(g);
     snapshot::clear();
     events::clear();
@@ -879,7 +901,7 @@ mod tests {
             counter_add("c", 5);
             gauge_set("g", 1.0);
             hist_record("h", 2.0);
-            record_solver(&SolverDelta {
+            record_solver(&SolverStats {
                 solves: 1,
                 ..Default::default()
             });
@@ -972,14 +994,14 @@ mod tests {
         let _g = test_guard();
         set_mode(Mode::Summary);
         reset();
-        record_solver(&SolverDelta {
+        record_solver(&SolverStats {
             solves: 1,
             newton_iterations: 3,
             warm_attempts: 1,
             warm_hits: 1,
             ..Default::default()
         });
-        record_solver(&SolverDelta {
+        record_solver(&SolverStats {
             solves: 1,
             newton_iterations: 40,
             warm_attempts: 1,
@@ -1000,6 +1022,56 @@ mod tests {
     }
 
     #[test]
+    fn solver_counters_keep_their_names_from_record_to_sidecar_and_metrics() {
+        let _g = test_guard();
+        set_mode(Mode::Summary);
+        reset();
+        // Thirteen different counts, so no two counters can trade places
+        // unseen; rescue attempts above 0 write the rescue keys.
+        let s = SolverStats {
+            solves: 1,
+            newton_iterations: 2,
+            lu_factorizations: 3,
+            warm_attempts: 4,
+            warm_hits: 5,
+            cold_solves: 6,
+            damped_retries: 7,
+            source_ramps: 8,
+            gmin_steps: 9,
+            ramp_steps: 10,
+            rescue_attempts: 11,
+            rescue_hits: 12,
+            rescue_rungs: 13,
+        };
+        record_solver(&s);
+        let text = snapshot().to_json_pretty("names");
+        let metrics = snapshot::live().prometheus();
+        let sidecar = json::parse(&text).unwrap();
+        let member = |name: &str| sidecar.get("solver")?.get(name)?.as_u64();
+        for (name, count) in [
+            ("solves", s.solves),
+            ("newton_iterations", s.newton_iterations),
+            ("lu_factorizations", s.lu_factorizations),
+            ("warm_attempts", s.warm_attempts),
+            ("warm_hits", s.warm_hits),
+            ("cold_solves", s.cold_solves),
+            ("damped_retries", s.damped_retries),
+            ("source_ramps", s.source_ramps),
+            ("gmin_steps", s.gmin_steps),
+            ("ramp_steps", s.ramp_steps),
+            ("rescue_attempts", s.rescue_attempts),
+            ("rescue_hits", s.rescue_hits),
+            ("rescue_rungs", s.rescue_rungs),
+        ] {
+            assert_eq!(member(name), Some(count), "sidecar member {name}");
+            let series = format!("\npvtm_solver_{name} {count}\n");
+            assert!(metrics.contains(&series), "{series:?} in\n{metrics}");
+        }
+        assert_eq!(Sidecar::parse(&text).unwrap().report.solver.stats, s);
+        set_mode(Mode::Off);
+    }
+
+    #[test]
     fn traces_sort_and_reconstruct_running_error() {
         let _g = test_guard();
         set_mode(Mode::Summary);
@@ -1009,8 +1081,8 @@ mod tests {
             let h = active_trace().unwrap();
             // Two chunks recorded out of order; each 100 samples of mean
             // 2.0 / 4.0 with zero spread.
-            record_chunk(&h, 1, 100, 4.0, 0.0);
-            record_chunk(&h, 0, 100, 2.0, 0.0);
+            record_chunk(&h, 1, 100, 4.0, 0.0, None);
+            record_chunk(&h, 0, 100, 2.0, 0.0, None);
         }
         assert!(active_trace().is_none());
         let r = snapshot();
@@ -1034,10 +1106,10 @@ mod tests {
         {
             let _b = trace_scope("inner");
             let h = active_trace().unwrap();
-            record_chunk(&h, 0, 1, 1.0, 0.0);
+            record_chunk(&h, 0, 1, 1.0, 0.0, None);
         }
         let h = active_trace().unwrap();
-        record_chunk(&h, 0, 1, 5.0, 0.0);
+        record_chunk(&h, 0, 1, 5.0, 0.0, None);
         drop(_a);
         let r = snapshot();
         assert_eq!(r.trace("inner").unwrap().points[0].value, 1.0);

@@ -3,9 +3,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
 use crate::json::{self, obj, Value};
-use crate::{ChunkStat, Global, HealthChunk, Mode, QuarantineRecord};
+use crate::{ChunkStat, Global, HealthChunk, Mode, QuarantineRecord, SolverStats};
 
 /// Current sidecar schema version. Version 2 added `schema_version` itself
 /// plus per-span attribution (`self_ns`, solver counters per span);
@@ -30,19 +31,22 @@ pub struct SpanRow {
     /// `total_ns - child_ns`, saturating at zero (parallel children can
     /// sum to more CPU time than the parent's wall-clock).
     pub self_ns: u64,
-    /// DC solves charged to this span (innermost-span attribution).
-    pub solves: u64,
-    /// Newton iterations charged to this span.
-    pub newton_iterations: u64,
-    /// LU factorizations charged to this span.
-    pub lu_factorizations: u64,
-    /// Cold solves charged to this span.
-    pub cold_solves: u64,
-    /// Rescue-ladder entries charged to this span.
-    pub rescue_attempts: u64,
-    /// Rescue-ladder entries that converged, charged to this span.
-    pub rescue_hits: u64,
+    /// Solver work charged to this span (innermost-span attribution). The
+    /// sidecar carries its solves, Newton iterations, LU factorizations,
+    /// cold solves and rescue attempts and hits; read back from a
+    /// sidecar, the other counters are 0.
+    pub solver: SolverStats,
 }
+
+/// The counters a sidecar span carries, in the sidecar's member order.
+const SPAN_COUNTERS: [&str; 6] = [
+    "solves",
+    "newton_iterations",
+    "lu_factorizations",
+    "cold_solves",
+    "rescue_attempts",
+    "rescue_hits",
+];
 
 /// One log2 histogram bucket: counts values in `[2^log2, 2^(log2+1))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,58 +70,30 @@ pub struct HistRow {
     pub buckets: Vec<HistBucket>,
 }
 
-/// Merged DC-solver counters with the derived warm-hit rate.
+/// Merged DC-solver counters with the derived warm-hit rate. It
+/// dereferences to its counters, so `solver.solves` reads the count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverSummary {
-    /// Completed solves.
-    pub solves: u64,
-    /// Newton iterations.
-    pub newton_iterations: u64,
-    /// LU factorizations.
-    pub lu_factorizations: u64,
-    /// Warm-start attempts.
-    pub warm_attempts: u64,
-    /// Warm-start attempts that converged.
-    pub warm_hits: u64,
-    /// Cold solves.
-    pub cold_solves: u64,
-    /// Damped retries.
-    pub damped_retries: u64,
-    /// Source-ramp fallbacks.
-    pub source_ramps: u64,
-    /// Gmin-continuation stages.
-    pub gmin_steps: u64,
-    /// Source-ramp steps.
-    pub ramp_steps: u64,
-    /// Solves that entered the rescue ladder.
-    pub rescue_attempts: u64,
-    /// Rescue-ladder entries that converged.
-    pub rescue_hits: u64,
-    /// Individual rescue rungs run.
-    pub rescue_rungs: u64,
+    /// The merged counters.
+    pub stats: SolverStats,
     /// `warm_hits / warm_attempts`; 1.0 when no warm start was tried.
     pub warm_hit_rate: f64,
 }
 
-impl SolverSummary {
-    /// The 13 work counters under their sidecar member names, in name
-    /// order. `warm_hit_rate` is derived, so it is not among them.
-    pub fn counters(&self) -> [(&'static str, u64); 13] {
-        [
-            ("cold_solves", self.cold_solves),
-            ("damped_retries", self.damped_retries),
-            ("gmin_steps", self.gmin_steps),
-            ("lu_factorizations", self.lu_factorizations),
-            ("newton_iterations", self.newton_iterations),
-            ("ramp_steps", self.ramp_steps),
-            ("rescue_attempts", self.rescue_attempts),
-            ("rescue_hits", self.rescue_hits),
-            ("rescue_rungs", self.rescue_rungs),
-            ("solves", self.solves),
-            ("source_ramps", self.source_ramps),
-            ("warm_attempts", self.warm_attempts),
-            ("warm_hits", self.warm_hits),
-        ]
+impl From<SolverStats> for SolverSummary {
+    fn from(stats: SolverStats) -> Self {
+        SolverSummary {
+            stats,
+            warm_hit_rate: stats.warm_hit_rate(),
+        }
+    }
+}
+
+impl Deref for SolverSummary {
+    type Target = SolverStats;
+
+    fn deref(&self) -> &SolverStats {
+        &self.stats
     }
 }
 
@@ -148,8 +124,8 @@ pub struct TracePoint {
 /// samples is no longer buying confidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceHealth {
-    /// Whether importance-sampling weight moments were recorded (via
-    /// [`crate::record_chunk_health`]); the ESS fields are meaningful
+    /// Whether importance-sampling weight moments were recorded with the
+    /// chunks ([`crate::record_chunk`]); the ESS fields are meaningful
     /// only when set.
     pub has_weights: bool,
     /// Contributing (failing) samples across all chunks.
@@ -235,12 +211,7 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
                 total_ns: s.total_ns,
                 child_ns: s.child_ns,
                 self_ns: s.total_ns.saturating_sub(s.child_ns),
-                solves: s.solver.solves,
-                newton_iterations: s.solver.newton_iterations,
-                lu_factorizations: s.solver.lu_factorizations,
-                cold_solves: s.solver.cold_solves,
-                rescue_attempts: s.solver.rescue_attempts,
-                rescue_hits: s.solver.rescue_hits,
+                solver: s.solver,
             })
             .collect(),
         counters: g
@@ -263,26 +234,7 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
                     .collect(),
             })
             .collect(),
-        solver: SolverSummary {
-            solves: g.solver.solves,
-            newton_iterations: g.solver.newton_iterations,
-            lu_factorizations: g.solver.lu_factorizations,
-            warm_attempts: g.solver.warm_attempts,
-            warm_hits: g.solver.warm_hits,
-            cold_solves: g.solver.cold_solves,
-            damped_retries: g.solver.damped_retries,
-            source_ramps: g.solver.source_ramps,
-            gmin_steps: g.solver.gmin_steps,
-            ramp_steps: g.solver.ramp_steps,
-            rescue_attempts: g.solver.rescue_attempts,
-            rescue_hits: g.solver.rescue_hits,
-            rescue_rungs: g.solver.rescue_rungs,
-            warm_hit_rate: if g.solver.warm_attempts == 0 {
-                1.0
-            } else {
-                g.solver.warm_hits as f64 / g.solver.warm_attempts as f64
-            },
-        },
+        solver: SolverSummary::from(g.solver),
         traces,
         quarantine: {
             let mut q = g.quarantine.clone();
@@ -587,42 +539,10 @@ impl Report {
         out
     }
 
-    /// The solver-counter object of the sidecar. The rescue keys are
-    /// emitted only when the rescue ladder ran at all, so sidecars of
-    /// rescue-free runs stay byte-identical to pre-rescue output.
+    /// The solver-counter object of the sidecar: the counters, then the
+    /// warm-hit rate.
     fn solver_value(&self) -> Value {
-        let mut fields = vec![
-            ("solves", Value::Num(self.solver.solves as f64)),
-            (
-                "newton_iterations",
-                Value::Num(self.solver.newton_iterations as f64),
-            ),
-            (
-                "lu_factorizations",
-                Value::Num(self.solver.lu_factorizations as f64),
-            ),
-            (
-                "warm_attempts",
-                Value::Num(self.solver.warm_attempts as f64),
-            ),
-            ("warm_hits", Value::Num(self.solver.warm_hits as f64)),
-            ("cold_solves", Value::Num(self.solver.cold_solves as f64)),
-            (
-                "damped_retries",
-                Value::Num(self.solver.damped_retries as f64),
-            ),
-            ("source_ramps", Value::Num(self.solver.source_ramps as f64)),
-            ("gmin_steps", Value::Num(self.solver.gmin_steps as f64)),
-            ("ramp_steps", Value::Num(self.solver.ramp_steps as f64)),
-        ];
-        if self.solver.rescue_attempts > 0 {
-            fields.push((
-                "rescue_attempts",
-                Value::Num(self.solver.rescue_attempts as f64),
-            ));
-            fields.push(("rescue_hits", Value::Num(self.solver.rescue_hits as f64)));
-            fields.push(("rescue_rungs", Value::Num(self.solver.rescue_rungs as f64)));
-        }
+        let mut fields = counter_members(&self.solver, |_| true);
         fields.push(("warm_hit_rate", Value::Num(self.solver.warm_hit_rate)));
         obj(fields)
     }
@@ -717,20 +637,10 @@ impl Report {
                                         s.total_ns as f64 / s.count as f64
                                     }),
                                 ),
-                                ("solves", Value::Num(s.solves as f64)),
-                                ("newton_iterations", Value::Num(s.newton_iterations as f64)),
-                                ("lu_factorizations", Value::Num(s.lu_factorizations as f64)),
-                                ("cold_solves", Value::Num(s.cold_solves as f64)),
                             ];
-                            // Like the solver section: rescue keys appear
-                            // only when the ladder ran under this span.
-                            if s.rescue_attempts > 0 {
-                                fields.push((
-                                    "rescue_attempts",
-                                    Value::Num(s.rescue_attempts as f64),
-                                ));
-                                fields.push(("rescue_hits", Value::Num(s.rescue_hits as f64)));
-                            }
+                            fields.extend(counter_members(&s.solver, |name| {
+                                SPAN_COUNTERS.contains(&name)
+                            }));
                             obj(fields)
                         })
                         .collect(),
@@ -812,7 +722,6 @@ impl Report {
     /// then rejects the document unless [`Report::to_value`] renders it back.
     pub(crate) fn read(doc: &Value) -> Report {
         let solver = doc.get("solver").unwrap_or(&Value::Null);
-        let n = |key: &str| int(solver.get(key));
         let mode = text(doc, "mode");
         Report {
             mode: [Mode::Off, Mode::Summary, Mode::Full]
@@ -830,12 +739,7 @@ impl Report {
                         total_ns,
                         child_ns: total_ns.saturating_sub(int(s.get("self_ns"))),
                         self_ns: int(s.get("self_ns")),
-                        solves: int(s.get("solves")),
-                        newton_iterations: int(s.get("newton_iterations")),
-                        lu_factorizations: int(s.get("lu_factorizations")),
-                        cold_solves: int(s.get("cold_solves")),
-                        rescue_attempts: int(s.get("rescue_attempts")),
-                        rescue_hits: int(s.get("rescue_hits")),
+                        solver: read_counters(s),
                     }
                 })
                 .collect(),
@@ -857,19 +761,7 @@ impl Report {
                 })
                 .collect(),
             solver: SolverSummary {
-                solves: n("solves"),
-                newton_iterations: n("newton_iterations"),
-                lu_factorizations: n("lu_factorizations"),
-                warm_attempts: n("warm_attempts"),
-                warm_hits: n("warm_hits"),
-                cold_solves: n("cold_solves"),
-                damped_retries: n("damped_retries"),
-                source_ramps: n("source_ramps"),
-                gmin_steps: n("gmin_steps"),
-                ramp_steps: n("ramp_steps"),
-                rescue_attempts: n("rescue_attempts"),
-                rescue_hits: n("rescue_hits"),
-                rescue_rungs: n("rescue_rungs"),
+                stats: read_counters(solver),
                 warm_hit_rate: num(solver.get("warm_hit_rate")),
             },
             traces: items(doc, "traces").iter().map(read_trace).collect(),
@@ -939,6 +831,31 @@ impl Report {
         }
         line
     }
+}
+
+/// `stats`' counters as sidecar members, in the sidecar's member order,
+/// among those `keep` names. The rescue keys appear only when the rescue
+/// ladder ran at all, so sidecars of rescue-free runs stay byte-identical
+/// to pre-rescue output.
+fn counter_members(stats: &SolverStats, keep: impl Fn(&str) -> bool) -> Vec<(&'static str, Value)> {
+    stats
+        .counters()
+        .into_iter()
+        .filter(|&(name, _)| {
+            keep(name) && (stats.rescue_attempts > 0 || !name.starts_with("rescue_"))
+        })
+        .map(|(name, v)| (name, Value::Num(v as f64)))
+        .collect()
+}
+
+/// The counters of a sidecar's `solver` object or of one of its spans;
+/// each member that is missing or mistyped reads as 0.
+fn read_counters(v: &Value) -> SolverStats {
+    let mut stats = SolverStats::default();
+    for (name, count) in stats.fields() {
+        *count = int(v.get(name));
+    }
+    stats
 }
 
 fn read_trace(t: &Value) -> TraceRow {
@@ -1150,12 +1067,15 @@ mod tests {
             total_ns,
             child_ns,
             self_ns: total_ns - child_ns,
-            solves: 40,
-            newton_iterations: 97,
-            lu_factorizations: 97,
-            cold_solves: 2,
-            rescue_attempts: rescue.0,
-            rescue_hits: rescue.1,
+            solver: SolverStats {
+                solves: 40,
+                newton_iterations: 97,
+                lu_factorizations: 97,
+                cold_solves: 2,
+                rescue_attempts: rescue.0,
+                rescue_hits: rescue.1,
+                ..SolverStats::default()
+            },
         }
     }
 
@@ -1206,7 +1126,7 @@ mod tests {
                     HistBucket { log2: 2, count: 5 },
                 ],
             }],
-            solver: SolverSummary {
+            solver: SolverSummary::from(SolverStats {
                 solves: 80,
                 newton_iterations: 194,
                 lu_factorizations: 194,
@@ -1220,8 +1140,7 @@ mod tests {
                 rescue_attempts: 6,
                 rescue_hits: 4,
                 rescue_rungs: 9,
-                warm_hit_rate: 75.0 / 76.0,
-            },
+            }),
             traces: vec![
                 TraceRow {
                     name: "fig.empty".into(),
@@ -1377,7 +1296,7 @@ mod tests {
         {
             let _s = crate::span("fig");
             crate::counter_add("eval.margins", 3);
-            crate::record_solver(&crate::SolverDelta {
+            crate::record_solver(&SolverStats {
                 solves: 1,
                 newton_iterations: 2,
                 warm_attempts: 1,
@@ -1386,7 +1305,7 @@ mod tests {
             });
             let _t = crate::trace_scope("fig.mc");
             let h = crate::active_trace().unwrap();
-            crate::record_chunk(&h, 0, 4096, 1e-4, 1e-6);
+            crate::record_chunk(&h, 0, 4096, 1e-4, 1e-6, None);
         }
         let r = crate::snapshot();
         let text = r.to_json_pretty("fig");
@@ -1447,7 +1366,7 @@ mod tests {
         let _g = test_guard();
         crate::set_mode(Mode::Summary);
         crate::reset();
-        crate::record_solver(&crate::SolverDelta {
+        crate::record_solver(&SolverStats {
             solves: 10,
             newton_iterations: 25,
             warm_attempts: 10,

@@ -1,27 +1,21 @@
 //! Point-in-time consistent live snapshots of the telemetry registry.
 //!
-//! A scrape taken mid-run must never observe a *torn* logical update — the
-//! canonical hazard is an estimator chunk whose running moments
-//! ([`crate::record_chunk`]) have landed while its health moments
-//! ([`crate::record_chunk_health`]) have not: ESS computed from such a
-//! snapshot would disagree with the chunk count. Single records are already
-//! atomic under the registry mutex; tearing is only possible across
-//! *separate* mutex acquisitions. The fix is a seqlock-style epoch:
-//!
-//! - writers enter a [`write scope`](update_scope) (one atomic increment),
-//!   perform any number of registry mutations, then bump the epoch and
-//!   leave the scope;
-//! - [`live`] takes the registry mutex and captures under it only when no
-//!   writer is inside a scope, reading the epoch there; otherwise it
-//!   releases the mutex, yields and retries. A writer that enters a scope
-//!   later cannot record into the registry until the capture is done.
+//! A scrape taken mid-run must never observe a *torn* update — the
+//! canonical hazard is an estimator chunk whose running moments have
+//! landed while its weight moments have not: ESS computed from such a
+//! snapshot would disagree with the chunk count. A chunk's moments and its
+//! weight moments are one record ([`crate::record_chunk`]), every record
+//! lands under one acquisition of the registry mutex, and [`live`]
+//! captures under the same mutex, so a scrape sees each record whole or
+//! not at all. The registry counts the records it has taken; that count is
+//! a snapshot's `epoch`.
 //!
 //! Everything here is live-plane only: none of this state is rendered into
 //! sidecars or journals, so runs without a metrics server are byte-identical
 //! to runs that never loaded this module.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{obj, Value};
@@ -31,12 +25,6 @@ use crate::report::{
 };
 use crate::{clock, events, ChunkStat, HealthChunk};
 
-// ------------------------------------------------------------ write epoch
-
-/// Writers currently inside an [`update_scope`].
-static WRITERS: AtomicU64 = AtomicU64::new(0);
-/// Completed logical updates; bumped when a write scope closes.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
 /// Whether a metrics server is running (gates open-span tracking).
 static LIVE: AtomicBool = AtomicBool::new(false);
 
@@ -44,52 +32,12 @@ static LIVE: AtomicBool = AtomicBool::new(false);
 /// only while a server is live; never rendered into deterministic outputs.
 static OPEN_SPANS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
-/// Planned estimator work recorded by [`crate::record_mc_start`]: trace
-/// name → one (samples, chunks) plan per start. Gives live progress its
-/// denominators.
-static PLANS: Mutex<BTreeMap<String, Vec<Plan>>> = Mutex::new(BTreeMap::new());
-
 /// Stopwatch started when a metrics server comes up; read by [`live`] so
 /// scrape timestamps route through `clock` (zero when the clock is gated).
 static WATCH: Mutex<Option<clock::Stopwatch>> = Mutex::new(None);
 
 fn open_spans() -> MutexGuard<'static, BTreeMap<String, u64>> {
     OPEN_SPANS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn plans() -> MutexGuard<'static, BTreeMap<String, Vec<Plan>>> {
-    PLANS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// RAII marker for one logical registry update; see [`update_scope`].
-#[derive(Debug)]
-pub(crate) struct WriteScope(());
-
-impl WriteScope {
-    pub(crate) fn enter() -> Self {
-        WRITERS.fetch_add(1, Ordering::SeqCst);
-        WriteScope(())
-    }
-}
-
-impl Drop for WriteScope {
-    fn drop(&mut self) {
-        EPOCH.fetch_add(1, Ordering::SeqCst);
-        WRITERS.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-pub(crate) fn write_scope() -> WriteScope {
-    WriteScope::enter()
-}
-
-/// Runs `f` as one logical registry update: a live scrape either sees all
-/// of its effects or none of them. Estimators wrap the per-chunk
-/// moments + health recording pair so ESS stays recomputable from any
-/// snapshot. Scopes nest; the cost is three uncontended atomic ops.
-pub fn update_scope<R>(f: impl FnOnce() -> R) -> R {
-    let _scope = WriteScope::enter();
-    f()
 }
 
 // -------------------------------------------------- live-plane bookkeeping
@@ -125,15 +73,7 @@ pub(crate) fn span_closed(path: &str) {
     }
 }
 
-pub(crate) fn record_plan(name: &str, samples: u64, chunks: u64) {
-    plans()
-        .entry(name.to_string())
-        .or_default()
-        .push(Plan { samples, chunks });
-}
-
 pub(crate) fn clear() {
-    plans().clear();
     open_spans().clear();
 }
 
@@ -254,7 +194,7 @@ impl TraceProgress {
 /// `/snapshot.json` and rendered to Prometheus text by `/metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveSnapshot {
-    /// Write epoch the capture was validated against.
+    /// Records the registry had taken when the capture was made.
     pub epoch: u64,
     /// Journal id of the running figure (`live` when no journal is open).
     pub id: String,
@@ -268,27 +208,13 @@ pub struct LiveSnapshot {
     pub progress: Vec<TraceProgress>,
 }
 
-/// Captures one consistent [`LiveSnapshot`] via the seqlock protocol:
-/// under the registry mutex, capture once no writer is inside an
-/// [`update_scope`], and retry after a yield while one is. A writer inside
-/// a scope may have recorded half of its update; none can record while the
-/// mutex is held.
+/// Captures one consistent [`LiveSnapshot`] under the registry mutex,
+/// which every record holds while it lands.
 pub fn live() -> LiveSnapshot {
-    loop {
-        let g = crate::global();
-        if WRITERS.load(Ordering::SeqCst) == 0 {
-            return capture(g, EPOCH.load(Ordering::SeqCst));
-        }
-        drop(g);
-        std::thread::yield_now();
-    }
-}
-
-fn capture(g: MutexGuard<'static, crate::Global>, epoch: u64) -> LiveSnapshot {
-    // Read under the registry mutex: a plan is recorded before its
-    // estimator's first chunk.
-    let progress = progress(&plans(), &g.traces, &g.health);
+    let g = crate::global();
+    let progress = progress(&g.plans, &g.traces, &g.health);
     let report = crate::report::build(&g, crate::mode(), crate::clock_enabled());
+    let epoch = g.epoch;
     drop(g);
     let open = open_spans().iter().map(|(p, &n)| (p.clone(), n)).collect();
     let elapsed_secs = WATCH
@@ -488,7 +414,9 @@ impl LiveSnapshot {
             );
         }
         let s = &self.report.solver;
-        for (field, v) in s.counters() {
+        let mut counters = s.counters();
+        counters.sort_unstable_by_key(|&(name, _)| name);
+        for (field, v) in counters {
             sample(
                 &mut out,
                 &prom_name(&format!("solver.{field}")),
@@ -603,7 +531,7 @@ mod tests {
     use crate::report::{
         HistBucket, HistRow, Sidecar, SolverSummary, TraceHealth, TracePoint, TraceRow,
     };
-    use crate::Mode;
+    use crate::{Mode, SolverStats};
 
     fn fixture() -> LiveSnapshot {
         LiveSnapshot {
@@ -628,22 +556,15 @@ mod tests {
                         HistBucket { log2: 0, count: 5 },
                     ],
                 }],
-                solver: SolverSummary {
+                solver: SolverSummary::from(SolverStats {
                     solves: 3,
                     newton_iterations: 12,
                     lu_factorizations: 12,
                     warm_attempts: 2,
                     warm_hits: 1,
                     cold_solves: 1,
-                    damped_retries: 0,
-                    source_ramps: 0,
-                    gmin_steps: 0,
-                    ramp_steps: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
-                    rescue_rungs: 0,
-                    warm_hit_rate: 0.5,
-                },
+                    ..SolverStats::default()
+                }),
                 traces: Vec::new(),
                 quarantine: Vec::new(),
             },
@@ -805,12 +726,21 @@ pvtm_mc_quarantined_total 0
     }
 
     #[test]
-    fn update_scope_bumps_the_epoch() {
-        let before = EPOCH.load(Ordering::SeqCst);
-        update_scope(|| {
-            assert!(WRITERS.load(Ordering::SeqCst) >= 1);
-        });
-        assert!(EPOCH.load(Ordering::SeqCst) > before);
-        assert_eq!(WRITERS.load(Ordering::SeqCst), 0);
+    fn each_record_bumps_the_epoch_once() {
+        let _g = crate::test_guard();
+        crate::set_mode(Mode::Summary);
+        crate::reset();
+        let before = live().epoch;
+        {
+            let _t = crate::trace_scope("epoch");
+            let h = crate::active_trace().unwrap();
+            crate::record_mc_start(&h, 8, 2);
+            crate::record_chunk(&h, 0, 4, 0.5, 1.0, Some(HealthChunk::default()));
+        }
+        let after = live();
+        assert_eq!(after.epoch, before + 2);
+        let p = &after.progress[0];
+        assert_eq!((p.chunks_done, p.health_chunks, p.chunks_total), (1, 1, 2));
+        crate::set_mode(Mode::Off);
     }
 }

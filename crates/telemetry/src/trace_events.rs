@@ -16,14 +16,32 @@
 
 use crate::json::{obj, Value};
 use crate::report::{Report, SpanRow};
+use crate::SolverStats;
 
 /// Microseconds (trace-event time unit) from nanoseconds.
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
+/// The solver counters a trace carries, per span and for the run.
+fn traced(stats: &SolverStats) -> impl Iterator<Item = (&'static str, u64)> {
+    stats.counters().into_iter().filter(|(name, _)| {
+        matches!(
+            *name,
+            "solves" | "newton_iterations" | "lu_factorizations" | "cold_solves"
+        )
+    })
+}
+
 fn span_event(s: &SpanRow, ts_us: f64, dur_us: f64) -> Value {
     let name = s.path.rsplit('/').next().unwrap_or(&s.path);
+    let mut args = vec![
+        ("path", Value::Str(s.path.clone())),
+        ("count", Value::Num(s.count as f64)),
+        ("total_ns", Value::Num(s.total_ns as f64)),
+        ("self_ns", Value::Num(s.self_ns as f64)),
+    ];
+    args.extend(traced(&s.solver).map(|(name, v)| (name, Value::Num(v as f64))));
     obj(vec![
         ("name", Value::Str(name.to_string())),
         ("cat", Value::Str("span".into())),
@@ -32,19 +50,7 @@ fn span_event(s: &SpanRow, ts_us: f64, dur_us: f64) -> Value {
         ("dur", Value::Num(dur_us)),
         ("pid", Value::Num(1.0)),
         ("tid", Value::Num(1.0)),
-        (
-            "args",
-            obj(vec![
-                ("path", Value::Str(s.path.clone())),
-                ("count", Value::Num(s.count as f64)),
-                ("total_ns", Value::Num(s.total_ns as f64)),
-                ("self_ns", Value::Num(s.self_ns as f64)),
-                ("solves", Value::Num(s.solves as f64)),
-                ("newton_iterations", Value::Num(s.newton_iterations as f64)),
-                ("lu_factorizations", Value::Num(s.lu_factorizations as f64)),
-                ("cold_solves", Value::Num(s.cold_solves as f64)),
-            ]),
-        ),
+        ("args", obj(args)),
     ])
 }
 
@@ -117,14 +123,8 @@ impl Report {
         for (name, v) in &self.counters {
             events.push(counter_event(name, *v as f64));
         }
-        let s = &self.solver;
-        for (name, v) in [
-            ("solver.solves", s.solves),
-            ("solver.newton_iterations", s.newton_iterations),
-            ("solver.lu_factorizations", s.lu_factorizations),
-            ("solver.cold_solves", s.cold_solves),
-        ] {
-            events.push(counter_event(name, v as f64));
+        for (name, v) in traced(&self.solver) {
+            events.push(counter_event(&format!("solver.{name}"), v as f64));
         }
         obj(vec![
             ("traceEvents", Value::Arr(events)),
@@ -166,7 +166,7 @@ mod tests {
             let _a = crate::span("fig");
             {
                 let _b = crate::span("inner");
-                crate::record_solver(&crate::SolverDelta {
+                crate::record_solver(&crate::SolverStats {
                     solves: 1,
                     newton_iterations: 4,
                     lu_factorizations: 4,
@@ -247,12 +247,7 @@ mod tests {
                     total_ns: 1_000,
                     child_ns: 4_000,
                     self_ns: 0,
-                    solves: 0,
-                    newton_iterations: 0,
-                    lu_factorizations: 0,
-                    cold_solves: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    solver: crate::SolverStats::default(),
                 },
                 crate::SpanRow {
                     path: "par/chunk".into(),
@@ -260,33 +255,13 @@ mod tests {
                     total_ns: 4_000,
                     child_ns: 0,
                     self_ns: 4_000,
-                    solves: 0,
-                    newton_iterations: 0,
-                    lu_factorizations: 0,
-                    cold_solves: 0,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    solver: crate::SolverStats::default(),
                 },
             ],
             counters: vec![],
             gauges: vec![],
             histograms: vec![],
-            solver: crate::SolverSummary {
-                solves: 0,
-                newton_iterations: 0,
-                lu_factorizations: 0,
-                warm_attempts: 0,
-                warm_hits: 0,
-                cold_solves: 0,
-                damped_retries: 0,
-                source_ramps: 0,
-                gmin_steps: 0,
-                ramp_steps: 0,
-                rescue_attempts: 0,
-                rescue_hits: 0,
-                rescue_rungs: 0,
-                warm_hit_rate: 1.0,
-            },
+            solver: crate::SolverStats::default().into(),
             traces: vec![],
             quarantine: vec![],
         };

@@ -25,17 +25,13 @@ fn journaled_run() -> String {
         let h = tm::active_trace().unwrap();
         tm::record_mc_start(&h, 100 * CHUNKS, CHUNKS);
         (0..CHUNKS).into_par_iter().for_each(|c| {
-            tm::record_chunk(&h, c, 100, c as f64 * 1e-3, 1e-6);
-            tm::record_chunk_health(
-                &h,
-                c,
-                tm::HealthChunk {
-                    fails: 3,
-                    weight_sum: 0.3,
-                    weight_sq_sum: 0.03,
-                    weight_max: 0.1,
-                },
-            );
+            let health = tm::HealthChunk {
+                fails: 3,
+                weight_sum: 0.3,
+                weight_sq_sum: 0.03,
+                weight_max: 0.1,
+            };
+            tm::record_chunk(&h, c, 100, c as f64 * 1e-3, 1e-6, Some(health));
         });
     }
     tm::record_quarantine(tm::QuarantineRecord {
@@ -112,7 +108,7 @@ fn finalized_file_is_byte_identical_across_runs() {
             let h = tm::active_trace().unwrap();
             tm::record_mc_start(&h, 100 * CHUNKS, CHUNKS);
             (0..CHUNKS).into_par_iter().for_each(|c| {
-                tm::record_chunk(&h, c, 100, c as f64, 0.5);
+                tm::record_chunk(&h, c, 100, c as f64, 0.5, None);
             });
         }
         tm::events::finalize_journal(&[]).unwrap().unwrap();

@@ -53,17 +53,13 @@ fn seed_healthy_run() {
     let h = tm::active_trace().unwrap();
     tm::record_mc_start(&h, 4 * 4096, 4);
     for c in 0..4u64 {
-        tm::record_chunk(&h, c, 4096, 1e-3, 1e-6);
-        tm::record_chunk_health(
-            &h,
-            c,
-            tm::HealthChunk {
-                fails: 100,
-                weight_sum: 1.0,
-                weight_sq_sum: 0.01,
-                weight_max: 0.01,
-            },
-        );
+        let health = tm::HealthChunk {
+            fails: 100,
+            weight_sum: 1.0,
+            weight_sq_sum: 0.01,
+            weight_max: 0.01,
+        };
+        tm::record_chunk(&h, c, 4096, 1e-3, 1e-6, Some(health));
     }
     tm::counter_add("mc.samples", 4 * 4096);
     tm::hist_record("mc.weight", 0.5);
@@ -135,9 +131,6 @@ fn healthz_answers_503_on_a_low_ess_run() {
         let h = tm::active_trace().unwrap();
         tm::record_mc_start(&h, 5 * 4096, 5);
         for c in 0..5u64 {
-            // Growing per-chunk variance keeps the merged CI half-width
-            // from shrinking root-n: every step counts as stalled.
-            tm::record_chunk(&h, c, 4096, 2e-3, 1e-4 * (c + 1) as f64 * (c + 1) as f64);
             // Chunk 0 carries one dominant weight (0.62 of the eventual
             // total), collapsing the ESS and the max-weight share.
             let h_chunk = if c == 0 {
@@ -155,7 +148,10 @@ fn healthz_answers_503_on_a_low_ess_run() {
                     weight_max: 0.05,
                 }
             };
-            tm::record_chunk_health(&h, c, h_chunk);
+            // Growing per-chunk variance keeps the merged CI half-width
+            // from shrinking root-n: every step counts as stalled.
+            let m2 = 1e-4 * (c + 1) as f64 * (c + 1) as f64;
+            tm::record_chunk(&h, c, 4096, 2e-3, m2, Some(h_chunk));
         }
     }
     let server = tm::serve::start("127.0.0.1:0").expect("bind an ephemeral port");

@@ -23,7 +23,7 @@ fn parallel_workload(items: usize) -> tm::Report {
                 let _s = tm::span("item");
                 tm::counter_add("items", 1);
                 tm::hist_record("value", (i + 1) as f64);
-                tm::record_solver(&tm::SolverDelta {
+                tm::record_solver(&tm::SolverStats {
                     solves: 1,
                     newton_iterations: 2,
                     warm_attempts: 1,
@@ -95,7 +95,7 @@ fn trace_chunks_recorded_from_workers_reconstruct_in_order() {
         // same pattern the Monte-Carlo chunk loops use.
         let handle = tm::active_trace().unwrap();
         (0..8u64).into_par_iter().for_each(|c| {
-            tm::record_chunk(&handle, c, 100, c as f64, 0.0);
+            tm::record_chunk(&handle, c, 100, c as f64, 0.0, None);
         });
     }
 
@@ -123,7 +123,7 @@ fn adopted_workload(items: usize) -> tm::Report {
                 || tm::adopt(&ctx),
                 |_adopted, i| {
                     let _s = tm::span("item");
-                    tm::record_solver(&tm::SolverDelta {
+                    tm::record_solver(&tm::SolverStats {
                         solves: 1,
                         newton_iterations: 3,
                         cold_solves: u64::from(i % 7 == 0),
@@ -154,11 +154,14 @@ fn adopted_worker_spans_nest_under_the_coordinator_span() {
     assert_eq!(item.count, items as u64);
 
     // Solver work lands on the innermost enclosing span.
-    assert_eq!(item.solves, items as u64);
-    assert_eq!(item.newton_iterations, 3 * items as u64);
-    assert_eq!(item.cold_solves, (items as u64).div_ceil(7));
+    assert_eq!(item.solver.solves, items as u64);
+    assert_eq!(item.solver.newton_iterations, 3 * items as u64);
+    assert_eq!(item.solver.cold_solves, (items as u64).div_ceil(7));
     let workload = r.span("workload").unwrap();
-    assert_eq!(workload.solves, 0, "no solver work outside the items");
+    assert_eq!(
+        workload.solver.solves, 0,
+        "no solver work outside the items"
+    );
 
     // Adoption must not break merge determinism.
     let again = adopted_workload(items);
@@ -262,7 +265,7 @@ fn chan_merge_reconstruction_is_chunk_order_independent() {
             let h = tm::active_trace().unwrap();
             for &i in order {
                 let (c, n, mean, m2) = chunks[i];
-                tm::record_chunk(&h, c, n, mean, m2);
+                tm::record_chunk(&h, c, n, mean, m2, None);
             }
         }
         tm::snapshot().trace("order.trace").unwrap().clone()
@@ -287,7 +290,7 @@ fn chan_merge_reconstruction_is_chunk_order_independent() {
         let _t = tm::trace_scope("order.trace");
         let h = tm::active_trace().unwrap();
         chunks.par_iter().for_each(|&(c, n, mean, m2)| {
-            tm::record_chunk(&h, c, n, mean, m2);
+            tm::record_chunk(&h, c, n, mean, m2, None);
         });
     }
     let parallel = tm::snapshot().trace("order.trace").unwrap().clone();

@@ -242,9 +242,16 @@ pub fn update_budgets(budgets: &Budgets, sidecars: &[Sidecar]) -> Budgets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvtm_telemetry::{Report, SolverSummary, SpanRow};
+    use pvtm_telemetry::{Report, SolverStats, SolverSummary, SpanRow};
 
     fn sidecar(id: &str, solves: u64, newton: u64) -> Sidecar {
+        let stats = SolverStats {
+            solves,
+            newton_iterations: newton,
+            lu_factorizations: 7,
+            cold_solves: 2,
+            ..SolverStats::default()
+        };
         Sidecar {
             id: id.into(),
             report: Report {
@@ -254,18 +261,10 @@ mod tests {
                     total_ns: 0,
                     child_ns: 0,
                     self_ns: 0,
-                    solves,
-                    newton_iterations: newton,
-                    lu_factorizations: 7,
-                    cold_solves: 2,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    solver: stats,
                 }],
                 solver: SolverSummary {
-                    solves,
-                    newton_iterations: newton,
-                    lu_factorizations: 7,
-                    cold_solves: 2,
+                    stats,
                     ..SolverSummary::default()
                 },
                 ..Report::default()

@@ -69,7 +69,14 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
         .push_str(&format!("diff {old_id} (old) vs {new_id} (new)\n"));
 
     out.text.push_str("work counters (exact):\n");
-    for ((name, o), (_, n)) in old.solver.counters().into_iter().zip(new.solver.counters()) {
+    let mut counters: Vec<_> = old
+        .solver
+        .counters()
+        .into_iter()
+        .zip(new.solver.counters())
+        .collect();
+    counters.sort_unstable_by_key(|&((name, _), _)| name);
+    for ((name, o), (_, n)) in counters {
         fmt_delta(&mut out, &format!("solver.{name}"), o, n);
     }
     let counter_keys: BTreeSet<&String> = old
@@ -98,14 +105,14 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
         fmt_delta(
             &mut out,
             &format!("span[{path}].newton_iterations"),
-            get(old, |s| s.newton_iterations),
-            get(new, |s| s.newton_iterations),
+            get(old, |s| s.solver.newton_iterations),
+            get(new, |s| s.solver.newton_iterations),
         );
         fmt_delta(
             &mut out,
             &format!("span[{path}].solves"),
-            get(old, |s| s.solves),
-            get(new, |s| s.solves),
+            get(old, |s| s.solver.solves),
+            get(new, |s| s.solver.solves),
         );
     }
     if out.counter_changes == 0 {
@@ -150,7 +157,7 @@ pub fn diff(old: &Sidecar, new: &Sidecar, time_tolerance: f64) -> DiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvtm_telemetry::SolverSummary;
+    use pvtm_telemetry::{SolverStats, SolverSummary};
 
     fn base() -> Sidecar {
         Sidecar {
@@ -158,8 +165,11 @@ mod tests {
             report: Report {
                 clock: true,
                 solver: SolverSummary {
-                    solves: 100,
-                    cold_solves: 4,
+                    stats: SolverStats {
+                        solves: 100,
+                        cold_solves: 4,
+                        ..SolverStats::default()
+                    },
                     ..SolverSummary::default()
                 },
                 counters: vec![("mc.samples".to_string(), 4096)],
@@ -169,12 +179,13 @@ mod tests {
                     total_ns: 1_000_000,
                     child_ns: 0,
                     self_ns: 1_000_000,
-                    solves: 100,
-                    newton_iterations: 300,
-                    lu_factorizations: 300,
-                    cold_solves: 4,
-                    rescue_attempts: 0,
-                    rescue_hits: 0,
+                    solver: SolverStats {
+                        solves: 100,
+                        newton_iterations: 300,
+                        lu_factorizations: 300,
+                        cold_solves: 4,
+                        ..SolverStats::default()
+                    },
                 }],
                 ..Report::default()
             },
@@ -195,7 +206,7 @@ mod tests {
     fn counter_increase_is_a_regression() {
         let a = base();
         let mut b = base();
-        b.report.solver.solves = 120;
+        b.report.solver.stats.solves = 120;
         let out = diff(&a, &b, 0.2);
         assert!(out.failed());
         assert!(out.text.contains("REGRESSION solver.solves: 100 -> 120"));
@@ -205,7 +216,7 @@ mod tests {
     fn counter_decrease_is_an_improvement_not_a_failure() {
         let a = base();
         let mut b = base();
-        b.report.solver.cold_solves = 1;
+        b.report.solver.stats.cold_solves = 1;
         let out = diff(&a, &b, 0.2);
         assert!(!out.failed());
         assert_eq!(out.counter_changes, 1);

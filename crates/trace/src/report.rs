@@ -9,7 +9,7 @@ fn weight(s: &SpanRow, clock: bool) -> u64 {
     if clock {
         s.self_ns
     } else {
-        s.newton_iterations
+        s.solver.newton_iterations
     }
 }
 
@@ -53,12 +53,12 @@ pub fn hot_span_table(id: &str, r: &Report, top: usize) -> String {
             s.count,
             s.total_ns as f64 / 1e6,
             s.self_ns as f64 / 1e6,
-            s.solves,
-            s.newton_iterations,
-            s.cold_solves,
+            s.solver.solves,
+            s.solver.newton_iterations,
+            s.solver.cold_solves,
             // hits/attempts, like the producer's summary line — a span
             // with many attempts and few hits is quarantining samples.
-            format!("{}/{}", s.rescue_hits, s.rescue_attempts),
+            format!("{}/{}", s.solver.rescue_hits, s.solver.rescue_attempts),
         ));
     }
     if r.spans.is_empty() {
@@ -85,6 +85,7 @@ pub fn folded_stacks(r: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvtm_telemetry::SolverStats;
 
     fn span(path: &str, self_ns: u64, newton: u64) -> SpanRow {
         SpanRow {
@@ -93,12 +94,10 @@ mod tests {
             total_ns: self_ns,
             child_ns: 0,
             self_ns,
-            solves: 0,
-            newton_iterations: newton,
-            lu_factorizations: 0,
-            cold_solves: 0,
-            rescue_attempts: 0,
-            rescue_hits: 0,
+            solver: SolverStats {
+                newton_iterations: newton,
+                ..SolverStats::default()
+            },
         }
     }
 
@@ -113,8 +112,8 @@ mod tests {
     #[test]
     fn table_shows_rescue_hits_over_attempts() {
         let mut s = span("fig/mc.chunk", 10, 100);
-        s.rescue_attempts = 4;
-        s.rescue_hits = 3;
+        s.solver.rescue_attempts = 4;
+        s.solver.rescue_hits = 3;
         let t = hot_span_table("t", &report(true, vec![s]), 10);
         assert!(t.contains("3/4"), "rescue column missing:\n{t}");
     }
