@@ -1,33 +1,30 @@
-//! DC operating-point solver: damped Newton–Raphson with Gmin continuation
-//! and source-stepping fallback.
+//! DC operating-point solver: damped Newton–Raphson on a ladder of Gmin
+//! continuations and source ramps.
 //!
-//! This module holds the solver's parts: the options, the MNA assembler,
-//! the Newton loop and the cold strategy ladder. Every DC solve runs them
-//! through [`crate::template::CircuitTemplate`]: it owns the scratch
-//! buffers and the warm start, arms fault injection once per solve and
-//! reports every solve to telemetry. [`Netlist::solve_dc`] is one cold
-//! template solve.
+//! This module holds the solver's parts: the options a caller sets, the
+//! MNA assembler, the Newton loop and the cold ladder, one table of six
+//! rungs (`LADDER`) walked by one loop (`cold_solve`). Every DC solve
+//! runs them through [`crate::template::CircuitTemplate`]: it owns the
+//! scratch buffers and the warm start, arms fault injection once per
+//! solve and reports every solve to telemetry. [`Netlist::solve_dc`] is
+//! one cold template solve.
 
 use std::sync::Arc;
 
 use crate::linalg::Matrix;
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
 use pvtm_device::Bias;
+use pvtm_telemetry::fault;
+use pvtm_telemetry::json::Value;
 use pvtm_telemetry::SolverStats;
 
-/// Options controlling the Newton iteration.
+/// What a caller sets for the cold ladder: where its Gmin continuations
+/// start and from which node voltages. Newton's limits, the KCL tolerance
+/// (1e-10 A) and the final Gmin (1e-12 S) are the solver's own.
 #[derive(Debug, Clone)]
 pub struct DcOptions {
-    /// Maximum Newton iterations per continuation stage.
-    pub max_iterations: usize,
-    /// KCL residual tolerance \[A\].
-    pub current_tol: f64,
-    /// Largest node-voltage update applied per iteration \[V\] (damping).
-    pub max_step: f64,
-    /// Starting Gmin for the continuation \[S\].
+    /// Starting Gmin of every continuation \[S\].
     pub gmin_start: f64,
-    /// Final (residual) Gmin left in place \[S\]; keeps floating nodes pinned.
-    pub gmin_final: f64,
     /// Initial node-voltage guesses; unspecified nodes start at 0 V.
     pub initial: Vec<(NodeId, f64)>,
 }
@@ -35,11 +32,7 @@ pub struct DcOptions {
 impl Default for DcOptions {
     fn default() -> Self {
         Self {
-            max_iterations: 120,
-            current_tol: 1e-10,
-            max_step: 0.3,
             gmin_start: 1e-3,
-            gmin_final: 1e-12,
             initial: Vec::new(),
         }
     }
@@ -65,6 +58,47 @@ impl DcOptions {
         self.initial.push((node, volts));
     }
 }
+
+/// KCL residual tolerance of every solve \[A\]; the voltage-source rows
+/// \[V\] are held to it too.
+pub(crate) const CURRENT_TOL: f64 = 1e-10;
+
+/// The Gmin a continuation ends at and warm and transient Newton run at
+/// \[S\]; it keeps floating nodes pinned.
+pub(crate) const GMIN_FINAL: f64 = 1e-12;
+
+/// How far one Newton run may go.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Limits {
+    /// Largest node-voltage update applied per iteration \[V\] (damping).
+    pub(crate) max_step: f64,
+    /// Iterations before the run reports `NoConvergence`.
+    pub(crate) max_iterations: usize,
+    /// Residual norm the run converges to.
+    pub(crate) tol: f64,
+}
+
+/// Full Newton steps: warm starts, transient steps and the first rung.
+pub(crate) const NORMAL: Limits = Limits {
+    max_step: 0.3,
+    max_iterations: 120,
+    tol: CURRENT_TOL,
+};
+
+/// Small steps ride out fold regions where full Newton oscillates (e.g.
+/// a cell losing bistability).
+const DAMPED: Limits = Limits {
+    max_step: 0.05,
+    max_iterations: 400,
+    ..NORMAL
+};
+
+/// Slow, but monotone enough to creep along a fold.
+const DEEP: Limits = Limits {
+    max_step: 0.01,
+    max_iterations: 1_000,
+    ..NORMAL
+};
 
 /// Reusable scratch buffers for Newton iterations.
 ///
@@ -436,14 +470,14 @@ impl<'a> System<'a> {
 
     /// Infinity norm of the residual over all rows (the convergence
     /// metric): the KCL rows \[A\] and the voltage-source constraint rows
-    /// \[V\] alike, both held to `current_tol`. The constraint rows are
+    /// \[V\] alike, both held to the same tolerance. The constraint rows are
     /// linear, so every undamped Newton step satisfies them to rounding.
     pub(crate) fn kcl_norm(&self, res: &[f64]) -> f64 {
         res.iter().fold(0.0f64, |m, r| m.max(r.abs()))
     }
 
-    /// Runs damped Newton at a fixed Gmin from the given state, using the
-    /// workspace's scratch buffers.
+    /// Runs damped Newton at a fixed Gmin from the given state within
+    /// `limits`, using the workspace's scratch buffers.
     ///
     /// Returns the residual norm achieved; the state is updated in place.
     pub(crate) fn newton(
@@ -452,7 +486,7 @@ impl<'a> System<'a> {
         gmin: f64,
         vsource_scale: f64,
         companion: Option<&Companion<'_>>,
-        opts: &DcOptions,
+        limits: &Limits,
         ws: &mut DcWorkspace,
     ) -> Result<f64, CircuitError> {
         let n = self.num_unknowns;
@@ -473,8 +507,8 @@ impl<'a> System<'a> {
             "non-finite initial residual norm {norm}: a device stamp produced NaN/Inf"
         );
 
-        for iter in 0..opts.max_iterations {
-            if norm < opts.current_tol {
+        for iter in 0..limits.max_iterations {
+            if norm < limits.tol {
                 return Ok(norm);
             }
             stats.newton_iterations += 1;
@@ -495,8 +529,8 @@ impl<'a> System<'a> {
             // Damp node-voltage updates.
             let mut scale = 1.0f64;
             for dv in rhs.iter().take(self.num_free_nodes) {
-                if dv.abs() * scale > opts.max_step {
-                    scale = opts.max_step / dv.abs();
+                if dv.abs() * scale > limits.max_step {
+                    scale = limits.max_step / dv.abs();
                 }
             }
 
@@ -515,7 +549,7 @@ impl<'a> System<'a> {
                 }
                 self.residual(x, gmin, vsource_scale, companion, res, ids);
                 let new_norm = self.kcl_norm(res);
-                if new_norm < norm || new_norm < opts.current_tol {
+                if new_norm < norm || new_norm < limits.tol {
                     norm = new_norm;
                     accepted = true;
                     break;
@@ -528,61 +562,144 @@ impl<'a> System<'a> {
             }
             let _ = iter;
         }
-        if norm < opts.current_tol {
+        if norm < limits.tol {
             Ok(norm)
         } else {
             Err(CircuitError::NoConvergence {
                 residual: norm,
-                iterations: opts.max_iterations,
+                iterations: limits.max_iterations,
             })
         }
     }
 }
 
-/// The failure an injected strategy reports in place of running (the
-/// infinite residual marks it as synthetic in error messages).
-pub(crate) fn injected_failure() -> CircuitError {
-    CircuitError::NoConvergence {
-        residual: f64::INFINITY,
-        iterations: 0,
+/// One rung of the cold ladder: a Gmin continuation from
+/// [`DcOptions::gmin_start`] down to [`GMIN_FINAL`], each step `gmin_factor`
+/// times the last, run at each source scale `k / ramp` for `k = 1..=ramp`
+/// (a ramp of one is the plain circuit) under the Newton limits `newton`.
+struct Rung {
+    gmin_factor: f64,
+    ramp: u32,
+    newton: Limits,
+    /// Counts the rung's entry.
+    enter: fn(&mut SolverStats),
+}
+
+/// The cold ladder, rung by rung in the depth order fault injection
+/// counts. The first three rungs (Gmin continuation, the damped retry, the
+/// source ramp 25 % → 100 %) converge everything the figures normally ask
+/// for. Monte-Carlo tails sample cells near the edge of bistability, where
+/// the retention point is a near-fold of the DC equations and all three
+/// can fail. The last three, the rescue rungs, are tried before such a
+/// sample is declared unsolvable (and quarantined by the estimators):
+/// decade Gmin steps halve the jump each Newton stage absorbs, a wide ramp
+/// starts at 12.5 % of the sources where almost any circuit is solvable,
+/// and deep damping creeps along a fold.
+#[rustfmt::skip]
+const LADDER: [Rung; 6] = [
+    Rung { gmin_factor: 1e-2, ramp: 1, newton: NORMAL, enter: |s| s.cold_solves += 1 },
+    Rung { gmin_factor: 1e-2, ramp: 1, newton: DAMPED, enter: |s| s.damped_retries += 1 },
+    Rung { gmin_factor: 1e-2, ramp: 4, newton: DAMPED, enter: |s| s.source_ramps += 1 },
+    Rung { gmin_factor: 1e-1, ramp: 1, newton: NORMAL, enter: |s| {
+        s.rescue_attempts += 1;
+        s.rescue_rungs += 1;
+    } },
+    Rung { gmin_factor: 1e-2, ramp: 8, newton: DAMPED, enter: |s| s.rescue_rungs += 1 },
+    Rung { gmin_factor: 1e-1, ramp: 1, newton: DEEP, enter: |s| s.rescue_rungs += 1 },
+];
+
+/// Index of the first rescue rung in [`LADDER`].
+const RESCUE: usize = 3;
+
+impl Rung {
+    fn run(
+        &self,
+        sys: &System<'_>,
+        x: &mut [f64],
+        gmin_start: f64,
+        ws: &mut DcWorkspace,
+    ) -> Result<(), CircuitError> {
+        for k in 1..=self.ramp {
+            if self.ramp > 1 {
+                ws.stats.ramp_steps += 1;
+            }
+            let scale = f64::from(k) / f64::from(self.ramp);
+            let mut gmin = gmin_start;
+            loop {
+                ws.stats.gmin_steps += 1;
+                sys.newton(x, gmin, scale, None, &self.newton, ws)?;
+                if gmin <= GMIN_FINAL {
+                    break;
+                }
+                gmin = (gmin * self.gmin_factor).max(GMIN_FINAL);
+            }
+        }
+        Ok(())
     }
 }
 
-/// The full cold-start strategy on a pre-initialized state: Gmin
-/// continuation, then a heavily damped retry, then a source ramp, and —
-/// only once all three have failed — the [`crate::rescue`] ladder.
+/// Climbs the cold ladder until a rung converges. Each rung starts from
+/// the options' guesses and is one fault-injection entry: when
+/// [`fault::trip`] fires the rung fails without running. A solve that
+/// reaches the rescue rungs counts a hit if one converges and journals a
+/// `solver.rescue` event.
+///
+/// # Errors
+///
+/// The last rung's [`CircuitError`] when every rung fails: the sample is
+/// then unsolvable and the caller should quarantine it.
 pub(crate) fn cold_solve(
     sys: &System<'_>,
     x: &mut [f64],
     opts: &DcOptions,
     ws: &mut DcWorkspace,
 ) -> Result<(), CircuitError> {
-    use pvtm_telemetry::fault;
-    ws.stats.cold_solves += 1;
-    if !fault::trip() && gmin_continuation(sys, x, opts, 1.0, ws).is_ok() {
-        return Ok(());
+    let mut result = Ok(());
+    let mut rungs = 0;
+    for rung in &LADDER {
+        (rung.enter)(&mut ws.stats);
+        rungs += 1;
+        init_state(x, opts);
+        result = if fault::trip() {
+            // The infinite residual marks the failure as injected.
+            Err(CircuitError::NoConvergence {
+                residual: f64::INFINITY,
+                iterations: 0,
+            })
+        } else {
+            rung.run(sys, x, opts.gmin_start, ws)
+        };
+        if result.is_ok() {
+            break;
+        }
     }
-    // Heavily damped retry: small steps ride out fold regions where
-    // full Newton oscillates (e.g. a cell losing bistability).
-    ws.stats.damped_retries += 1;
-    let damped = DcOptions {
-        max_step: 0.05,
-        max_iterations: 400,
-        ..opts.clone()
-    };
-    init_state(x, opts);
-    if !fault::trip() && gmin_continuation(sys, x, &damped, 1.0, ws).is_ok() {
-        return Ok(());
+    if rungs > RESCUE {
+        let hit = result.is_ok();
+        ws.stats.rescue_hits += u64::from(hit);
+        journal_rescue((rungs - RESCUE) as u64, hit);
     }
-    // Source-stepping fallback.
-    ws.stats.source_ramps += 1;
-    init_state(x, opts);
-    if !fault::trip() && source_ramp(sys, x, &damped, ws).is_ok() {
-        return Ok(());
-    }
-    // Everything the standard ladder has failed: escalate to the rescue
-    // ladder before declaring the sample unsolvable.
-    crate::rescue::rescue(sys, x, opts, ws)
+    result
+}
+
+/// Journals one climb through the rescue rungs. The armed
+/// fault/quarantine stream is the sample's replay key; outside an
+/// estimator (no stream armed) a sentinel keeps the event keyed
+/// deterministically.
+fn journal_rescue(rungs: u64, hit: bool) {
+    let stream = fault::current_stream();
+    pvtm_telemetry::events::emit(
+        "solver.rescue",
+        stream.unwrap_or(u64::MAX),
+        rungs,
+        vec![
+            (
+                "stream",
+                stream.map_or(Value::Null, |s| Value::Num(s as f64)),
+            ),
+            ("rungs", Value::Num(rungs as f64)),
+            ("hit", Value::Bool(hit)),
+        ],
+    );
 }
 
 /// Per-element currents at a converged operating point \[A\] — the
@@ -615,7 +732,7 @@ pub fn operating_point<'a>(netlist: &'a Netlist, sol: &DcSolution) -> Vec<(&'a s
 }
 
 /// Zeroes the state and applies the initial guesses from the options.
-pub(crate) fn init_state(x: &mut [f64], opts: &DcOptions) {
+fn init_state(x: &mut [f64], opts: &DcOptions) {
     x.fill(0.0);
     for &(node, v) in &opts.initial {
         if !node.is_ground() {
@@ -624,42 +741,13 @@ pub(crate) fn init_state(x: &mut [f64], opts: &DcOptions) {
     }
 }
 
-pub(crate) fn gmin_continuation(
-    sys: &System<'_>,
-    x: &mut [f64],
-    opts: &DcOptions,
-    vsource_scale: f64,
-    ws: &mut DcWorkspace,
-) -> Result<(), CircuitError> {
-    let mut gmin = opts.gmin_start;
-    loop {
-        ws.stats.gmin_steps += 1;
-        sys.newton(x, gmin, vsource_scale, None, opts, ws)?;
-        if gmin <= opts.gmin_final {
-            return Ok(());
-        }
-        gmin = (gmin * 1e-2).max(opts.gmin_final);
-    }
-}
-
-/// Source stepping via the assembler's `vsource_scale` knob: every source
-/// is ramped 25 % → 100 % without cloning or editing the netlist.
-fn source_ramp(
-    sys: &System<'_>,
-    x: &mut [f64],
-    opts: &DcOptions,
-    ws: &mut DcWorkspace,
-) -> Result<(), CircuitError> {
-    for &alpha in &[0.25, 0.5, 0.75, 1.0] {
-        ws.stats.ramp_steps += 1;
-        gmin_continuation(sys, x, opts, alpha, ws)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 #[path = "tests/kernel_oracle.rs"]
 mod kernel_oracle;
+
+#[cfg(test)]
+#[path = "tests/ladder_oracle.rs"]
+mod ladder_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -704,6 +792,13 @@ mod tests {
             Mosfet::nmos(&tech, 140e-9, tech.lmin()),
         );
         (ckt, out)
+    }
+
+    /// The inverter at 0 V in, compiled with default options.
+    pub(super) fn inverter_template() -> (CircuitTemplate, NodeId) {
+        let (ckt, out) = inverter(0.0);
+        let tpl = CircuitTemplate::compile(ckt, DcOptions::default()).expect("non-empty");
+        (tpl, out)
     }
 
     /// A resistor-loaded NMOS pull-down.
@@ -797,8 +892,7 @@ mod tests {
         let sys = System::new(&ckt);
         let mut res = vec![0.0; sys.num_unknowns];
         let mut ids = vec![0.0; sys.num_mosfets];
-        let gmin = DcOptions::default().gmin_final;
-        sys.residual(sol.state(), gmin, 1.0, None, &mut res, &mut ids);
+        sys.residual(sol.state(), GMIN_FINAL, 1.0, None, &mut res, &mut ids);
         assert!(sys.kcl_norm(&res) < 1e-9);
     }
 
@@ -899,5 +993,60 @@ mod tests {
         let mut total = SolverStats::default();
         total.merge(&stats);
         assert_eq!(total, stats);
+    }
+
+    #[test]
+    fn injected_standard_ladder_failure_is_rescued() {
+        let _l = crate::FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Depth 3 kills the three standard cold strategies (a template's
+        // first solve has no warm slot); the first rescue rung then runs
+        // for real and must converge this ordinary circuit.
+        let _g = pvtm_telemetry::fault::force_depth(3);
+        let (mut tpl, out) = inverter_template();
+        tpl.solve().expect("rescue rung 1 converges the inverter");
+        assert!(tpl.voltage(out) > 0.95, "out = {}", tpl.voltage(out));
+        assert_eq!(tpl.stats().rescue_attempts, 1);
+        assert_eq!(tpl.stats().rescue_hits, 1);
+        assert_eq!(tpl.stats().rescue_rungs, 1);
+    }
+
+    #[test]
+    fn injection_past_the_last_rung_fails_the_solve() {
+        let _l = crate::FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Depth 6 exhausts the 3 standard cold strategies + 3 rescue
+        // rungs; depth 7 leaves one unused kill on top.
+        let _g = pvtm_telemetry::fault::force_depth(7);
+        let (mut tpl, _) = inverter_template();
+        assert!(tpl.solve().is_err(), "all strategies injected to fail");
+        assert_eq!(tpl.stats().rescue_attempts, 1);
+        assert_eq!(tpl.stats().rescue_hits, 0);
+        assert_eq!(tpl.stats().rescue_rungs, 3);
+    }
+
+    #[test]
+    fn every_rescue_depth_between_ladders_converges() {
+        let _l = crate::FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Depths 3..=5 land on rescue rungs 1..=3 for a cold solve;
+        // every rung must converge the inverter on its own.
+        for depth in 3..=5u32 {
+            let _g = pvtm_telemetry::fault::force_depth(depth);
+            let (mut tpl, out) = inverter_template();
+            tpl.solve().unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+            assert!(tpl.voltage(out) > 0.95);
+            assert_eq!(tpl.stats().rescue_hits, 1, "depth {depth}");
+            assert_eq!(
+                tpl.stats().rescue_rungs,
+                u64::from(depth) - 2,
+                "depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn rescue_is_never_entered_on_healthy_solves() {
+        let (mut tpl, _) = inverter_template();
+        tpl.solve().expect("healthy solve");
+        assert_eq!(tpl.stats().rescue_attempts, 0);
+        assert_eq!(tpl.stats().rescue_rungs, 0);
     }
 }

@@ -5,8 +5,10 @@
 //! everything those analyses need —
 //!
 //! - **DC operating points** of nonlinear MOSFET circuits via damped
-//!   Newton–Raphson with Gmin continuation (read-disturb voltages, inverter
-//!   trip points, write margins, hold states),
+//!   Newton–Raphson (read-disturb voltages, inverter trip points, write
+//!   margins, hold states): warm from the last solution, else up one cold
+//!   ladder of six Gmin-continuation and source-ramp rungs, the last three
+//!   of them rescue rungs for near-fold states,
 //! - **DC sweeps** with warm starts (butterfly curves, VTCs),
 //! - **transient analysis** via backward Euler (bit-line discharge for
 //!   access-time extraction).
@@ -16,7 +18,9 @@
 //! solution. [`Netlist::solve_dc`] and a transient run's initial operating
 //! point are one cold template solve each, so every solve is armed for
 //! fault injection once and reported to telemetry (a `dc.solve` span and
-//! its solver counters).
+//! its solver counters). A caller sets only where the ladder starts
+//! ([`DcOptions`]: the starting Gmin and the node guesses); Newton's
+//! limits are the solver's own.
 //!
 //! Circuits here are small (an SRAM cell plus periphery is under twenty
 //! nodes), so the solver uses dense LU factorization and per-element
@@ -43,12 +47,11 @@ pub mod dc;
 pub mod linalg;
 pub mod netlist;
 pub mod parser;
-pub(crate) mod rescue;
 pub mod template;
 pub mod transient;
 
 pub use dc::{DcOptions, DcSolution};
-pub use netlist::{CircuitError, Element, Netlist, NodeId};
+pub use netlist::{check_quarantine, CircuitError, Element, Netlist, NodeId};
 pub use parser::{parse_netlist, ParseError};
 pub use pvtm_telemetry::SolverStats;
 pub use template::{CircuitTemplate, MosfetSlot, VsourceSlot};

@@ -157,6 +157,23 @@ impl std::fmt::Display for CircuitError {
 
 impl std::error::Error for CircuitError {}
 
+/// The quarantine gate of every estimator: fails when more than the
+/// documented `PVTM_MAX_QUARANTINE` fraction
+/// ([`pvtm_telemetry::fault::max_quarantine`]) of `total` items is
+/// quarantined, since bias bounds that wide cannot stand in for a
+/// converged result. Below it the quarantined items' pessimistic
+/// substitutions stand.
+///
+/// # Errors
+///
+/// [`CircuitError::QuarantineExceeded`] above the ceiling.
+pub fn check_quarantine(quarantined: u64, total: u64) -> Result<(), CircuitError> {
+    if quarantined as f64 / total.max(1) as f64 > pvtm_telemetry::fault::max_quarantine() {
+        return Err(CircuitError::QuarantineExceeded { quarantined, total });
+    }
+    Ok(())
+}
+
 /// A circuit under construction: interned nodes plus a list of elements.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
@@ -299,19 +316,15 @@ impl Netlist {
         self
     }
 
-    /// Solves the DC operating point with default options.
+    /// Solves the DC operating point with default options: one cold
+    /// solve of this netlist compiled into a [`CircuitTemplate`], through
+    /// which every DC solve of the crate runs.
     ///
     /// # Errors
     ///
     /// Propagates solver failures; see [`CircuitError`].
     pub fn solve_dc(&self) -> Result<DcSolution, CircuitError> {
-        self.solve_dc_with(&DcOptions::default())
-    }
-
-    /// One cold solve of this netlist compiled into a [`CircuitTemplate`],
-    /// through which every DC solve of the crate runs.
-    pub(crate) fn solve_dc_with(&self, opts: &DcOptions) -> Result<DcSolution, CircuitError> {
-        let mut tpl = CircuitTemplate::compile(self.clone(), opts.clone())?;
+        let mut tpl = CircuitTemplate::compile(self.clone(), DcOptions::default())?;
         tpl.solve()?;
         Ok(tpl.solution())
     }

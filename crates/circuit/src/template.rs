@@ -15,8 +15,8 @@
 //! - the Newton scratch buffers live in the template and are reused across
 //!   solves;
 //! - each solve is seeded from the previous solution (warm start) and only
-//!   falls back to Gmin continuation / source stepping on non-convergence,
-//!   with hit rates tracked in [`SolverStats`];
+//!   falls back to the cold ladder of Gmin continuations and source ramps
+//!   on non-convergence, with hit rates tracked in [`SolverStats`];
 //! - [`CircuitTemplate::solve_trip`] inverts the circuit instead: it solves
 //!   for the source value that puts a node at a given level, in one
 //!   bordered Newton solve (an inverter's trip point without a bisection).
@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 
-use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, System};
+use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, Limits, System};
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
 use crate::SolverStats;
 use pvtm_device::Mosfet;
@@ -67,11 +67,15 @@ pub struct MosfetSlot {
     elem: usize,
 }
 
-/// The KCL tolerance of [`CircuitTemplate::solve_trip`] as a fraction of
-/// [`DcOptions::current_tol`]. At the tolerance itself a root would be off
-/// by `current_tol / g_m` (~1 µV on an SRAM inverter, some sixteen cells of
-/// a 24-step bisection); 1e-4 of it leaves the root well inside one cell.
-const TRIP_TOL_FRACTION: f64 = 1e-4;
+/// The Newton limits of [`CircuitTemplate::solve_trip`]'s bordered
+/// system: full steps to 1e-4 of the KCL tolerance. At the tolerance
+/// itself a root would be off by `tol / g_m` (~1 µV on an SRAM inverter,
+/// some sixteen cells of a 24-step bisection); 1e-4 of it leaves the root
+/// well inside one cell.
+const TRIP: Limits = Limits {
+    tol: dc::CURRENT_TOL * 1e-4,
+    ..dc::NORMAL
+};
 
 /// A compiled circuit: fixed topology, patchable parameters, reusable
 /// solver state. See the [module documentation](self) for the rationale.
@@ -80,7 +84,6 @@ pub struct CircuitTemplate {
     netlist: Netlist,
     opts: DcOptions,
     num_free_nodes: usize,
-    num_unknowns: usize,
     branch_names: Arc<[String]>,
     ws: DcWorkspace,
     /// Solver state of the last successful solve (also the warm seed).
@@ -104,14 +107,12 @@ impl CircuitTemplate {
             return Err(CircuitError::EmptyCircuit);
         }
         let num_free_nodes = sys.num_free_nodes;
-        let num_unknowns = sys.num_unknowns;
         let branch_names = sys.branch_names();
-        let state = vec![0.0; num_unknowns];
+        let state = vec![0.0; sys.num_unknowns];
         Ok(Self {
             netlist,
             opts,
             num_free_nodes,
-            num_unknowns,
             branch_names,
             ws: DcWorkspace::default(),
             state,
@@ -222,17 +223,19 @@ impl CircuitTemplate {
     /// Solves the DC operating point with the current parameter values.
     ///
     /// Seeds Newton from the previous solution when available; falls back
-    /// to the full cold strategy (Gmin continuation → damped retry → source
-    /// ramp) on non-convergence. Results are read back through
-    /// [`Self::voltage`] / [`Self::branch_current`] without allocating.
+    /// to the cold ladder on non-convergence: Gmin continuation, a damped
+    /// retry and a source ramp, then the three rescue rungs (decade Gmin
+    /// steps, a wide damped ramp, deep damping). Results are read back
+    /// through [`Self::voltage`] / [`Self::branch_current`] without
+    /// allocating.
     ///
     /// # Errors
     ///
     /// [`CircuitError::NoConvergence`] / [`CircuitError::SingularMatrix`]
-    /// when every strategy fails; the warm seed is dropped so the next
-    /// solve starts cold.
+    /// when every rung fails; the warm seed is dropped so the next solve
+    /// starts cold.
     pub fn solve(&mut self) -> Result<(), CircuitError> {
-        self.logical_solve(Self::solve_inner)
+        self.logical_solve(|t| t.warm_or_cold(None))
     }
 
     /// Runs one logical solve under a `dc.solve` span: arms fault
@@ -252,40 +255,46 @@ impl CircuitTemplate {
         result
     }
 
-    fn solve_inner(&mut self) -> Result<(), CircuitError> {
-        let sys = System::new(&self.netlist);
-        debug_assert_eq!(sys.num_unknowns, self.num_unknowns);
+    /// The solve behind [`Self::solve`] and [`Self::solve_trip`]: Newton
+    /// from the last solution when there is one, else the cold ladder on
+    /// the plain circuit followed, for a bordered system, by Newton on it.
+    /// Success keeps the state as the next warm seed; failure drops it.
+    fn warm_or_cold(&mut self, border: Option<Border>) -> Result<(), CircuitError> {
         if self.warm_start && self.have_warm {
             self.ws.stats.warm_attempts += 1;
-            if !pvtm_telemetry::fault::trip()
-                && sys
-                    .newton(
-                        &mut self.state,
-                        self.opts.gmin_final,
-                        1.0,
-                        None,
-                        &self.opts,
-                        &mut self.ws,
-                    )
-                    .is_ok()
-            {
+            if !pvtm_telemetry::fault::trip() && self.newton(border).is_ok() {
                 self.ws.stats.warm_hits += 1;
                 self.ws.stats.solves += 1;
                 return Ok(());
             }
         }
-        dc::init_state(&mut self.state, &self.opts);
-        match dc::cold_solve(&sys, &mut self.state, &self.opts, &mut self.ws) {
-            Ok(()) => {
-                self.ws.stats.solves += 1;
-                self.have_warm = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.have_warm = false;
-                Err(e)
-            }
-        }
+        let plain = System::new(&self.netlist);
+        let cold = dc::cold_solve(&plain, &mut self.state, &self.opts, &mut self.ws);
+        let result = match border {
+            Some(_) => cold.and_then(|()| self.newton(border).map(drop)),
+            None => cold,
+        };
+        self.have_warm = result.is_ok();
+        self.ws.stats.solves += u64::from(self.have_warm);
+        result
+    }
+
+    /// Newton at the final Gmin from the current state, on the plain
+    /// circuit or with `border` in place.
+    fn newton(&mut self, border: Option<Border>) -> Result<f64, CircuitError> {
+        let sys = System::new(&self.netlist);
+        let (sys, limits) = match border {
+            Some(b) => (sys.bordered(b), &TRIP),
+            None => (sys, &dc::NORMAL),
+        };
+        sys.newton(
+            &mut self.state,
+            dc::GMIN_FINAL,
+            1.0,
+            None,
+            limits,
+            &mut self.ws,
+        )
     }
 
     /// Solves for the value of source `input` at which node `out` sits at
@@ -297,8 +306,8 @@ impl CircuitTemplate {
     /// from the last solution like [`Self::solve`]. Cold, it first solves
     /// the ordinary circuit with the source at `guess` (the full cold
     /// ladder; Gmin continuation of the bordered system itself can fail)
-    /// and runs the bordered Newton from there. It converges to
-    /// `current_tol × 1e-4`, so the root is resolved far below what an
+    /// and runs the bordered Newton from there. It converges to 1e-4 of
+    /// the KCL tolerance, so the root is resolved far below what an
     /// ordinary solve's tolerance would allow. Stats, telemetry and fault
     /// injection count it as one logical solve.
     ///
@@ -342,56 +351,15 @@ impl CircuitTemplate {
         if out.is_ground() || out.index() > self.num_free_nodes {
             return Err(CircuitError::SingularMatrix { column: input.row });
         }
-        let border = Border {
+        // The bordered system does not read the input's value, so the
+        // guess can be in place before the warm attempt.
+        self.set_vsource(input, guess)?;
+        self.warm_or_cold(Some(Border {
             row: input.row,
             out: out.index() - 1,
             level,
-        };
-        let tight = DcOptions {
-            max_iterations: self.opts.max_iterations,
-            current_tol: self.opts.current_tol * TRIP_TOL_FRACTION,
-            max_step: self.opts.max_step,
-            gmin_start: self.opts.gmin_start,
-            gmin_final: self.opts.gmin_final,
-            initial: Vec::new(),
-        };
-        if self.warm_start && self.have_warm {
-            self.ws.stats.warm_attempts += 1;
-            if !pvtm_telemetry::fault::trip() && self.newton_bordered(border, &tight).is_ok() {
-                self.ws.stats.warm_hits += 1;
-                self.ws.stats.solves += 1;
-                return Ok(self.patch_root(input, pos, neg));
-            }
-        }
-        self.set_vsource(input, guess)?;
-        let cold = {
-            let plain = System::new(&self.netlist);
-            dc::init_state(&mut self.state, &self.opts);
-            dc::cold_solve(&plain, &mut self.state, &self.opts, &mut self.ws)
-        };
-        match cold.and_then(|()| self.newton_bordered(border, &tight)) {
-            Ok(_) => {
-                self.ws.stats.solves += 1;
-                self.have_warm = true;
-                Ok(self.patch_root(input, pos, neg))
-            }
-            Err(e) => {
-                self.have_warm = false;
-                Err(e)
-            }
-        }
-    }
-
-    /// Newton on the bordered system from the current state.
-    fn newton_bordered(&mut self, border: Border, tight: &DcOptions) -> Result<f64, CircuitError> {
-        System::new(&self.netlist).bordered(border).newton(
-            &mut self.state,
-            tight.gmin_final,
-            1.0,
-            None,
-            tight,
-            &mut self.ws,
-        )
+        }))?;
+        Ok(self.patch_root(input, pos, neg))
     }
 
     /// Patches source `input` (between `pos` and `neg`) to the voltage

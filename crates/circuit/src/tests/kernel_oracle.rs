@@ -10,7 +10,7 @@
 //! divider, write level, 6T hold cell, loaded inverter) and on one circuit
 //! holding every other element kind.
 
-use super::{Companion, DcOptions, DcWorkspace, SolverStats, System};
+use super::{Companion, DcWorkspace, Limits, SolverStats, System, NORMAL};
 use crate::linalg::{Matrix, SingularMatrix};
 use crate::netlist::{CircuitError, Element, Netlist};
 use proptest::prelude::*;
@@ -128,7 +128,7 @@ impl System<'_> {
         gmin: f64,
         vsource_scale: f64,
         companion: Option<&Companion<'_>>,
-        opts: &DcOptions,
+        limits: &Limits,
         stats: &mut SolverStats,
     ) -> Result<f64, CircuitError> {
         let n = self.num_unknowns;
@@ -140,8 +140,8 @@ impl System<'_> {
         self.assemble_reference(x, gmin, vsource_scale, companion, &mut jac, &mut res);
         let mut norm = self.kcl_norm(&res);
 
-        for _ in 0..opts.max_iterations {
-            if norm < opts.current_tol {
+        for _ in 0..limits.max_iterations {
+            if norm < limits.tol {
                 return Ok(norm);
             }
             stats.newton_iterations += 1;
@@ -156,8 +156,8 @@ impl System<'_> {
             // Damp node-voltage updates.
             let mut scale = 1.0f64;
             for dv in rhs.iter().take(self.num_free_nodes) {
-                if dv.abs() * scale > opts.max_step {
-                    scale = opts.max_step / dv.abs();
+                if dv.abs() * scale > limits.max_step {
+                    scale = limits.max_step / dv.abs();
                 }
             }
 
@@ -176,7 +176,7 @@ impl System<'_> {
                 }
                 self.assemble_reference(x, gmin, vsource_scale, companion, &mut jac, &mut res);
                 let new_norm = self.kcl_norm(&res);
-                if new_norm < norm || new_norm < opts.current_tol {
+                if new_norm < norm || new_norm < limits.tol {
                     norm = new_norm;
                     accepted = true;
                     break;
@@ -188,12 +188,12 @@ impl System<'_> {
                 norm = self.kcl_norm(&res);
             }
         }
-        if norm < opts.current_tol {
+        if norm < limits.tol {
             Ok(norm)
         } else {
             Err(CircuitError::NoConvergence {
                 residual: norm,
-                iterations: opts.max_iterations,
+                iterations: limits.max_iterations,
             })
         }
     }
@@ -486,7 +486,6 @@ proptest! {
         let cond = Cond { vdd, vsb, vbb, vin, wl_high, temp_k };
         let gmin = 10f64.powf(gmin_exp);
         let scale = SCALES[scale];
-        let opts = DcOptions::default();
         for (which, name) in CIRCUITS.iter().enumerate() {
             let ckt = circuit(which, &cond, &dvt);
             let sys = System::new(&ckt);
@@ -498,12 +497,12 @@ proptest! {
             let mut x_ref = start.clone();
             let mut stats_ref = SolverStats::default();
             let out_ref = sys
-                .newton_reference(&mut x_ref, gmin, scale, companion, &opts, &mut stats_ref)
+                .newton_reference(&mut x_ref, gmin, scale, companion, &NORMAL, &mut stats_ref)
                 .map(f64::to_bits);
             let mut x = start;
             let mut ws = DcWorkspace::default();
             let out = sys
-                .newton(&mut x, gmin, scale, companion, &opts, &mut ws)
+                .newton(&mut x, gmin, scale, companion, &NORMAL, &mut ws)
                 .map(f64::to_bits);
             prop_assert_eq!(out, out_ref);
             prop_assert!(bits(&x) == bits(&x_ref), "{name}: final state differs");

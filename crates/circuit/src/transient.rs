@@ -4,7 +4,7 @@
 //! entirely adequate for the bit-line discharge and cell-flip waveforms the
 //! SRAM analyses need (smooth exponential-ish trajectories, no oscillators).
 
-use crate::dc::{Companion, DcOptions, DcWorkspace, System};
+use crate::dc::{self, Companion, DcWorkspace, System};
 use crate::netlist::{CircuitError, Netlist, NodeId};
 
 /// Options for a transient run.
@@ -14,10 +14,8 @@ pub struct TransientOptions {
     pub dt: f64,
     /// Stop time \[s\].
     pub t_stop: f64,
-    /// Newton options used inside each time step.
-    pub newton: DcOptions,
-    /// Initial solver state; when empty, a cold DC solve under
-    /// [`Self::newton`] provides it.
+    /// Initial solver state; when empty, a cold DC solve
+    /// ([`Netlist::solve_dc`]) provides it.
     pub initial_state: Vec<f64>,
 }
 
@@ -35,7 +33,6 @@ impl TransientOptions {
         Self {
             dt,
             t_stop,
-            newton: DcOptions::default(),
             initial_state: Vec::new(),
         }
     }
@@ -108,7 +105,7 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
     }
 
     let mut state = if opts.initial_state.is_empty() {
-        netlist.solve_dc_with(&opts.newton)?.state
+        netlist.solve_dc()?.state
     } else {
         assert_eq!(
             opts.initial_state.len(),
@@ -142,10 +139,10 @@ pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResu
         };
         sys.newton(
             &mut state,
-            opts.newton.gmin_final,
+            dc::GMIN_FINAL,
             1.0,
             Some(&companion),
-            &opts.newton,
+            &dc::NORMAL,
             &mut ws,
         )?;
         record(k as f64 * opts.dt, &state, &mut times, &mut traces);

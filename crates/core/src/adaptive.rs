@@ -127,20 +127,6 @@ pub struct AsbConfig {
     pub backoff_codes: u32,
 }
 
-impl AsbConfig {
-    /// Paper-like default: 2 KB array, 5 % redundancy, 5-bit DAC over
-    /// 0.75 V, March C−.
-    pub fn default_2kb() -> Self {
-        Self {
-            org: ArrayOrganization::with_capacity_kib(2, 0.05),
-            dac: Dac::new(5, 0.75),
-            march: MarchTest::march_c_minus(),
-            use_guard: 0.01,
-            backoff_codes: 1,
-        }
-    }
-}
-
 /// One step of the calibration loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AsbStep {

@@ -91,7 +91,7 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
         )
         .collect();
     let quarantined = flat.iter().filter(|(_, _, _, q)| *q).count() as u64;
-    super::check_quarantine_rate(quarantined, flat.len() as u64)?;
+    pvtm_circuit::check_quarantine(quarantined, flat.len() as u64)?;
     for (bi, ci, p, _) in flat {
         p_cell[bi][ci] = p;
     }

@@ -100,7 +100,7 @@ pub fn fig6(effort: Effort) -> Result<Fig6, CircuitError> {
         .collect();
     let evals: u64 = outcomes.iter().map(|(_, e, _)| e).sum();
     let quarantined: u64 = outcomes.iter().map(|(_, _, q)| q).sum();
-    super::check_quarantine_rate(quarantined, evals)?;
+    pvtm_circuit::check_quarantine(quarantined, evals)?;
     Ok(Fig6 {
         rows: outcomes.into_iter().map(|(r, _, _)| r).collect(),
         p_cell_target,

@@ -135,20 +135,6 @@ pub(crate) fn quarantine_corner(stream: u64, corner: f64, e: &pvtm_circuit::Circ
     pvtm_telemetry::counter_add("eval.quarantined", 1);
 }
 
-/// Fails the experiment only when the quarantine rate exceeds the
-/// documented `PVTM_MAX_QUARANTINE` budget; below it the pessimistic
-/// per-item substitutions stand and the run completes.
-pub(crate) fn check_quarantine_rate(
-    quarantined: u64,
-    total: u64,
-) -> Result<(), pvtm_circuit::CircuitError> {
-    let rate = quarantined as f64 / total.max(1) as f64;
-    if rate > pvtm_telemetry::fault::max_quarantine() {
-        return Err(pvtm_circuit::CircuitError::QuarantineExceeded { quarantined, total });
-    }
-    Ok(())
-}
-
 /// Formats a probability for the tables (engineering style).
 pub(crate) fn fmt_p(p: f64) -> String {
     // pvtm-lint: allow(no-float-eq) formatting fast path for an exactly zero probability

@@ -8,7 +8,7 @@ use pvtm_circuit::CircuitError;
 use pvtm_sram::{CellLeakageModel, Conditions, FailureAnalyzer, SramCell};
 use pvtm_stats::Histogram;
 
-use super::{baseline, check_quarantine_rate, fmt_p, quarantine_corner, Effort};
+use super::{baseline, fmt_p, quarantine_corner, Effort};
 use crate::interp::linspace;
 use crate::self_repair::{CornerResponse, Policy, SelfRepairConfig, SelfRepairingMemory};
 
@@ -135,7 +135,7 @@ pub fn fig2a(effort: Effort) -> Result<Fig2a, CircuitError> {
         .collect();
     let quarantined = results.iter().filter(|(_, q)| *q).count() as u64;
     let rows: Vec<Fig2aRow> = results.into_iter().map(|(r, _)| r).collect();
-    check_quarantine_rate(quarantined, rows.len() as u64)?;
+    pvtm_circuit::check_quarantine(quarantined, rows.len() as u64)?;
     // Cross-check the linearization against the exact-margin Monte-Carlo
     // estimator at the worst corner, leaving its chunk-level convergence
     // trace in the telemetry report under "fig2a.mc".

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::body_bias::BodyBiasGenerator;
-use crate::interp::{lin_interp, log_interp};
+use crate::interp::log_interp;
 use crate::monitor::{LeakageBinner, LeakageMonitor, VtRegion};
 use pvtm_circuit::CircuitError;
 use pvtm_device::Technology;
@@ -143,11 +143,6 @@ impl SelfRepairingMemory {
     /// The underlying failure analyzer.
     pub fn failure_analyzer(&self) -> &FailureAnalyzer {
         &self.fa
-    }
-
-    /// The leakage model.
-    pub fn leakage_model(&self) -> &CellLeakageModel {
-        &self.leak
     }
 
     /// The binning stage.
@@ -381,18 +376,6 @@ impl CornerResponse {
                 .leakage_bound_prob(self.cell_leak_stats(corner, policy), l_max)
         })
         .clamp(0.0, 1.0)
-    }
-
-    /// Body bias applied at a corner (0 under the ZBB policy).
-    pub fn bias_at(&self, corner: f64, policy: Policy) -> f64 {
-        match policy {
-            Policy::Zbb => 0.0,
-            Policy::SelfRepair => {
-                let xs = self.corners();
-                let ys: Vec<f64> = self.points.iter().map(|p| p.bias).collect();
-                lin_interp(&xs, &ys, corner)
-            }
-        }
     }
 }
 

@@ -45,16 +45,6 @@ impl SourceBiasAnalyzer {
         }
     }
 
-    /// Overrides the search cap \[V\].
-    pub fn with_vsb_cap(mut self, cap: f64) -> Self {
-        assert!(
-            cap > 0.0 && cap < self.tech.vdd(),
-            "cap must lie in (0, vdd)"
-        );
-        self.vsb_cap = cap;
-        self
-    }
-
     /// The underlying failure analyzer.
     pub fn failure_analyzer(&self) -> &FailureAnalyzer {
         &self.fa
@@ -100,14 +90,7 @@ impl SourceBiasAnalyzer {
     /// Propagates DC-solver failures.
     pub fn max_vsb(&self, corner: f64, p_target: f64) -> Result<f64, CircuitError> {
         let out = self.max_vsb_quarantined(corner, p_target);
-        if out.quarantined as f64 / out.evals.max(1) as f64
-            > pvtm_telemetry::fault::max_quarantine()
-        {
-            return Err(CircuitError::QuarantineExceeded {
-                quarantined: out.quarantined,
-                total: out.evals,
-            });
-        }
+        pvtm_circuit::check_quarantine(out.quarantined, out.evals)?;
         Ok(out.vsb)
     }
 

@@ -132,15 +132,6 @@ impl Mosfet {
             diode,
         }
     }
-
-    /// Leakage decomposition of an *on* device used as a load (gate at full
-    /// drive `vdd`, zero Vds): only gate tunnelling flows.
-    pub fn on_state_gate_leakage(&self, vdd: f64) -> LeakageComponents {
-        LeakageComponents {
-            gate: self.gate_leak(vdd),
-            ..LeakageComponents::default()
-        }
-    }
 }
 
 #[cfg(test)]

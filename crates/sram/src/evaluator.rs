@@ -264,7 +264,6 @@ impl CellEvaluator {
                 (br, 0.0),
                 (sl, 0.0),
             ],
-            ..DcOptions::default()
         };
         let tpl = CircuitTemplate::compile(ckt, opts).expect("hold cell compiles");
         HoldTpl {

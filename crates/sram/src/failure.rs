@@ -534,12 +534,7 @@ impl FailureAnalyzer {
         seed: u64,
     ) -> Result<McEstimate, CircuitError> {
         let est = self.failure_prob_mc_quarantined(vt_inter, cond, samples, seed)?;
-        if est.quarantine_rate() > pvtm_telemetry::fault::max_quarantine() {
-            return Err(CircuitError::QuarantineExceeded {
-                quarantined: est.quarantined,
-                total: est.fail_bound.samples,
-            });
-        }
+        pvtm_circuit::check_quarantine(est.quarantined, est.fail_bound.samples)?;
         Ok(est.fail_bound)
     }
 

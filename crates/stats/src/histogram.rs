@@ -151,16 +151,6 @@ impl Histogram {
         self.bins[i] as f64 / (total as f64 * self.bin_width())
     }
 
-    /// Empirical CDF evaluated at the upper edge of bin `i`.
-    pub fn cdf_at_bin(&self, i: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self.underflow + self.bins[..=i].iter().sum::<u64>();
-        below as f64 / total as f64
-    }
-
     /// Fraction of in-range mass that overlaps another histogram with the
     /// same binning. Used by tests/figures to quantify how separable two
     /// leakage distributions are (paper Fig. 3).
@@ -254,19 +244,6 @@ mod tests {
         let h = Histogram::from_samples(&xs, 5);
         assert_eq!(h.total(), 10);
         assert_eq!(h.underflow() + h.overflow(), 0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin()).collect();
-        let h = Histogram::from_samples(&xs, 32);
-        let mut prev = 0.0;
-        for i in 0..h.nbins() {
-            let c = h.cdf_at_bin(i);
-            assert!(c >= prev);
-            prev = c;
-        }
-        assert!((prev - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   inter-die Gaussian (paper Eq. (4)).
 //! - [`montecarlo`] — parallel Monte-Carlo estimation and mean-shifted
 //!   importance sampling for rare failure events.
-//! - [`distribution`] — thin Normal / LogNormal types exposing `cdf`, `ppf`
-//!   and sampling in one place.
 //! - [`ks`] — one-sample Kolmogorov–Smirnov test, used by the test-suite to
 //!   validate sampled distributions against their analytic forms.
 //! - [`rng`] — deterministic seeding helpers so every experiment is
@@ -30,7 +28,6 @@
 //! assert!((norm_ppf(p) - 1.3).abs() < 1e-9);
 //! ```
 
-pub mod distribution;
 pub mod histogram;
 pub mod ks;
 pub mod montecarlo;
@@ -39,7 +36,6 @@ pub mod rng;
 pub mod special;
 pub mod summary;
 
-pub use distribution::{LogNormal, Normal};
 pub use histogram::Histogram;
 pub use montecarlo::{ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome};
 pub use quadrature::GaussHermite;

@@ -78,13 +78,6 @@ pub struct QuarantinedEstimate {
     pub quarantined: u64,
 }
 
-impl QuarantinedEstimate {
-    /// Fraction of samples quarantined.
-    pub fn quarantine_rate(&self) -> f64 {
-        self.quarantined as f64 / self.fail_bound.samples.max(1) as f64
-    }
-}
-
 /// Number of samples per parallel chunk. Large enough to amortize task
 /// overhead, small enough to spread across cores.
 const CHUNK: u64 = 4096;
@@ -144,11 +137,6 @@ impl ImportanceSampler {
         );
         let shift_norm2 = shift.iter().map(|x| x * x).sum();
         Self { shift, shift_norm2 }
-    }
-
-    /// Dimension of the sampled vector.
-    pub fn dim(&self) -> usize {
-        self.shift.len()
     }
 
     /// The configured mean shift.
@@ -406,7 +394,6 @@ mod tests {
             },
         );
         assert_eq!(q.quarantined, n.div_ceil(1000));
-        assert!((q.quarantine_rate() - 0.001).abs() < 1e-4);
         // Every quarantined sample contributes its weight to the fail
         // bound and zero to the pass bound, so the bounds must bracket.
         assert!(q.fail_bound.value > q.pass_bound.value);

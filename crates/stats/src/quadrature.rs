@@ -129,19 +129,6 @@ impl GaussHermite {
             .sum::<f64>()
             * norm
     }
-
-    /// The Gaussian-weighted sample points `mean + √2·σ·tᵢ` together with
-    /// their normalized probabilities (summing to 1). Useful when the same
-    /// corners must be reused across several integrands.
-    pub fn gaussian_points(&self, mean: f64, sigma: f64) -> Vec<(f64, f64)> {
-        let norm = 1.0 / std::f64::consts::PI.sqrt();
-        let scale = std::f64::consts::SQRT_2 * sigma;
-        self.nodes
-            .iter()
-            .zip(&self.weights)
-            .map(|(&t, &w)| (mean + scale * t, w * norm))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -208,14 +195,6 @@ mod tests {
         let gh = GaussHermite::new(40);
         let v = gh.expect_gaussian(0.0, 2.0, crate::special::norm_cdf);
         assert!((v - 0.5).abs() < 1e-8, "v={v}");
-    }
-
-    #[test]
-    fn gaussian_points_probabilities_sum_to_one() {
-        let gh = GaussHermite::new(12);
-        let pts = gh.gaussian_points(0.3, 0.05);
-        let total: f64 = pts.iter().map(|&(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-10);
     }
 
     #[test]

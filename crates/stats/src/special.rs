@@ -167,17 +167,6 @@ pub fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / SQRT_2)
 }
 
-/// Natural log of the standard normal CDF, stable far into the lower tail.
-pub fn ln_norm_cdf(x: f64) -> f64 {
-    if x > -10.0 {
-        norm_cdf(x).ln()
-    } else {
-        // Asymptotic expansion of the Mills ratio for the deep tail.
-        let x2 = x * x;
-        -0.5 * x2 - LN_SQRT_2PI - (-x).ln() + (1.0 - 1.0 / x2 + 3.0 / (x2 * x2)).ln()
-    }
-}
-
 /// Standard normal quantile function `Φ⁻¹(p)` (a.k.a. probit).
 ///
 /// Uses Acklam's rational approximation followed by one Halley refinement
@@ -446,13 +435,6 @@ mod tests {
     #[should_panic(expected = "p in (0,1)")]
     fn norm_ppf_rejects_zero() {
         let _ = norm_ppf(0.0);
-    }
-
-    #[test]
-    fn ln_norm_cdf_continuous_at_switch() {
-        let a = ln_norm_cdf(-9.999);
-        let b = ln_norm_cdf(-10.001);
-        assert!((a - b).abs() < 0.05, "discontinuity at switch: {a} vs {b}");
     }
 
     #[test]

@@ -261,7 +261,8 @@ pub fn next_solve() {
         let rate = f64::from_bits(RATE_BITS.load(Ordering::Relaxed));
         // Depth 4 fails warm + the three cold strategies (rescue rung 1
         // saves the solve); depth 7+ also exhausts the rescue ladder, so
-        // the sample is quarantined. The spread exercises every rung.
+        // the sample is quarantined (a solve without a warm attempt
+        // exhausts it at depth 6). The spread exercises every rung.
         // The depth draw must be independent of the rate draw: `u < rate`
         // conditions the *high* bits of `h` toward zero, so the depth
         // comes from a fresh mix of `h` instead of its top bits (reusing

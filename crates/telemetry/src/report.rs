@@ -72,7 +72,7 @@ pub struct HistRow {
 
 /// Merged DC-solver counters with the derived warm-hit rate. It
 /// dereferences to its counters, so `solver.solves` reads the count.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverSummary {
     /// The merged counters.
     pub stats: SolverStats,
@@ -86,6 +86,13 @@ impl From<SolverStats> for SolverSummary {
             stats,
             warm_hit_rate: stats.warm_hit_rate(),
         }
+    }
+}
+
+impl Default for SolverSummary {
+    /// No solver work, so a warm-hit rate of 1.0.
+    fn default() -> Self {
+        SolverSummary::from(SolverStats::default())
     }
 }
 
@@ -760,10 +767,7 @@ impl Report {
                         .collect(),
                 })
                 .collect(),
-            solver: SolverSummary {
-                stats: read_counters(solver),
-                warm_hit_rate: num(solver.get("warm_hit_rate")),
-            },
+            solver: SolverSummary::from(read_counters(solver)),
             traces: items(doc, "traces").iter().map(read_trace).collect(),
             quarantine: items(doc, "quarantine")
                 .iter()
@@ -1265,6 +1269,20 @@ mod tests {
         assert_eq!(
             err(&text.replacen("\"clock\": true", "\"clock\": true, \"live\": true", 1)),
             "live: unknown member"
+        );
+    }
+
+    #[test]
+    fn a_warm_hit_rate_that_contradicts_the_counts_is_rejected() {
+        // The rate is derived from the counts (75 of 76 here), never read:
+        // the writer cannot write another one.
+        let text = every_branch().to_json_pretty("fig");
+        let rate = format!("\"warm_hit_rate\": {}", 75.0 / 76.0);
+        assert!(text.contains(&rate), "{text}");
+        let forged = text.replacen(&rate, "\"warm_hit_rate\": 0.5", 1);
+        assert_eq!(
+            Sidecar::parse(&forged).unwrap_err().message,
+            format!("solver.warm_hit_rate: found 0.5, expected {}", 75.0 / 76.0)
         );
     }
 

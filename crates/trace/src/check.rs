@@ -263,10 +263,7 @@ mod tests {
                     self_ns: 0,
                     solver: stats,
                 }],
-                solver: SolverSummary {
-                    stats,
-                    ..SolverSummary::default()
-                },
+                solver: SolverSummary::from(stats),
                 ..Report::default()
             },
         }

@@ -164,14 +164,11 @@ mod tests {
             id: "fig".into(),
             report: Report {
                 clock: true,
-                solver: SolverSummary {
-                    stats: SolverStats {
-                        solves: 100,
-                        cold_solves: 4,
-                        ..SolverStats::default()
-                    },
-                    ..SolverSummary::default()
-                },
+                solver: SolverSummary::from(SolverStats {
+                    solves: 100,
+                    cold_solves: 4,
+                    ..SolverStats::default()
+                }),
                 counters: vec![("mc.samples".to_string(), 4096)],
                 spans: vec![SpanRow {
                     path: "fig".into(),
@@ -227,14 +224,20 @@ mod tests {
     fn warm_hit_rate_is_not_a_work_counter() {
         // A rate of exactly 1 prints as an integer; read back, it must
         // still be the derived rate, not a counter that can regress.
-        let read = |rate: f64| {
+        let read = |warm_hits: u64| {
             let mut sc = base();
-            sc.report.solver.warm_hit_rate = rate;
+            sc.report.solver = SolverSummary::from(SolverStats {
+                warm_attempts: 2,
+                warm_hits,
+                ..sc.report.solver.stats
+            });
             Sidecar::parse(&sc.report.to_json_pretty(&sc.id)).unwrap()
         };
-        let out = diff(&read(1.0), &read(0.5), 0.2);
+        let (all, half) = (read(2), read(1));
+        assert_eq!(half.report.solver.warm_hit_rate, 0.5);
+        let out = diff(&all, &half, 0.2);
         assert!(!out.text.contains("warm_hit_rate"), "{}", out.text);
-        assert_eq!(out.counter_changes, 0);
+        assert_eq!(out.counter_changes, 1, "{}", out.text);
     }
 
     #[test]
