@@ -59,35 +59,15 @@ pub struct FigureRun {
 pub struct Reporter {
     quiet: bool,
     runs: Vec<FigureRun>,
-    /// Live metrics server (opt-in via `PVTM_METRICS_ADDR`); held for the
-    /// whole run and shut down gracefully when the reporter drops at run
-    /// finalize. `None` on the deterministic (knob-unset) path.
-    metrics: Option<pvtm_telemetry::serve::ServerHandle>,
 }
 
 impl Reporter {
-    /// Creates a reporter, reading `PVTM_QUIET` from the environment and
-    /// starting the live metrics server when `PVTM_METRICS_ADDR` is set
-    /// (the bound address — useful with port 0 — is written to
-    /// `<results>/metrics.addr` for scrapers to discover).
+    /// Creates a reporter, reading `PVTM_QUIET` from the environment.
     pub fn new() -> Self {
-        let metrics = pvtm_telemetry::serve::start_from_env();
-        if let Some(server) = &metrics {
-            let dir = pvtm::experiments::results_dir();
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(dir.join("metrics.addr"), format!("{}\n", server.addr()));
-            eprintln!("[metrics] serving http://{}/metrics", server.addr());
-        }
         Self {
             quiet: std::env::var("PVTM_QUIET").as_deref() == Ok("1"),
             runs: Vec::new(),
-            metrics,
         }
-    }
-
-    /// The live metrics address, when a server is running.
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.metrics.as_ref().map(|s| s.addr())
     }
 
     /// Whether human-readable figure tables are suppressed.

@@ -68,9 +68,6 @@ pub enum ConstValue {
     /// `&[&str]`-shaped list; each entry keeps its own position so rules
     /// can anchor diagnostics at individual registry entries.
     StrList(Vec<StrEntry>),
-    /// `&[(&str, &str)]`-shaped list of string pairs (name-mapping
-    /// registries like `PROM_METRIC_MAP`); both sides keep positions.
-    StrPairList(Vec<(StrEntry, StrEntry)>),
     /// Anything else (expressions, non-literal initialisers).
     Other,
 }
@@ -345,7 +342,7 @@ fn parse_const_value(v: &[Tree]) -> ConstValue {
             ConstValue::Str(t.leaf().unwrap().text.clone())
         }
         _ => {
-            // `&[…]` or `[…]` of string literals or `("…", "…")` pairs.
+            // `&[…]` or `[…]` of string literals.
             let list = v.iter().find_map(|t| t.group().filter(|g| g.delim == '['));
             let Some(list) = list else {
                 return ConstValue::Other;
@@ -359,29 +356,17 @@ fn parse_const_value(v: &[Tree]) -> ConstValue {
                         col: tok.col,
                     })
             };
-            let mut entries = Vec::new();
-            let mut pairs = Vec::new();
-            for arg in split_args(&list.children) {
-                let [t] = arg else { continue };
-                if let Some(e) = str_entry(t) {
-                    entries.push(e);
-                } else if let Some(g) = t.group().filter(|g| g.delim == '(') {
-                    let members: Vec<StrEntry> = split_args(&g.children)
-                        .iter()
-                        .filter_map(|a| match a {
-                            [x] => str_entry(x),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Ok([a, b]) = <[StrEntry; 2]>::try_from(members) {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-            match (entries.is_empty(), pairs.is_empty()) {
-                (false, true) => ConstValue::StrList(entries),
-                (true, false) => ConstValue::StrPairList(pairs),
-                _ => ConstValue::Other,
+            let entries: Vec<StrEntry> = split_args(&list.children)
+                .iter()
+                .filter_map(|arg| match arg {
+                    [t] => str_entry(t),
+                    _ => None,
+                })
+                .collect();
+            if entries.is_empty() {
+                ConstValue::Other
+            } else {
+                ConstValue::StrList(entries)
             }
         }
     }

@@ -27,8 +27,7 @@ pub enum RuleId {
     /// that the policy crates' public API reaches on the call graph.
     PanicPolicy,
     /// Telemetry names (literal or const-resolved) outside the §5b/§5d
-    /// taxonomy, names that cannot be resolved, and `PROM_METRIC_MAP`
-    /// entries.
+    /// taxonomy, and names that cannot be resolved.
     TelemetryTaxonomy,
     /// `substream(seed, stream)` collisions, RNGs captured across
     /// parallel-closure boundaries, stream-id reuse across chunk loops.
@@ -119,7 +118,6 @@ pub const DOCUMENTED_ENV_KNOBS: &[&str] = &[
     "PVTM_FAULT_SEED",
     "PVTM_FAULT_RATE",
     "PVTM_MAX_QUARANTINE",
-    "PVTM_METRICS_ADDR",
 ];
 
 /// First path segments of valid span / trace-scope names (DESIGN.md §5b:

@@ -14,7 +14,7 @@
 //!   call graph (with the call chain).
 //! - `telemetry-taxonomy` — telemetry names, literal or routed through a
 //!   string const, checked against the §5b/§5d registries; names that do
-//!   not resolve; `PROM_METRIC_MAP` entries.
+//!   not resolve.
 //! - `rng-stream-discipline` — literal `substream(seed, stream)` collisions,
 //!   RNGs captured across parallel-closure boundaries, and stream-id reuse
 //!   across chunk loops.
@@ -886,8 +886,7 @@ fn taxonomy_problem(kind: &str, name: &str) -> Option<String> {
 }
 
 /// Checks the name of every telemetry call, literal or routed through a
-/// string const, and flags names that resolve to neither; then the
-/// Prometheus name maps.
+/// string const, and flags names that resolve to neither.
 fn telemetry_taxonomy(
     units: &[FileUnit],
     syms: &Symbols,
@@ -916,52 +915,6 @@ fn telemetry_taxonomy(
                 RuleId::TelemetryTaxonomy,
                 message,
             ));
-        }
-    }
-    prom_metric_map(units, per);
-}
-
-/// Validates Prometheus name-mapping registries: every non-test const
-/// named `PROM_METRIC_MAP` with a `&[(&str, &str)]` shape. The left side
-/// of each pair must sit inside the §5b metric taxonomy, and the right
-/// side must be its mechanical mangle (`pvtm_` + the name with `.` →
-/// `_`) — the exposition format exports §5b names, it never invents new
-/// ones.
-fn prom_metric_map(units: &[FileUnit], per: &mut [Vec<Diagnostic>]) {
-    for (u, unit) in units.iter().enumerate() {
-        for c in &unit.ast.consts {
-            if c.name != "PROM_METRIC_MAP" || c.is_test {
-                continue;
-            }
-            let crate::ast::ConstValue::StrPairList(pairs) = &c.value else {
-                continue;
-            };
-            for (metric, prom) in pairs {
-                if let Some(problem) = taxonomy_problem("metric", &metric.value) {
-                    per[u].push(diag(
-                        unit,
-                        metric.line,
-                        metric.col,
-                        RuleId::TelemetryTaxonomy,
-                        format!("{problem} (entry of `PROM_METRIC_MAP`)"),
-                    ));
-                }
-                let expected = format!("pvtm_{}", metric.value.replace('.', "_"));
-                if prom.value != expected {
-                    per[u].push(diag(
-                        unit,
-                        prom.line,
-                        prom.col,
-                        RuleId::TelemetryTaxonomy,
-                        format!(
-                            "Prometheus name \"{}\" is not the mechanical mangle of \
-                             \"{}\" (expected \"{expected}\"); `PROM_METRIC_MAP` must \
-                             track §5b names, not invent new ones",
-                            prom.value, metric.value
-                        ),
-                    ));
-                }
-            }
         }
     }
 }

@@ -2,7 +2,6 @@
 //! that API reaches are flagged here, with their call chain.
 
 pub mod knobs;
-pub mod prom_map;
 pub mod reduce;
 pub mod rng;
 pub mod streams;

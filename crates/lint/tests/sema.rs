@@ -35,11 +35,10 @@ fn col_of(src: &str, line: u32, needle: &str) -> u32 {
 #[test]
 fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
     let tree = analyze_tree(sema_tree()).expect("fixture tree is committed and readable");
-    assert_eq!(tree.files_scanned, 8);
+    assert_eq!(tree.files_scanned, 7);
 
     let knobs = include_str!("fixtures/sema_tree/crates/mcplan/src/knobs.rs");
     let lib = include_str!("fixtures/sema_tree/crates/mcplan/src/lib.rs");
-    let prom = include_str!("fixtures/sema_tree/crates/mcplan/src/prom_map.rs");
     let reduce = include_str!("fixtures/sema_tree/crates/mcplan/src/reduce.rs");
     let streams = include_str!("fixtures/sema_tree/crates/mcplan/src/streams.rs");
     let telem = include_str!("fixtures/sema_tree/crates/mcplan/src/telemetry_names.rs");
@@ -61,23 +60,9 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
         // Interprocedural unwrap chain, anchored at the sink.
         (
             "crates/mcplan/src/lib.rs",
-            13,
-            col_of(lib, 13, "unwrap"),
+            12,
+            col_of(lib, 12, "unwrap"),
             RuleId::PanicPolicy,
-        ),
-        // Prometheus map: a metric outside the §5b taxonomy...
-        (
-            "crates/mcplan/src/prom_map.rs",
-            10,
-            col_of(prom, 10, "\"custom.latency"),
-            RuleId::TelemetryTaxonomy,
-        ),
-        // ...and an exposition name that is not the mechanical mangle.
-        (
-            "crates/mcplan/src/prom_map.rs",
-            11,
-            col_of(prom, 11, "\"pvtm_mc_essfrac"),
-            RuleId::TelemetryTaxonomy,
         ),
         // Parallel float sum and reduce outside the Summary::merge idiom.
         (
@@ -135,25 +120,18 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
         "{}",
         msg(2)
     );
-    // The prom-map findings name the registry and the expected mangle.
-    assert!(msg(3).contains("entry of `PROM_METRIC_MAP`"), "{}", msg(3));
-    assert!(
-        msg(4).contains("expected \"pvtm_mc_ess_fraction\""),
-        "{}",
-        msg(4)
-    );
     // The collision cites its anchor site; the loop reuse cites the first
     // loop; the taxonomy finding attributes the resolved const.
     assert!(
-        msg(7).contains("crates/mcplan/src/streams.rs:9"),
+        msg(5).contains("crates/mcplan/src/streams.rs:9"),
         "{}",
-        msg(7)
+        msg(5)
     );
-    assert!(msg(9).contains("the loop at line 23"), "{}", msg(9));
+    assert!(msg(7).contains("the loop at line 23"), "{}", msg(7));
     assert!(
-        msg(10).contains("resolved through const `STAGE_SPAN`"),
+        msg(8).contains("resolved through const `STAGE_SPAN`"),
         "{}",
-        msg(10)
+        msg(8)
     );
 }
 

@@ -248,9 +248,8 @@ impl ImportanceSampler {
                     s_hi.add(w_hi);
                     s_lo.add(w_lo);
                 }
-                // One record: a live scrape sees this chunk's moments and
-                // its weight moments together or not at all (ESS stays
-                // recomputable from any snapshot).
+                // One record: this chunk's moments and its weight moments
+                // land together, under one registry lock.
                 if let Some(t) = &trace {
                     let (n, mean, m2) = (s_hi.count(), s_hi.mean(), s_hi.m2());
                     pvtm_telemetry::record_chunk(t, c, n, mean, m2, Some(health));

@@ -5,9 +5,8 @@
 //! snapshots, rescue-ladder escalations, quarantined samples, experiment
 //! milestones — one JSON object per line. The journal is the streaming
 //! counterpart of the sidecar: [`Journal::parse`] reads it back, live or
-//! finalized, and [`Journal::progress`] folds it into the per-trace
-//! progress a live scrape reports, which `pvtm-trace tail` renders while a
-//! run is still going.
+//! finalized, and [`Journal::progress`] folds it into per-trace progress,
+//! which `pvtm-trace tail` renders while a run is still going.
 //!
 //! # Two orders, one contract
 //!
@@ -44,7 +43,7 @@
 //! the journal while leaving the rest of telemetry on (the benchmark
 //! harness does); the disabled fast path is one atomic load.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
@@ -53,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::{self, obj, Value};
-use crate::snapshot::{progress, Plan, TraceProgress};
+use crate::report::{ess, fold_weights, running_points};
 use crate::{ChunkStat, HealthChunk, Mode};
 
 /// Journal schema marker written into every `run.start` line.
@@ -244,12 +243,6 @@ pub fn finalize_journal(extra: &[(&'static str, Value)]) -> std::io::Result<Opti
     Ok(Some(live.path))
 }
 
-/// The id of the currently open live journal, if any — what live scrapes
-/// report as the run id.
-pub(crate) fn live_id() -> Option<String> {
-    buffer().live.as_ref().map(|l| l.id.clone())
-}
-
 /// Drops all buffered events and closes any live journal without
 /// finalizing it (the partial live file stays on disk). Called by
 /// [`crate::reset`] at figure boundaries.
@@ -377,9 +370,9 @@ impl Journal {
     }
 
     /// Per-trace progress folded from the `mc.start`, `mc.chunk` and
-    /// `mc.health` events, name-sorted — by the fold a live scrape of the
-    /// same registry uses, so a finalized journal reads back the sidecar's
-    /// last trace point and the producer's `mc.estimate` bit for bit.
+    /// `mc.health` events, name-sorted — with the sidecar's own merges, so
+    /// a finalized journal reads back the sidecar's last trace point and
+    /// the producer's `mc.estimate` bit for bit.
     pub fn progress(&self) -> Vec<TraceProgress> {
         let mut plans: BTreeMap<String, Vec<Plan>> = BTreeMap::new();
         let mut chunks: BTreeMap<String, Vec<ChunkStat>> = BTreeMap::new();
@@ -415,6 +408,117 @@ impl Journal {
             }
         }
         progress(&plans, &chunks, &health)
+    }
+}
+
+// ---------------------------------------------------------------- progress
+
+/// One estimator start's planned work, as an `mc.start` event journals it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Plan {
+    samples: u64,
+    chunks: u64,
+}
+
+/// Per-trace progress, name-sorted, from what a run recorded per trace
+/// name — the plans of its starts, its chunk moments and its chunk weight
+/// moments, each in any order. A trace started more than once sums its
+/// plans, since every chunk recorded under its name counts as done. The
+/// running estimate is the sidecar's last trace point, and the weight
+/// moments are folded as the sidecar's trace health folds them, so both
+/// agree with the sidecar bit for bit.
+fn progress(
+    plans: &BTreeMap<String, Vec<Plan>>,
+    chunks: &BTreeMap<String, Vec<ChunkStat>>,
+    health: &BTreeMap<String, Vec<(u64, HealthChunk)>>,
+) -> Vec<TraceProgress> {
+    let names: BTreeSet<&String> = plans
+        .keys()
+        .chain(chunks.keys())
+        .chain(health.keys())
+        .collect();
+    names
+        .into_iter()
+        .map(|name| {
+            let plans = plans.get(name).map_or(&[][..], Vec::as_slice);
+            let chunks = chunks.get(name).map_or(&[][..], Vec::as_slice);
+            let health = health.get(name).map_or(&[][..], Vec::as_slice);
+            let last = running_points(chunks).last().copied();
+            let w = fold_weights(health);
+            TraceProgress {
+                name: name.clone(),
+                chunks_done: chunks.len() as u64,
+                chunks_total: plans.iter().map(|p| p.chunks).sum(),
+                samples_done: last.map_or(0, |p| p.samples),
+                samples_total: plans.iter().map(|p| p.samples).sum(),
+                health_chunks: health.len() as u64,
+                contributing: w.fails,
+                weight_sum: w.weight_sum,
+                weight_sq_sum: w.weight_sq_sum,
+                weight_max: w.weight_max,
+                ess: ess(&w),
+                value: last.map_or(0.0, |p| p.value),
+                std_err: last.map_or(0.0, |p| p.std_err),
+            }
+        })
+        .collect()
+}
+
+/// Per-trace progress: done vs planned work, the Chan-merged running
+/// estimate, and the raw weight moments the health diagnostics derive from
+/// (exposed so ESS is recomputable from the progress row itself).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceProgress {
+    /// Trace name (the `trace_scope` label).
+    pub name: String,
+    /// Chunks whose moments have been recorded so far.
+    pub chunks_done: u64,
+    /// Planned chunks, summed over the trace's starts (0 when none was
+    /// recorded).
+    pub chunks_total: u64,
+    /// Samples folded into the running estimate so far.
+    pub samples_done: u64,
+    /// Planned samples, summed over the trace's starts (0 when none was
+    /// recorded).
+    pub samples_total: u64,
+    /// Health chunks recorded so far — equals `chunks_done` in the
+    /// finalized journal of a weight-tracking estimator.
+    pub health_chunks: u64,
+    /// Contributing (failing) samples across recorded health chunks.
+    pub contributing: u64,
+    /// Σw over contributing samples.
+    pub weight_sum: f64,
+    /// Σw² over contributing samples.
+    pub weight_sq_sum: f64,
+    /// max(w) over contributing samples.
+    pub weight_max: f64,
+    /// Effective sample size `(Σw)²/Σw²` (0 without weights).
+    pub ess: f64,
+    /// Running estimate after the last recorded chunk.
+    pub value: f64,
+    /// Standard error of the running estimate.
+    pub std_err: f64,
+}
+
+impl TraceProgress {
+    /// The progress row as `pvtm-trace tail --json` writes it in its
+    /// `traces`, keys sorted.
+    pub fn to_value(&self) -> Value {
+        obj(vec![
+            ("chunks_done", Value::Num(self.chunks_done as f64)),
+            ("chunks_total", Value::Num(self.chunks_total as f64)),
+            ("contributing", Value::Num(self.contributing as f64)),
+            ("ess", Value::Num(self.ess)),
+            ("health_chunks", Value::Num(self.health_chunks as f64)),
+            ("name", Value::Str(self.name.clone())),
+            ("samples_done", Value::Num(self.samples_done as f64)),
+            ("samples_total", Value::Num(self.samples_total as f64)),
+            ("std_err", Value::Num(self.std_err)),
+            ("value", Value::Num(self.value)),
+            ("weight_max", Value::Num(self.weight_max)),
+            ("weight_sq_sum", Value::Num(self.weight_sq_sum)),
+            ("weight_sum", Value::Num(self.weight_sum)),
+        ])
     }
 }
 

@@ -2,9 +2,9 @@
 //! parser, and a pretty writer.
 //!
 //! The workspace's `serde`/`serde_json` shims are write-only; telemetry
-//! also needs to *read* its own documents back (`Sidecar::parse`,
-//! `LiveSnapshot::parse`, the event journal and the budget files), so
-//! this module carries both halves. It handles exactly the JSON this
+//! also needs to *read* its own documents back (`Sidecar::parse`, the
+//! event journal and the budget files), so this module carries both
+//! halves. It handles exactly the JSON this
 //! crate emits plus anything structurally similar — no streaming, no
 //! borrowed strings, no number-precision heroics beyond `f64`.
 

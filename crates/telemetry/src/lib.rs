@@ -56,8 +56,6 @@ pub mod events;
 pub mod fault;
 pub mod json;
 mod report;
-pub mod serve;
-pub mod snapshot;
 mod trace_events;
 
 pub use report::{
@@ -260,7 +258,8 @@ pub struct SolverStats {
 impl SolverStats {
     /// The name table: every counter beside its sidecar member name, in
     /// the sidecar's member order. Merging, differencing, the sidecar's
-    /// writer and reader and the Prometheus names all go through it.
+    /// writer and reader, the Perfetto trace's span arguments and
+    /// `pvtm-trace`'s `diff` and `check` all go through it.
     pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64); 13] {
         [
             ("solves", &mut self.solves),
@@ -395,15 +394,9 @@ struct Global {
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, Hist>,
     solver: SolverStats,
-    /// Planned work of each estimator start, by trace name.
-    plans: BTreeMap<String, Vec<snapshot::Plan>>,
     traces: BTreeMap<String, Vec<ChunkStat>>,
     health: BTreeMap<String, Vec<(u64, HealthChunk)>>,
     quarantine: Vec<QuarantineRecord>,
-    /// Records landed since the process started (plans, chunks,
-    /// quarantined samples), each under one acquisition of the mutex:
-    /// what a live scrape reports as its epoch. [`reset`] keeps it.
-    epoch: u64,
 }
 
 static GLOBAL: LazyLock<Mutex<Global>> = LazyLock::new(Mutex::default);
@@ -441,9 +434,6 @@ impl Drop for SpanGuard {
         let ns = self.watch.elapsed_ns();
         let prev_len = self.prev_len;
         with_local(|c| {
-            if snapshot::live_tracking() {
-                snapshot::span_closed(&c.path);
-            }
             if let Some(s) = c.spans.get_mut(&c.path) {
                 s.count += 1;
                 s.total_ns += ns;
@@ -499,11 +489,6 @@ pub fn span(name: &str) -> SpanGuard {
             c.path.push('/');
         }
         c.path.push_str(name);
-        // Live-plane only: mirror the open span into the scrape registry
-        // while a metrics server runs (never on the deterministic path).
-        if snapshot::live_tracking() {
-            snapshot::span_opened(&c.path);
-        }
     });
     SpanGuard {
         watch: if prev_len != usize::MAX {
@@ -707,7 +692,7 @@ pub fn active_trace() -> Option<TraceHandle> {
 /// Records one Monte-Carlo chunk under the handle's trace: its running
 /// moments (`n` observations, Welford `mean` and `m2`) and, for an
 /// estimator that tracks importance weights, its weight moments. Both land
-/// in one record, so a live scrape sees the chunk whole or not at all.
+/// under one acquisition of the registry mutex, one lock per chunk.
 /// Chunks may arrive in any order from any thread; the report sorts by
 /// `chunk` and folds the weight moments (sums and a maximum, commutative)
 /// into per-trace ESS and max-weight-fraction diagnostics. Also journals
@@ -724,16 +709,16 @@ pub fn record_chunk(
     if mode() == Mode::Off {
         return;
     }
-    land(|g| {
-        let name = handle.0.to_string();
-        if let Some(h) = health {
-            g.health.entry(name.clone()).or_default().push((chunk, h));
-        }
-        g.traces
-            .entry(name)
-            .or_default()
-            .push(ChunkStat { chunk, n, mean, m2 });
-    });
+    let mut g = global();
+    let name = handle.0.to_string();
+    if let Some(h) = health {
+        g.health.entry(name.clone()).or_default().push((chunk, h));
+    }
+    g.traces
+        .entry(name)
+        .or_default()
+        .push(ChunkStat { chunk, n, mean, m2 });
+    drop(g);
     events::emit(
         "mc.chunk",
         events::name_key(&handle.0),
@@ -763,20 +748,14 @@ pub fn record_chunk(
     }
 }
 
-/// Records a chunked estimator's total planned work (`samples`
-/// observations over `chunks` chunks) under the handle's trace and
-/// journals it as an `mc.start` event: the denominators of live progress
-/// and of `pvtm-trace tail`'s ETA. No-op unless `mode() >= Summary`.
+/// Journals a chunked estimator's total planned work (`samples`
+/// observations over `chunks` chunks) under the handle's trace as an
+/// `mc.start` event: the denominators of the journal's progress and of
+/// `pvtm-trace tail`'s ETA. No-op unless [`events::enabled`].
 pub fn record_mc_start(handle: &TraceHandle, samples: u64, chunks: u64) {
-    if mode() == Mode::Off {
+    if !events::enabled() {
         return;
     }
-    land(|g| {
-        g.plans
-            .entry(handle.0.to_string())
-            .or_default()
-            .push(snapshot::Plan { samples, chunks });
-    });
     events::emit(
         "mc.start",
         events::name_key(&handle.0),
@@ -842,16 +821,7 @@ pub fn record_quarantine(rec: QuarantineRecord) {
             ("reason", json::Value::Str(rec.kind.clone())),
         ],
     );
-    land(|g| g.quarantine.push(rec));
-}
-
-/// Lands one record in the registry under one acquisition of its mutex,
-/// and counts it in the epoch. A live scrape captures under the same
-/// mutex, so it sees every record whole or not at all.
-fn land(record: impl FnOnce(&mut Global)) {
-    let mut g = global();
-    record(&mut g);
-    g.epoch += 1;
+    global().quarantine.push(rec);
 }
 
 // ---------------------------------------------------------------- lifecycle
@@ -866,17 +836,11 @@ pub fn snapshot() -> Report {
 }
 
 /// Clears all recorded data (global and this thread's collector). The mode
-/// and clock settings are untouched, and so is the epoch. Open spans keep
-/// their path and will still record on drop.
+/// and clock settings are untouched. Open spans keep their path and will
+/// still record on drop.
 pub fn reset() {
     with_local(Collector::clear_stats);
-    let mut g = global();
-    *g = Global {
-        epoch: g.epoch,
-        ..Global::default()
-    };
-    drop(g);
-    snapshot::clear();
+    *global() = Global::default();
     events::clear();
 }
 
@@ -1022,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_counters_keep_their_names_from_record_to_sidecar_and_metrics() {
+    fn solver_counters_keep_their_names_from_record_to_sidecar() {
         let _g = test_guard();
         set_mode(Mode::Summary);
         reset();
@@ -1045,7 +1009,6 @@ mod tests {
         };
         record_solver(&s);
         let text = snapshot().to_json_pretty("names");
-        let metrics = snapshot::live().prometheus();
         let sidecar = json::parse(&text).unwrap();
         let member = |name: &str| sidecar.get("solver")?.get(name)?.as_u64();
         for (name, count) in [
@@ -1064,8 +1027,6 @@ mod tests {
             ("rescue_rungs", s.rescue_rungs),
         ] {
             assert_eq!(member(name), Some(count), "sidecar member {name}");
-            let series = format!("\npvtm_solver_{name} {count}\n");
-            assert!(metrics.contains(&series), "{series:?} in\n{metrics}");
         }
         assert_eq!(Sidecar::parse(&text).unwrap().report.solver.stats, s);
         set_mode(Mode::Off);

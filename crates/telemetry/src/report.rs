@@ -408,9 +408,10 @@ impl Default for HealthEntry {
 }
 
 impl HealthEntry {
-    /// The thresholds of a figure without a budget entry of its own, and
-    /// of the live `/healthz` verdict: loose enough for any honest
-    /// importance-sampled run, tight enough to reject a degenerate one.
+    /// The thresholds of a figure without a budget entry of its own, so
+    /// that a new figure is judged before its entry is recorded: loose
+    /// enough for any honest importance-sampled run, tight enough to
+    /// reject a degenerate one.
     pub const FALLBACK: HealthEntry = HealthEntry {
         min_ess_fraction: 0.2,
         max_weight_fraction: 0.25,
@@ -604,10 +605,9 @@ impl Report {
                                                         "lo",
                                                         Value::Num(2.0f64.powi(i32::from(b.log2))),
                                                     ),
-                                                    // Explicit `le`-style upper bound, so
-                                                    // Prometheus rendering and report
-                                                    // consumers agree without re-deriving
-                                                    // it from the log2 index.
+                                                    // Explicit upper bound, so report
+                                                    // consumers need not re-derive it
+                                                    // from the log2 index.
                                                     (
                                                         "hi",
                                                         Value::Num(
@@ -905,14 +905,14 @@ fn read_trace(t: &Value) -> TraceRow {
 }
 
 /// A count member; missing or mistyped reads as 0.
-pub(crate) fn int(v: Option<&Value>) -> u64 {
+fn int(v: Option<&Value>) -> u64 {
     v.and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// A number member. `null` is how the writer spells a non-finite number;
 /// it reads as +∞, the one the writer produces (the `rel_err` of a
 /// zero-mean trace point). Missing or mistyped reads as 0.
-pub(crate) fn num(v: Option<&Value>) -> f64 {
+fn num(v: Option<&Value>) -> f64 {
     match v {
         Some(Value::Num(x)) => *x,
         Some(Value::Null) => f64::INFINITY,
@@ -921,7 +921,7 @@ pub(crate) fn num(v: Option<&Value>) -> f64 {
 }
 
 /// A string member; missing or mistyped reads as empty.
-pub(crate) fn text(v: &Value, key: &str) -> String {
+fn text(v: &Value, key: &str) -> String {
     v.get(key)
         .and_then(Value::as_str)
         .unwrap_or_default()
@@ -929,7 +929,7 @@ pub(crate) fn text(v: &Value, key: &str) -> String {
 }
 
 /// An array member; missing or mistyped reads as empty.
-pub(crate) fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
     v.get(key).and_then(Value::as_array).unwrap_or_default()
 }
 
@@ -962,14 +962,14 @@ fn error(message: String) -> SidecarError {
     SidecarError { message }
 }
 
-pub(crate) fn parse_json(text: &str) -> Result<Value, SidecarError> {
+fn parse_json(text: &str) -> Result<Value, SidecarError> {
     json::parse(text).map_err(|e| error(format!("malformed JSON: {e}")))
 }
 
 /// Checks that `doc` is the JSON value `want`, object member order aside.
 /// Scalars compare as the writer prints them, so `null` matches a
 /// non-finite number. The error names the first difference by its path.
-pub(crate) fn same(path: &str, doc: &Value, want: &Value) -> Result<(), SidecarError> {
+fn same(path: &str, doc: &Value, want: &Value) -> Result<(), SidecarError> {
     let here = if path.is_empty() { "document" } else { path };
     let at = |key: &str| match path {
         "" => key.to_string(),
@@ -1265,11 +1265,6 @@ mod tests {
         assert!(err("{not json").starts_with("malformed JSON"));
         assert_eq!(err("{}"), "schema: missing");
         assert!(err("[1, 2]").starts_with("document: found [1,2]"));
-        // A sidecar file carrying live-plane members is not a sidecar.
-        assert_eq!(
-            err(&text.replacen("\"clock\": true", "\"clock\": true, \"live\": true", 1)),
-            "live: unknown member"
-        );
     }
 
     #[test]

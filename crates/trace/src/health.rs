@@ -13,8 +13,8 @@
 //! a sidecar without them means the estimator did not run.
 //!
 //! A budget entry is four thresholds ([`HealthEntry`]), judged by
-//! [`pvtm_telemetry::Report::health_checks`] — the checks the live
-//! `/healthz` endpoint applies too:
+//! [`pvtm_telemetry::Report::health_checks`], beside the health it
+//! judges, so this module only renders the verdict:
 //!
 //! - `min_ess_fraction` — floor on effective-sample-size / contributing
 //!   samples; falling below it means importance weights are carrying the

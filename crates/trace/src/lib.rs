@@ -4,7 +4,7 @@
 //! sidecar and one `results/<id>.events.jsonl` journal per figure run, and
 //! reads them back: the sidecar strictly with [`pvtm_telemetry::Sidecar`],
 //! the journal with [`pvtm_telemetry::events::Journal`], which folds its
-//! run progress exactly as a live scrape does. Telemetry also judges
+//! run progress with the sidecar's own merges. Telemetry also judges
 //! estimator health ([`pvtm_telemetry::Report::health_checks`]). This
 //! crate only reads and renders, turning what it reads into decisions:
 //!
@@ -18,11 +18,7 @@
 //!   health (ESS fraction, weight degeneracy, CI stalls, quarantine bias)
 //!   against checked-in `health-budgets.json` thresholds;
 //! - [`tail`] renders a run journal — live or finalized — as a progress
-//!   snapshot, and doubles as the `pvtm-events/1` schema validator in CI;
-//! - [`top`] renders a polling terminal dashboard of a live
-//!   `/snapshot.json` endpoint (`PVTM_METRICS_ADDR`, read with
-//!   [`pvtm_telemetry::snapshot::LiveSnapshot::parse`]), drawing its
-//!   progress rows and ETA as `tail` does.
+//!   snapshot, and doubles as the `pvtm-events/1` schema validator in CI.
 //!
 //! The design point carried through all of them: **wall-clock is advisory,
 //! work counters are the contract.** With `PVTM_TELEMETRY_CLOCK=off` the
@@ -38,11 +34,9 @@ pub mod diff;
 pub mod health;
 pub mod report;
 pub mod tail;
-pub mod top;
 
 pub use check::{check, update_budgets, Budgets, CheckOutcome};
 pub use diff::{diff, DiffOutcome};
 pub use health::{health_check, update_health_budgets, HealthBudgets, HealthOutcome};
 pub use report::{folded_stacks, hot_span_table};
-pub use tail::{render_progress, snapshot, Snapshot};
-pub use top::{fetch_live, render_live};
+pub use tail::{snapshot, Snapshot};

@@ -6,21 +6,20 @@
 //! pvtm-trace check  <budgets.json> <sidecar.json>... [--update-budgets]
 //! pvtm-trace health <budgets.json> <sidecar.json>... [--update-budgets]
 //! pvtm-trace tail   <events.jsonl> [--json | --follow [--interval S]]
-//! pvtm-trace top    <addr> [--interval S] [--once] [--top N]
 //! ```
 //!
 //! Exit codes: 0 success, 1 gate failure (budget exceeded / work-counter
 //! regression / estimator-health violation / a sidecar the telemetry
 //! writer would not write), 2 usage or I/O error.
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use pvtm_telemetry::events::Journal;
 use pvtm_telemetry::Sidecar;
 use pvtm_trace::{
-    check, diff, fetch_live, folded_stacks, health_check, hot_span_table, render_live, snapshot,
-    update_budgets, update_health_budgets, Budgets, HealthBudgets,
+    check, diff, folded_stacks, health_check, hot_span_table, snapshot, update_budgets,
+    update_health_budgets, Budgets, HealthBudgets,
 };
 
 const USAGE: &str = "usage:
@@ -28,8 +27,7 @@ const USAGE: &str = "usage:
   pvtm-trace diff   <old.json> <new.json> [--tolerance F]
   pvtm-trace check  <budgets.json> <sidecar.json>... [--update-budgets]
   pvtm-trace health <budgets.json> <sidecar.json>... [--update-budgets]
-  pvtm-trace tail   <events.jsonl> [--json | --follow [--interval S]]
-  pvtm-trace top    <addr> [--interval S] [--once] [--top N]";
+  pvtm-trace tail   <events.jsonl> [--json | --follow [--interval S]]";
 
 const EXIT_GATE: u8 = 1;
 const EXIT_USAGE: u8 = 2;
@@ -61,7 +59,6 @@ fn main() -> ExitCode {
         "check" => cmd_check(&args[1..]),
         "health" => cmd_health(&args[1..]),
         "tail" => cmd_tail(&args[1..]),
-        "top" => cmd_top(&args[1..]),
         other => usage(&format!("unknown subcommand {other:?}")),
     }
 }
@@ -239,15 +236,15 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     let mut path = None;
     let mut follow = false;
     let mut json_out = false;
-    let mut interval = 2.0f64;
+    let mut interval = Duration::from_secs(2);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--follow" => follow = true,
             "--json" => json_out = true,
-            "--interval" => match it.next().map(|s| s.parse()) {
-                Some(Ok(s)) if s > 0.0 => interval = s,
-                _ => return usage("--interval needs a positive number of seconds"),
+            "--interval" => match it.next().and_then(|s| parse_interval(s)) {
+                Some(d) => interval = d,
+                None => return usage("--interval needs a positive, finite number of seconds"),
             },
             _ if path.is_none() => path = Some(a.clone()),
             _ => return usage("tail takes one journal"),
@@ -309,70 +306,29 @@ fn cmd_tail(args: &[String]) -> ExitCode {
             }
             Err(e) => eprintln!("pvtm-trace tail: {e}"),
         }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
-fn cmd_top(args: &[String]) -> ExitCode {
-    let mut target = None;
-    let mut interval = 2.0f64;
-    let mut once = false;
-    let mut top = 10usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--once" => once = true,
-            "--interval" => match it.next().map(|s| s.parse()) {
-                Some(Ok(s)) if s > 0.0 => interval = s,
-                _ => return usage("--interval needs a positive number of seconds"),
-            },
-            "--top" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => top = n,
-                _ => return usage("--top needs an integer"),
-            },
-            _ if target.is_none() => target = Some(a.clone()),
-            _ => return usage("top takes one metrics address"),
-        }
-    }
-    let Some(target) = target else {
-        return usage("top needs a metrics address");
-    };
-    let Ok(addr) = target.parse::<SocketAddr>() else {
-        return usage(&format!(
-            "top reads a live metrics address (host:port), not {target:?}; \
-             follow a journal with `tail --follow`"
-        ));
-    };
+/// A polling interval in seconds: positive, and finite and small enough
+/// for a `Duration`, so that sleeping on it cannot panic.
+fn parse_interval(arg: &str) -> Option<Duration> {
+    let secs: f64 = arg.parse().ok()?;
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| !d.is_zero())
+}
 
-    let mut frames = 0u64;
-    loop {
-        match fetch_live(addr) {
-            Ok(frame) => {
-                let text = render_live(&frame, top);
-                frames += 1;
-                if once {
-                    // One validated frame: this is the CI schema check.
-                    print!("{text}");
-                    return ExitCode::SUCCESS;
-                }
-                print!("\x1b[2J\x1b[H{text}");
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-            }
-            Err(e) => {
-                if once {
-                    eprintln!("pvtm-trace top: FAIL — {e}");
-                    return ExitCode::from(EXIT_GATE);
-                }
-                if frames > 0 {
-                    // The endpoint served frames and then went away: the
-                    // run finalized and shut its server down. Clean exit.
-                    println!("pvtm-trace top: run finished ({e})");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("pvtm-trace top: {e} (retrying)");
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interval_must_be_a_positive_finite_duration() {
+        assert_eq!(parse_interval("0.1"), Some(Duration::from_millis(100)));
+        assert_eq!(parse_interval("2"), Some(Duration::from_secs(2)));
+        for bad in ["inf", "1e300", "NaN", "0", "-1", "1e-12", "soon", ""] {
+            assert_eq!(parse_interval(bad), None, "{bad:?}");
         }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
     }
 }

@@ -3,12 +3,11 @@
 //! The producer ([`pvtm_telemetry::events`]) appends one JSON object per
 //! line to `results/<id>.events.jsonl` while a figure runs, then rewrites
 //! the file in canonical order at the end. [`Journal::parse`] reads either
-//! form and [`Journal::progress`] folds its per-trace progress — by the
-//! fold a live `/snapshot.json` scrape uses, so the running estimate of a
-//! finalized journal is the sidecar's. This module adds the journal's
-//! corner, rescue and quarantine tallies and renders the snapshot, and
-//! [`render_progress`] draws the progress rows and the ETA for both `tail`
-//! and `top`.
+//! form and [`Journal::progress`] folds its per-trace progress with the
+//! sidecar's own merges, so the running estimate of a finalized journal
+//! is the sidecar's. This module adds the journal's corner, rescue and
+//! quarantine tallies and renders the snapshot: the progress rows, the
+//! ETA and the tallies.
 //!
 //! Run once without `--follow`, the strict parse doubles as the CI schema
 //! validator: a journal that violates the `pvtm-events/1` contract
@@ -18,9 +17,8 @@
 
 use std::fmt::Write as _;
 
-use pvtm_telemetry::events::Journal;
+use pvtm_telemetry::events::{Journal, TraceProgress};
 use pvtm_telemetry::json::{self, Value};
-use pvtm_telemetry::snapshot::TraceProgress;
 
 /// A progress snapshot of one journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +108,7 @@ fn bar(done: u64, total: u64, width: usize) -> String {
 /// so `elapsed / done` extrapolates. The ETA is left out when `elapsed` is
 /// 0 (the clock is gated off, or the run is over), when nothing has
 /// landed, or when no work is left.
-pub fn render_progress(out: &mut String, rows: &[TraceProgress], elapsed: f64) {
+fn render_progress(out: &mut String, rows: &[TraceProgress], elapsed: f64) {
     for r in rows {
         let pct = if r.chunks_total > 0 {
             format!(
@@ -148,10 +146,10 @@ pub fn render_progress(out: &mut String, rows: &[TraceProgress], elapsed: f64) {
 
 impl Snapshot {
     /// The snapshot as a JSON value with alphabetically sorted keys —
-    /// the `tail --json` machine-readable contract. Each trace row is what
-    /// `/snapshot.json` writes for it ([`TraceProgress::to_value`]);
-    /// `work_done` / `work_total` are denormalized in so scripted consumers
-    /// do not have to re-sum the traces.
+    /// the `tail --json` machine-readable contract. Each trace row is
+    /// [`TraceProgress::to_value`]; `work_done` / `work_total` are
+    /// denormalized in so scripted consumers do not have to re-sum the
+    /// traces.
     pub fn to_value(&self) -> Value {
         let (work_done, work_total) = work(&self.traces);
         let count = |n: u64| Value::Num(n as f64);
@@ -291,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_is_sorted_and_writes_the_snapshot_json_rows() {
+    fn json_snapshot_is_sorted_and_writes_the_progress_rows() {
         let s = snap(false);
         let v = s.to_value();
         let Value::Obj(members) = &v else {
