@@ -15,23 +15,6 @@ use pvtm_telemetry::clock::Stopwatch;
 use pvtm_telemetry::json::{obj, Value};
 use serde::Serialize;
 
-/// Runs a closure, printing its wall-clock duration with a label. The
-/// duration reads `0.0` when the telemetry clock is gated off
-/// (`PVTM_TELEMETRY_CLOCK=off`), keeping harness output reproducible.
-///
-/// # Example
-///
-/// ```
-/// let value = pvtm_bench::timed("answer", || 42);
-/// assert_eq!(value, 42);
-/// ```
-pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    let watch = Stopwatch::started();
-    let out = f();
-    eprintln!("[{label}] completed in {:.1} s", watch.elapsed_secs());
-    out
-}
-
 /// Per-figure record kept for the end-of-run summary table.
 #[derive(Debug, Clone)]
 pub struct FigureRun {
@@ -76,7 +59,7 @@ impl Reporter {
     }
 
     /// Runs one figure: resets telemetry, executes `f`, snapshots the
-    /// report, persists result JSON + sidecars + the finalized event
+    /// report, persists result JSON + sidecar + the finalized event
     /// journal, and returns the value.
     pub fn figure<T: Display + Serialize>(&mut self, id: &str, f: impl FnOnce() -> T) -> T {
         pvtm_telemetry::reset();
@@ -108,14 +91,12 @@ impl Reporter {
         };
 
         let result_path = pvtm::experiments::save_json(id, &value).expect("write result JSON");
-        let (telemetry_path, trace_path) = if report.mode == pvtm_telemetry::Mode::Full {
+        let telemetry_path = if report.mode == pvtm_telemetry::Mode::Full {
             let path = pvtm::experiments::results_dir().join(format!("{id}.telemetry.json"));
             std::fs::write(&path, report.to_json_pretty(id)).expect("write telemetry sidecar");
-            let tpath = pvtm::experiments::results_dir().join(format!("{id}.trace_events.json"));
-            std::fs::write(&tpath, report.to_trace_events_json(id)).expect("write trace events");
-            (Some(path), Some(tpath))
+            Some(path)
         } else {
-            (None, None)
+            None
         };
         self.append_jsonl(
             id,
@@ -123,7 +104,6 @@ impl Reporter {
             &report,
             &result_path,
             telemetry_path.as_deref(),
-            trace_path.as_deref(),
             journal_path.as_deref(),
         );
 
@@ -145,7 +125,6 @@ impl Reporter {
         value
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn append_jsonl(
         &self,
         id: &str,
@@ -153,7 +132,6 @@ impl Reporter {
         report: &pvtm_telemetry::Report,
         result_path: &Path,
         telemetry_path: Option<&Path>,
-        trace_path: Option<&Path>,
         journal_path: Option<&Path>,
     ) {
         let line = obj(vec![
@@ -170,13 +148,6 @@ impl Reporter {
             (
                 "telemetry",
                 match telemetry_path {
-                    Some(p) => Value::Str(p.display().to_string()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "trace_events",
-                match trace_path {
                     Some(p) => Value::Str(p.display().to_string()),
                     None => Value::Null,
                 },
@@ -249,11 +220,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timed_returns_the_value() {
-        assert_eq!(timed("t", || 7), 7);
-    }
-
-    #[test]
     fn reporter_writes_result_json_and_jsonl() {
         let dir = std::env::temp_dir().join("pvtm-bench-reporter-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -277,6 +243,49 @@ mod tests {
         assert_eq!(rec.get("events"), Some(&Value::Null));
         assert!(!dir.join("unit-test-figure.telemetry.json").exists());
         assert!(!dir.join("unit-test-figure.events.jsonl").exists());
+
+        // In full mode a figure writes its result, its sidecar and its
+        // journal, and the record names exactly those. One test, because
+        // the mode and `PVTM_RESULTS_DIR` are process-global.
+        let _ = std::fs::remove_dir_all(&dir);
+        pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Full);
+        std::env::set_var("PVTM_RESULTS_DIR", &dir);
+        rep.figure("unit-test-figure", || 3.5f64);
+        std::env::remove_var("PVTM_RESULTS_DIR");
+        pvtm_telemetry::set_mode(pvtm_telemetry::Mode::Off);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "figures.jsonl",
+                "unit-test-figure.events.jsonl",
+                "unit-test-figure.json",
+                "unit-test-figure.telemetry.json",
+            ]
+        );
+        let jsonl = std::fs::read_to_string(dir.join("figures.jsonl")).unwrap();
+        let Value::Obj(members) = pvtm_telemetry::json::parse(jsonl.trim_end()).unwrap() else {
+            panic!("figures.jsonl record is not an object");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "id",
+                "seconds",
+                "mode",
+                "solves",
+                "warm_hit_rate",
+                "newton_iterations",
+                "result",
+                "telemetry",
+                "events",
+            ]
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -204,17 +204,14 @@ mod tests {
         let b = LeakageBinner::from_current_thresholds(mon, 0.2e-3, 0.6e-3);
         let mut rng = pvtm_stats::rng::substream(77, 0);
         // Just above the high threshold: noise flips some decisions.
-        let mut regions = std::collections::HashSet::new();
-        for _ in 0..200 {
-            regions.insert(b.classify(0.62e-3, &mut rng));
-        }
-        assert!(regions.len() > 1, "noise must create boundary ambiguity");
+        let near: Vec<VtRegion> = (0..200).map(|_| b.classify(0.62e-3, &mut rng)).collect();
+        assert!(
+            near.iter().any(|&r| r != near[0]),
+            "noise must create boundary ambiguity"
+        );
         // Far from boundaries the decision is stable.
-        let mut far = std::collections::HashSet::new();
-        for _ in 0..200 {
-            far.insert(b.classify(0.95e-3, &mut rng));
-        }
-        assert_eq!(far.len(), 1);
+        let far: Vec<VtRegion> = (0..200).map(|_| b.classify(0.95e-3, &mut rng)).collect();
+        assert!(far.iter().all(|&r| r == far[0]));
     }
 
     #[test]

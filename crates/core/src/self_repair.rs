@@ -140,11 +140,6 @@ impl SelfRepairingMemory {
         &self.cfg
     }
 
-    /// The underlying failure analyzer.
-    pub fn failure_analyzer(&self) -> &FailureAnalyzer {
-        &self.fa
-    }
-
     /// The binning stage.
     pub fn binner(&self) -> &LeakageBinner {
         &self.binner

@@ -45,11 +45,6 @@ impl SourceBiasAnalyzer {
         }
     }
 
-    /// The underlying failure analyzer.
-    pub fn failure_analyzer(&self) -> &FailureAnalyzer {
-        &self.fa
-    }
-
     /// Hold-failure probability of a cell at a corner and source bias.
     ///
     /// # Errors

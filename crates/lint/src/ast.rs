@@ -6,10 +6,11 @@
 //! `use` declarations alias. This module walks the top level of each
 //! module — it deliberately does not descend into function bodies, struct
 //! fields or macro definitions — and records exactly those items, plus the
-//! source span of every item in test context, which the lexical rules read.
-//! So "test context" is decided once, here, for every rule. Like the lexer
-//! and the parser it is infallible: grammar it does not model is skipped,
-//! never mis-extracted.
+//! source span of every item in test context, which the rules read; the
+//! body of a `name! { … }` invocation at item position is walked for test
+//! spans only. So "test context" is decided once, here, for every rule.
+//! Like the lexer and the parser it is infallible: grammar it does not
+//! model is skipped, never mis-extracted.
 
 use crate::lexer::TokKind;
 use crate::parser::{contains_ident, int_value, split_args, Group, Tree};
@@ -224,6 +225,9 @@ fn walk_items(trees: &[Tree], scope: &mut Scope, out: &mut FileAst) {
             }
             Some("impl" | "trait") => {
                 i = take_impl(trees, i, scope, test_attr_set, out);
+            }
+            Some(_) if trees.get(i + 1).is_some_and(|t| t.is_punct("!")) => {
+                i = take_macro_call(trees, i, scope, test_attr_set, out);
             }
             _ => {
                 // `const fn` reaches here via the guard above: `const` is a
@@ -485,6 +489,31 @@ fn take_impl(trees: &[Tree], i: usize, scope: &Scope, test_attr: bool, out: &mut
     k + 1
 }
 
+/// A `name! { … }` invocation at item position, such as `proptest! {
+/// #[test] fn … }`: the test items in its body are test context, but what
+/// the macro expands to is unknown, so no fn, const or use is taken from it.
+fn take_macro_call(
+    trees: &[Tree],
+    i: usize,
+    scope: &Scope,
+    test_attr: bool,
+    out: &mut FileAst,
+) -> usize {
+    let Some(body) = trees
+        .get(i + 2)
+        .and_then(Tree::group)
+        .filter(|g| g.delim == '{')
+    else {
+        return i + 1;
+    };
+    let mut inner = scope.clone();
+    inner.in_test = inner.in_test || test_attr;
+    let mut items = FileAst::default();
+    walk_items(&body.children, &mut inner, &mut items);
+    out.test_spans.extend(items.test_spans);
+    i + 3
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,6 +588,16 @@ mod tests {
             [((1, 1), (2, 30)), ((3, 1), (4, 35)), ((6, 5), (7, 13))]
         );
         assert!(ast.in_test(4, 18) && !ast.in_test(5, 1) && !ast.in_test(9, 12));
+    }
+
+    #[test]
+    fn test_items_in_an_item_macro_are_test_context_only() {
+        let src = "proptest! {\n    #[test]\n    fn prop(x in 0u8..9) { assert!(x < 9); }\n}\n\
+                   thread_local! { static N: u8 = 0; }\n";
+        let ast = ast_of(src);
+        assert_eq!(ast.test_spans, [((2, 5), (3, 44))]);
+        assert!(ast.in_test(3, 36) && !ast.in_test(5, 24));
+        assert!(ast.fns.is_empty() && ast.consts.is_empty() && ast.uses.is_empty());
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! `pvtm-lint`: a registry-free static-analysis pass over the workspace.
 //!
 //! The workspace's core contract — bit-reproducible Monte-Carlo yield
-//! estimates and byte-identical telemetry reports — cannot be enforced by
-//! clippy plugins or `syn`-based tools (no registry access, vendored shims
-//! only), so this crate carries its own Rust lexer ([`lexer`]), a token-
-//! tree parser ([`parser`]), an item extractor ([`ast`]), a workspace
-//! symbol table ([`symbols`]) and a call graph ([`callgraph`]). One
-//! pipeline, [`sema::analyze`], runs every rule over them: the three
-//! lexical rules of [`rules`] on each file's tokens, the rest on the
-//! symbol table and call graph, one rule per invariant. The binary
+//! estimates and byte-identical telemetry reports — is partly enforced by
+//! clippy's configuration lints (`clippy.toml` bans the hash collections
+//! and the wall clock). The rest cannot be written as clippy configuration
+//! or with `syn`-based tools (no registry access, vendored shims only), so
+//! this crate carries its own Rust lexer ([`lexer`]), a token-tree parser
+//! ([`parser`]), an item extractor ([`ast`]), a workspace symbol table
+//! ([`symbols`]) and a call graph ([`callgraph`]). One pipeline,
+//! [`sema::analyze`], runs every rule over them: the lexical rule of
+//! [`rules`] on each file's tokens, the rest on the symbol table and call
+//! graph, one rule per invariant. The binary
 //! (`cargo run -p pvtm-lint`) walks `crates/`, `src/` and `examples/`
 //! ([`analyze_tree`]), prints `file:line:col [rule-id] message`
 //! diagnostics, and exits non-zero on any violation; the one way to

@@ -1,14 +1,14 @@
-//! Rule ids, diagnostics, the shared registries, the three lexical rules
-//! and suppression handling.
+//! Rule ids, diagnostics, the shared registries, the lexical rule and
+//! suppression handling.
 //!
-//! `no-hashmap`, `no-wallclock` and `no-float-eq` are lexical by nature: a
-//! name or an operator next to a literal is the whole defect, so they walk
-//! the token stream produced by [`crate::lexer`]. None of them parses Rust,
-//! so each is written to *miss* rather than crash or false-positive when
-//! it meets grammar it does not model. Every other rule lives in
-//! [`crate::sema`]. The escape hatch for deliberate violations is a
-//! `// pvtm-lint: allow(rule-id) reason` comment on the offending line or
-//! the line above; the reason is mandatory and stale allows are reported.
+//! `no-float-eq` is lexical by nature: an operator next to a literal is the
+//! whole defect, so it walks the token stream produced by
+//! [`crate::lexer`]. It does not parse Rust, so it is written to *miss*
+//! rather than crash or false-positive when it meets grammar it does not
+//! model. Every other rule lives in [`crate::sema`]. The escape hatch for
+//! deliberate violations is a `// pvtm-lint: allow(rule-id) reason`
+//! comment on the offending line or the line above; the reason is
+//! mandatory and stale allows are reported.
 
 use crate::ast::FileAst;
 use crate::lexer::{Allow, Tok, TokKind};
@@ -17,10 +17,6 @@ use std::fmt;
 /// Stable identifiers of the lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// `HashMap`/`HashSet` in non-test code (nondeterministic iteration).
-    NoHashmap,
-    /// `Instant`/`SystemTime` outside the telemetry clock module.
-    NoWallclock,
     /// `==`/`!=` against floating-point expressions.
     NoFloatEq,
     /// Panic sinks in the policy crates' library code, and sinks elsewhere
@@ -43,8 +39,6 @@ pub enum RuleId {
 
 /// All rules, in reporting order.
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::NoHashmap,
-    RuleId::NoWallclock,
     RuleId::NoFloatEq,
     RuleId::PanicPolicy,
     RuleId::TelemetryTaxonomy,
@@ -58,8 +52,6 @@ impl RuleId {
     /// Stable kebab-case id used in diagnostics and allows.
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::NoHashmap => "no-hashmap",
-            RuleId::NoWallclock => "no-wallclock",
             RuleId::NoFloatEq => "no-float-eq",
             RuleId::PanicPolicy => "panic-policy",
             RuleId::TelemetryTaxonomy => "telemetry-taxonomy",
@@ -158,18 +150,13 @@ pub const METRIC_ROOTS: &[&str] = &["solver", "mc", "eval", "analyzer", "leak", 
 /// escalations).
 pub const EVENT_ROOTS: &[&str] = &["run", "figure", "mc", "solver", "eval", "analyzer"];
 
-/// The only file allowed to touch the wall clock directly.
-const WALLCLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/clock.rs"];
-
-/// Runs the lexical rules over one file's tokens, skipping the test
+/// Runs the lexical rule over one file's tokens, skipping the test
 /// context its `ast` marks — no suppression, no sorting:
 /// [`crate::sema::analyze`] adds the semantic findings, then applies the
 /// file's allows to all of them at once.
 pub(crate) fn token_diags(path: &str, toks: &[Tok], ast: &FileAst) -> Vec<Diagnostic> {
     let ctx = Ctx { path, toks, ast };
     let mut diags = Vec::new();
-    rule_no_hashmap(&ctx, &mut diags);
-    rule_no_wallclock(&ctx, &mut diags);
     rule_no_float_eq(&ctx, &mut diags);
     diags
 }
@@ -197,50 +184,6 @@ impl Ctx<'_> {
 }
 
 // ----------------------------------------------------------------- rules
-
-fn rule_no_hashmap(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !ctx.in_test(i)
-        {
-            ctx.diag(
-                out,
-                i,
-                RuleId::NoHashmap,
-                format!(
-                    "`{}` has nondeterministic iteration order; use `BTree{}` \
-                     (bit-reproducibility contract, DESIGN.md)",
-                    t.text,
-                    &t.text[4..]
-                ),
-            );
-        }
-    }
-}
-
-fn rule_no_wallclock(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    if WALLCLOCK_ALLOWED.contains(&ctx.path) {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && (t.text == "Instant" || t.text == "SystemTime")
-            && !ctx.in_test(i)
-        {
-            ctx.diag(
-                out,
-                i,
-                RuleId::NoWallclock,
-                format!(
-                    "direct `{}` use; route timing through `pvtm_telemetry::clock` so \
-                     `PVTM_TELEMETRY_CLOCK=off` keeps every output byte-identical",
-                    t.text
-                ),
-            );
-        }
-    }
-}
 
 fn rule_no_float_eq(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     let toks = ctx.toks;
@@ -387,34 +330,24 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_flagged_outside_tests_only() {
-        let src = "use std::collections::HashMap;\n\
-                   #[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
+    fn float_eq_flagged_outside_tests_only() {
+        let src = "fn f(x: f64) -> bool { x == 0.5 }\n\
+                   #[cfg(test)]\nmod tests {\n    fn g(x: f64) -> bool { x == 0.5 }\n}\n";
         assert_eq!(
             rules_of("crates/x/src/a.rs", src),
-            vec![(RuleId::NoHashmap, 1)]
+            vec![(RuleId::NoFloatEq, 1)]
         );
     }
 
     #[test]
     fn test_fn_attribute_masks_its_body_only() {
-        let src = "fn lib() { let _: HashMap<u8, u8>; }\n\
-                   #[test]\nfn t() { let _: HashMap<u8, u8>; }\n\
-                   fn lib2() { let _: HashSet<u8>; }\n";
+        let src = "fn lib(x: f64) -> bool { x == 0.5 }\n\
+                   #[test]\nfn t() { assert!(1.5 == 1.5); }\n\
+                   fn lib2(x: f64) -> bool { x != 0.5 }\n";
         assert_eq!(
             rules_of("crates/x/src/a.rs", src),
-            vec![(RuleId::NoHashmap, 1), (RuleId::NoHashmap, 4)]
+            vec![(RuleId::NoFloatEq, 1), (RuleId::NoFloatEq, 4)]
         );
-    }
-
-    #[test]
-    fn wallclock_allowed_only_in_clock_module() {
-        let src = "use std::time::Instant;\n";
-        assert_eq!(
-            rules_of("crates/bench/src/lib.rs", src),
-            vec![(RuleId::NoWallclock, 1)]
-        );
-        assert!(rules_of("crates/telemetry/src/clock.rs", src).is_empty());
     }
 
     #[test]
@@ -539,7 +472,7 @@ mod tests {
         let unknown = "// pvtm-lint: allow(no-such-rule) because\n";
         assert_eq!(rules_of("src/a.rs", unknown), vec![(RuleId::LintAllow, 1)]);
 
-        let stale = "// pvtm-lint: allow(no-hashmap) nothing here\nfn f() {}\n";
+        let stale = "// pvtm-lint: allow(no-float-eq) nothing here\nfn f() {}\n";
         assert_eq!(rules_of("src/a.rs", stale), vec![(RuleId::LintAllow, 1)]);
     }
 

@@ -2,7 +2,7 @@
 //! and call graph.
 //!
 //! [`analyze`] is the one pipeline: every file is lexed and parsed once
-//! (by [`FileUnit::new`]), the lexical rules of [`crate::rules`] run on its
+//! (by [`FileUnit::new`]), the lexical rule of [`crate::rules`] runs on its
 //! tokens, [`Symbols`] and the call graph are built, the rules below run,
 //! and each file's suppression comments are applied to all of its findings
 //! at once. Each invariant has one rule, which judges literal,

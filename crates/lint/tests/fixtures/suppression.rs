@@ -17,7 +17,7 @@ pub fn reasonless_allow_does_not_suppress(x: f64) -> bool {
 // pvtm-lint: allow(no-such-rule) rule id typo
 pub fn unknown_rule() {}
 
-// pvtm-lint: allow(no-hashmap) nothing here matches
+// pvtm-lint: allow(no-float-eq) nothing here matches
 pub fn stale_allow() {}
 
 // pvtm-lint: allw(no-float-eq) malformed directive

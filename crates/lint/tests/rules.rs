@@ -34,52 +34,6 @@ fn assert_diags(src: &str, diags: &[Diagnostic], expected: &[(u32, &str, RuleId)
 }
 
 #[test]
-fn no_hashmap_fires_on_fixture() {
-    let src = include_str!("fixtures/no_hashmap.rs");
-    let diags = lint_source("crates/x/src/seeded.rs", src);
-    assert_diags(
-        src,
-        &diags,
-        &[
-            (3, "HashMap", RuleId::NoHashmap),
-            (4, "HashSet", RuleId::NoHashmap),
-            (6, "HashMap", RuleId::NoHashmap),
-            (7, "HashMap", RuleId::NoHashmap),
-            // `#[cfg(feature = "fastest")]` is shipped code; the
-            // `#[cfg(all(test, unix))]` module on line 28 is not.
-            (24, "HashSet", RuleId::NoHashmap),
-            (25, "HashSet", RuleId::NoHashmap),
-        ],
-    );
-    assert!(
-        diags[0].message.contains("BTreeMap"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn no_wallclock_fires_on_fixture() {
-    let src = include_str!("fixtures/no_wallclock.rs");
-    let diags = lint_source("crates/x/src/seeded.rs", src);
-    assert_diags(
-        src,
-        &diags,
-        &[
-            (3, "Instant", RuleId::NoWallclock),
-            (6, "Instant", RuleId::NoWallclock),
-            (10, "SystemTime", RuleId::NoWallclock),
-            (11, "SystemTime", RuleId::NoWallclock),
-        ],
-    );
-    assert!(
-        diags[0].message.contains("pvtm_telemetry::clock"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
 fn no_float_eq_fires_on_fixture() {
     let src = include_str!("fixtures/no_float_eq.rs");
     let diags = lint_source("crates/x/src/seeded.rs", src);
@@ -279,11 +233,7 @@ fn walker_lints_the_fixture_tree() {
     assert_eq!(
         pairs,
         vec![
-            ("crates/sram/src/bad.rs", RuleId::NoHashmap),
-            ("crates/sram/src/bad.rs", RuleId::NoHashmap),
             ("crates/sram/src/bad.rs", RuleId::PanicPolicy),
-            ("src/bad_env.rs", RuleId::NoWallclock),
-            ("src/bad_env.rs", RuleId::NoWallclock),
             ("src/bad_env.rs", RuleId::TelemetryTaxonomy),
             ("src/bad_env.rs", RuleId::KnobCoverage),
             ("src/bad_env.rs", RuleId::NoFloatEq),

@@ -1,11 +1,15 @@
 //! The workspace's only wall-clock access point.
 //!
-//! Every other crate is forbidden (by `pvtm-lint`'s `no-wallclock` rule)
-//! from touching `std::time::Instant`/`SystemTime` directly: timing must
-//! flow through a [`Stopwatch`], which reads the clock only while
-//! [`crate::clock_enabled`] is true. With `PVTM_TELEMETRY_CLOCK=off` every
-//! stopwatch reports zero, which is what keeps telemetry sidecars and
-//! bench reports byte-identical across runs.
+//! Every other crate is forbidden (by clippy's `disallowed_types`, see
+//! `clippy.toml`) from touching `std::time::Instant`/`SystemTime`
+//! directly: timing must flow through a [`Stopwatch`], which reads the
+//! clock only while [`crate::clock_enabled`] is true. With
+//! `PVTM_TELEMETRY_CLOCK=off` every stopwatch reports zero, which is what
+//! keeps telemetry sidecars and bench reports byte-identical across runs.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned clock: every read sits behind the clock gate"
+)]
 
 use std::time::Instant;
 

@@ -56,7 +56,6 @@ pub mod events;
 pub mod fault;
 pub mod json;
 mod report;
-mod trace_events;
 
 pub use report::{
     HealthCheck, HealthEntry, HistBucket, HistRow, Report, Sidecar, SidecarError, SolverSummary,
@@ -258,8 +257,8 @@ pub struct SolverStats {
 impl SolverStats {
     /// The name table: every counter beside its sidecar member name, in
     /// the sidecar's member order. Merging, differencing, the sidecar's
-    /// writer and reader, the Perfetto trace's span arguments and
-    /// `pvtm-trace`'s `diff` and `check` all go through it.
+    /// writer and reader and `pvtm-trace`'s `diff` and `check` all go
+    /// through it.
     pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64); 13] {
         [
             ("solves", &mut self.solves),

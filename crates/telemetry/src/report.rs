@@ -10,9 +10,8 @@ use crate::{ChunkStat, Global, HealthChunk, Mode, QuarantineRecord, SolverStats}
 
 /// Current sidecar schema version. Version 2 added `schema_version` itself
 /// plus per-span attribution (`self_ns`, solver counters per span);
-/// version 3 adds per-trace estimator-health objects, per-span rescue
-/// counters, and derived `mc.*` health gauges. [`Sidecar::parse`] reads
-/// this version only.
+/// version 3 adds per-trace estimator-health objects and per-span rescue
+/// counters. [`Sidecar::parse`] reads this version only.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// One span path's aggregate, with self/child-time and solver attribution.
@@ -202,10 +201,6 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
             }
         })
         .collect();
-    let mut gauges: Vec<(String, f64)> =
-        g.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect();
-    gauges.extend(derived_health_gauges(&traces));
-    gauges.sort_by(|a, b| a.0.cmp(&b.0));
     Report {
         mode,
         clock,
@@ -226,7 +221,7 @@ pub(crate) fn build(g: &Global, mode: Mode, clock: bool) -> Report {
             .iter()
             .map(|(&k, &v)| (k.to_string(), v))
             .collect(),
-        gauges,
+        gauges: g.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
         histograms: g
             .hists
             .iter()
@@ -431,37 +426,6 @@ pub struct HealthCheck {
     pub tag: &'static str,
     /// The observed value against its threshold.
     pub detail: String,
-}
-
-/// The run-level `mc.*` health gauges derived from per-trace health:
-/// worst case across traces — minimum ESS / ESS fraction over weighted
-/// traces, maximum weight concentration and stall ratio over all traces.
-/// Derived here (not `gauge_set` from workers) because gauges merge by
-/// maximum, which would invert the min-ESS semantics.
-fn derived_health_gauges(traces: &[TraceRow]) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let healths: Vec<&TraceHealth> = traces.iter().filter_map(|t| t.health.as_ref()).collect();
-    if healths.is_empty() {
-        return out;
-    }
-    let weighted: Vec<&&TraceHealth> = healths.iter().filter(|h| h.has_weights).collect();
-    if !weighted.is_empty() {
-        let ess = weighted.iter().map(|h| h.ess).fold(f64::INFINITY, f64::min);
-        let essf = weighted
-            .iter()
-            .map(|h| h.ess_fraction)
-            .fold(f64::INFINITY, f64::min);
-        let wf = weighted
-            .iter()
-            .map(|h| h.max_weight_fraction)
-            .fold(0.0, f64::max);
-        out.push(("mc.ess".to_string(), ess));
-        out.push(("mc.ess_fraction".to_string(), essf));
-        out.push(("mc.max_weight_fraction".to_string(), wf));
-    }
-    let stall = healths.iter().map(|h| h.stall_ratio).fold(0.0, f64::max);
-    out.push(("mc.stall_ratio".to_string(), stall));
-    out
 }
 
 impl Report {
@@ -1120,7 +1084,10 @@ mod tests {
                 span("fig/mc.chunk", 4_000, 0, (6, 4)),
             ],
             counters: vec![("eval.margins".into(), 12), ("mc.samples".into(), 8192)],
-            gauges: vec![("mc.ess".into(), 739.35), ("mc.stall_ratio".into(), 1.0)],
+            gauges: vec![
+                ("mc.quarantine_ci_share".into(), 0.0812),
+                ("mc.quarantine_fail_bound".into(), 1.2e-3),
+            ],
             histograms: vec![HistRow {
                 name: "mc.is_weight".into(),
                 count: 10,

@@ -4,7 +4,7 @@
 //! Where `check` ratchets *work* (how many solves a figure spends),
 //! `health` ratchets *confidence* (whether the estimate those solves buy
 //! can be trusted). The inputs are the sidecar's per-trace health
-//! block and the derived `mc.*` gauges, all of which are byte-identical
+//! block and its `mc.quarantine_ci_share` gauge, both byte-identical
 //! across runs under `PVTM_TELEMETRY_CLOCK=off`, so this gate has the
 //! same zero-flake property as the perf budgets.
 //!

@@ -147,6 +147,10 @@ pub trait SeedableRng: Sized {
 
     /// Builds a generator from OS-provided entropy (here: a time-derived
     /// seed; this shim has no OS entropy source).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "stands in for the OS entropy source of the published crate"
+    )]
     fn from_entropy() -> Self {
         let t = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
