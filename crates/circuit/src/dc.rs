@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::linalg::Matrix;
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
-use pvtm_device::Bias;
+use pvtm_device::{Bias, MosfetAt};
 use pvtm_telemetry::fault;
 use pvtm_telemetry::json::Value;
 use pvtm_telemetry::SolverStats;
@@ -111,25 +111,33 @@ pub(crate) struct DcWorkspace {
     res: Vec<f64>,
     rhs: Vec<f64>,
     x_old: Vec<f64>,
-    /// Drain current of each MOSFET (netlist order) at the state of the
-    /// last residual pass, where the Jacobian pass differences from.
-    ids: Vec<f64>,
+    /// Each MOSFET of the system Newton runs on, in netlist order.
+    mos: Vec<MosfetEval>,
     /// Counters accumulated by every solve run through this workspace.
     pub(crate) stats: SolverStats,
 }
 
 impl DcWorkspace {
-    /// Resizes the scratch buffers for a system of `n` unknowns and
-    /// `num_mosfets` transistors.
-    fn ensure(&mut self, n: usize, num_mosfets: usize) {
+    /// Resizes the scratch buffers for a system of `n` unknowns.
+    fn ensure(&mut self, n: usize) {
         if self.jac.n() != n {
             self.jac = Matrix::zeros(n);
             self.res = vec![0.0; n];
             self.rhs = vec![0.0; n];
             self.x_old = vec![0.0; n];
         }
-        self.ids.resize(num_mosfets, 0.0);
     }
+}
+
+/// One MOSFET within a Newton run: its model constants at the netlist's
+/// temperature, filled at the start of the run ([`System::load_mosfets`]),
+/// since the devices and the temperature cannot change within it, and its
+/// drain current at the state of the last residual pass, where the
+/// Jacobian pass differences from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosfetEval {
+    at: MosfetAt,
+    id: f64,
 }
 
 /// A converged DC operating point.
@@ -280,9 +288,23 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Assembles the residual `f(x)` at state `x`, keeping each MOSFET's
-    /// drain current in `ids` (netlist order) for a [`Self::jacobian`] pass
-    /// at the same `x`.
+    /// Fills `mos` with the model constants of each MOSFET (netlist order)
+    /// at the netlist's temperature, for the passes of one Newton run.
+    pub(crate) fn load_mosfets(&self, mos: &mut Vec<MosfetEval>) {
+        let temp = self.netlist.temperature();
+        mos.clear();
+        mos.extend(self.netlist.elements().iter().filter_map(|(_, e)| match e {
+            Element::Mosfet { device, .. } => Some(MosfetEval {
+                at: device.at(temp),
+                id: 0.0,
+            }),
+            _ => None,
+        }));
+    }
+
+    /// Assembles the residual `f(x)` at state `x` from the MOSFET constants
+    /// in `mos` ([`Self::load_mosfets`]), keeping each MOSFET's drain
+    /// current there for a [`Self::jacobian`] pass at the same `x`.
     ///
     /// `gmin` adds a conductance from every free node to ground.
     /// `vsource_scale` multiplies every voltage-source value (the
@@ -296,12 +318,11 @@ impl<'a> System<'a> {
         vsource_scale: f64,
         companion: Option<&Companion<'_>>,
         res: &mut [f64],
-        ids: &mut [f64],
+        mos: &mut [MosfetEval],
     ) {
         debug_assert_eq!(x.len(), self.num_unknowns);
-        debug_assert_eq!(ids.len(), self.num_mosfets);
+        debug_assert_eq!(mos.len(), self.num_mosfets);
         res.fill(0.0);
-        let temp = self.netlist.temperature();
 
         // Gmin to ground on every free node.
         for i in 0..self.num_free_nodes {
@@ -345,11 +366,12 @@ impl<'a> System<'a> {
                     Self::kcl(res, *from, -amps);
                     Self::kcl(res, *to, *amps);
                 }
-                Element::Mosfet { d, g, s, b, device } => {
+                Element::Mosfet { d, g, s, b, .. } => {
                     let bias =
                         Bias::new(self.v(x, *g), self.v(x, *d), self.v(x, *s), self.v(x, *b));
-                    let id = device.at(temp).ids(bias);
-                    ids[mos_idx] = id;
+                    let m = &mut mos[mos_idx];
+                    let id = m.at.ids(bias);
+                    m.id = id;
                     mos_idx += 1;
                     // The channel draws `id` out of the drain node and
                     // returns it at the source node.
@@ -364,7 +386,7 @@ impl<'a> System<'a> {
     }
 
     /// Assembles the Jacobian `df/dx` at the state `x` of the last
-    /// [`Self::residual`] pass, whose drain currents `ids` anchor the
+    /// [`Self::residual`] pass, whose drain currents in `mos` anchor the
     /// MOSFETs' forward differences. Companion capacitors need only `dt`.
     ///
     /// Entries accumulate in a fixed order, the Gmin diagonal first and
@@ -375,13 +397,12 @@ impl<'a> System<'a> {
         x: &[f64],
         gmin: f64,
         companion: Option<&Companion<'_>>,
-        ids: &[f64],
+        mos: &[MosfetEval],
         jac: &mut Matrix,
     ) {
         debug_assert_eq!(x.len(), self.num_unknowns);
-        debug_assert_eq!(ids.len(), self.num_mosfets);
+        debug_assert_eq!(mos.len(), self.num_mosfets);
         jac.clear();
-        let temp = self.netlist.temperature();
 
         for i in 0..self.num_free_nodes {
             jac.add(i, i, -gmin);
@@ -412,11 +433,10 @@ impl<'a> System<'a> {
                     }
                 }
                 Element::Isource { .. } => {}
-                Element::Mosfet { d, g, s, b, device } => {
-                    let at = device.at(temp);
+                Element::Mosfet { d, g, s, b, .. } => {
+                    let MosfetEval { at, id } = mos[mos_idx];
                     let bias =
                         Bias::new(self.v(x, *g), self.v(x, *d), self.v(x, *s), self.v(x, *b));
-                    let id = ids[mos_idx];
                     mos_idx += 1;
 
                     // Numeric partial derivatives wrt each terminal.
@@ -477,7 +497,8 @@ impl<'a> System<'a> {
     }
 
     /// Runs damped Newton at a fixed Gmin from the given state within
-    /// `limits`, using the workspace's scratch buffers.
+    /// `limits`, using the workspace's scratch buffers. The MOSFET
+    /// constants are loaded once, at the start of the run.
     ///
     /// Returns the residual norm achieved; the state is updated in place.
     pub(crate) fn newton(
@@ -490,17 +511,18 @@ impl<'a> System<'a> {
         ws: &mut DcWorkspace,
     ) -> Result<f64, CircuitError> {
         let n = self.num_unknowns;
-        ws.ensure(n, self.num_mosfets);
+        ws.ensure(n);
+        self.load_mosfets(&mut ws.mos);
         let DcWorkspace {
             jac,
             res,
             rhs,
             x_old,
-            ids,
+            mos,
             stats,
         } = ws;
 
-        self.residual(x, gmin, vsource_scale, companion, res, ids);
+        self.residual(x, gmin, vsource_scale, companion, res, mos);
         let mut norm = self.kcl_norm(res);
         debug_assert!(
             norm.is_finite(),
@@ -514,7 +536,7 @@ impl<'a> System<'a> {
             stats.newton_iterations += 1;
             stats.lu_factorizations += 1;
             // Solve J Δx = -f, with J taken where `res` was: at `x`.
-            self.jacobian(x, gmin, companion, ids, jac);
+            self.jacobian(x, gmin, companion, mos, jac);
             for i in 0..n {
                 rhs[i] = -res[i];
             }
@@ -547,7 +569,7 @@ impl<'a> System<'a> {
                 for xi in x.iter_mut().take(self.num_free_nodes) {
                     *xi = xi.clamp(-10.0, 10.0);
                 }
-                self.residual(x, gmin, vsource_scale, companion, res, ids);
+                self.residual(x, gmin, vsource_scale, companion, res, mos);
                 let new_norm = self.kcl_norm(res);
                 if new_norm < norm || new_norm < limits.tol {
                     norm = new_norm;
@@ -891,8 +913,9 @@ mod tests {
         let sol = ckt.solve_dc().unwrap();
         let sys = System::new(&ckt);
         let mut res = vec![0.0; sys.num_unknowns];
-        let mut ids = vec![0.0; sys.num_mosfets];
-        sys.residual(sol.state(), GMIN_FINAL, 1.0, None, &mut res, &mut ids);
+        let mut mos = Vec::new();
+        sys.load_mosfets(&mut mos);
+        sys.residual(sol.state(), GMIN_FINAL, 1.0, None, &mut res, &mut mos);
         assert!(sys.kcl_norm(&res) < 1e-9);
     }
 

@@ -430,8 +430,14 @@ mod tests {
     }
 
     fn inverter() -> Netlist {
+        inverter_at(300.0, 0.0)
+    }
+
+    /// The inverter at `temp_k`, with `dvt` on its NMOS.
+    fn inverter_at(temp_k: f64, dvt: f64) -> Netlist {
         let tech = Technology::predictive_70nm();
         let mut ckt = Netlist::new();
+        ckt.set_temperature(temp_k);
         let vdd = ckt.node("vdd");
         let input = ckt.node("in");
         let out = ckt.node("out");
@@ -451,7 +457,7 @@ mod tests {
             input,
             Netlist::GROUND,
             Netlist::GROUND,
-            Mosfet::nmos(&tech, 140e-9, tech.lmin()),
+            Mosfet::nmos(&tech, 140e-9, tech.lmin()).with_delta_vt(dvt),
         );
         ckt
     }
@@ -471,6 +477,48 @@ mod tests {
         assert_eq!(tpl.solution(), divider().solve_dc().unwrap());
         let v1 = tpl.vsource_slot("V1").unwrap();
         assert_eq!(tpl.branch_current(v1), plain.branch_current(v1));
+    }
+
+    #[test]
+    fn a_patched_template_solves_as_a_fresh_compile() {
+        // Solve, patch the temperature or a device, drop the warm seed and
+        // solve again: that solve must be, state and counters bit for bit,
+        // the first solve of a fresh compile of the patched netlist. MOSFET
+        // constants kept past the Newton run that loaded them would solve
+        // at the old values.
+        let tech = Technology::predictive_70nm();
+        let vin = 0.45;
+        for patch_device in [false, true] {
+            let (temp_k, dvt) = if patch_device {
+                (300.0, 0.05)
+            } else {
+                (350.0, 0.0)
+            };
+            let mut tpl = CircuitTemplate::compile(inverter(), DcOptions::default()).unwrap();
+            let input = tpl.vsource_slot("VIN").unwrap();
+            tpl.set_vsource(input, vin).unwrap();
+            tpl.solve().unwrap();
+            if patch_device {
+                let mn = tpl.mosfet_slot("MN").unwrap();
+                let nmos = Mosfet::nmos(&tech, 140e-9, tech.lmin()).with_delta_vt(dvt);
+                tpl.set_device(mn, nmos).unwrap();
+            } else {
+                tpl.set_temperature(temp_k);
+            }
+            tpl.invalidate_warm();
+            let before = *tpl.stats();
+            tpl.solve().unwrap();
+
+            let ckt = inverter_at(temp_k, dvt);
+            let mut fresh = CircuitTemplate::compile(ckt, DcOptions::default()).unwrap();
+            fresh.set_vsource(input, vin).unwrap();
+            fresh.solve().unwrap();
+            let bits = |t: &CircuitTemplate| -> Vec<u64> {
+                t.state().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&tpl), bits(&fresh), "{temp_k} K, dvt {dvt}");
+            assert_eq!(tpl.stats().delta_since(&before), *fresh.stats());
+        }
     }
 
     #[test]

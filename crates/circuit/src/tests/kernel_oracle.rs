@@ -2,9 +2,9 @@
 //!
 //! The kernel assembles the residual at every point Newton evaluates and
 //! the Jacobian only where it factorizes, evaluates each MOSFET's model
-//! constants once per pass, and skips the zeros of each pivot row in its
-//! LU. The combined residual-and-Jacobian assembler, the dense LU and the
-//! Newton loop that drove them before are kept here verbatim. The
+//! constants once per Newton run, and skips the zeros of each pivot row in
+//! its LU. The combined residual-and-Jacobian assembler, the dense LU and
+//! the Newton loop that drove them before are kept here verbatim. The
 //! proptests require the kernel to reproduce them bit for bit on
 //! hand-built copies of the four cell circuits `pvtm-sram` solves (read
 //! divider, write level, 6T hold cell, loaded inverter) and on one circuit
@@ -448,9 +448,10 @@ proptest! {
             let (mut jac_ref, mut res_ref) = (Matrix::zeros(n), vec![0.0; n]);
             sys.assemble_reference(&x, gmin, scale, companion, &mut jac_ref, &mut res_ref);
             let (mut jac, mut res) = (Matrix::zeros(n), vec![0.0; n]);
-            let mut ids = vec![0.0; sys.num_mosfets];
-            sys.residual(&x, gmin, scale, companion, &mut res, &mut ids);
-            sys.jacobian(&x, gmin, companion, &ids, &mut jac);
+            let mut mos = Vec::new();
+            sys.load_mosfets(&mut mos);
+            sys.residual(&x, gmin, scale, companion, &mut res, &mut mos);
+            sys.jacobian(&x, gmin, companion, &mos, &mut jac);
             prop_assert!(bits(&res) == bits(&res_ref), "{name}: residual differs");
             prop_assert!(
                 matrix_bits(&jac) == matrix_bits(&jac_ref),

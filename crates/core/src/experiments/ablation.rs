@@ -105,6 +105,7 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
     let dies = (effort.dies * 40).max(2_000);
     let yield_for = |binner: &LeakageBinner, noisy: bool, seed: u64| -> (f64, f64) {
         let mut rng = pvtm_stats::rng::substream(seed, 0);
+        let mut model = org.redundancy_model();
         let mut pass = 0usize;
         let mut misbins = 0usize;
         for _ in 0..dies {
@@ -125,7 +126,7 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
                 VtRegion::HighVt => 2,
             };
             let p = log_interp(&corners, &p_cell[bi], corner).min(1.0);
-            if rng.gen::<f64>() > org.memory_failure_prob(p) {
+            if rng.gen::<f64>() > model.memory_failure_prob(p) {
                 pass += 1;
             }
         }

@@ -7,7 +7,6 @@ use std::fmt;
 use pvtm_bist::{Dac, MarchTest};
 use pvtm_circuit::CircuitError;
 use pvtm_sram::ArrayOrganization;
-use pvtm_stats::special::binomial_sf;
 use pvtm_stats::Histogram;
 
 use super::{baseline, Effort, Fig2c};
@@ -27,14 +26,11 @@ const VSB_HI: f64 = 0.74;
 /// column-redundancy model by bisection in log space).
 pub fn cell_target_for_memory(org: &ArrayOrganization, p_mem: f64) -> f64 {
     assert!(p_mem > 0.0 && p_mem < 1.0, "invalid memory target {p_mem}");
-    let mem_prob = |p_cell: f64| -> f64 {
-        let p_col = org.column_failure_prob(p_cell);
-        binomial_sf(org.cols as u64, org.redundant_cols as u64, p_col)
-    };
+    let mut model = org.redundancy_model();
     let (mut lo, mut hi) = (-30.0f64, 0.0f64); // ln p_cell bounds
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if mem_prob(mid.exp()) > p_mem {
+        if model.memory_failure_prob(mid.exp()) > p_mem {
             hi = mid;
         } else {
             lo = mid;
@@ -176,8 +172,7 @@ pub(crate) fn build_engine(effort: Effort) -> Result<(AsbEngine, f64), CircuitEr
 /// Memory-level hold failure probability from the hold grid.
 fn memory_hold_prob(engine: &AsbEngine, org: &ArrayOrganization, corner: f64, vsb: f64) -> f64 {
     let p_cell = engine.hold_grid().failure_prob(corner, vsb);
-    let p_col = org.column_failure_prob(p_cell.min(1.0));
-    binomial_sf(org.cols as u64, org.redundant_cols as u64, p_col)
+    org.memory_failure_prob(p_cell.min(1.0))
 }
 
 /// Reproduces Fig. 8: `VSB(adaptive)` tracks the per-corner ceiling while a
@@ -522,8 +517,7 @@ mod tests {
     fn cell_target_inverts_the_redundancy_model() {
         let org = ArrayOrganization::with_capacity_kib(32, 0.05);
         let p_cell = cell_target_for_memory(&org, 1e-3);
-        let p_col = org.column_failure_prob(p_cell);
-        let p_mem = binomial_sf(org.cols as u64, org.redundant_cols as u64, p_col);
+        let p_mem = org.memory_failure_prob(p_cell);
         assert!(
             (p_mem.ln() - (1e-3f64).ln()).abs() < 0.05,
             "inversion off: p_mem = {p_mem:.3e}"

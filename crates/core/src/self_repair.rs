@@ -306,9 +306,15 @@ impl CornerResponse {
     /// Overall cell failure probability at an arbitrary corner
     /// (log-interpolated).
     pub fn p_cell(&self, corner: f64, policy: Policy) -> f64 {
+        self.p_cell_curve(policy)(corner)
+    }
+
+    /// [`Self::p_cell`] as a function of the corner, for evaluating it at
+    /// many corners: the interpolation tables are built once.
+    fn p_cell_curve(&self, policy: Policy) -> impl Fn(f64) -> f64 {
         let xs = self.corners();
         let ys: Vec<f64> = self.probs(policy).map(|p| p.overall()).collect();
-        log_interp(&xs, &ys, corner).min(1.0)
+        move |corner| log_interp(&xs, &ys, corner).min(1.0)
     }
 
     /// Memory failure probability at a corner (redundancy model).
@@ -329,8 +335,12 @@ impl CornerResponse {
     /// sharp), so the expectation uses a dense trapezoid rule over ±6σ
     /// rather than Gauss–Hermite, which rings on discontinuities.
     pub fn parametric_yield(&self, sigma_inter: f64, policy: Policy) -> f64 {
+        // `memory_failure_prob` at every point, with the tables and the
+        // binomial coefficients built once for the whole integral.
+        let p_cell = self.p_cell_curve(policy);
+        let mut model = self.org.redundancy_model();
         gaussian_expect(sigma_inter, |corner| {
-            1.0 - self.memory_failure_prob(corner, policy)
+            1.0 - model.memory_failure_prob(p_cell(corner))
         })
         .clamp(0.0, 1.0)
     }

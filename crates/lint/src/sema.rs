@@ -74,7 +74,6 @@ const RNG_MAKERS: &[&str] = &[
     "seeded_rng",
     "seed_from_u64",
     "from_seed",
-    "from_entropy",
     "StdRng",
     "SmallRng",
 ];

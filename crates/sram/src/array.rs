@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::leakage::LeakageStats;
-use pvtm_stats::special::{binomial_sf, norm_cdf};
+use pvtm_stats::special::{norm_cdf, BinomialTail};
 
 /// Physical organization of a memory array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -115,8 +115,16 @@ impl ArrayOrganization {
     /// Memory failure probability: more faulty columns than spares
     /// (paper's yield model; the complement feeds Eq. (1)).
     pub fn memory_failure_prob(&self, p_cell: f64) -> f64 {
-        let p_col = self.column_failure_prob(p_cell);
-        binomial_sf(self.cols as u64, self.redundant_cols as u64, p_col)
+        self.redundancy_model().memory_failure_prob(p_cell)
+    }
+
+    /// The redundancy model of this organization, for evaluating
+    /// [`Self::memory_failure_prob`] at many cell failure probabilities.
+    pub fn redundancy_model(&self) -> RedundancyModel {
+        RedundancyModel {
+            org: *self,
+            tail: BinomialTail::new(self.cols as u64, self.redundant_cols as u64),
+        }
     }
 
     /// Expected number of faulty columns.
@@ -160,6 +168,24 @@ pub struct ArrayYield {
     pub leakage: f64,
 }
 
+/// [`ArrayOrganization::memory_failure_prob`] for one organization at many
+/// cell failure probabilities: one [`BinomialTail`] of its `(columns,
+/// spares)` pair keeps the binomial coefficients across calls.
+#[derive(Debug, Clone)]
+pub struct RedundancyModel {
+    org: ArrayOrganization,
+    tail: BinomialTail,
+}
+
+impl RedundancyModel {
+    /// [`ArrayOrganization::memory_failure_prob`] at cell failure
+    /// probability `p_cell`.
+    pub fn memory_failure_prob(&mut self, p_cell: f64) -> f64 {
+        let p_col = self.org.column_failure_prob(p_cell);
+        self.tail.sf(p_col)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,11 +215,13 @@ mod tests {
     #[test]
     fn memory_failure_monotone_in_cell_prob() {
         let org = ArrayOrganization::with_capacity_kib(64, 0.05);
+        let mut model = org.redundancy_model();
         let mut prev = -1.0;
         for &p in &[0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
             let pm = org.memory_failure_prob(p);
             assert!(pm >= prev, "non-monotone at p={p}");
             assert!((0.0..=1.0).contains(&pm));
+            assert_eq!(model.memory_failure_prob(p).to_bits(), pm.to_bits());
             prev = pm;
         }
     }

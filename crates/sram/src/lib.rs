@@ -41,7 +41,7 @@ pub mod failure;
 pub mod leakage;
 
 pub use analysis::{AnalysisConfig, Margins};
-pub use array::{ArrayOrganization, ArrayYield};
+pub use array::{ArrayOrganization, ArrayYield, RedundancyModel};
 pub use cell::{CellSizing, Conditions, SramCell, Xtor};
 pub use evaluator::CellEvaluator;
 pub use failure::{FailureAnalyzer, FailureProbs};

@@ -263,24 +263,128 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
 }
 
-/// Log of the binomial PMF `P[X = k]` for `X ~ Binomial(n, p)`.
+/// The lower and upper binomial tails of one `(n, k)` pair, for
+/// evaluating them at many probabilities `p`.
 ///
-/// Stable for tiny `p` (down to 1e-300) where the direct formula underflows.
-pub fn ln_binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must lie in [0,1], got {p}");
-    // pvtm-lint: allow(no-float-eq) degenerate Bernoulli endpoint has an exact log-pmf
-    if p == 0.0 {
-        return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
+/// The log coefficients `ln C(n, i)` that the tails sum are computed by
+/// [`ln_choose`] on first use and kept, and `ln p` and `ln(1 − p)` once
+/// per call. The sums run the same operations in the same order as a
+/// per-term evaluation of `ln P[X = i]`, so every result is bitwise that
+/// evaluation's (the unit tests keep it as the oracle). [`binomial_cdf`]
+/// and [`binomial_sf`] are one-shot wrappers over it.
+///
+/// # Example
+///
+/// ```
+/// use pvtm_stats::special::{binomial_sf, BinomialTail};
+/// let mut tail = BinomialTail::new(2048, 102);
+/// for p in [1e-3, 0.04, 0.06] {
+///     assert_eq!(tail.sf(p).to_bits(), binomial_sf(2048, 102, p).to_bits());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct BinomialTail {
+    n: u64,
+    k: u64,
+    /// `ln C(n, i)` for `i < ln_choose.len()`, grown as far as a sum reaches.
+    ln_choose: Vec<f64>,
+    /// The log terms of the current sum.
+    terms: Vec<f64>,
+}
+
+impl BinomialTail {
+    /// The tails `P[X <= k]` and `P[X > k]` of `X ~ Binomial(n, p)`.
+    pub fn new(n: u64, k: u64) -> Self {
+        Self {
+            n,
+            k,
+            ln_choose: Vec::new(),
+            terms: Vec::new(),
+        }
     }
-    // pvtm-lint: allow(no-float-eq) degenerate Bernoulli endpoint has an exact log-pmf
-    if p == 1.0 {
-        return if k == n { 0.0 } else { f64::NEG_INFINITY };
+
+    /// Lower tail `P[X <= k]`, evaluated by log-domain summation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < n` and `p` is outside `[0, 1]`.
+    pub fn cdf(&mut self, p: f64) -> f64 {
+        if self.k >= self.n {
+            return 1.0;
+        }
+        self.log_sum(p, false)
     }
-    ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
+
+    /// Survival function `P[X > k]`, stable when the tail is tiny (sums
+    /// the complementary side when that is cheaper / more accurate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < n` and `p` is outside `[0, 1]`.
+    pub fn sf(&mut self, p: f64) -> f64 {
+        if self.k >= self.n {
+            return 0.0;
+        }
+        let mean = self.n as f64 * p;
+        if (self.k as f64) < mean {
+            // The upper tail dominates; 1 - CDF is well conditioned.
+            1.0 - self.cdf(p)
+        } else {
+            self.log_sum(p, true)
+        }
+    }
+
+    /// `Σ P[X = i]` in the log domain with the running max trick, over
+    /// `i = 0..=k`, or over `i = k+1..=n` (`upper`) truncated once terms
+    /// fall 60 nats below the running max.
+    fn log_sum(&mut self, p: f64, upper: bool) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "p must lie in [0,1], got {p}");
+        let Self {
+            n,
+            k,
+            ln_choose: coefficients,
+            terms,
+        } = self;
+        let (n, k) = (*n, *k);
+        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+        let mut ln_pmf = |i: u64| -> f64 {
+            // pvtm-lint: allow(no-float-eq) degenerate Bernoulli endpoint has an exact log-pmf
+            if p == 0.0 {
+                return if i == 0 { 0.0 } else { f64::NEG_INFINITY };
+            }
+            // pvtm-lint: allow(no-float-eq) degenerate Bernoulli endpoint has an exact log-pmf
+            if p == 1.0 {
+                return if i == n { 0.0 } else { f64::NEG_INFINITY };
+            }
+            while coefficients.len() as u64 <= i {
+                coefficients.push(ln_choose(n, coefficients.len() as u64));
+            }
+            coefficients[i as usize] + i as f64 * ln_p + (n - i) as f64 * ln_q
+        };
+        terms.clear();
+        let mut max_ln = f64::NEG_INFINITY;
+        let range = if upper { k + 1..=n } else { 0..=k };
+        for i in range {
+            let l = ln_pmf(i);
+            if l > max_ln {
+                max_ln = l;
+            }
+            terms.push(l);
+            if upper && l < max_ln - 60.0 && i > k + 4 {
+                break;
+            }
+        }
+        // pvtm-lint: allow(no-float-eq) NEG_INFINITY is the assigned empty-accumulator sentinel
+        if max_ln == f64::NEG_INFINITY {
+            return 0.0;
+        }
+        let sum: f64 = terms.iter().map(|l| (l - max_ln).exp()).sum();
+        (max_ln + sum.ln()).exp().min(1.0)
+    }
 }
 
 /// Lower binomial tail `P[X <= k]` for `X ~ Binomial(n, p)`, evaluated by
-/// log-domain summation.
+/// log-domain summation ([`BinomialTail::cdf`]).
 ///
 /// This is the memory-survival probability of the paper's redundancy model:
 /// a chip survives when the number of faulty columns is at most the number
@@ -296,64 +400,146 @@ pub fn ln_binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
 /// assert!((binomial_cdf(16, 16, 0.3) - 1.0).abs() < 1e-12);
 /// ```
 pub fn binomial_cdf(n: u64, k: u64, p: f64) -> f64 {
-    if k >= n {
-        return 1.0;
-    }
-    // Sum in the log domain with the running max trick.
-    let mut terms = Vec::with_capacity((k + 1) as usize);
-    let mut max_ln = f64::NEG_INFINITY;
-    for i in 0..=k {
-        let l = ln_binomial_pmf(n, i, p);
-        if l > max_ln {
-            max_ln = l;
-        }
-        terms.push(l);
-    }
-    // pvtm-lint: allow(no-float-eq) NEG_INFINITY is the assigned empty-accumulator sentinel
-    if max_ln == f64::NEG_INFINITY {
-        return 0.0;
-    }
-    let sum: f64 = terms.iter().map(|l| (l - max_ln).exp()).sum();
-    (max_ln + sum.ln()).exp().min(1.0)
+    BinomialTail::new(n, k).cdf(p)
 }
 
-/// Survival function `P[X > k]` of the binomial, stable when the tail is
-/// tiny (sums the complementary side when that is cheaper / more accurate).
+/// Survival function `P[X > k]` of the binomial ([`BinomialTail::sf`]).
 pub fn binomial_sf(n: u64, k: u64, p: f64) -> f64 {
-    if k >= n {
-        return 0.0;
+    BinomialTail::new(n, k).sf(p)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Log of the binomial PMF `P[X = k]` for `X ~ Binomial(n, p)`, term by
+    /// term: with [`oracle_cdf`] and [`oracle_sf`], the evaluation that
+    /// [`BinomialTail`] must reproduce bit for bit.
+    fn ln_binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "p must lie in [0,1], got {p}");
+        if p == 0.0 {
+            return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
+        }
+        if p == 1.0 {
+            return if k == n { 0.0 } else { f64::NEG_INFINITY };
+        }
+        ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
     }
-    let mean = n as f64 * p;
-    if (k as f64) < mean {
-        // The upper tail dominates; 1 - CDF is well conditioned.
-        1.0 - binomial_cdf(n, k, p)
-    } else {
-        // Sum the upper tail directly in the log domain.
-        let mut terms = Vec::new();
+
+    /// `P[X <= k]` from [`ln_binomial_pmf`] at every term.
+    fn oracle_cdf(n: u64, k: u64, p: f64) -> f64 {
+        if k >= n {
+            return 1.0;
+        }
+        // Sum in the log domain with the running max trick.
+        let mut terms = Vec::with_capacity((k + 1) as usize);
         let mut max_ln = f64::NEG_INFINITY;
-        // Truncate once terms fall 60 nats below the running max.
-        for i in (k + 1)..=n {
+        for i in 0..=k {
             let l = ln_binomial_pmf(n, i, p);
             if l > max_ln {
                 max_ln = l;
             }
             terms.push(l);
-            if l < max_ln - 60.0 && i > k + 4 {
-                break;
-            }
         }
-        // pvtm-lint: allow(no-float-eq) NEG_INFINITY is the assigned empty-accumulator sentinel
         if max_ln == f64::NEG_INFINITY {
             return 0.0;
         }
         let sum: f64 = terms.iter().map(|l| (l - max_ln).exp()).sum();
         (max_ln + sum.ln()).exp().min(1.0)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// `P[X > k]` from [`ln_binomial_pmf`] at every term.
+    fn oracle_sf(n: u64, k: u64, p: f64) -> f64 {
+        if k >= n {
+            return 0.0;
+        }
+        let mean = n as f64 * p;
+        if (k as f64) < mean {
+            // The upper tail dominates; 1 - CDF is well conditioned.
+            1.0 - oracle_cdf(n, k, p)
+        } else {
+            // Sum the upper tail directly in the log domain.
+            let mut terms = Vec::new();
+            let mut max_ln = f64::NEG_INFINITY;
+            // Truncate once terms fall 60 nats below the running max.
+            for i in (k + 1)..=n {
+                let l = ln_binomial_pmf(n, i, p);
+                if l > max_ln {
+                    max_ln = l;
+                }
+                terms.push(l);
+                if l < max_ln - 60.0 && i > k + 4 {
+                    break;
+                }
+            }
+            if max_ln == f64::NEG_INFINITY {
+                return 0.0;
+            }
+            let sum: f64 = terms.iter().map(|l| (l - max_ln).exp()).sum();
+            (max_ln + sum.ln()).exp().min(1.0)
+        }
+    }
+
+    /// `(columns, spares)` of the figures' organizations (64 KB and 256 KB
+    /// at 102 spares, 32 KB at 5 %) and of smaller arrays.
+    const ORGS: [(u64, u64); 6] = [
+        (2048, 102),
+        (5120, 102),
+        (1024, 51),
+        (64, 3),
+        (512, 8),
+        (100, 5),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tail_matches_the_per_term_oracle_bitwise(
+            org in 0usize..12,
+            n_exp in 0.0f64..=1.0,
+            k_small in 0u64..=140,
+            k_frac in 0.0f64..=1.0,
+            draws in prop::collection::vec(0.0f64..1.0, 8),
+            picks in prop::collection::vec(0usize..16, 40),
+        ) {
+            // Half the cases take an organization above; the others draw n
+            // log-uniformly over 1..=9000 and k either small, as spare
+            // counts are, or anywhere in 0..=n.
+            let (n, k) = ORGS.get(org).copied().unwrap_or_else(|| {
+                let n = 9000f64.powf(n_exp).round().max(1.0) as u64;
+                let k = if org % 2 == 0 {
+                    k_small.min(n)
+                } else {
+                    (k_frac * n as f64).round() as u64
+                };
+                (n, k)
+            });
+            // Both sides of `sf`'s switch at `k < n·p`, the endpoints, a
+            // deep tail and log-uniform draws over [1e-30, 1).
+            let switch = k as f64 / n as f64;
+            let mut ps = vec![
+                0.0,
+                1.0,
+                1e-300,
+                switch,
+                switch.next_down().max(0.0),
+                switch.next_up().min(1.0),
+                switch * (1.0 - 1e-9),
+                (switch * (1.0 + 1e-9)).min(1.0),
+            ];
+            ps.extend(draws.iter().map(|u| 10f64.powf(-30.0 * (1.0 - u))));
+            // One tail for every p, in random order, so that the lazy
+            // coefficient table is grown from different first calls.
+            let mut tail = BinomialTail::new(n, k);
+            for &i in &picks {
+                let p = ps[i];
+                prop_assert_eq!(tail.cdf(p).to_bits(), oracle_cdf(n, k, p).to_bits());
+                prop_assert_eq!(tail.sf(p).to_bits(), oracle_sf(n, k, p).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {

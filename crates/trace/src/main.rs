@@ -10,7 +10,8 @@
 //!
 //! Exit codes: 0 success, 1 gate failure (budget exceeded / work-counter
 //! regression / estimator-health violation / a sidecar the telemetry
-//! writer would not write), 2 usage or I/O error.
+//! writer would not write / a followed journal that stopped growing
+//! unfinalized), 2 usage or I/O error.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -31,6 +32,12 @@ const USAGE: &str = "usage:
 
 const EXIT_GATE: u8 = 1;
 const EXIT_USAGE: u8 = 2;
+
+/// Consecutive polls that find an unfinalized journal's bytes unchanged
+/// before `tail --follow` takes its writer for gone: ten minutes at the
+/// default two-second interval. Polls are counted, not timed, since the
+/// stopwatch reads 0 under `PVTM_TELEMETRY_CLOCK=off`.
+const STALL_POLLS: u32 = 300;
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("pvtm-trace: {msg}\n{USAGE}");
@@ -257,10 +264,9 @@ fn cmd_tail(args: &[String]) -> ExitCode {
         return usage("tail needs an events.jsonl path");
     };
 
-    let read = |strict: bool| -> Result<pvtm_trace::Snapshot, String> {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        match Journal::parse(&text) {
+    let load = || std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"));
+    let parse = |text: &str, strict: bool| -> Result<pvtm_trace::Snapshot, String> {
+        match Journal::parse(text) {
             Ok(j) => Ok(snapshot(&j)),
             // While following, a mid-rewrite read can be transiently
             // malformed; report it and try again next tick.
@@ -272,7 +278,7 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     if !follow {
         // One-shot mode is also the CI schema validator: a contract
         // violation is a gate failure, not a usage error.
-        return match read(true) {
+        return match load().and_then(|text| parse(&text, true)) {
             Ok(s) => {
                 if json_out {
                     print!("{}", s.to_json());
@@ -292,8 +298,19 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     // 0.0, which simply suppresses the (inherently wall-clock) ETA line.
     let watch = pvtm_telemetry::clock::Stopwatch::started();
     let mut last: Option<String> = None;
+    let mut latest: Option<pvtm_trace::Snapshot> = None;
+    let mut bytes: Option<String> = None;
+    let mut unchanged = 0;
     loop {
-        match read(false) {
+        let text = load();
+        match &text {
+            Ok(t) if bytes.as_ref() != Some(t) => {
+                unchanged = 0;
+                bytes = Some(t.clone());
+            }
+            _ => unchanged += 1,
+        }
+        match text.and_then(|t| parse(&t, false)) {
             Ok(s) => {
                 let text = s.render(watch.elapsed_secs());
                 if last.as_deref() != Some(text.as_str()) {
@@ -303,8 +320,20 @@ fn cmd_tail(args: &[String]) -> ExitCode {
                 if s.finalized {
                     return ExitCode::SUCCESS;
                 }
+                latest = Some(s);
             }
             Err(e) => eprintln!("pvtm-trace tail: {e}"),
+        }
+        if unchanged >= STALL_POLLS {
+            // The writer is gone: end on the last frame, without an ETA.
+            if let Some(s) = &latest {
+                print!("{}", s.render(0.0));
+            }
+            eprintln!(
+                "pvtm-trace tail: FAIL — {path} stopped growing: unchanged for \
+                 {STALL_POLLS} polls and not finalized"
+            );
+            return ExitCode::from(EXIT_GATE);
         }
         std::thread::sleep(interval);
     }

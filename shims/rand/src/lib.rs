@@ -144,20 +144,6 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub trait SeedableRng: Sized {
     /// Builds a generator from a 64-bit seed.
     fn seed_from_u64(seed: u64) -> Self;
-
-    /// Builds a generator from OS-provided entropy (here: a time-derived
-    /// seed; this shim has no OS entropy source).
-    #[expect(
-        clippy::disallowed_types,
-        reason = "stands in for the OS entropy source of the published crate"
-    )]
-    fn from_entropy() -> Self {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9e3779b97f4a7c15);
-        Self::seed_from_u64(t)
-    }
 }
 
 /// Named generator types.
