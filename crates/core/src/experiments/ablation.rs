@@ -16,7 +16,7 @@ use super::{baseline, Effort};
 use crate::body_bias::BodyBiasGenerator;
 use crate::interp::{linspace, log_interp};
 use crate::monitor::{LeakageBinner, LeakageMonitor, VtRegion};
-use crate::self_repair::{SelfRepairConfig, SelfRepairingMemory};
+use crate::self_repair::{Policy, SelfRepairConfig, SelfRepairingMemory};
 
 // ------------------------------------------------------- monitor ablation
 
@@ -67,29 +67,22 @@ pub fn ablation_monitor(effort: Effort) -> Result<MonitorAblation, CircuitError>
     let biases = [gen.rbb(), 0.0, gen.fbb()];
     let hold_vsb = memory.config().hold_vsb;
     let mut p_cell = vec![vec![0.0f64; corners.len()]; 3];
-    let ctx = pvtm_telemetry::parallel_context();
-    let flat: Vec<(usize, usize, f64, bool)> = (0..3)
+    let cells: Vec<(usize, usize)> = (0..3)
         .flat_map(|bi| (0..corners.len()).map(move |ci| (bi, ci)))
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map_init(
-            || (pvtm_telemetry::adopt(&ctx), fa.evaluator()),
-            |(_ctx, ev), &(bi, ci)| {
-                ev.invalidate_warm();
-                let cond = Conditions::standby(&tech, hold_vsb).with_body_bias(biases[bi]);
-                match fa.failure_probs_with(ev, corners[ci], &cond) {
-                    Ok(m) => (bi, ci, m.overall(), false),
-                    Err(e) => {
-                        // Pessimistic substitution: a corner whose solve
-                        // stays unresolved after the rescue ladder is
-                        // treated as certain failure and quarantined.
-                        super::quarantine_corner((bi * corners.len() + ci) as u64, corners[ci], &e);
-                        (bi, ci, 1.0, true)
-                    }
-                }
-            },
-        )
         .collect();
+    let flat: Vec<(usize, usize, f64, bool)> = fa.sweep(&cells, |ev, i, &(bi, ci)| {
+        let cond = Conditions::standby(&tech, hold_vsb).with_body_bias(biases[bi]);
+        match fa.failure_probs_with(ev, corners[ci], &cond) {
+            Ok(m) => (bi, ci, m.overall(), false),
+            Err(e) => {
+                // Pessimistic substitution: a corner whose solve stays
+                // unresolved after the rescue ladder is treated as certain
+                // failure and quarantined.
+                super::quarantine_corner(i as u64, corners[ci], &e);
+                (bi, ci, 1.0, true)
+            }
+        }
+    });
     let quarantined = flat.iter().filter(|(_, _, _, q)| *q).count() as u64;
     pvtm_circuit::check_quarantine(quarantined, flat.len() as u64)?;
     for (bi, ci, p, _) in flat {
@@ -304,17 +297,14 @@ pub fn ablation_bias_levels(effort: Effort) -> Result<BiasLevelAblation, Circuit
             let mut cfg = SelfRepairConfig::default_70nm(64, 102);
             cfg.generator = BodyBiasGenerator::new(-level, level);
             let memory = SelfRepairingMemory::new(cfg);
-            let resp = memory.response(&corners)?;
-            let l_max = 2.5 * resp.array_leak_mean(0.0, crate::self_repair::Policy::Zbb);
+            let grid = memory.grid(&corners);
+            let failure = memory.failure_response(&grid)?;
+            let leakage = memory.leakage_response(&grid);
+            let l_max = 2.5 * leakage.array_leak_mean(0.0, Policy::Zbb);
             Ok(BiasLevelRow {
                 level,
-                parametric_yield: resp
-                    .parametric_yield(sigma, crate::self_repair::Policy::SelfRepair),
-                leakage_yield: resp.leakage_yield(
-                    sigma,
-                    l_max,
-                    crate::self_repair::Policy::SelfRepair,
-                ),
+                parametric_yield: failure.parametric_yield(sigma, Policy::SelfRepair),
+                leakage_yield: leakage.leakage_yield(sigma, l_max, Policy::SelfRepair),
             })
         })
         .collect();

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use pvtm_circuit::CircuitError;
-use pvtm_sram::{CellLeakageModel, Conditions, FailureAnalyzer, SramCell};
+use pvtm_sram::{leakage::LeakageStats, CellLeakageModel, Conditions, FailureAnalyzer, SramCell};
 use pvtm_stats::Histogram;
 
 use super::{baseline, fmt_p, quarantine_corner, Effort};
@@ -74,65 +74,53 @@ pub fn fig2a(effort: Effort) -> Result<Fig2a, CircuitError> {
     let fa = FailureAnalyzer::new(&tech, sizing, config);
     let cond = Conditions::standby(&tech, HOLD_VSB);
     let corners = linspace(-0.15, 0.15, effort.corners.max(5));
-    let ctx = pvtm_telemetry::parallel_context();
-    let results: Vec<(Fig2aRow, bool)> = corners
-        .par_iter()
-        .enumerate()
-        .map_init(
-            || (pvtm_telemetry::adopt(&ctx), fa.evaluator()),
-            |(_ctx, ev), (ci, &vt_inter)| {
-                // Cold-start each corner: per-corner solver work must not
-                // depend on which corners this worker processed before
-                // (keeps telemetry work counters schedule-independent).
-                ev.invalidate_warm();
-                let outcome = match fa.failure_probs_with(ev, vt_inter, &cond) {
-                    Ok(p) => (
-                        Fig2aRow {
-                            vt_inter,
-                            read: p.read,
-                            write: p.write,
-                            access: p.access,
-                            hold: p.hold,
-                            overall: p.overall(),
-                        },
-                        false,
-                    ),
-                    Err(e) => {
-                        // An unsolvable corner is quarantined rather than
-                        // aborting the sweep: record it and report the
-                        // pessimistic bound (every mechanism failing).
-                        quarantine_corner(ci as u64, vt_inter, &e);
-                        (
-                            Fig2aRow {
-                                vt_inter,
-                                read: 1.0,
-                                write: 1.0,
-                                access: 1.0,
-                                hold: 1.0,
-                                overall: 1.0,
-                            },
-                            true,
-                        )
-                    }
-                };
-                {
-                    use pvtm_telemetry::json::Value;
-                    pvtm_telemetry::events::emit(
-                        "figure.corner",
-                        ci as u64,
-                        0,
-                        vec![
-                            ("figure", Value::Str("fig2a".into())),
-                            ("corner", Value::Num(ci as f64)),
-                            ("vt_inter", Value::Num(vt_inter)),
-                            ("quarantined", Value::Bool(outcome.1)),
-                        ],
-                    );
-                }
-                outcome
-            },
-        )
-        .collect();
+    let results: Vec<(Fig2aRow, bool)> = fa.sweep(&corners, |ev, ci, &vt_inter| {
+        let outcome = match fa.failure_probs_with(ev, vt_inter, &cond) {
+            Ok(p) => (
+                Fig2aRow {
+                    vt_inter,
+                    read: p.read,
+                    write: p.write,
+                    access: p.access,
+                    hold: p.hold,
+                    overall: p.overall(),
+                },
+                false,
+            ),
+            Err(e) => {
+                // An unsolvable corner is quarantined rather than
+                // aborting the sweep: record it and report the
+                // pessimistic bound (every mechanism failing).
+                quarantine_corner(ci as u64, vt_inter, &e);
+                (
+                    Fig2aRow {
+                        vt_inter,
+                        read: 1.0,
+                        write: 1.0,
+                        access: 1.0,
+                        hold: 1.0,
+                        overall: 1.0,
+                    },
+                    true,
+                )
+            }
+        };
+        {
+            use pvtm_telemetry::json::Value;
+            pvtm_telemetry::events::emit(
+                "figure.corner",
+                ci as u64,
+                0,
+                vec![
+                    ("figure", Value::Str("fig2a".into())),
+                    ("corner", Value::Num(ci as f64)),
+                    ("vt_inter", Value::Num(vt_inter)),
+                    ("quarantined", Value::Bool(outcome.1)),
+                ],
+            );
+        }
+        outcome
+    });
     let quarantined = results.iter().filter(|(_, q)| *q).count() as u64;
     let rows: Vec<Fig2aRow> = results.into_iter().map(|(r, _)| r).collect();
     pvtm_circuit::check_quarantine(quarantined, rows.len() as u64)?;
@@ -234,26 +222,18 @@ pub fn fig2b(effort: Effort) -> Result<Fig2b, CircuitError> {
     let (tech, sizing, config) = baseline();
     let fa = FailureAnalyzer::new(&tech, sizing, config);
     let biases = linspace(-0.6, 0.6, effort.corners.max(5));
-    let ctx = pvtm_telemetry::parallel_context();
-    let rows: Result<Vec<Fig2bRow>, CircuitError> = biases
-        .par_iter()
-        .map_init(
-            || (pvtm_telemetry::adopt(&ctx), fa.evaluator()),
-            |(_ctx, ev), &vbb| {
-                ev.invalidate_warm();
-                let cond = Conditions::standby(&tech, HOLD_VSB).with_body_bias(vbb);
-                let p = fa.failure_probs_with(ev, 0.0, &cond)?;
-                Ok(Fig2bRow {
-                    body_bias: vbb,
-                    read: p.read,
-                    write: p.write,
-                    access: p.access,
-                    hold: p.hold,
-                    overall: p.overall(),
-                })
-            },
-        )
-        .collect();
+    let rows: Result<Vec<Fig2bRow>, CircuitError> = fa.sweep(&biases, |ev, _, &vbb| {
+        let cond = Conditions::standby(&tech, HOLD_VSB).with_body_bias(vbb);
+        let p = fa.failure_probs_with(ev, 0.0, &cond)?;
+        Ok(Fig2bRow {
+            body_bias: vbb,
+            read: p.read,
+            write: p.write,
+            access: p.access,
+            hold: p.hold,
+            overall: p.overall(),
+        })
+    });
     Ok(Fig2b { rows: rows? })
 }
 
@@ -332,8 +312,10 @@ pub fn fig2c(effort: Effort) -> Result<Fig2c, CircuitError> {
             SelfRepairingMemory::new(cfg)
         })
         .collect();
-    let responses: Result<Vec<_>, CircuitError> =
-        mems.iter().map(|m| m.response(&corners)).collect();
+    let responses: Result<Vec<_>, CircuitError> = mems
+        .iter()
+        .map(|m| m.failure_response(&m.grid(&corners)))
+        .collect();
     let responses = responses?;
     let sigmas = linspace(0.025, 0.15, effort.sigmas.max(3));
     let rows: Vec<Fig2cRow> = sigmas
@@ -553,7 +535,7 @@ pub fn fig4b(effort: Effort) -> Result<Fig4b, CircuitError> {
         cfg
     });
     let grid = linspace(-0.25, 0.25, effort.corners.max(7));
-    let resp = memory.response(&grid)?;
+    let resp = memory.failure_response(&memory.grid(&grid))?;
     let cells = memory.config().org.cells() as f64;
     let rows = grid
         .iter()
@@ -697,26 +679,22 @@ pub struct Fig5b {
     pub spread_repaired: f64,
 }
 
-/// The 64 KB self-repairing memory of Figs. 5b and 5c, and its response
-/// over the ±300 mV inter-die corner grid.
-fn response_64kib(effort: Effort) -> Result<CornerResponse, CircuitError> {
+/// The 64 KB self-repairing memory of Figs. 5b and 5c, and its cell
+/// leakage over the ±300 mV inter-die corner grid.
+fn leakage_64kib(effort: Effort) -> CornerResponse<LeakageStats> {
     let memory = SelfRepairingMemory::new({
         let mut cfg = SelfRepairConfig::default_70nm(64, 8);
         cfg.org = pvtm_sram::ArrayOrganization::with_capacity_kib(64, 0.05);
         cfg
     });
-    memory.response(&linspace(-0.30, 0.30, effort.corners.max(9)))
+    memory.leakage_response(&memory.grid(&linspace(-0.30, 0.30, effort.corners.max(9))))
 }
 
 /// Reproduces Fig. 5b: RBB on leaky dies and FBB on slow dies compress the
-/// leakage spread.
-///
-/// # Errors
-///
-/// Propagates DC-solver failures.
+/// leakage spread. It samples leakage, solves nothing and never fails.
 pub fn fig5b(effort: Effort) -> Result<Fig5b, CircuitError> {
     let _span = pvtm_telemetry::span("fig5b");
-    let resp = response_64kib(effort)?;
+    let resp = leakage_64kib(effort);
     let sigma = 0.08;
     let mut rng = pvtm_stats::rng::substream(0xF165B, 0);
     let dies = (effort.dies * 10).max(500);
@@ -788,14 +766,11 @@ pub struct Fig5c {
     pub l_max: f64,
 }
 
-/// Reproduces Fig. 5c (paper Eqs. (3)–(4)).
-///
-/// # Errors
-///
-/// Propagates DC-solver failures.
+/// Reproduces Fig. 5c (paper Eqs. (3)–(4)). It samples leakage, solves
+/// nothing and never fails.
 pub fn fig5c(effort: Effort) -> Result<Fig5c, CircuitError> {
     let _span = pvtm_telemetry::span("fig5c");
-    let resp = response_64kib(effort)?;
+    let resp = leakage_64kib(effort);
     let l_max = 2.5 * resp.array_leak_mean(0.0, Policy::Zbb);
     let rows = linspace(0.025, 0.15, effort.sigmas.max(3))
         .iter()

@@ -26,9 +26,10 @@
 //! use pvtm::interp::linspace;
 //!
 //! let memory = SelfRepairingMemory::new(SelfRepairConfig::default_70nm(64, 8));
-//! let response = memory.response(&linspace(-0.3, 0.3, 13))?;
-//! let baseline = response.parametric_yield(0.15, Policy::Zbb);
-//! let repaired = response.parametric_yield(0.15, Policy::SelfRepair);
+//! let grid = memory.grid(&linspace(-0.3, 0.3, 13));
+//! let failure = memory.failure_response(&grid)?;
+//! let baseline = failure.parametric_yield(0.15, Policy::Zbb);
+//! let repaired = failure.parametric_yield(0.15, Policy::SelfRepair);
 //! assert!(repaired >= baseline);
 //! # Ok::<(), pvtm_circuit::CircuitError>(())
 //! ```

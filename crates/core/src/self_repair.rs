@@ -5,12 +5,16 @@
 //! comparators); the body-bias generator then applies RBB to leaky low-Vt
 //! dies (suppressing read/hold failures and compressing the leakage
 //! spread) and FBB to slow high-Vt dies (suppressing access/write
-//! failures). [`SelfRepairingMemory::response`] precomputes the full
-//! corner response, from which the yield integrals of Eqs. (1)–(4) are
-//! evaluated by Gauss–Hermite quadrature.
-
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+//! failures).
+//!
+//! The yield integrals of Eqs. (1)–(4) read two independent quantities
+//! over the inter-die corner distribution, each tabulated on a grid the
+//! memory bins once ([`SelfRepairingMemory::grid`]): cell failure
+//! probabilities for the parametric yield of Eq. (1)
+//! ([`SelfRepairingMemory::failure_response`]), and cell leakage
+//! statistics for the leakage yield of Eqs. (3)–(4)
+//! ([`SelfRepairingMemory::leakage_response`]). A caller builds the
+//! tables it reads; the integrals interpolate them between grid points.
 
 use crate::body_bias::BodyBiasGenerator;
 use crate::interp::log_interp;
@@ -67,31 +71,53 @@ impl SelfRepairConfig {
     }
 }
 
-/// Precomputed behaviour of the design at one inter-die corner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CornerPoint {
+/// A corner binned by [`SelfRepairingMemory::grid`], on which both tables
+/// of a design are built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridPoint {
     /// Inter-die Vt shift \[V\].
     pub corner: f64,
     /// Region assigned by the leakage binning.
     pub region: VtRegion,
     /// Body bias the self-repairing memory applies here \[V\].
     pub bias: f64,
-    /// Per-mechanism cell failure probabilities with zero body bias.
-    pub probs_zbb: FailureProbs,
-    /// Per-mechanism cell failure probabilities with the applied bias.
-    pub probs_abb: FailureProbs,
-    /// Per-cell leakage statistics with zero body bias.
-    pub leak_zbb: LeakageStats,
-    /// Per-cell leakage statistics with the applied bias.
-    pub leak_abb: LeakageStats,
 }
 
-/// The corner response of a design: everything the yield integrals need,
-/// tabulated over a corner grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CornerResponse {
+impl GridPoint {
+    fn with<T>(self, zbb: T, abb: T) -> CornerPoint<T> {
+        CornerPoint {
+            corner: self.corner,
+            region: self.region,
+            bias: self.bias,
+            zbb,
+            abb,
+        }
+    }
+}
+
+/// One quantity of the design at one inter-die corner, with zero body bias
+/// and with the bias the self-repairing memory applies there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CornerPoint<T> {
+    /// Inter-die Vt shift \[V\].
+    pub corner: f64,
+    /// Region assigned by the leakage binning.
+    pub region: VtRegion,
+    /// Body bias the self-repairing memory applies here \[V\].
+    pub bias: f64,
+    /// The quantity with zero body bias.
+    pub zbb: T,
+    /// The quantity with the applied bias.
+    pub abb: T,
+}
+
+/// One quantity tabulated over a binned grid, for the yield integrals:
+/// [`SelfRepairingMemory::failure_response`] or
+/// [`SelfRepairingMemory::leakage_response`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CornerResponse<T> {
     org: ArrayOrganization,
-    points: Vec<CornerPoint>,
+    points: Vec<CornerPoint<T>>,
 }
 
 /// The self-repairing memory: design + monitor + bias generator.
@@ -176,23 +202,8 @@ impl SelfRepairingMemory {
             .population_stats(corner, &cond, self.cfg.leak_samples, &mut rng)
     }
 
-    /// Cell failure probabilities at a corner / bias (hold evaluated at the
-    /// configured standby source bias).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn cell_failure_probs(
-        &self,
-        corner: f64,
-        body_bias: f64,
-    ) -> Result<FailureProbs, CircuitError> {
-        let mut ev = self.fa.evaluator();
-        self.cell_failure_probs_with(&mut ev, corner, body_bias)
-    }
-
-    /// [`Self::cell_failure_probs`] against a caller-held evaluator (the
-    /// per-thread hot path of [`Self::response`]).
+    /// Cell failure probabilities at a corner / bias against a caller-held
+    /// evaluator (hold evaluated at the configured standby source bias).
     fn cell_failure_probs_with(
         &self,
         ev: &mut pvtm_sram::CellEvaluator,
@@ -203,52 +214,73 @@ impl SelfRepairingMemory {
         self.fa.failure_probs_with(ev, corner, &cond)
     }
 
-    /// Precomputes the full corner response over a grid (parallel).
+    /// Bins a corner grid: the region the monitor assigns to a die at each
+    /// corner and the bias the generator applies there.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two corners.
+    pub fn grid(&self, corners: &[f64]) -> Vec<GridPoint> {
+        assert!(corners.len() >= 2, "need a corner grid");
+        corners
+            .iter()
+            .map(|&corner| {
+                let region = self.classify(corner);
+                GridPoint {
+                    corner,
+                    region,
+                    bias: self.cfg.generator.bias_for(region),
+                }
+            })
+            .collect()
+    }
+
+    /// Tabulates the cell failure probabilities over a binned grid
+    /// (parallel over corners). A corner solves cold at zero bias, then
+    /// at the applied bias warm from it.
     ///
     /// # Errors
     ///
-    /// Propagates the first DC-solver failure encountered.
-    pub fn response(&self, corners: &[f64]) -> Result<CornerResponse, CircuitError> {
-        assert!(corners.len() >= 2, "need a corner grid");
-        let ctx = pvtm_telemetry::parallel_context();
-        let points: Result<Vec<CornerPoint>, CircuitError> = corners
-            .par_iter()
-            .map_init(
-                || (pvtm_telemetry::adopt(&ctx), self.fa.evaluator()),
-                |(_ctx, ev), &corner| {
-                    ev.invalidate_warm();
-                    let region = self.classify(corner);
-                    let bias = self.cfg.generator.bias_for(region);
-                    let probs_zbb = self.cell_failure_probs_with(ev, corner, 0.0)?;
-                    // pvtm-lint: allow(no-float-eq) bias is a configured discrete level; exact zero means ZBB
-                    let probs_abb = if bias == 0.0 {
-                        probs_zbb
-                    } else {
-                        self.cell_failure_probs_with(ev, corner, bias)?
-                    };
-                    let leak_zbb = self.cell_leak_stats(corner, 0.0);
-                    // pvtm-lint: allow(no-float-eq) bias is a configured discrete level; exact zero means ZBB
-                    let leak_abb = if bias == 0.0 {
-                        leak_zbb
-                    } else {
-                        self.cell_leak_stats(corner, bias)
-                    };
-                    Ok(CornerPoint {
-                        corner,
-                        region,
-                        bias,
-                        probs_zbb,
-                        probs_abb,
-                        leak_zbb,
-                        leak_abb,
-                    })
-                },
-            )
-            .collect();
+    /// Propagates the first DC-solver failure in grid order.
+    pub fn failure_response(
+        &self,
+        grid: &[GridPoint],
+    ) -> Result<CornerResponse<FailureProbs>, CircuitError> {
+        let points: Result<Vec<_>, CircuitError> = self.fa.sweep(grid, |ev, _, g| {
+            let zbb = self.cell_failure_probs_with(ev, g.corner, 0.0)?;
+            // pvtm-lint: allow(no-float-eq) bias is a configured discrete level; exact zero means ZBB
+            let abb = if g.bias == 0.0 {
+                zbb
+            } else {
+                self.cell_failure_probs_with(ev, g.corner, g.bias)?
+            };
+            Ok(g.with(zbb, abb))
+        });
         Ok(CornerResponse {
             org: self.cfg.org,
             points: points?,
         })
+    }
+
+    /// Tabulates the per-cell leakage statistics over a binned grid.
+    pub fn leakage_response(&self, grid: &[GridPoint]) -> CornerResponse<LeakageStats> {
+        let points = grid
+            .iter()
+            .map(|g| {
+                let zbb = self.cell_leak_stats(g.corner, 0.0);
+                // pvtm-lint: allow(no-float-eq) bias is a configured discrete level; exact zero means ZBB
+                let abb = if g.bias == 0.0 {
+                    zbb
+                } else {
+                    self.cell_leak_stats(g.corner, g.bias)
+                };
+                g.with(zbb, abb)
+            })
+            .collect();
+        CornerResponse {
+            org: self.cfg.org,
+            points,
+        }
     }
 }
 
@@ -273,7 +305,7 @@ fn gaussian_expect(sigma: f64, mut f: impl FnMut(f64) -> f64) -> f64 {
 }
 
 /// Body-bias policy selector for the yield evaluations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Zero body bias everywhere (the unrepaired baseline).
     Zbb,
@@ -281,45 +313,40 @@ pub enum Policy {
     SelfRepair,
 }
 
-impl CornerResponse {
+impl<T: Copy> CornerResponse<T> {
     /// The tabulated points.
-    pub fn points(&self) -> &[CornerPoint] {
+    pub fn points(&self) -> &[CornerPoint<T>] {
         &self.points
     }
 
-    /// The array organization the response was computed for.
-    pub fn organization(&self) -> &ArrayOrganization {
-        &self.org
+    /// `f` of the policy's column as a function of the corner,
+    /// log-interpolated between the grid points (the tables are built
+    /// once, for evaluating it at many corners).
+    fn curve(&self, policy: Policy, f: impl Fn(T) -> f64) -> impl Fn(f64) -> f64 {
+        let xs: Vec<f64> = self.points.iter().map(|p| p.corner).collect();
+        let ys: Vec<f64> = self
+            .points
+            .iter()
+            .map(|p| match policy {
+                Policy::Zbb => f(p.zbb),
+                Policy::SelfRepair => f(p.abb),
+            })
+            .collect();
+        move |corner| log_interp(&xs, &ys, corner)
     }
+}
 
-    fn corners(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.corner).collect()
-    }
-
-    fn probs(&self, policy: Policy) -> impl Iterator<Item = FailureProbs> + '_ {
-        self.points.iter().map(move |p| match policy {
-            Policy::Zbb => p.probs_zbb,
-            Policy::SelfRepair => p.probs_abb,
-        })
-    }
-
+impl CornerResponse<FailureProbs> {
     /// Overall cell failure probability at an arbitrary corner
     /// (log-interpolated).
     pub fn p_cell(&self, corner: f64, policy: Policy) -> f64 {
         self.p_cell_curve(policy)(corner)
     }
 
-    /// [`Self::p_cell`] as a function of the corner, for evaluating it at
-    /// many corners: the interpolation tables are built once.
+    /// [`Self::p_cell`] as a function of the corner.
     fn p_cell_curve(&self, policy: Policy) -> impl Fn(f64) -> f64 {
-        let xs = self.corners();
-        let ys: Vec<f64> = self.probs(policy).map(|p| p.overall()).collect();
-        move |corner| log_interp(&xs, &ys, corner).min(1.0)
-    }
-
-    /// Memory failure probability at a corner (redundancy model).
-    pub fn memory_failure_prob(&self, corner: f64, policy: Policy) -> f64 {
-        self.org.memory_failure_prob(self.p_cell(corner, policy))
+        let overall = self.curve(policy, |p| p.overall());
+        move |corner| overall(corner).min(1.0)
     }
 
     /// Expected number of faulty columns at a corner.
@@ -335,8 +362,8 @@ impl CornerResponse {
     /// sharp), so the expectation uses a dense trapezoid rule over ±6σ
     /// rather than Gauss–Hermite, which rings on discontinuities.
     pub fn parametric_yield(&self, sigma_inter: f64, policy: Policy) -> f64 {
-        // `memory_failure_prob` at every point, with the tables and the
-        // binomial coefficients built once for the whole integral.
+        // The memory failure probability at every point, with the tables
+        // and the binomial coefficients built once for the whole integral.
         let p_cell = self.p_cell_curve(policy);
         let mut model = self.org.redundancy_model();
         gaussian_expect(sigma_inter, |corner| {
@@ -344,24 +371,22 @@ impl CornerResponse {
         })
         .clamp(0.0, 1.0)
     }
+}
 
+impl CornerResponse<LeakageStats> {
     /// Per-cell leakage statistics at an arbitrary corner (the mean spans
     /// decades across corners, so both moments are log-interpolated).
     pub fn cell_leak_stats(&self, corner: f64, policy: Policy) -> LeakageStats {
-        let xs = self.corners();
-        let pick = |f: &dyn Fn(&CornerPoint) -> f64| -> f64 {
-            let ys: Vec<f64> = self.points.iter().map(f).collect();
-            log_interp(&xs, &ys, corner)
-        };
-        match policy {
-            Policy::Zbb => LeakageStats {
-                mean: pick(&|p| p.leak_zbb.mean),
-                std_dev: pick(&|p| p.leak_zbb.std_dev),
-            },
-            Policy::SelfRepair => LeakageStats {
-                mean: pick(&|p| p.leak_abb.mean),
-                std_dev: pick(&|p| p.leak_abb.std_dev),
-            },
+        self.cell_leak_curve(policy)(corner)
+    }
+
+    /// [`Self::cell_leak_stats`] as a function of the corner.
+    fn cell_leak_curve(&self, policy: Policy) -> impl Fn(f64) -> LeakageStats {
+        let mean = self.curve(policy, |s| s.mean);
+        let std_dev = self.curve(policy, |s| s.std_dev);
+        move |corner| LeakageStats {
+            mean: mean(corner),
+            std_dev: std_dev(corner),
         }
     }
 
@@ -376,9 +401,9 @@ impl CornerResponse {
     /// array leakage meets `l_max`, integrating the within-die Gaussian
     /// (Eq. (3)) over the inter-die distribution (Eq. (4)).
     pub fn leakage_yield(&self, sigma_inter: f64, l_max: f64, policy: Policy) -> f64 {
+        let stats = self.cell_leak_curve(policy);
         gaussian_expect(sigma_inter, |corner| {
-            self.org
-                .leakage_bound_prob(self.cell_leak_stats(corner, policy), l_max)
+            self.org.leakage_bound_prob(stats(corner), l_max)
         })
         .clamp(0.0, 1.0)
     }
@@ -388,11 +413,201 @@ impl CornerResponse {
 mod tests {
     use super::*;
     use crate::interp::linspace;
+    use rayon::prelude::*;
 
     fn small_memory() -> SelfRepairingMemory {
         let mut cfg = SelfRepairConfig::default_70nm(64, 8);
         cfg.leak_samples = 150;
         SelfRepairingMemory::new(cfg)
+    }
+
+    /// One corner of the one-pass response, which tabulated both
+    /// quantities at every corner for every caller.
+    #[derive(Debug, Clone, Copy)]
+    struct OraclePoint {
+        corner: f64,
+        region: VtRegion,
+        bias: f64,
+        probs_zbb: FailureProbs,
+        probs_abb: FailureProbs,
+        leak_zbb: LeakageStats,
+        leak_abb: LeakageStats,
+    }
+
+    impl SelfRepairingMemory {
+        /// The one-pass response: binning, failure probabilities and
+        /// leakage statistics of each corner in one parallel item.
+        fn oracle_response(&self, corners: &[f64]) -> Result<Vec<OraclePoint>, CircuitError> {
+            assert!(corners.len() >= 2, "need a corner grid");
+            let ctx = pvtm_telemetry::parallel_context();
+            let points: Result<Vec<OraclePoint>, CircuitError> = corners
+                .par_iter()
+                .map_init(
+                    || (pvtm_telemetry::adopt(&ctx), self.fa.evaluator()),
+                    |(_ctx, ev), &corner| {
+                        ev.invalidate_warm();
+                        let region = self.classify(corner);
+                        let bias = self.cfg.generator.bias_for(region);
+                        let probs_zbb = self.cell_failure_probs_with(ev, corner, 0.0)?;
+                        let probs_abb = if bias == 0.0 {
+                            probs_zbb
+                        } else {
+                            self.cell_failure_probs_with(ev, corner, bias)?
+                        };
+                        let leak_zbb = self.cell_leak_stats(corner, 0.0);
+                        let leak_abb = if bias == 0.0 {
+                            leak_zbb
+                        } else {
+                            self.cell_leak_stats(corner, bias)
+                        };
+                        Ok(OraclePoint {
+                            corner,
+                            region,
+                            bias,
+                            probs_zbb,
+                            probs_abb,
+                            leak_zbb,
+                            leak_abb,
+                        })
+                    },
+                )
+                .collect();
+            points
+        }
+    }
+
+    /// The one-pass response's yield evaluations, rebuilding their
+    /// interpolation tables at every call.
+    struct Oracle {
+        org: ArrayOrganization,
+        points: Vec<OraclePoint>,
+    }
+
+    impl Oracle {
+        fn corners(&self) -> Vec<f64> {
+            self.points.iter().map(|p| p.corner).collect()
+        }
+
+        fn p_cell(&self, corner: f64, policy: Policy) -> f64 {
+            let ys: Vec<f64> = self
+                .points
+                .iter()
+                .map(|p| match policy {
+                    Policy::Zbb => p.probs_zbb.overall(),
+                    Policy::SelfRepair => p.probs_abb.overall(),
+                })
+                .collect();
+            log_interp(&self.corners(), &ys, corner).min(1.0)
+        }
+
+        fn parametric_yield(&self, sigma_inter: f64, policy: Policy) -> f64 {
+            gaussian_expect(sigma_inter, |corner| {
+                1.0 - self.org.memory_failure_prob(self.p_cell(corner, policy))
+            })
+            .clamp(0.0, 1.0)
+        }
+
+        fn cell_leak_stats(&self, corner: f64, policy: Policy) -> LeakageStats {
+            let xs = self.corners();
+            let pick = |f: &dyn Fn(&OraclePoint) -> f64| -> f64 {
+                let ys: Vec<f64> = self.points.iter().map(f).collect();
+                log_interp(&xs, &ys, corner)
+            };
+            match policy {
+                Policy::Zbb => LeakageStats {
+                    mean: pick(&|p| p.leak_zbb.mean),
+                    std_dev: pick(&|p| p.leak_zbb.std_dev),
+                },
+                Policy::SelfRepair => LeakageStats {
+                    mean: pick(&|p| p.leak_abb.mean),
+                    std_dev: pick(&|p| p.leak_abb.std_dev),
+                },
+            }
+        }
+
+        fn leakage_yield(&self, sigma_inter: f64, l_max: f64, policy: Policy) -> f64 {
+            gaussian_expect(sigma_inter, |corner| {
+                self.org
+                    .leakage_bound_prob(self.cell_leak_stats(corner, policy), l_max)
+            })
+            .clamp(0.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn both_tables_match_the_one_pass_response_bit_for_bit() {
+        // 13 points over ±0.30 V: the ±0.05 V points sit on the region
+        // boundary, so the binning there is as fragile as it gets.
+        let corners = linspace(-0.30, 0.30, 13);
+        let probs = |p: FailureProbs| p.as_array().map(f64::to_bits);
+        let leak = |s: LeakageStats| [s.mean.to_bits(), s.std_dev.to_bits()];
+        // The default generator, and the bias-level ablation's weakest.
+        for generator in [
+            BodyBiasGenerator::default(),
+            BodyBiasGenerator::new(-0.15, 0.15),
+        ] {
+            let mut cfg = SelfRepairConfig::default_70nm(64, 8);
+            cfg.leak_samples = 150;
+            cfg.generator = generator;
+            let m = SelfRepairingMemory::new(cfg);
+            let oracle = Oracle {
+                org: m.cfg.org,
+                points: m.oracle_response(&corners).unwrap(),
+            };
+            let grid = m.grid(&corners);
+            let failure = m.failure_response(&grid).unwrap();
+            let leakage = m.leakage_response(&grid);
+            assert_eq!(failure.points().len(), corners.len());
+            assert_eq!(leakage.points().len(), corners.len());
+            let regions: Vec<VtRegion> = grid.iter().map(|g| g.region).collect();
+            for r in [VtRegion::LowVt, VtRegion::Nominal, VtRegion::HighVt] {
+                assert!(regions.contains(&r), "{r:?} missing from {regions:?}");
+            }
+            for ((o, f), l) in oracle
+                .points
+                .iter()
+                .zip(failure.points())
+                .zip(leakage.points())
+            {
+                for (corner, region, bias) in
+                    [(f.corner, f.region, f.bias), (l.corner, l.region, l.bias)]
+                {
+                    assert_eq!(corner.to_bits(), o.corner.to_bits());
+                    assert_eq!(region, o.region, "corner {corner}");
+                    assert_eq!(bias.to_bits(), o.bias.to_bits(), "corner {corner}");
+                }
+                assert_eq!(probs(f.zbb), probs(o.probs_zbb), "corner {}", o.corner);
+                assert_eq!(probs(f.abb), probs(o.probs_abb), "corner {}", o.corner);
+                assert_eq!(leak(l.zbb), leak(o.leak_zbb), "corner {}", o.corner);
+                assert_eq!(leak(l.abb), leak(o.leak_abb), "corner {}", o.corner);
+            }
+            let l_max = 2.5 * leakage.array_leak_mean(0.0, Policy::Zbb);
+            for policy in [Policy::Zbb, Policy::SelfRepair] {
+                for corner in [-0.4, -0.27, -0.05, 0.0, 0.12, 0.3] {
+                    let p = oracle.p_cell(corner, policy);
+                    assert_eq!(failure.p_cell(corner, policy).to_bits(), p.to_bits());
+                    assert_eq!(
+                        failure.expected_faulty_columns(corner, policy).to_bits(),
+                        oracle.org.expected_faulty_columns(p).to_bits()
+                    );
+                    let s = oracle.cell_leak_stats(corner, policy);
+                    assert_eq!(
+                        leakage.array_leak_mean(corner, policy).to_bits(),
+                        oracle.org.leakage_stats(s).mean.to_bits()
+                    );
+                }
+                for sigma in [0.0, 0.05, 0.12] {
+                    assert_eq!(
+                        failure.parametric_yield(sigma, policy).to_bits(),
+                        oracle.parametric_yield(sigma, policy).to_bits()
+                    );
+                    assert_eq!(
+                        leakage.leakage_yield(sigma, l_max, policy).to_bits(),
+                        oracle.leakage_yield(sigma, l_max, policy).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -433,7 +648,7 @@ mod tests {
     fn response_improves_tail_corners() {
         let m = small_memory();
         let corners = linspace(-0.24, 0.24, 9);
-        let resp = m.response(&corners).unwrap();
+        let resp = m.failure_response(&m.grid(&corners)).unwrap();
         // At the tails the repaired cell failure probability must be lower.
         let low_z = resp.p_cell(-0.20, Policy::Zbb);
         let low_r = resp.p_cell(-0.20, Policy::SelfRepair);
@@ -452,7 +667,7 @@ mod tests {
     fn self_repair_yield_dominates_zbb() {
         let m = small_memory();
         let corners = linspace(-0.3, 0.3, 11);
-        let resp = m.response(&corners).unwrap();
+        let resp = m.failure_response(&m.grid(&corners)).unwrap();
         for &sigma in &[0.05, 0.10, 0.15] {
             let yz = resp.parametric_yield(sigma, Policy::Zbb);
             let yr = resp.parametric_yield(sigma, Policy::SelfRepair);
@@ -472,7 +687,7 @@ mod tests {
     fn leakage_yield_improves_with_self_repair() {
         let m = small_memory();
         let corners = linspace(-0.3, 0.3, 11);
-        let resp = m.response(&corners).unwrap();
+        let resp = m.leakage_response(&m.grid(&corners));
         // Bound at 3x the nominal array leakage.
         let l_max = 3.0 * resp.array_leak_mean(0.0, Policy::Zbb);
         let lz = resp.leakage_yield(0.12, l_max, Policy::Zbb);
@@ -484,7 +699,7 @@ mod tests {
     fn yield_degrades_with_sigma() {
         let m = small_memory();
         let corners = linspace(-0.3, 0.3, 11);
-        let resp = m.response(&corners).unwrap();
+        let resp = m.failure_response(&m.grid(&corners)).unwrap();
         let y1 = resp.parametric_yield(0.05, Policy::Zbb);
         let y2 = resp.parametric_yield(0.15, Policy::Zbb);
         assert!(y2 < y1, "more variation must hurt: {y1:.4} -> {y2:.4}");

@@ -1,8 +1,6 @@
 //! Source-bias analysis: how much standby source bias a die can take
 //! before hold failures exceed the target (paper §IV, Fig. 6).
 
-use rayon::prelude::*;
-
 use pvtm_circuit::CircuitError;
 use pvtm_device::Technology;
 use pvtm_sram::failure::HoldFailureModel;
@@ -238,28 +236,13 @@ impl HoldModelGrid {
         let cells: Vec<(usize, usize)> = (0..corners.len())
             .flat_map(|ci| (0..vsbs.len()).map(move |vi| (ci, vi)))
             .collect();
-        let ctx = pvtm_telemetry::parallel_context();
-        let models: Result<Vec<(usize, usize, HoldFailureModel)>, CircuitError> = cells
-            .par_iter()
-            .map_init(
-                // One compiled evaluator per worker thread for allocation
-                // reuse; warm seeds are dropped at every grid point so the
-                // solver work per point is schedule-independent (warm
-                // starts still cover the multi-solve linearization within
-                // a point).
-                || (pvtm_telemetry::adopt(&ctx), analyzer.fa.evaluator()),
-                |(_ctx, ev), &(ci, vi)| {
-                    ev.invalidate_warm();
-                    let cond = Conditions::standby(&analyzer.tech, vsbs[vi]);
-                    let m = analyzer.fa.linearize_hold_with(ev, corners[ci], &cond)?;
-                    Ok((ci, vi, m))
-                },
-            )
-            .collect();
-        let mut sorted = models?;
-        sorted.sort_by_key(|&(ci, vi, _)| (ci, vi));
+        let models: Result<Vec<HoldFailureModel>, CircuitError> =
+            analyzer.fa.sweep(&cells, |ev, _, &(ci, vi)| {
+                let cond = Conditions::standby(&analyzer.tech, vsbs[vi]);
+                analyzer.fa.linearize_hold_with(ev, corners[ci], &cond)
+            });
         Ok(Self {
-            models: sorted.into_iter().map(|(_, _, m)| m).collect(),
+            models: models?,
             corners,
             vsbs,
         })

@@ -67,6 +67,10 @@ const PAR_ADAPTORS: &[&str] = &[
     "position_any",
 ];
 
+/// Methods that run their closure arguments on worker threads whatever
+/// their receiver: `FailureAnalyzer::sweep`'s parallel grid.
+const PAR_SWEEPS: &[&str] = &["sweep"];
+
 /// Identifiers whose presence in a `let` initialiser marks the binding as
 /// an RNG value (must not be shared across parallel work items).
 const RNG_MAKERS: &[&str] = &[
@@ -312,21 +316,22 @@ impl RngWalk<'_> {
                 i += 1; // rhs still gets scanned generically
                 continue;
             }
-            // Parallel-adaptor closure boundary: `.adaptor(…)` on a chain
-            // that contains a rayon source.
+            // Parallel closure boundary: `.adaptor(…)` on a chain that
+            // contains a rayon source, or `.sweep(…)` on any receiver.
             if trees[i].is_punct(".") {
                 if let Some(m) = trees
                     .get(i + 1)
                     .and_then(Tree::leaf)
-                    .filter(|t| t.kind == TokKind::Ident && PAR_ADAPTORS.contains(&t.text.as_str()))
+                    .filter(|t| t.kind == TokKind::Ident)
                 {
-                    let _ = m;
+                    let name = m.text.as_str();
                     let after = skip_turbofish(trees, i + 2);
                     let par = trees
                         .get(after)
                         .and_then(Tree::group)
                         .is_some_and(|g| g.delim == '(')
-                        && chain_is_parallel(trees, i);
+                        && (PAR_SWEEPS.contains(&name)
+                            || (PAR_ADAPTORS.contains(&name) && chain_is_parallel(trees, i)));
                     if par {
                         let g = trees[after].group().unwrap();
                         self.boundaries.push((self.frames.len(), (g.line, g.col)));

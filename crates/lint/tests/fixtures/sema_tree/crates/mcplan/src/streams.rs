@@ -28,3 +28,9 @@ pub fn chunked_runs(chunks: u64) -> u64 {
     }
     acc
 }
+
+/// One RNG value shared by every worker of a parallel sweep.
+pub fn captured_in_sweep(fa: &crate::Analyzer, xs: &[u64]) -> Vec<u64> {
+    let rng = crate::rng::substream(9, 2);
+    fa.sweep(xs, |_, _, x| x ^ rng)
+}

@@ -98,6 +98,14 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
             col_of(streams, 27, "substream"),
             RuleId::RngStreamDiscipline,
         ),
+        // RNG captured by the closure of a sweep, whose receiver is no
+        // rayon chain.
+        (
+            "crates/mcplan/src/streams.rs",
+            35,
+            col_of(streams, 35, "rng"),
+            RuleId::RngStreamDiscipline,
+        ),
         // Const-routed telemetry name, resolved and rejected.
         (
             "crates/mcplan/src/telemetry_names.rs",
@@ -129,9 +137,9 @@ fn semantic_rules_fire_position_exact_on_the_fixture_tree() {
     );
     assert!(msg(7).contains("the loop at line 23"), "{}", msg(7));
     assert!(
-        msg(8).contains("resolved through const `STAGE_SPAN`"),
+        msg(9).contains("resolved through const `STAGE_SPAN`"),
         "{}",
-        msg(8)
+        msg(9)
     );
 }
 

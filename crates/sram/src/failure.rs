@@ -9,6 +9,7 @@
 use pvtm_circuit::CircuitError;
 use pvtm_stats::special::norm_cdf;
 use pvtm_stats::{ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::{AnalysisConfig, Margins};
@@ -296,6 +297,31 @@ impl FailureAnalyzer {
     /// Monte Carlo). See [`CellEvaluator`].
     pub fn evaluator(&self) -> CellEvaluator {
         CellEvaluator::new(self.config, &self.base)
+    }
+
+    /// Runs `f(ev, i, &items[i])` over the items in parallel and collects in
+    /// item order (a `Result<Vec<_>, _>` keeps the first error). Each worker
+    /// holds one evaluator and adopts the caller's span. Every item starts
+    /// cold, so its solver work, and every telemetry work counter, does not
+    /// depend on which items its worker ran before; warm starts serve only
+    /// the solves within an item.
+    pub fn sweep<T: Sync, R: Send, C: FromIterator<R>>(
+        &self,
+        items: &[T],
+        f: impl Fn(&mut CellEvaluator, usize, &T) -> R + Sync,
+    ) -> C {
+        let ctx = pvtm_telemetry::parallel_context();
+        items
+            .par_iter()
+            .enumerate()
+            .map_init(
+                || (pvtm_telemetry::adopt(&ctx), self.evaluator()),
+                |(_ctx, ev), (i, item)| {
+                    ev.invalidate_warm();
+                    f(ev, i, item)
+                },
+            )
+            .collect()
     }
 
     /// Patches `ev`'s deviations to the standardized vector `z` on top of

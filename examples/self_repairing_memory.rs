@@ -23,21 +23,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\ncomputing the corner response (a few seconds)...");
-    let response = memory.response(&linspace(-0.30, 0.30, 13))?;
+    let grid = memory.grid(&linspace(-0.30, 0.30, 13));
+    let failure = memory.failure_response(&grid)?;
+    let leakage = memory.leakage_response(&grid);
 
     println!("\n== cell failure probability across corners ==");
     for &corner in &[-0.2, -0.1, 0.0, 0.1, 0.2] {
         println!(
             "  {corner:+.2} V: ZBB {:.2e}   self-repaired {:.2e}",
-            response.p_cell(corner, Policy::Zbb),
-            response.p_cell(corner, Policy::SelfRepair)
+            failure.p_cell(corner, Policy::Zbb),
+            failure.p_cell(corner, Policy::SelfRepair)
         );
     }
 
     println!("\n== parametric yield (Eq. 1) ==");
     for &sigma in &[0.05, 0.10, 0.15] {
-        let zbb = response.parametric_yield(sigma, Policy::Zbb);
-        let rep = response.parametric_yield(sigma, Policy::SelfRepair);
+        let zbb = failure.parametric_yield(sigma, Policy::Zbb);
+        let rep = failure.parametric_yield(sigma, Policy::SelfRepair);
         println!(
             "  sigma {:.0} mV: ZBB {:.1}%  self-repairing {:.1}%  ({:+.1} pp)",
             sigma * 1e3,
@@ -48,13 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== leakage yield (Eqs. 3-4) ==");
-    let l_max = 2.5 * response.array_leak_mean(0.0, Policy::Zbb);
+    let l_max = 2.5 * leakage.array_leak_mean(0.0, Policy::Zbb);
     for &sigma in &[0.05, 0.10, 0.15] {
         println!(
             "  sigma {:.0} mV: ZBB {:.1}%  self-repairing {:.1}%",
             sigma * 1e3,
-            100.0 * response.leakage_yield(sigma, l_max, Policy::Zbb),
-            100.0 * response.leakage_yield(sigma, l_max, Policy::SelfRepair)
+            100.0 * leakage.leakage_yield(sigma, l_max, Policy::Zbb),
+            100.0 * leakage.leakage_yield(sigma, l_max, Policy::SelfRepair)
         );
     }
     Ok(())

@@ -17,7 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("memory: {kib} KiB, {spares} spare columns, sigma(Vt_inter) = {sigma_mv} mV");
     let memory = SelfRepairingMemory::new(SelfRepairConfig::default_70nm(kib, spares));
-    let response = memory.response(&linspace(-0.30, 0.30, 13))?;
+    let grid = memory.grid(&linspace(-0.30, 0.30, 13));
+    let failure = memory.failure_response(&grid)?;
+    let leakage = memory.leakage_response(&grid);
     let sigma = sigma_mv * 1e-3;
 
     println!("\ncorner response:");
@@ -25,31 +27,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>9} {:>10} {:>8} {:>12} {:>12}",
         "corner", "region", "bias", "p_cell ZBB", "p_cell ABB"
     );
-    for p in response.points() {
+    for p in failure.points() {
         println!(
             "{:>8.0}m {:>10} {:>7.2}V {:>12.2e} {:>12.2e}",
             p.corner * 1e3,
             p.region.to_string(),
             p.bias,
-            p.probs_zbb.overall(),
-            p.probs_abb.overall()
+            p.zbb.overall(),
+            p.abb.overall()
         );
     }
 
-    let zbb = response.parametric_yield(sigma, Policy::Zbb);
-    let rep = response.parametric_yield(sigma, Policy::SelfRepair);
+    let zbb = failure.parametric_yield(sigma, Policy::Zbb);
+    let rep = failure.parametric_yield(sigma, Policy::SelfRepair);
     println!(
         "\nparametric yield: ZBB {:.2}%  self-repairing {:.2}%",
         100.0 * zbb,
         100.0 * rep
     );
 
-    let l_max = 2.5 * response.array_leak_mean(0.0, Policy::Zbb);
+    let l_max = 2.5 * leakage.array_leak_mean(0.0, Policy::Zbb);
     println!(
         "leakage yield (L_MAX = {:.1} mA): ZBB {:.2}%  self-repairing {:.2}%",
         l_max * 1e3,
-        100.0 * response.leakage_yield(sigma, l_max, Policy::Zbb),
-        100.0 * response.leakage_yield(sigma, l_max, Policy::SelfRepair)
+        100.0 * leakage.leakage_yield(sigma, l_max, Policy::Zbb),
+        100.0 * leakage.leakage_yield(sigma, l_max, Policy::SelfRepair)
     );
     Ok(())
 }

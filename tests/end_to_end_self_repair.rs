@@ -26,7 +26,9 @@ fn monitor_binning_matches_corner_ground_truth() {
 #[test]
 fn repair_policy_is_never_materially_worse_anywhere() {
     let mem = memory();
-    let resp = mem.response(&linspace(-0.25, 0.25, 9)).expect("response");
+    let resp = mem
+        .failure_response(&mem.grid(&linspace(-0.25, 0.25, 9)))
+        .expect("failure response");
     for &corner in &[-0.22, -0.15, -0.08, 0.0, 0.08, 0.15, 0.22] {
         let zbb = resp.p_cell(corner, Policy::Zbb);
         let abb = resp.p_cell(corner, Policy::SelfRepair);
@@ -44,7 +46,9 @@ fn paper_claim_yield_improvement_band() {
     // is not their testbed, so accept a generous band around it but
     // insist the effect is large and positive at high variation.
     let mem = memory();
-    let resp = mem.response(&linspace(-0.30, 0.30, 11)).expect("response");
+    let resp = mem
+        .failure_response(&mem.grid(&linspace(-0.30, 0.30, 11)))
+        .expect("failure response");
     let zbb = resp.parametric_yield(0.15, Policy::Zbb);
     let rep = resp.parametric_yield(0.15, Policy::SelfRepair);
     let gain_pp = 100.0 * (rep - zbb);
@@ -57,7 +61,7 @@ fn paper_claim_yield_improvement_band() {
 #[test]
 fn leakage_spread_is_compressed_by_repair() {
     let mem = memory();
-    let resp = mem.response(&linspace(-0.25, 0.25, 9)).expect("response");
+    let resp = mem.leakage_response(&mem.grid(&linspace(-0.25, 0.25, 9)));
     // Spread proxy: array leakage ratio between the ±0.15 corners.
     let spread = |p: Policy| resp.array_leak_mean(-0.15, p) / resp.array_leak_mean(0.15, p);
     let zbb = spread(Policy::Zbb);
@@ -71,9 +75,8 @@ fn leakage_spread_is_compressed_by_repair() {
 #[test]
 fn body_bias_levels_respect_generator_bounds() {
     let mem = memory();
-    let resp = mem.response(&linspace(-0.25, 0.25, 9)).expect("response");
     let gen = mem.config().generator;
-    for p in resp.points() {
+    for p in mem.grid(&linspace(-0.25, 0.25, 9)) {
         assert!(p.bias >= gen.rbb() && p.bias <= gen.fbb());
         match p.region {
             VtRegion::LowVt => assert_eq!(p.bias, gen.rbb()),
