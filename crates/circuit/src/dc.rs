@@ -196,10 +196,68 @@ impl DcSolution {
 /// not exist.
 pub(crate) struct System<'a> {
     netlist: &'a Netlist,
+    pins: &'a Pins,
     pub(crate) num_free_nodes: usize,
     pub(crate) num_unknowns: usize,
     num_mosfets: usize,
     border: Option<Border>,
+}
+
+/// The free nodes a grounded voltage source holds, from the topology:
+/// for each free node, the branch row of the source whose constraint
+/// pins it, where [`System::jacobian`] may leave out the node's MOSFET
+/// entries. Built once per topology (a template's compile, a transient
+/// run), so a solve allocates nothing for it.
+///
+/// The skip is exact only while the constraint row is the pivot of the
+/// node's column, so no other entry of that column may reach the unit
+/// pivot. The entries left in it are the Gmin diagonal (at most 1e-3 S,
+/// the default start of a cold ladder and the largest any caller sets)
+/// and MOSFET conductances (below 1e-2 S for the devices of this
+/// workspace). A resistor's or companion capacitor's conductance has no
+/// such bound, and a second source on the node puts a second ±1 in the
+/// column, so a node with any of those stamps is not pinned.
+#[derive(Debug, Clone)]
+pub(crate) struct Pins {
+    rows: Vec<Option<usize>>,
+}
+
+impl Pins {
+    pub(crate) fn of(netlist: &Netlist) -> Self {
+        let num_free_nodes = netlist.num_nodes() - 1;
+        let mut rows = vec![None; num_free_nodes];
+        // Voltage-source, resistor and capacitor stamps on each free node.
+        let mut stamps = vec![0u32; num_free_nodes];
+        let mut row = num_free_nodes;
+        for (_, el) in netlist.elements() {
+            let (a, b) = match *el {
+                Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => (a, b),
+                Element::Vsource { pos, neg, .. } => {
+                    // A source to ground puts a lone ±1 in its other
+                    // terminal's column.
+                    if pos.is_ground() != neg.is_ground() {
+                        let held = if pos.is_ground() { neg } else { pos };
+                        rows[held.index() - 1] = Some(row);
+                    }
+                    row += 1;
+                    (pos, neg)
+                }
+                Element::Isource { .. } | Element::Mosfet { .. } => continue,
+            };
+            for n in [a, b] {
+                if !n.is_ground() {
+                    stamps[n.index() - 1] += 1;
+                }
+            }
+        }
+        // A node is pinned when its grounded source is its only such stamp.
+        for (r, k) in rows.iter_mut().zip(stamps) {
+            if k != 1 {
+                *r = None;
+            }
+        }
+        Self { rows }
+    }
 }
 
 /// The row a bordered system swaps in: one voltage source's branch row
@@ -224,7 +282,9 @@ pub(crate) struct Companion<'a> {
 }
 
 impl<'a> System<'a> {
-    pub(crate) fn new(netlist: &'a Netlist) -> Self {
+    /// The system of `netlist`, whose pinned nodes `pins` holds
+    /// ([`Pins::of`] the same netlist).
+    pub(crate) fn new(netlist: &'a Netlist, pins: &'a Pins) -> Self {
         let num_free_nodes = netlist.num_nodes() - 1;
         let (mut num_vsources, mut num_mosfets) = (0, 0);
         for (_, e) in netlist.elements() {
@@ -234,8 +294,10 @@ impl<'a> System<'a> {
                 _ => {}
             }
         }
+        debug_assert_eq!(pins.rows.len(), num_free_nodes);
         Self {
             netlist,
+            pins,
             num_free_nodes,
             num_unknowns: num_free_nodes + num_vsources,
             num_mosfets,
@@ -386,15 +448,27 @@ impl<'a> System<'a> {
     }
 
     /// Assembles the Jacobian `df/dx` at the state `x` of the last
-    /// [`Self::residual`] pass, whose drain currents in `mos` anchor the
-    /// MOSFETs' forward differences. Companion capacitors need only `dt`.
+    /// [`Self::residual`] pass, whose residual is `res` and whose drain
+    /// currents in `mos` anchor the MOSFETs' forward differences.
+    /// Companion capacitors need only `dt`.
     ///
     /// Entries accumulate in a fixed order, the Gmin diagonal first and
     /// then the elements in netlist order, so every entry is the same sum
     /// of the same terms at every call.
+    ///
+    /// A MOSFET terminal on a node whose column [`Self::skips`] gets no
+    /// forward difference: the node is pinned by a source ([`Pins`]) whose
+    /// constraint holds exactly at `x`, so its column keeps only the Gmin
+    /// diagonal and the constraint's ±1. That ±1 is the column's pivot, the
+    /// only nonzero of its row, and its right-hand side is ∓0, so the LU
+    /// eliminates the column by subtracting `factor · ∓0` from the other
+    /// rows' right-hand sides, and the left-out entries could change no
+    /// step but in the sign of a zero. Where the constraint does not hold
+    /// (a source just patched, a ramp step) the column is complete.
     pub(crate) fn jacobian(
         &self,
         x: &[f64],
+        res: &[f64],
         gmin: f64,
         companion: Option<&Companion<'_>>,
         mos: &[MosfetEval],
@@ -446,6 +520,10 @@ impl<'a> System<'a> {
                         if node.is_ground() {
                             continue;
                         }
+                        let col = node.index() - 1;
+                        if self.skips(res, col) {
+                            continue;
+                        }
                         let mut pb = bias;
                         match which {
                             0 => pb.vg += DV,
@@ -454,7 +532,6 @@ impl<'a> System<'a> {
                             _ => pb.vb += DV,
                         }
                         let did = (at.ids(pb) - id) / DV;
-                        let col = node.index() - 1;
                         Self::jac_add(jac, *d, col, -did);
                         Self::jac_add(jac, *s, col, did);
                     }
@@ -467,6 +544,17 @@ impl<'a> System<'a> {
             }
             jac.set(b.row, b.out, 1.0);
         }
+    }
+
+    /// Whether [`Self::jacobian`] leaves the MOSFET entries out of column
+    /// `col` at a state whose residual is `res`: a source pins the node
+    /// ([`Pins`]), its row is not the border (which no longer holds the
+    /// node), and its constraint holds exactly.
+    fn skips(&self, res: &[f64], col: usize) -> bool {
+        self.pins.rows[col].is_some_and(|row| {
+            // pvtm-lint: allow(no-float-eq) only an exactly met constraint gives the pivot row a zero right-hand side
+            res[row] == 0.0 && self.border.is_none_or(|b| b.row != row)
+        })
     }
 
     /// Stamps a linear conductance between `a` and `b` into the Jacobian
@@ -499,6 +587,15 @@ impl<'a> System<'a> {
     /// Runs damped Newton at a fixed Gmin from the given state within
     /// `limits`, using the workspace's scratch buffers. The MOSFET
     /// constants are loaded once, at the start of the run.
+    ///
+    /// Each iteration factorizes [`Self::jacobian`] at the current state,
+    /// which leaves out the MOSFET entries of the columns whose pinning
+    /// constraint holds there. Those entries could change a component of
+    /// the step only in the sign of a zero, and `x + 0.0` and `x + (−0.0)`
+    /// have the same bits for every `x` but −0.0, which no update creates
+    /// (a sum is −0.0 only when both terms are). So from a state without
+    /// −0.0 every iterate is the one the complete Jacobian gives, bit for
+    /// bit.
     ///
     /// Returns the residual norm achieved; the state is updated in place.
     pub(crate) fn newton(
@@ -536,7 +633,7 @@ impl<'a> System<'a> {
             stats.newton_iterations += 1;
             stats.lu_factorizations += 1;
             // Solve J Δx = -f, with J taken where `res` was: at `x`.
-            self.jacobian(x, gmin, companion, mos, jac);
+            self.jacobian(x, res, gmin, companion, mos, jac);
             for i in 0..n {
                 rhs[i] = -res[i];
             }
@@ -911,12 +1008,38 @@ mod tests {
         // At any converged solution, the assembled residual must be tiny.
         let (ckt, _) = loaded_nmos();
         let sol = ckt.solve_dc().unwrap();
-        let sys = System::new(&ckt);
+        let pins = Pins::of(&ckt);
+        let sys = System::new(&ckt, &pins);
         let mut res = vec![0.0; sys.num_unknowns];
         let mut mos = Vec::new();
         sys.load_mosfets(&mut mos);
         sys.residual(sol.state(), GMIN_FINAL, 1.0, None, &mut res, &mut mos);
         assert!(sys.kcl_norm(&res) < 1e-9);
+    }
+
+    #[test]
+    fn pins_hold_only_nodes_a_lone_grounded_source_holds() {
+        let tech = Technology::predictive_70nm();
+        let mut ckt = Netlist::new();
+        let [a, b, c, d, e, g] = ["a", "b", "c", "d", "e", "g"].map(|n| ckt.node(n));
+        let gnd = Netlist::GROUND;
+        ckt.vsource("VA", a, gnd, 1.0);
+        ckt.vsource("VB", gnd, b, 0.5);
+        ckt.vsource("VC", c, gnd, 1.0);
+        ckt.resistor("RC", c, e, 1e3);
+        ckt.vsource("VD", d, gnd, 1.0);
+        ckt.vsource("VE", e, d, 0.2);
+        ckt.vsource("VG", g, gnd, 0.3);
+        ckt.capacitor("CG", g, gnd, 1e-15);
+        ckt.isource("IA", gnd, a, 1e-6);
+        let nmos = Mosfet::nmos(&tech, 140e-9, tech.lmin());
+        ckt.mosfet("M", a, b, c, d, nmos);
+        // VA and VB pin their nodes (rows 6 and 7 follow the six nodes); a
+        // resistor, a capacitor or a second source unpins a node.
+        assert_eq!(
+            Pins::of(&ckt).rows,
+            [Some(6), Some(7), None, None, None, None]
+        );
     }
 
     #[test]
@@ -986,16 +1109,17 @@ mod tests {
         let ckt = divider(2.0);
         let scaled = divider(2.0 * 0.25);
 
-        let sys = System::new(&ckt);
-        let sys_scaled = System::new(&scaled);
+        let (pins, pins_scaled) = (Pins::of(&ckt), Pins::of(&scaled));
+        let sys = System::new(&ckt, &pins);
+        let sys_scaled = System::new(&scaled, &pins_scaled);
         let x = vec![0.3, 0.1, 0.0];
         let n = sys.num_unknowns;
         let (mut ja, mut jb) = (Matrix::zeros(n), Matrix::zeros(n));
         let (mut ra, mut rb) = (vec![0.0; n], vec![0.0; n]);
         sys.residual(&x, 1e-12, 0.25, None, &mut ra, &mut []);
         sys_scaled.residual(&x, 1e-12, 1.0, None, &mut rb, &mut []);
-        sys.jacobian(&x, 1e-12, None, &[], &mut ja);
-        sys_scaled.jacobian(&x, 1e-12, None, &[], &mut jb);
+        sys.jacobian(&x, &ra, 1e-12, None, &[], &mut ja);
+        sys_scaled.jacobian(&x, &rb, 1e-12, None, &[], &mut jb);
         assert_eq!(ra, rb);
         assert_eq!(ja, jb);
     }

@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 
-use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, Limits, System};
+use crate::dc::{self, Border, DcOptions, DcSolution, DcWorkspace, Limits, Pins, System};
 use crate::netlist::{CircuitError, Element, Netlist, NodeId};
 use crate::SolverStats;
 use pvtm_device::Mosfet;
@@ -82,6 +82,8 @@ const TRIP: Limits = Limits {
 #[derive(Debug, Clone)]
 pub struct CircuitTemplate {
     netlist: Netlist,
+    /// The nodes of the frozen topology that sources pin.
+    pins: Pins,
     opts: DcOptions,
     num_free_nodes: usize,
     branch_names: Arc<[String]>,
@@ -102,7 +104,8 @@ impl CircuitTemplate {
     ///
     /// [`CircuitError::EmptyCircuit`] if the netlist has no unknowns.
     pub fn compile(netlist: Netlist, opts: DcOptions) -> Result<Self, CircuitError> {
-        let sys = System::new(&netlist);
+        let pins = Pins::of(&netlist);
+        let sys = System::new(&netlist, &pins);
         if sys.num_unknowns == 0 {
             return Err(CircuitError::EmptyCircuit);
         }
@@ -111,6 +114,7 @@ impl CircuitTemplate {
         let state = vec![0.0; sys.num_unknowns];
         Ok(Self {
             netlist,
+            pins,
             opts,
             num_free_nodes,
             branch_names,
@@ -268,7 +272,7 @@ impl CircuitTemplate {
                 return Ok(());
             }
         }
-        let plain = System::new(&self.netlist);
+        let plain = System::new(&self.netlist, &self.pins);
         let cold = dc::cold_solve(&plain, &mut self.state, &self.opts, &mut self.ws);
         let result = match border {
             Some(_) => cold.and_then(|()| self.newton(border).map(drop)),
@@ -282,7 +286,7 @@ impl CircuitTemplate {
     /// Newton at the final Gmin from the current state, on the plain
     /// circuit or with `border` in place.
     fn newton(&mut self, border: Option<Border>) -> Result<f64, CircuitError> {
-        let sys = System::new(&self.netlist);
+        let sys = System::new(&self.netlist, &self.pins);
         let (sys, limits) = match border {
             Some(b) => (sys.bordered(b), &TRIP),
             None => (sys, &dc::NORMAL),

@@ -2,15 +2,19 @@
 //!
 //! The kernel assembles the residual at every point Newton evaluates and
 //! the Jacobian only where it factorizes, evaluates each MOSFET's model
-//! constants once per Newton run, and skips the zeros of each pivot row in
-//! its LU. The combined residual-and-Jacobian assembler, the dense LU and
-//! the Newton loop that drove them before are kept here verbatim. The
-//! proptests require the kernel to reproduce them bit for bit on
+//! constants once per Newton run, leaves out the MOSFET entries of the
+//! columns of source-pinned nodes whose constraint holds, and skips the
+//! zeros of each pivot row in its LU. The combined residual-and-Jacobian
+//! assembler, the dense LU and the Newton loop that drove them before are
+//! kept here verbatim, and so is the Jacobian pass that differenced every
+//! MOSFET terminal. The proptests require the kernel to reproduce them on
 //! hand-built copies of the four cell circuits `pvtm-sram` solves (read
-//! divider, write level, 6T hold cell, loaded inverter) and on one circuit
-//! holding every other element kind.
+//! divider, write level, 6T hold cell, loaded inverter), on the loaded
+//! inverter with its input's row bordered as `solve_trip` borders it, and
+//! on one circuit holding every other element kind, from random states
+//! and from states where every source constraint holds exactly.
 
-use super::{Companion, DcWorkspace, Limits, SolverStats, System, NORMAL};
+use super::{Border, Companion, DcWorkspace, Limits, Pins, SolverStats, System, NORMAL};
 use crate::linalg::{Matrix, SingularMatrix};
 use crate::netlist::{CircuitError, Element, Netlist};
 use proptest::prelude::*;
@@ -18,7 +22,8 @@ use pvtm_device::{Bias, Mosfet, Technology};
 
 impl System<'_> {
     /// The combined assembler: residual `f(x)` and Jacobian `df/dx` in one
-    /// pass, with five `Mosfet::ids` calls per transistor.
+    /// pass, with five `Mosfet::ids` calls per transistor, and a border's
+    /// row in place of its source's constraint as [`System`] places it.
     fn assemble_reference(
         &self,
         x: &[f64],
@@ -115,6 +120,92 @@ impl System<'_> {
                     }
                 }
             }
+        }
+        if let Some(b) = self.border {
+            res[b.row] = x[b.out] - b.level;
+            for col in 0..self.num_unknowns {
+                jac.set(b.row, col, 0.0);
+            }
+            jac.set(b.row, b.out, 1.0);
+        }
+    }
+
+    /// The Jacobian pass that takes a forward difference at every MOSFET
+    /// terminal off ground, pinned node or not.
+    fn jacobian_full(
+        &self,
+        x: &[f64],
+        gmin: f64,
+        companion: Option<&Companion<'_>>,
+        mos: &[super::MosfetEval],
+        jac: &mut Matrix,
+    ) {
+        debug_assert_eq!(x.len(), self.num_unknowns);
+        debug_assert_eq!(mos.len(), self.num_mosfets);
+        jac.clear();
+
+        for i in 0..self.num_free_nodes {
+            jac.add(i, i, -gmin);
+        }
+
+        let mut vsrc_idx = 0usize;
+        let mut mos_idx = 0usize;
+        for (_, el) in self.netlist.elements() {
+            match el {
+                Element::Resistor { a, b, ohms } => {
+                    self.stamp_conductance(jac, *a, *b, 1.0 / ohms);
+                }
+                Element::Capacitor { a, b, farads } => {
+                    if let Some(c) = companion {
+                        self.stamp_conductance(jac, *a, *b, farads / c.dt);
+                    }
+                }
+                Element::Vsource { pos, neg, .. } => {
+                    let row = self.num_free_nodes + vsrc_idx;
+                    vsrc_idx += 1;
+                    Self::jac_add(jac, *pos, row, 1.0);
+                    Self::jac_add(jac, *neg, row, -1.0);
+                    if !pos.is_ground() {
+                        jac.add(row, pos.index() - 1, 1.0);
+                    }
+                    if !neg.is_ground() {
+                        jac.add(row, neg.index() - 1, -1.0);
+                    }
+                }
+                Element::Isource { .. } => {}
+                Element::Mosfet { d, g, s, b, .. } => {
+                    let super::MosfetEval { at, id } = mos[mos_idx];
+                    let bias =
+                        Bias::new(self.v(x, *g), self.v(x, *d), self.v(x, *s), self.v(x, *b));
+                    mos_idx += 1;
+
+                    // Numeric partial derivatives wrt each terminal.
+                    const DV: f64 = 1e-6;
+                    let terminals = [(*g, 0), (*d, 1), (*s, 2), (*b, 3)];
+                    for (node, which) in terminals {
+                        if node.is_ground() {
+                            continue;
+                        }
+                        let mut pb = bias;
+                        match which {
+                            0 => pb.vg += DV,
+                            1 => pb.vd += DV,
+                            2 => pb.vs += DV,
+                            _ => pb.vb += DV,
+                        }
+                        let did = (at.ids(pb) - id) / DV;
+                        let col = node.index() - 1;
+                        Self::jac_add(jac, *d, col, -did);
+                        Self::jac_add(jac, *s, col, did);
+                    }
+                }
+            }
+        }
+        if let Some(b) = self.border {
+            for col in 0..self.num_unknowns {
+                jac.set(b.row, col, 0.0);
+            }
+            jac.set(b.row, b.out, 1.0);
         }
     }
 
@@ -263,16 +354,26 @@ struct Cond {
     vin: f64,
     wl_high: bool,
     temp_k: f64,
+    /// Where the bordered inverter pins its output, as a fraction of `vdd`.
+    level: f64,
 }
 
-/// The circuits under test, by index into [`circuit`].
-const CIRCUITS: [&str; 5] = [
+/// The circuits under test, by index into [`circuit`] and [`system`].
+const CIRCUITS: [&str; 6] = [
     "read divider",
     "write level",
     "hold cell",
     "loaded inverter",
+    "bordered inverter",
     "mixed elements",
 ];
+
+/// Index of the bordered inverter in [`CIRCUITS`].
+const BORDERED: usize = 4;
+
+/// Index of the mixed-element circuit, the one run with capacitor
+/// companions.
+const MIXED: usize = 5;
 
 /// PL, NL, PR, NR, AXL, AXR of the default-sized 6T cell, with the given
 /// threshold deviations.
@@ -289,9 +390,10 @@ fn cell_devices(dvt: &[f64]) -> [Mosfet; 6] {
     ]
 }
 
-/// Builds circuit `which` of [`CIRCUITS`]. The four cell circuits copy the
-/// topologies (nodes, source order, element order) of the `pvtm-sram`
-/// evaluator's templates.
+/// Builds the netlist of circuit `which` of [`CIRCUITS`]. The four cell
+/// circuits copy the topologies (nodes, source order, element order) of
+/// the `pvtm-sram` evaluator's templates; the bordered inverter is the
+/// loaded inverter's netlist.
 fn circuit(which: usize, c: &Cond, dvt: &[f64]) -> Netlist {
     let [pl, nl, pr, nr, axl, axr] = cell_devices(dvt);
     let gnd = Netlist::GROUND;
@@ -354,7 +456,7 @@ fn circuit(which: usize, c: &Cond, dvt: &[f64]) -> Netlist {
             ckt.mosfet("AXL", bl, wl, vl, bn, axl);
             ckt.mosfet("AXR", br, wl, vr, bn, axr);
         }
-        3 => {
+        3 | BORDERED => {
             let vdd = ckt.node("vdd");
             let input = ckt.node("in");
             let out = ckt.node("out");
@@ -391,10 +493,30 @@ fn circuit(which: usize, c: &Cond, dvt: &[f64]) -> Netlist {
     ckt
 }
 
+/// The system of circuit `which`: the bordered inverter replaces `VIN`'s
+/// constraint row by `v(out) = level · vdd`, as `solve_trip` does.
+fn system<'a>(which: usize, ckt: &'a Netlist, pins: &'a Pins, c: &Cond) -> System<'a> {
+    let sys = System::new(ckt, pins);
+    if which != BORDERED {
+        return sys;
+    }
+    let out = ckt.find_node("out").expect("the inverter has an output");
+    let row = sys.num_free_nodes + 1;
+    sys.bordered(Border {
+        row,
+        out: out.index() - 1,
+        level: c.level * c.vdd,
+    })
+}
+
 /// A state of the right length for `sys`: node voltages from `xs`, branch
-/// currents scaled to the µA–100 µA range a cell draws.
-fn state(sys: &System<'_>, xs: &[f64]) -> Vec<f64> {
-    (0..sys.num_unknowns)
+/// currents scaled to the µA–100 µA range a cell draws. With `pinned`,
+/// every node a grounded source holds sits exactly at the source's value
+/// at `scale`, and a border's output at its level, so every constraint
+/// row holds exactly: random voltages almost never do, and only where one
+/// holds does the Jacobian leave a column's MOSFET entries out.
+fn state(sys: &System<'_>, xs: &[f64], pinned: bool, scale: f64) -> Vec<f64> {
+    let mut x: Vec<f64> = (0..sys.num_unknowns)
         .map(|i| {
             let v = xs[i % xs.len()];
             if i < sys.num_free_nodes {
@@ -403,7 +525,20 @@ fn state(sys: &System<'_>, xs: &[f64]) -> Vec<f64> {
                 v * 1e-4
             }
         })
-        .collect()
+        .collect();
+    if pinned {
+        for (_, el) in sys.netlist.elements() {
+            if let Element::Vsource { pos, neg, volts } = el {
+                if neg.is_ground() && !pos.is_ground() {
+                    x[pos.index() - 1] = volts * scale;
+                }
+            }
+        }
+        if let Some(b) = sys.border {
+            x[b.out] = b.level;
+        }
+    }
+    x
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -432,18 +567,21 @@ proptest! {
         vin in 0.0f64..1.2,
         wl_high in any::<bool>(),
         temp_k in 250.0f64..=400.0,
+        level in 0.05f64..0.95,
+        pinned in any::<bool>(),
     ) {
-        let cond = Cond { vdd, vsb, vbb, vin, wl_high, temp_k };
+        let cond = Cond { vdd, vsb, vbb, vin, wl_high, temp_k, level };
         let gmin = 10f64.powf(gmin_exp);
         let scale = SCALES[scale];
         for (which, name) in CIRCUITS.iter().enumerate() {
             let ckt = circuit(which, &cond, &dvt);
-            let sys = System::new(&ckt);
+            let pins = Pins::of(&ckt);
+            let sys = system(which, &ckt, &pins, &cond);
             let n = sys.num_unknowns;
-            let x = state(&sys, &xs);
+            let x = state(&sys, &xs, pinned, scale);
             let prev: Vec<f64> = x.iter().rev().copied().collect();
             let companion = Companion { dt: 1e-10, prev: &prev };
-            let companion = (which == 4).then_some(&companion);
+            let companion = (which == MIXED).then_some(&companion);
 
             let (mut jac_ref, mut res_ref) = (Matrix::zeros(n), vec![0.0; n]);
             sys.assemble_reference(&x, gmin, scale, companion, &mut jac_ref, &mut res_ref);
@@ -451,23 +589,67 @@ proptest! {
             let mut mos = Vec::new();
             sys.load_mosfets(&mut mos);
             sys.residual(&x, gmin, scale, companion, &mut res, &mut mos);
-            sys.jacobian(&x, gmin, companion, &mos, &mut jac);
             prop_assert!(bits(&res) == bits(&res_ref), "{name}: residual differs");
+            let mut jac_full = Matrix::zeros(n);
+            sys.jacobian_full(&x, gmin, companion, &mos, &mut jac_full);
             prop_assert!(
-                matrix_bits(&jac) == matrix_bits(&jac_ref),
-                "{name}: Jacobian differs"
+                matrix_bits(&jac_full) == matrix_bits(&jac_ref),
+                "{name}: full-column Jacobian differs"
             );
 
-            let mut b: Vec<f64> = res_ref.iter().map(|r| -r).collect();
-            let mut b_ref = b.clone();
-            let lu = jac.solve_in_place(&mut b);
+            // Every column the pass computes is the full pass's; a column it
+            // leaves out holds only the Gmin diagonal and the pinning ±1.
+            sys.jacobian(&x, &res, gmin, companion, &mos, &mut jac);
+            let mut skipped = 0;
+            for col in 0..n {
+                let skips = col < sys.num_free_nodes && sys.skips(&res, col);
+                let pin = sys.pins.rows.get(col).copied().flatten();
+                skipped += usize::from(skips);
+                for row in 0..n {
+                    let want = match skips {
+                        false => jac_full.get(row, col),
+                        true if row == col => -gmin,
+                        true if Some(row) == pin => jac_full.get(row, col),
+                        true => 0.0,
+                    };
+                    let got = jac.get(row, col);
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{name}: entry ({row}, {col}) is {got:e}, not {want:e}"
+                    );
+                }
+                if let (true, Some(row)) = (skips, pin) {
+                    let pivot = jac.get(row, col).abs();
+                    prop_assert!(pivot == 1.0, "{name}: column {col} pivots on {pivot:e}");
+                }
+            }
+            // Every cell circuit pins some node at a pinned state; the bordered
+            // inverter's input is held by the border's row, so never skipped.
+            prop_assert!(!pinned || which == MIXED || skipped > 0, "{name}: nothing skipped");
+            if which == BORDERED {
+                let input = ckt.find_node("in").expect("the inverter has an input");
+                prop_assert!(!sys.skips(&res, input.index() - 1), "{name}: input skipped");
+            }
+
+            // The LU of the full pass is the dense LU bit for bit, solution
+            // and factors, and the LU of the pass equals it component by
+            // component (a zero may change sign).
+            let rhs: Vec<f64> = res_ref.iter().map(|r| -r).collect();
+            let (mut b_full, mut b_ref) = (rhs.clone(), rhs.clone());
+            let lu_full = jac_full.solve_in_place(&mut b_full);
             let lu_ref = solve_dense(&mut jac_ref, &mut b_ref);
-            prop_assert_eq!(lu, lu_ref);
-            prop_assert!(bits(&b) == bits(&b_ref), "{name}: LU solution differs");
+            prop_assert_eq!(lu_full, lu_ref);
+            prop_assert!(bits(&b_full) == bits(&b_ref), "{name}: LU solution differs");
             prop_assert!(
-                matrix_bits(&jac) == matrix_bits(&jac_ref),
+                matrix_bits(&jac_full) == matrix_bits(&jac_ref),
                 "{name}: LU factors differ"
             );
+            let mut b = rhs;
+            let lu = jac.solve_in_place(&mut b);
+            prop_assert_eq!(lu, lu_full);
+            if lu.is_ok() {
+                prop_assert!(b == b_full, "{name}: LU solution of the pass differs");
+            }
         }
     }
 
@@ -483,17 +665,20 @@ proptest! {
         vin in 0.0f64..1.2,
         wl_high in any::<bool>(),
         temp_k in 250.0f64..=400.0,
+        level in 0.05f64..0.95,
+        pinned in any::<bool>(),
     ) {
-        let cond = Cond { vdd, vsb, vbb, vin, wl_high, temp_k };
+        let cond = Cond { vdd, vsb, vbb, vin, wl_high, temp_k, level };
         let gmin = 10f64.powf(gmin_exp);
         let scale = SCALES[scale];
         for (which, name) in CIRCUITS.iter().enumerate() {
             let ckt = circuit(which, &cond, &dvt);
-            let sys = System::new(&ckt);
-            let start = state(&sys, &xs);
+            let pins = Pins::of(&ckt);
+            let sys = system(which, &ckt, &pins, &cond);
+            let start = state(&sys, &xs, pinned, scale);
             let prev: Vec<f64> = start.iter().rev().copied().collect();
             let companion = Companion { dt: 1e-10, prev: &prev };
-            let companion = (which == 4).then_some(&companion);
+            let companion = (which == MIXED).then_some(&companion);
 
             let mut x_ref = start.clone();
             let mut stats_ref = SolverStats::default();
@@ -510,7 +695,6 @@ proptest! {
             prop_assert_eq!(ws.stats, stats_ref);
         }
     }
-
     #[test]
     fn lu_matches_the_dense_reference_on_sparse_systems(
         n in 1usize..16,

@@ -4,7 +4,7 @@
 //! entirely adequate for the bit-line discharge and cell-flip waveforms the
 //! SRAM analyses need (smooth exponential-ish trajectories, no oscillators).
 
-use crate::dc::{self, Companion, DcWorkspace, System};
+use crate::dc::{self, Companion, DcWorkspace, Pins, System};
 use crate::netlist::{CircuitError, Netlist, NodeId};
 
 /// Options for a transient run.
@@ -99,7 +99,8 @@ impl TransientResult {
 /// Fails if the initial DC solve fails or any time step's Newton iteration
 /// does not converge.
 pub fn solve(netlist: &Netlist, opts: &TransientOptions) -> Result<TransientResult, CircuitError> {
-    let sys = System::new(netlist);
+    let pins = Pins::of(netlist);
+    let sys = System::new(netlist, &pins);
     if sys.num_unknowns == 0 {
         return Err(CircuitError::EmptyCircuit);
     }

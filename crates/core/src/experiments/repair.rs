@@ -312,11 +312,17 @@ pub fn fig2c(effort: Effort) -> Result<Fig2c, CircuitError> {
             SelfRepairingMemory::new(cfg)
         })
         .collect();
-    let responses: Result<Vec<_>, CircuitError> = mems
-        .iter()
-        .map(|m| m.failure_response(&m.grid(&corners)))
-        .collect();
-    let responses = responses?;
+    // The two memories share the cell, the analyzer and the hold bias, so
+    // where they bin the grid alike they have one failure table.
+    let grid = mems[0].grid(&corners);
+    let small = mems[0].failure_response(&grid)?;
+    let large_grid = mems[1].grid(&corners);
+    let large = if large_grid == grid {
+        small.clone().with_org(mems[1].config().org)
+    } else {
+        mems[1].failure_response(&large_grid)?
+    };
+    let responses = [small, large];
     let sigmas = linspace(0.025, 0.15, effort.sigmas.max(3));
     let rows: Vec<Fig2cRow> = sigmas
         .iter()
@@ -700,12 +706,14 @@ pub fn fig5b(effort: Effort) -> Result<Fig5b, CircuitError> {
     let dies = (effort.dies * 10).max(500);
     let mut zbb_samples = Vec::with_capacity(dies);
     let mut rep_samples = Vec::with_capacity(dies);
+    let zbb_leak = resp.array_leak_curve(Policy::Zbb);
+    let rep_leak = resp.array_leak_curve(Policy::SelfRepair);
     use rand_distr::Distribution;
     for _ in 0..dies {
         let g: f64 = rand_distr::StandardNormal.sample(&mut rng);
         let corner = sigma * g;
-        zbb_samples.push(resp.array_leak_mean(corner, Policy::Zbb));
-        rep_samples.push(resp.array_leak_mean(corner, Policy::SelfRepair));
+        zbb_samples.push(zbb_leak(corner));
+        rep_samples.push(rep_leak(corner));
     }
     let hi = zbb_samples
         .iter()

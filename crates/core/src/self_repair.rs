@@ -319,6 +319,14 @@ impl<T: Copy> CornerResponse<T> {
         &self.points
     }
 
+    /// The same table under the array organization `org`. A per-cell
+    /// table does not depend on the organization, so this is the table of
+    /// any memory that shares this one's cell, analyzer and hold bias and
+    /// bins the grid alike.
+    pub(crate) fn with_org(self, org: ArrayOrganization) -> Self {
+        Self { org, ..self }
+    }
+
     /// `f` of the policy's column as a function of the corner,
     /// log-interpolated between the grid points (the tables are built
     /// once, for evaluating it at many corners).
@@ -374,13 +382,8 @@ impl CornerResponse<FailureProbs> {
 }
 
 impl CornerResponse<LeakageStats> {
-    /// Per-cell leakage statistics at an arbitrary corner (the mean spans
-    /// decades across corners, so both moments are log-interpolated).
-    pub fn cell_leak_stats(&self, corner: f64, policy: Policy) -> LeakageStats {
-        self.cell_leak_curve(policy)(corner)
-    }
-
-    /// [`Self::cell_leak_stats`] as a function of the corner.
+    /// Per-cell leakage statistics as a function of the corner (the mean
+    /// spans decades across corners, so both moments are log-interpolated).
     fn cell_leak_curve(&self, policy: Policy) -> impl Fn(f64) -> LeakageStats {
         let mean = self.curve(policy, |s| s.mean);
         let std_dev = self.curve(policy, |s| s.std_dev);
@@ -392,9 +395,14 @@ impl CornerResponse<LeakageStats> {
 
     /// Array (memory) leakage mean at a corner \[A\].
     pub fn array_leak_mean(&self, corner: f64, policy: Policy) -> f64 {
-        self.org
-            .leakage_stats(self.cell_leak_stats(corner, policy))
-            .mean
+        self.array_leak_curve(policy)(corner)
+    }
+
+    /// [`Self::array_leak_mean`] as a function of the corner (the tables
+    /// are built once, for evaluating it at many corners).
+    pub(crate) fn array_leak_curve(&self, policy: Policy) -> impl Fn(f64) -> f64 {
+        let (org, stats) = (self.org, self.cell_leak_curve(policy));
+        move |corner| org.leakage_stats(stats(corner)).mean
     }
 
     /// Leakage yield `L_Yield` (paper Eqs. (3)–(4)): fraction of dies whose
@@ -583,6 +591,7 @@ mod tests {
             }
             let l_max = 2.5 * leakage.array_leak_mean(0.0, Policy::Zbb);
             for policy in [Policy::Zbb, Policy::SelfRepair] {
+                let array_leak = leakage.array_leak_curve(policy);
                 for corner in [-0.4, -0.27, -0.05, 0.0, 0.12, 0.3] {
                     let p = oracle.p_cell(corner, policy);
                     assert_eq!(failure.p_cell(corner, policy).to_bits(), p.to_bits());
@@ -591,10 +600,9 @@ mod tests {
                         oracle.org.expected_faulty_columns(p).to_bits()
                     );
                     let s = oracle.cell_leak_stats(corner, policy);
-                    assert_eq!(
-                        leakage.array_leak_mean(corner, policy).to_bits(),
-                        oracle.org.leakage_stats(s).mean.to_bits()
-                    );
+                    let mean = oracle.org.leakage_stats(s).mean.to_bits();
+                    assert_eq!(leakage.array_leak_mean(corner, policy).to_bits(), mean);
+                    assert_eq!(array_leak(corner).to_bits(), mean);
                 }
                 for sigma in [0.0, 0.05, 0.12] {
                     assert_eq!(
