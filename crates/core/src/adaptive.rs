@@ -7,6 +7,13 @@
 //! redundancy budget. The last bias whose faulty-column count fits within
 //! the spare columns becomes `VSB(adaptive)` for that die — maximal
 //! standby-leakage savings at a bounded hold-yield cost.
+//!
+//! A die's only faults are retention faults, so the count the counter
+//! reads at a bias is the number of columns whose weakest cell loses its
+//! data there. The population studies therefore keep a die as its
+//! [`ColumnThresholds`] and count them ([`AsbEngine::evaluate_die`]). The
+//! BIST path ([`AsbEngine::build_die`], [`AsbEngine::calibrate`]) runs the
+//! March tests on the same die and is the oracle of that count.
 
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
@@ -26,8 +33,9 @@ use crate::source_bias::HoldModelGrid;
 pub struct StandbyLeakageGrid {
     corners: Vec<f64>,
     vsbs: Vec<f64>,
-    /// Mean per-cell leakage \[A\], row-major `[corner][vsb]`.
-    means: Vec<f64>,
+    /// `ln` of the mean per-cell leakage \[A\] (floored at 1e-300),
+    /// row-major `[corner][vsb]`.
+    ln_means: Vec<f64>,
     vdd: f64,
 }
 
@@ -60,7 +68,10 @@ impl StandbyLeakageGrid {
             .collect();
         means_idx.sort_by_key(|&(i, _)| i);
         Self {
-            means: means_idx.into_iter().map(|(_, m)| m).collect(),
+            ln_means: means_idx
+                .into_iter()
+                .map(|(_, m)| m.max(1e-300).ln())
+                .collect(),
             corners,
             vsbs,
             vdd: tech.vdd(),
@@ -84,12 +95,8 @@ impl StandbyLeakageGrid {
             .partition_point(|&v| v < c)
             .clamp(1, self.corners.len() - 1);
         let (c0, c1) = (self.corners[i - 1], self.corners[i]);
-        let row = |ci: usize| -> f64 {
-            let lys: Vec<f64> = (0..self.vsbs.len())
-                .map(|vi| self.means[ci * self.vsbs.len() + vi].max(1e-300).ln())
-                .collect();
-            lin_interp(&self.vsbs, &lys, vsb)
-        };
+        let n = self.vsbs.len();
+        let row = |ci: usize| lin_interp(&self.vsbs, &self.ln_means[ci * n..(ci + 1) * n], vsb);
         let (y0, y1) = (row(i - 1), row(i));
         let t = if c1 > c0 { (c - c0) / (c1 - c0) } else { 0.0 };
         (y0 + (y1 - y0) * t).exp()
@@ -134,7 +141,7 @@ pub struct AsbStep {
     pub code: u32,
     /// Source bias at that code \[V\].
     pub vsb: f64,
-    /// Faulty columns the BIST counted.
+    /// Faulty columns counted at that bias.
     pub faulty_columns: usize,
 }
 
@@ -184,6 +191,58 @@ impl DieEvaluation {
     }
 }
 
+/// A die as the calibration counter sees it: each column's retention
+/// threshold, the lowest source bias at which one of its cells loses its
+/// data (`+∞` when every cell holds), sorted.
+///
+/// March tests that write a 1 and read it back (every test of
+/// [`MarchTest`]) fail a cell exactly when its retention fault is exposed,
+/// at `vsb >= min_vsb` ([`MemoryModel::set_vsb`]'s rule); a cell without
+/// a fault never fails. So on a die with retention faults only, the BIST
+/// counts a column faulty at `vsb` exactly when its threshold is `≤ vsb`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnThresholds {
+    sorted: Vec<f64>,
+}
+
+impl ColumnThresholds {
+    /// The thresholds of a `cols`-column die with retention faults
+    /// `(column, min_vsb)`. Only a column's lowest threshold counts, and a
+    /// NaN threshold, which `vsb >= min_vsb` never exposes, none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault's column is out of range.
+    pub fn new(cols: usize, faults: impl IntoIterator<Item = (usize, f64)>) -> Self {
+        let mut minima = vec![f64::INFINITY; cols];
+        for (col, min_vsb) in faults {
+            lower(&mut minima[col], min_vsb);
+        }
+        Self::from_minima(minima)
+    }
+
+    fn from_minima(mut minima: Vec<f64>) -> Self {
+        minima.sort_by(f64::total_cmp);
+        Self { sorted: minima }
+    }
+
+    /// Faulty columns at source bias `vsb`: the thresholds at or below it.
+    pub fn faulty_columns_at(&self, vsb: f64) -> usize {
+        self.sorted.partition_point(|&t| t <= vsb)
+    }
+
+    /// The thresholds, one per column, ascending.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.sorted
+    }
+}
+
+/// Lowers a column's threshold to `min_vsb`, which a NaN leaves unchanged
+/// (`f64::min` returns the other operand of a NaN).
+fn lower(column: &mut f64, min_vsb: f64) {
+    *column = column.min(min_vsb);
+}
+
 /// The ASB engine: hold-model grid + leakage grid + BIST configuration.
 #[derive(Debug, Clone)]
 pub struct AsbEngine {
@@ -223,48 +282,82 @@ impl AsbEngine {
     /// Builds the behavioural memory of one die at a corner: every cell
     /// gets an RDF sample, and cells whose hold slack dies within the grid
     /// receive a [`FaultKind::Retention`] at their personal threshold.
+    pub fn build_die(&self, corner: f64, rng: &mut impl Rng) -> MemoryModel {
+        let org = &self.cfg.org;
+        let mut mem = MemoryModel::new(org.rows, org.cols);
+        self.for_each_weak_cell(corner, rng, |cell, min_vsb| {
+            mem.inject(Fault {
+                row: cell / org.cols,
+                col: cell % org.cols,
+                kind: FaultKind::Retention { min_vsb },
+            });
+        });
+        mem
+    }
+
+    /// The same die as [`Self::build_die`], from the same draws, kept as
+    /// its column thresholds.
+    pub fn column_thresholds(&self, corner: f64, rng: &mut impl Rng) -> ColumnThresholds {
+        let cols = self.cfg.org.cols;
+        let mut minima = vec![f64::INFINITY; cols];
+        self.for_each_weak_cell(corner, rng, |cell, min_vsb| {
+            lower(&mut minima[cell % cols], min_vsb);
+        });
+        ColumnThresholds::from_minima(minima)
+    }
+
+    /// Draws one die's cells at a corner and hands each cell whose hold
+    /// slack dies within the grid to `weak`, as its row-major index and
+    /// its retention threshold.
     ///
     /// Cells are visited in row-major order, six normals each. The normals
     /// are drawn a block of cells at a time into a stack buffer, which
     /// consumes the generator exactly as drawing them cell by cell does.
-    pub fn build_die(&self, corner: f64, rng: &mut impl Rng) -> MemoryModel {
+    fn for_each_weak_cell(
+        &self,
+        corner: f64,
+        rng: &mut impl Rng,
+        mut weak: impl FnMut(usize, f64),
+    ) {
         const BLOCK: usize = 64;
-        let org = &self.cfg.org;
-        let mut mem = MemoryModel::new(org.rows, org.cols);
         let profile = self.hold.profile_at(corner);
-        let cells = org.rows * org.cols;
+        let cells = self.cfg.org.cells();
         let mut normals = [0.0; 6 * BLOCK];
         for start in (0..cells).step_by(BLOCK) {
             let block = &mut normals[..6 * BLOCK.min(cells - start)];
             StandardNormal.fill(rng, block);
             for (cell, z) in (start..).zip(block.as_chunks::<6>().0) {
                 if let Some(min_vsb) = profile.min_vsb(z) {
-                    mem.inject(Fault {
-                        row: cell / org.cols,
-                        col: cell % org.cols,
-                        kind: FaultKind::Retention { min_vsb },
-                    });
+                    weak(cell, min_vsb);
                 }
             }
         }
-        mem
     }
 
-    /// Runs the Fig. 7 calibration loop: raise the DAC code until the
-    /// faulty-column counter exceeds the spare budget, then settle on the
-    /// last passing code.
+    /// Runs the Fig. 7 calibration loop with the BIST: raise the DAC code
+    /// until the faulty-column counter exceeds the spare budget, then
+    /// settle on the last passing code, and leave `mem` at that bias.
     pub fn calibrate(&self, mem: &mut MemoryModel) -> AsbOutcome {
-        let bist = BistController::new();
+        let outcome = self.calibrate_with(|vsb| self.faulty_columns_at(mem, vsb));
+        mem.set_vsb(outcome.vsb);
+        outcome
+    }
+
+    /// The Fig. 7 calibration loop of [`Self::calibrate`] on a die's
+    /// column thresholds.
+    pub fn calibrate_thresholds(&self, die: &ColumnThresholds) -> AsbOutcome {
+        self.calibrate_with(|vsb| die.faulty_columns_at(vsb))
+    }
+
+    /// The Fig. 7 calibration loop, reading the faulty-column counter at a
+    /// bias from `faulty_at`.
+    fn calibrate_with(&self, mut faulty_at: impl FnMut(f64) -> usize) -> AsbOutcome {
         let spares = self.cfg.org.redundant_cols;
         let mut steps = Vec::new();
         let mut last_good: Option<(u32, f64)> = None;
         for code in 0..self.cfg.dac.codes() {
             let vsb = self.cfg.dac.voltage(code);
-            mem.set_vsb(vsb);
-            let report = bist
-                .run(&self.cfg.march, mem)
-                .expect("the march ran on this memory, so failure columns are in range");
-            let faulty = report.faulty_columns();
+            let faulty = faulty_at(vsb);
             steps.push(AsbStep {
                 code,
                 vsb,
@@ -283,7 +376,6 @@ impl AsbEngine {
         } else {
             0.0
         };
-        mem.set_vsb(vsb);
         AsbOutcome {
             code,
             limit_code,
@@ -302,21 +394,19 @@ impl AsbEngine {
     }
 
     /// Full evaluation of one die: calibration plus the comparison points
-    /// (zero bias and the design-time `VSB(opt)`).
+    /// (zero bias and the design-time `VSB(opt)`), counted on the die's
+    /// column thresholds.
     pub fn evaluate_die(&self, corner: f64, vsb_opt: f64, rng: &mut impl Rng) -> DieEvaluation {
-        let mut mem = self.build_die(corner, rng);
-        let outcome = self.calibrate(&mut mem);
+        let die = self.column_thresholds(corner, rng);
+        let outcome = self.calibrate_thresholds(&die);
         let drift = self.sample_drift(rng);
-        let faulty_cols_zero = self.faulty_columns_at(&mut mem, drift);
-        let faulty_cols_opt = self.faulty_columns_at(&mut mem, vsb_opt + drift);
-        let faulty_cols_adaptive = self.faulty_columns_at(&mut mem, outcome.vsb + drift);
         let cells = self.cfg.org.cells();
         DieEvaluation {
             corner,
             vsb_adaptive: outcome.vsb,
-            faulty_cols_zero,
-            faulty_cols_opt,
-            faulty_cols_adaptive,
+            faulty_cols_zero: die.faulty_columns_at(drift),
+            faulty_cols_opt: die.faulty_columns_at(vsb_opt + drift),
+            faulty_cols_adaptive: die.faulty_columns_at(outcome.vsb + drift),
             power_zero: self.leak.standby_power(corner, 0.0, cells),
             power_opt: self.leak.standby_power(corner, vsb_opt, cells),
             power_adaptive: self.leak.standby_power(corner, outcome.vsb, cells),

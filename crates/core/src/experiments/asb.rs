@@ -198,10 +198,10 @@ pub fn fig8(effort: Effort) -> Result<Fig8, CircuitError> {
             let mut use_failures = 0usize;
             for k in 0..dies_per_corner {
                 let mut rng = pvtm_stats::rng::substream(0xF168, (i * 1000 + k) as u64);
-                let mut mem = engine.build_die(vt_inter, &mut rng);
-                let outcome = engine.calibrate(&mut mem);
+                let die = engine.column_thresholds(vt_inter, &mut rng);
+                let outcome = engine.calibrate_thresholds(&die);
                 let drift = engine.sample_drift(&mut rng);
-                if engine.faulty_columns_at(&mut mem, outcome.vsb + drift) > spares {
+                if die.faulty_columns_at(outcome.vsb + drift) > spares {
                     use_failures += 1;
                 }
                 vsbs.push(outcome.vsb);
@@ -286,8 +286,8 @@ pub fn fig9(effort: Effort) -> Result<Fig9, CircuitError> {
     let fixed: Vec<f64> = (0..24u64)
         .map(|k| {
             let mut rng = pvtm_stats::rng::substream(0xF169A, k);
-            let mut mem = engine.build_die(-0.02, &mut rng);
-            engine.calibrate(&mut mem).vsb
+            let die = engine.column_thresholds(-0.02, &mut rng);
+            engine.calibrate_thresholds(&die).vsb
         })
         .collect();
     let within_corner_sigma = pvtm_stats::Summary::from_slice(&fixed).std_dev();

@@ -42,7 +42,9 @@ pub mod monitor;
 pub mod self_repair;
 pub mod source_bias;
 
-pub use adaptive::{AsbConfig, AsbEngine, AsbOutcome, DieEvaluation, StandbyLeakageGrid};
+pub use adaptive::{
+    AsbConfig, AsbEngine, AsbOutcome, ColumnThresholds, DieEvaluation, StandbyLeakageGrid,
+};
 pub use body_bias::BodyBiasGenerator;
 pub use monitor::{LeakageBinner, LeakageMonitor, VtRegion};
 pub use self_repair::{CornerResponse, Policy, SelfRepairConfig, SelfRepairingMemory};
