@@ -1,7 +1,6 @@
 //! BIST controller: March execution plus the paper's per-column fault
 //! bookkeeping (Fig. 7's "register bank and counter").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::march::{MarchResult, MarchTest};
@@ -83,7 +82,7 @@ impl BistController {
 }
 
 /// Outcome of one BIST run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BistReport {
     column_flags: Vec<bool>,
     result: MarchResult,

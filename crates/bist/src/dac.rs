@@ -5,10 +5,8 @@
 //! DAC with optional integral nonlinearity, so the calibration experiments
 //! can sweep the resolution (the DAC ablation of DESIGN.md).
 
-use serde::{Deserialize, Serialize};
-
 /// An n-bit DAC mapping codes `0..2^bits − 1` onto `[0, vref]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dac {
     bits: u8,
     vref: f64,

@@ -7,12 +7,10 @@
 //! transition, coupling), March A (linked coupling faults) and March SS
 //! (simple static faults).
 
-use serde::{Deserialize, Serialize};
-
 use crate::memory::{CleanMove, MemoryModel};
 
 /// Address traversal order of a March element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Order {
     /// Ascending addresses.
     Up,
@@ -23,7 +21,7 @@ pub enum Order {
 }
 
 /// A single read/write operation within a March element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Read, expecting 0.
     R0,
@@ -37,7 +35,7 @@ pub enum Op {
 
 /// One March element: an address order plus an operation sequence applied
 /// at every address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarchElement {
     /// Traversal order.
     pub order: Order,
@@ -120,14 +118,14 @@ impl MarchElement {
 }
 
 /// A complete March test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarchTest {
     name: String,
     elements: Vec<MarchElement>,
 }
 
 /// One detected mismatch: address, element and operation indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarchFailure {
     /// Failing row.
     pub row: usize,
@@ -140,7 +138,7 @@ pub struct MarchFailure {
 }
 
 /// Result of running a March test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarchResult {
     /// All read mismatches, in detection order.
     pub failures: Vec<MarchFailure>,

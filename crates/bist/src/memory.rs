@@ -25,7 +25,6 @@
 //! accesses it changes, whether that cell reads, writes or decays
 //! differently or changes another cell when accessed.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Stored bit of a cell's state byte.
@@ -110,7 +109,7 @@ impl CleanMove {
 }
 
 /// A functional fault attached to one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The cell always reads the given value; writes are ignored.
     StuckAt(bool),
@@ -146,7 +145,7 @@ pub enum FaultKind {
 }
 
 /// A fault instance: location plus kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fault {
     /// Cell row.
     pub row: usize,

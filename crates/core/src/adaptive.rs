@@ -18,7 +18,6 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pvtm_bist::{BistController, Dac, Fault, FaultKind, MarchTest, MemoryModel};
 use pvtm_device::Technology;
@@ -29,7 +28,7 @@ use crate::source_bias::HoldModelGrid;
 
 /// Standby leakage tabulated over (corner × vsb), for fast per-die standby
 /// power evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandbyLeakageGrid {
     corners: Vec<f64>,
     vsbs: Vec<f64>,
@@ -135,7 +134,7 @@ pub struct AsbConfig {
 }
 
 /// One step of the calibration loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsbStep {
     /// DAC code applied.
     pub code: u32,
@@ -146,7 +145,7 @@ pub struct AsbStep {
 }
 
 /// Result of calibrating one die.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsbOutcome {
     /// Applied DAC code (after the back-off guard band).
     pub code: u32,
@@ -159,7 +158,7 @@ pub struct AsbOutcome {
 }
 
 /// Per-die evaluation for the population studies (paper Figs. 8–10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieEvaluation {
     /// The die's inter-die corner \[V\].
     pub corner: f64,

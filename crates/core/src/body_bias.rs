@@ -1,14 +1,12 @@
 //! Body-bias generation policy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::monitor::VtRegion;
 
 /// The discrete body-bias generator of the self-repairing memory: one
 /// reverse level for region A, zero for region B, one forward level for
 /// region C. Levels are bounded by the leakage penalties of Fig. 5a
 /// (junction BTBT under deep RBB, body-diode current under deep FBB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodyBiasGenerator {
     /// Reverse body-bias level applied to low-Vt dies \[V\] (negative).
     rbb: f64,

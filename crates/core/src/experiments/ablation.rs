@@ -5,7 +5,7 @@
 use rand::Rng;
 use rand_distr::Distribution;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use pvtm_bist::{BistController, Dac, Fault, FaultKind, MarchTest, MemoryModel};
@@ -21,7 +21,7 @@ use crate::self_repair::{Policy, SelfRepairConfig, SelfRepairingMemory};
 // ------------------------------------------------------- monitor ablation
 
 /// One monitor-offset point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MonitorAblationRow {
     /// Output-referred comparator/monitor offset sigma \[V\].
     pub offset_sigma: f64,
@@ -34,7 +34,7 @@ pub struct MonitorAblationRow {
 
 /// Monitor-precision ablation: how much comparator offset the self-repair
 /// loop tolerates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MonitorAblation {
     /// Offset sweep.
     pub rows: Vec<MonitorAblationRow>,
@@ -180,7 +180,7 @@ impl fmt::Display for MonitorAblation {
 // ----------------------------------------------------------- DAC ablation
 
 /// One DAC-resolution point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DacAblationRow {
     /// DAC resolution in bits.
     pub bits: u8,
@@ -191,7 +191,7 @@ pub struct DacAblationRow {
 }
 
 /// DAC-resolution ablation for the ASB loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DacAblation {
     /// Bits sweep.
     pub rows: Vec<DacAblationRow>,
@@ -260,7 +260,7 @@ impl fmt::Display for DacAblation {
 // ---------------------------------------------------- bias-level ablation
 
 /// One body-bias-strength point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BiasLevelRow {
     /// Magnitude of both RBB and FBB \[V\].
     pub level: f64,
@@ -271,7 +271,7 @@ pub struct BiasLevelRow {
 }
 
 /// Body-bias-strength ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BiasLevelAblation {
     /// Level sweep.
     pub rows: Vec<BiasLevelRow>,
@@ -338,7 +338,7 @@ impl fmt::Display for BiasLevelAblation {
 // --------------------------------------------------------- March ablation
 
 /// Coverage of one March algorithm on a mixed fault soup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MarchCoverageRow {
     /// Algorithm name.
     pub name: String,
@@ -349,7 +349,7 @@ pub struct MarchCoverageRow {
 }
 
 /// March-algorithm comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MarchAblation {
     /// Per-algorithm coverage.
     pub rows: Vec<MarchCoverageRow>,
@@ -469,7 +469,7 @@ impl fmt::Display for MarchAblation {
 // --------------------------------------------------- temperature ablation
 
 /// One temperature point of the binning study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TemperatureRow {
     /// Die temperature \[K\].
     pub temp_k: f64,
@@ -481,7 +481,7 @@ pub struct TemperatureRow {
 }
 
 /// Temperature sensitivity of the leakage binning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TemperatureAblation {
     /// Temperature sweep.
     pub rows: Vec<TemperatureRow>,

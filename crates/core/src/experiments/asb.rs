@@ -1,7 +1,7 @@
 //! Experiments for the self-adaptive source-bias scheme (paper Figs. 6–10)
 //! plus the headline summary.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use pvtm_bist::{Dac, MarchTest};
@@ -42,7 +42,7 @@ pub fn cell_target_for_memory(org: &ArrayOrganization, p_mem: f64) -> f64 {
 // ----------------------------------------------------------------- fig 6
 
 /// One corner of the Fig. 6 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig6Row {
     /// Inter-die corner \[V\].
     pub vt_inter: f64,
@@ -51,7 +51,7 @@ pub struct Fig6Row {
 }
 
 /// Fig. 6: the per-corner source-bias ceiling for `P_HF = 1e-3` (32 KB).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig6 {
     /// Corner sweep.
     pub rows: Vec<Fig6Row>,
@@ -121,7 +121,7 @@ impl fmt::Display for Fig6 {
 // ----------------------------------------------------------------- fig 8
 
 /// One corner of the Fig. 8 comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig8Row {
     /// Inter-die corner \[V\].
     pub vt_inter: f64,
@@ -141,7 +141,7 @@ pub struct Fig8Row {
 }
 
 /// Fig. 8: adaptive vs fixed-optimal source bias across corners (2 KB).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig8 {
     /// Corner sweep.
     pub rows: Vec<Fig8Row>,
@@ -250,7 +250,7 @@ impl fmt::Display for Fig8 {
 // ----------------------------------------------------------------- fig 9
 
 /// Fig. 9: distributions across a die population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig9 {
     /// Histogram of `VSB(adaptive)` across dies (σ_inter = 60 mV).
     pub vsb_distribution: Histogram,
@@ -341,7 +341,7 @@ impl fmt::Display for Fig9 {
 // ---------------------------------------------------------------- fig 10
 
 /// One σ point of the yield comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig10Row {
     /// σ of the inter-die distribution \[V\].
     pub sigma_inter: f64,
@@ -361,7 +361,7 @@ pub struct Fig10Row {
 
 /// Fig. 10: leakage yield (a) and hold yield (b) vs σ for the three
 /// source-bias schemes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig10 {
     /// σ sweep.
     pub rows: Vec<Fig10Row>,
@@ -449,7 +449,7 @@ impl fmt::Display for Fig10 {
 // --------------------------------------------------------------- headline
 
 /// The paper's headline quantitative claims vs our measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Headline {
     /// Parametric-yield improvement of the self-repairing memory at large
     /// σ, percentage points (64 KB, 256 KB). Paper: 8–25 %.

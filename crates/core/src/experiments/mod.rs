@@ -171,6 +171,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The exact text a figure file holds for each shape the figure results
+    /// use: named-field structs (nested, and in a `Vec`), a tuple, `None`,
+    /// a `Histogram` and a unit-variant enum.
+    #[test]
+    fn derived_json_text_is_pinned() {
+        #[derive(Serialize)]
+        struct Row {
+            vsb: f64,
+            dies: u64,
+        }
+        #[derive(Serialize)]
+        struct Figure {
+            rows: Vec<Row>,
+            range: (f64, f64),
+            missing: Option<f64>,
+            histogram: pvtm_stats::Histogram,
+            region: crate::monitor::VtRegion,
+        }
+        let mut histogram = pvtm_stats::Histogram::new(0.0, 1.0, 2);
+        for x in [0.25, 0.75, 0.8, 1.5, -0.5] {
+            histogram.add(x);
+        }
+        let figure = Figure {
+            rows: vec![
+                Row { vsb: 0.5, dies: 3 },
+                Row {
+                    vsb: 1.4e-5,
+                    dies: 0,
+                },
+            ],
+            range: (-0.1, 2.0),
+            missing: None,
+            histogram,
+            region: crate::monitor::VtRegion::LowVt,
+        };
+        let expected = r#"{
+  "rows": [
+    {
+      "vsb": 0.5,
+      "dies": 3
+    },
+    {
+      "vsb": 1.4e-5,
+      "dies": 0
+    }
+  ],
+  "range": [
+    -0.1,
+    2.0
+  ],
+  "missing": null,
+  "histogram": {
+    "lo": 0.0,
+    "hi": 1.0,
+    "bins": [
+      1,
+      2
+    ],
+    "underflow": 1,
+    "overflow": 1
+  },
+  "region": "LowVt"
+}"#;
+        assert_eq!(serde_json::to_string_pretty(&figure).unwrap(), expected);
+    }
+
     #[test]
     fn probability_formatting() {
         assert_eq!(fmt_p(0.0), "0");

@@ -1,7 +1,7 @@
 //! Experiments for the self-repairing memory (paper Figs. 2–5).
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use pvtm_circuit::CircuitError;
@@ -20,7 +20,7 @@ pub const HOLD_VSB: f64 = 0.5;
 // ---------------------------------------------------------------- fig 2a
 
 /// One corner of the Fig. 2a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig2aRow {
     /// Inter-die Vt shift \[V\].
     pub vt_inter: f64,
@@ -39,7 +39,7 @@ pub struct Fig2aRow {
 /// Importance-sampled Monte-Carlo cross-check of the linearized failure
 /// estimate at one corner (exact circuit-solved margins, any mechanism
 /// failing counts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct McCrossCheck {
     /// Corner the check ran at (the sweep's worst corner).
     pub vt_inter: f64,
@@ -54,7 +54,7 @@ pub struct McCrossCheck {
 }
 
 /// Fig. 2a: cell failure probabilities vs inter-die Vt shift.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig2a {
     /// Corner sweep.
     pub rows: Vec<Fig2aRow>,
@@ -187,7 +187,7 @@ impl fmt::Display for Fig2a {
 // ---------------------------------------------------------------- fig 2b
 
 /// One body-bias point of the Fig. 2b sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig2bRow {
     /// NMOS body bias \[V\] (negative = RBB).
     pub body_bias: f64,
@@ -205,7 +205,7 @@ pub struct Fig2bRow {
 
 /// Fig. 2b: effect of body bias on each failure mechanism at the nominal
 /// corner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig2b {
     /// Body-bias sweep.
     pub rows: Vec<Fig2bRow>,
@@ -267,7 +267,7 @@ impl fmt::Display for Fig2b {
 // ---------------------------------------------------------------- fig 2c
 
 /// One yield point of the Fig. 2c sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig2cRow {
     /// σ of the inter-die Vt distribution \[V\].
     pub sigma_inter: f64,
@@ -282,7 +282,7 @@ pub struct Fig2cRow {
 }
 
 /// Fig. 2c: parametric yield vs σ(Vt_inter) for 64 KB and 256 KB memories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig2c {
     /// σ sweep.
     pub rows: Vec<Fig2cRow>,
@@ -375,7 +375,7 @@ impl fmt::Display for Fig2c {
 // ----------------------------------------------------------------- fig 3
 
 /// A named histogram series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistogramSeries {
     /// Label (e.g. `Vt_inter = -100 mV`).
     pub label: String,
@@ -385,7 +385,7 @@ pub struct HistogramSeries {
 
 /// Fig. 3: cell-level leakage distributions overlap across corners while
 /// 1 KB-array distributions separate (central limit theorem).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig3 {
     /// Per-cell leakage histograms at each corner.
     pub cell: Vec<HistogramSeries>,
@@ -506,7 +506,7 @@ impl fmt::Display for Fig3 {
 // ---------------------------------------------------------------- fig 4b
 
 /// One corner of the Fig. 4b comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig4bRow {
     /// Inter-die corner \[V\].
     pub vt_inter: f64,
@@ -521,7 +521,7 @@ pub struct Fig4bRow {
 }
 
 /// Fig. 4b: failure counts in a 256 KB array across corners.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig4b {
     /// Corner sweep.
     pub rows: Vec<Fig4bRow>,
@@ -582,7 +582,7 @@ impl fmt::Display for Fig4b {
 // ---------------------------------------------------------------- fig 5a
 
 /// One body-bias point of the leakage decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig5aRow {
     /// NMOS body bias \[V\].
     pub body_bias: f64,
@@ -599,7 +599,7 @@ pub struct Fig5aRow {
 }
 
 /// Fig. 5a: cell leakage components vs body bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5a {
     /// Body-bias sweep.
     pub rows: Vec<Fig5aRow>,
@@ -673,7 +673,7 @@ impl fmt::Display for Fig5a {
 
 /// Fig. 5b: the inter-die memory-leakage spread with and without
 /// self-repair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5b {
     /// Histogram of array leakage across dies, all dies at ZBB.
     pub zbb: Histogram,
@@ -755,7 +755,7 @@ impl fmt::Display for Fig5b {
 // ---------------------------------------------------------------- fig 5c
 
 /// One σ point of the leakage-yield sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig5cRow {
     /// σ of the inter-die Vt distribution \[V\].
     pub sigma_inter: f64,
@@ -766,7 +766,7 @@ pub struct Fig5cRow {
 }
 
 /// Fig. 5c: leakage yield vs σ(Vt_inter) for a 64 KB array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5c {
     /// σ sweep.
     pub rows: Vec<Fig5cRow>,

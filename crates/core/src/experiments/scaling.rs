@@ -6,7 +6,7 @@
 //! the predictive 90 / 70 / 45 nm cards and shows the trend.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use pvtm_circuit::CircuitError;
@@ -18,7 +18,7 @@ use pvtm_sram::{
 use super::Effort;
 
 /// One technology node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScalingRow {
     /// Node name.
     pub node: String,
@@ -35,7 +35,7 @@ pub struct ScalingRow {
 }
 
 /// The scaling study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Scaling {
     /// One row per node, largest first.
     pub rows: Vec<ScalingRow>,

@@ -10,10 +10,10 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Inter-die Vt region of a die (paper Fig. 2c's regions A/B/C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum VtRegion {
     /// Region A: low-Vt, leaky dies — candidates for reverse body bias.
     LowVt,
@@ -36,7 +36,7 @@ impl std::fmt::Display for VtRegion {
 /// The on-line leakage monitor: a transresistance stage converting the
 /// array's standby current into a voltage, with optional input-referred
 /// offset noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageMonitor {
     /// Transresistance gain \[V/A\].
     gain: f64,
@@ -96,7 +96,7 @@ impl LeakageMonitor {
 
 /// Two-comparator binning stage: compares the monitor output against
 /// `vref_high > vref_low` and assigns the Vt region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageBinner {
     monitor: LeakageMonitor,
     vref_high: f64,

@@ -191,16 +191,6 @@ impl SourceBiasAnalyzer {
             }
         }
     }
-
-    /// The design-time `VSB(opt)`: the maximum bias at the *nominal*
-    /// corner, which a non-adaptive design would apply to every die.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC-solver failures.
-    pub fn vsb_opt(&self, p_target: f64) -> Result<f64, CircuitError> {
-        self.max_vsb(0.0, p_target)
-    }
 }
 
 /// Precomputed hold models over a (corner × vsb) grid with bilinear
@@ -503,13 +493,6 @@ mod tests {
             "fig-6 shape violated: {v_low:.3} / {v_nom:.3} / {v_high:.3}"
         );
         assert!(v_nom > 0.3, "nominal ceiling suspiciously low: {v_nom:.3}");
-    }
-
-    #[test]
-    fn vsb_opt_equals_nominal_ceiling() {
-        let a = analyzer();
-        let target = 1e-3;
-        assert_eq!(a.vsb_opt(target).unwrap(), a.max_vsb(0.0, target).unwrap());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //!   body diode,
 //! - gate leakage barely cares.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mosfet::Mosfet;
 use crate::thermal_voltage;
 
 /// Leakage current decomposition \[A\]. All components are non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LeakageComponents {
     /// Subthreshold (weak-inversion channel) leakage.
     pub subthreshold: f64,

@@ -7,15 +7,13 @@
 //! adaptive body bias; DIBL and channel-length modulation give realistic
 //! output characteristics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::{Polarity, TransistorParams};
 use crate::tech::Technology;
 use crate::thermal_voltage;
 
 /// Absolute terminal voltages of a MOSFET (gate, drain, source, body),
 /// all referenced to circuit ground.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bias {
     /// Gate voltage \[V\].
     pub vg: f64,
@@ -59,7 +57,7 @@ fn softplus(x: f64) -> f64 {
 
 /// A MOSFET instance: parameter card, geometry and a per-device threshold
 /// deviation (inter-die shift + RDF sample).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mosfet {
     polarity: Polarity,
     params: TransistorParams,

@@ -1,9 +1,7 @@
 //! Transistor parameter cards.
 
-use serde::{Deserialize, Serialize};
-
 /// Channel polarity of a MOSFET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// N-channel device.
     Nmos,
@@ -25,7 +23,7 @@ impl std::fmt::Display for Polarity {
 /// All voltages are expressed in the device's *own* polarity convention
 /// (i.e. for PMOS these are the magnitudes after reflecting the terminal
 /// voltages), so one equation set serves both flavours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransistorParams {
     /// Zero-bias threshold voltage magnitude \[V\].
     pub vt0: f64,

@@ -7,13 +7,11 @@
 //! the authors' testbed — the reproduction targets the *shapes* of the
 //! paper's figures, which depend on the mechanisms, not the decimal points.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::{Polarity, TransistorParams};
 
 /// A process technology: supply, geometry floor, reference temperature and
 /// one parameter card per device flavour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     name: String,
     node_nm: f64,

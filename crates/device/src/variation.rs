@@ -8,12 +8,11 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::mosfet::Mosfet;
 
 /// Statistical variation model for a technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     /// Standard deviation of the inter-die Vt shift \[V\].
     sigma_inter: f64,

@@ -19,31 +19,32 @@
 //! The circuit-solved quantities (trip points, the read divider, the hold
 //! state) come from [`CellEvaluator`](crate::evaluator::CellEvaluator).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::{Conditions, SramCell, Xtor};
 
-/// Configuration of the failure metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Bit-line capacitance \[F\].
+pub(crate) const CBL: f64 = 60e-15;
+/// Bit-line differential required by the sense amplifier \[V\].
+pub(crate) const DV_SENSE: f64 = 0.10;
+/// Storage-node capacitance \[F\] (sets the write flip time).
+const C_NODE: f64 = 1.2e-15;
+/// Output crossing level for trip-point extraction, as a fraction of the
+/// rail span (0.5 = midpoint).
+pub(crate) const TRIP_LEVEL_FRAC: f64 = 0.5;
+/// Bisection iterations that define a trip point (each halves the
+/// interval): the trip is the midpoint of the bisection's final cell,
+/// which `CellEvaluator` locates with a bordered solve and confirms with
+/// two solves before it falls back to bisecting.
+pub(crate) const BISECTION_ITERS: u32 = 24;
+
+/// Configuration of the failure metrics: the two timing limits, which
+/// [`FailureAnalyzer::calibrate_timing`](crate::FailureAnalyzer::calibrate_timing)
+/// sets.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
-    /// Bit-line capacitance \[F\].
-    pub cbl: f64,
-    /// Bit-line differential required by the sense amplifier \[V\].
-    pub dv_sense: f64,
     /// Maximum allowed access (bit-line discharge) time \[s\].
     pub t_max: f64,
-    /// Storage-node capacitance \[F\] (sets the write flip time).
-    pub c_node: f64,
     /// Word-line pulse width available to complete a write \[s\].
     pub t_wl_max: f64,
-    /// Output crossing level for trip-point extraction, as a fraction of
-    /// the rail span (0.5 = midpoint).
-    pub trip_level_frac: f64,
-    /// Bisection iterations that define a trip point (each halves the
-    /// interval): the trip is the midpoint of the bisection's final cell,
-    /// which `CellEvaluator` locates with a bordered solve and confirms
-    /// with two solves before it falls back to bisecting.
-    pub bisection_iters: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -53,23 +54,16 @@ impl Default for AnalysisConfig {
             // at the default 70 nm sizing with a 4.7σ nominal guard band,
             // so the default configuration is a balanced design out of the
             // box (the paper's "equal failure probabilities at ZBB").
-            cbl: 60e-15,
-            dv_sense: 0.10,
             t_max: 89.3e-12,
-            c_node: 1.2e-15,
             t_wl_max: 12.6e-12,
-            trip_level_frac: 0.5,
-            bisection_iters: 24,
         }
     }
 }
 
 impl AnalysisConfig {
-    /// Panics unless the bit-line capacitance, sense differential and
-    /// access-time limit are positive and the trip level lies in (0, 1).
+    /// Panics unless the access-time limit is positive.
     pub(crate) fn check(&self) {
-        assert!(self.cbl > 0.0 && self.dv_sense > 0.0 && self.t_max > 0.0);
-        assert!((0.0..1.0).contains(&self.trip_level_frac) && self.trip_level_frac > 0.0);
+        assert!(self.t_max > 0.0);
     }
 
     /// Write (flip) time \[s\] for the flip threshold `trip`: the time for
@@ -107,7 +101,7 @@ impl AnalysisConfig {
             if i_net <= 0.0 {
                 return f64::INFINITY;
             }
-            t += self.c_node * (v0 - v1) / i_net;
+            t += C_NODE * (v0 - v1) / i_net;
         }
         t
     }
@@ -129,7 +123,7 @@ impl AnalysisConfig {
     /// Access (bit-line discharge) time \[s\] for a read current:
     /// `C_BL · ΔV_sense / I_read`.
     pub fn access_time(&self, i_read: f64) -> f64 {
-        self.cbl * self.dv_sense / i_read.max(1e-12)
+        CBL * DV_SENSE / i_read.max(1e-12)
     }
 
     /// Access margin `ln(T_MAX / t_access)` (dimensionless) for a read
@@ -141,7 +135,7 @@ impl AnalysisConfig {
 
 /// Hold-analysis raw quantities (see
 /// [`CellEvaluator::hold_metrics`](crate::evaluator::CellEvaluator::hold_metrics)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoldMetrics {
     /// Actual droop of the 1 node below VDD \[V\].
     pub droop: f64,
@@ -150,7 +144,7 @@ pub struct HoldMetrics {
 }
 
 /// The four failure-metric margins; positive is healthy, negative failed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Margins {
     /// Read-stability margin \[V\].
     pub read: f64,

@@ -9,13 +9,11 @@
 //!   `σ_MEM = √N·σ_cell` (Eq. (2)), and the probability of meeting a
 //!   leakage bound is `Φ((L_MAX − µ)/σ)` (Eq. (3)).
 
-use serde::{Deserialize, Serialize};
-
 use crate::leakage::LeakageStats;
 use pvtm_stats::special::{norm_cdf, BinomialTail};
 
 /// Physical organization of a memory array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayOrganization {
     /// Rows (cells per column).
     pub rows: usize,
@@ -160,7 +158,7 @@ impl ArrayOrganization {
 }
 
 /// Yield summary of an array evaluated across inter-die corners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayYield {
     /// Fraction of dies whose memory is functional (parametric yield).
     pub parametric: f64,

@@ -8,10 +8,9 @@
 //! node); use [`SramCell::mirrored`] for the opposite orientation.
 
 use pvtm_device::{Mosfet, Technology};
-use serde::{Deserialize, Serialize};
 
 /// The six transistors of the cell, in canonical order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Xtor {
     /// Left pull-down NMOS (gate at `VR`, drain at `VL`).
     Nl,
@@ -54,7 +53,7 @@ impl Xtor {
 /// The default sizing follows the usual 6T ratios: pull-down strongest
 /// (cell β ≈ 1.4 for read stability), access in between, pull-up weakest
 /// (for writability).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSizing {
     /// Pull-down NMOS width.
     pub wpd: f64,
@@ -113,7 +112,7 @@ impl CellSizing {
 }
 
 /// Operating conditions for a cell analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Conditions {
     /// Cell supply \[V\].
     pub vdd: f64,

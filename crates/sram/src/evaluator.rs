@@ -48,7 +48,9 @@ use pvtm_circuit::{
     TransientOptions, VsourceSlot,
 };
 
-use crate::analysis::{AnalysisConfig, HoldMetrics, Margins};
+use crate::analysis::{
+    AnalysisConfig, HoldMetrics, Margins, BISECTION_ITERS, CBL, DV_SENSE, TRIP_LEVEL_FRAC,
+};
 use crate::cell::{Conditions, SramCell, Xtor};
 
 /// The compiled read divider: `AXR` against `NR` with the word line high.
@@ -136,8 +138,7 @@ impl CellEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive `cbl`, `dv_sense` or `t_max`, or a
-    /// `trip_level_frac` outside (0, 1).
+    /// Panics on a non-positive `t_max`.
     pub fn new(config: AnalysisConfig, base: &SramCell) -> Self {
         config.check();
         Self {
@@ -527,7 +528,7 @@ impl CellEvaluator {
 
     /// Finds the input level at which the inverter output crosses `level`
     /// (the output falls as the input rises): the answer of
-    /// [`Self::bisect_trip`], mostly without its `bisection_iters + 2`
+    /// [`Self::bisect_trip`], mostly without its `BISECTION_ITERS + 2`
     /// solves.
     ///
     /// One bordered solve ([`CircuitTemplate::solve_trip`]) puts the
@@ -570,9 +571,7 @@ impl CellEvaluator {
         wordline_high: bool,
         level: f64,
     ) -> Result<Option<f64>, CircuitError> {
-        let Some(cells) = Cells::new(cond.vdd, self.config.bisection_iters) else {
-            return Ok(None);
-        };
+        let cells = Cells { vdd: cond.vdd };
         // A cold start begins where the bisection does, at its first midpoint.
         let guess = 0.5 * cond.vdd;
         self.patch_inverter(cond, side, wordline_high, guess)?;
@@ -621,7 +620,7 @@ impl CellEvaluator {
         if out_hi >= level {
             return Ok(hi);
         }
-        for _ in 0..self.config.bisection_iters {
+        for _ in 0..BISECTION_ITERS {
             let mid = 0.5 * (lo + hi);
             let out = self.inverter_output(cond, side, wordline_high, mid)?;
             if out > level {
@@ -637,21 +636,21 @@ impl CellEvaluator {
     /// (`PL`/`NL`, loaded by `AXL` pulling up from `BL` = vdd) output falls
     /// through the trip level.
     fn v_trip_rd(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.config.trip_level_frac;
+        let level = cond.vdd * TRIP_LEVEL_FRAC;
         self.inverter_trip(cond, Side::Left, true, level)
     }
 
     /// Write trip point `V_TRIPWR`: trip of the right inverter (`PR`/`NR`,
     /// loaded by `AXR` pulling up from `BR` = vdd).
     fn v_trip_wr(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vdd * self.config.trip_level_frac;
+        let level = cond.vdd * TRIP_LEVEL_FRAC;
         self.inverter_trip(cond, Side::Right, true, level)
     }
 
     /// Data-retention trip point `V_TRIPHD` of the right inverter in
     /// standby: input level below which it releases the stored 0.
     fn v_trip_hold(&mut self, cond: &Conditions) -> Result<f64, CircuitError> {
-        let level = cond.vsb + (cond.vdd - cond.vsb) * self.config.trip_level_frac;
+        let level = cond.vsb + (cond.vdd - cond.vsb) * TRIP_LEVEL_FRAC;
         self.inverter_trip(cond, Side::Right, false, level)
     }
 
@@ -896,8 +895,8 @@ impl CellEvaluator {
         ckt.vsource("VWL", wl, Netlist::GROUND, cond.vdd);
         ckt.vsource("VSL", sl, Netlist::GROUND, cond.vsb);
         ckt.vsource("VBN", bn, Netlist::GROUND, cond.body_bias);
-        ckt.capacitor("CBL", bl, Netlist::GROUND, self.config.cbl);
-        ckt.capacitor("CBR", br, Netlist::GROUND, self.config.cbl);
+        ckt.capacitor("CBL", bl, Netlist::GROUND, CBL);
+        ckt.capacitor("CBR", br, Netlist::GROUND, CBL);
         ckt.mosfet("PL", vl, vr, vdd, vdd, cell.device(Xtor::Pl));
         ckt.mosfet("NL", vl, vr, sl, bn, cell.device(Xtor::Nl));
         ckt.mosfet("PR", vr, vl, vdd, vdd, cell.device(Xtor::Pr));
@@ -925,7 +924,7 @@ impl CellEvaluator {
         let t_stop = self.config.t_max * 8.0;
         let opts = TransientOptions::new(t_stop / 400.0, t_stop).with_initial_state(state);
         let res = transient::solve(&ckt, &opts)?;
-        res.crossing_time(br, cond.vdd - self.config.dv_sense, true)
+        res.crossing_time(br, cond.vdd - DV_SENSE, true)
             .ok_or(CircuitError::NoConvergence {
                 residual: f64::NAN,
                 iterations: 400,
@@ -940,26 +939,19 @@ impl CellEvaluator {
 #[derive(Debug, Clone, Copy)]
 struct Cells {
     vdd: f64,
-    iters: u32,
 }
 
 impl Cells {
-    /// `None` when the indices would not fit in a `u64`.
-    fn new(vdd: f64, iters: usize) -> Option<Self> {
-        let iters = u32::try_from(iters).ok().filter(|&n| n < u64::BITS)?;
-        Some(Self { vdd, iters })
-    }
-
-    /// Number of cells, `2^iters`.
+    /// Number of cells, `2^BISECTION_ITERS`.
     fn count(self) -> u64 {
-        1 << self.iters
+        1 << BISECTION_ITERS
     }
 
     /// The cell the bisection would end in if each of its comparisons
     /// were answered by `mid < root`.
     fn index_of(self, root: f64) -> u64 {
         let (mut lo, mut hi, mut k) = (0.0f64, self.vdd, 0u64);
-        for _ in 0..self.iters {
+        for _ in 0..BISECTION_ITERS {
             let mid = 0.5 * (lo + hi);
             k <<= 1;
             if mid < root {
@@ -975,7 +967,7 @@ impl Cells {
     /// The bracket `(lo, hi)` of cell `k`.
     fn bounds(self, k: u64) -> (f64, f64) {
         let (mut lo, mut hi) = (0.0f64, self.vdd);
-        for bit in (0..self.iters).rev() {
+        for bit in (0..BISECTION_ITERS).rev() {
             let mid = 0.5 * (lo + hi);
             if (k >> bit) & 1 == 1 {
                 lo = mid;
@@ -1012,12 +1004,15 @@ mod tests {
 
     /// The arguments of the read, write and hold trips under `cond`, as
     /// `v_trip_rd`, `v_trip_wr` and `v_trip_hold` pass them.
-    fn trip_kinds(ev: &CellEvaluator, cond: &Conditions) -> [(Side, bool, f64); 3] {
-        let frac = ev.config.trip_level_frac;
+    fn trip_kinds(cond: &Conditions) -> [(Side, bool, f64); 3] {
         [
-            (Side::Left, true, cond.vdd * frac),
-            (Side::Right, true, cond.vdd * frac),
-            (Side::Right, false, cond.vsb + (cond.vdd - cond.vsb) * frac),
+            (Side::Left, true, cond.vdd * TRIP_LEVEL_FRAC),
+            (Side::Right, true, cond.vdd * TRIP_LEVEL_FRAC),
+            (
+                Side::Right,
+                false,
+                cond.vsb + (cond.vdd - cond.vsb) * TRIP_LEVEL_FRAC,
+            ),
         ]
     }
 
@@ -1041,7 +1036,7 @@ mod tests {
             ev.set_warm_start(false);
             ev.set_deviations(deviations(&ev, std::array::from_fn(|i| z[i])));
             let cond = Conditions::standby(&tech, vsb).with_body_bias(bb);
-            for (side, wl, level) in trip_kinds(&ev, &cond) {
+            for (side, wl, level) in trip_kinds(&cond) {
                 let oracle = ev.bisect_trip(&cond, side, wl, level).unwrap();
                 if let Some(trip) = ev.solved_trip(&cond, side, wl, level).unwrap() {
                     prop_assert!(
@@ -1170,7 +1165,7 @@ mod tests {
         let (tech, mut warm) = setup();
         let (_, mut cold) = setup();
         cold.set_warm_start(false);
-        let cell = tech.vdd() / (1u64 << warm.config.bisection_iters) as f64;
+        let cell = tech.vdd() / (1u64 << BISECTION_ITERS) as f64;
         let (mut worst, mut trips, mut fallbacks) = (0.0f64, 0u32, 0u32);
         for (i, (vt_inter, bb)) in [(0.0, 0.0), (-0.08, 0.3), (0.08, -0.3)]
             .into_iter()
@@ -1188,7 +1183,7 @@ mod tests {
                 }
                 warm.set_deviations(dvt);
                 cold.set_deviations(dvt);
-                for (side, wl, level) in &trip_kinds(&warm, &cond)[..2] {
+                for (side, wl, level) in &trip_kinds(&cond)[..2] {
                     let oracle = cold.bisect_trip(&cond, *side, *wl, *level).unwrap();
                     let trip = match warm.solved_trip(&cond, *side, *wl, *level).unwrap() {
                         Some(t) => t,

@@ -10,7 +10,6 @@ use pvtm_circuit::CircuitError;
 use pvtm_stats::special::norm_cdf;
 use pvtm_stats::{ImportanceSampler, McEstimate, QuarantinedEstimate, SampleOutcome};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{AnalysisConfig, Margins};
 use crate::cell::{CellSizing, Conditions, SramCell, Xtor};
@@ -18,7 +17,7 @@ use crate::evaluator::CellEvaluator;
 use pvtm_device::Technology;
 
 /// Probability of each failure mechanism for one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureProbs {
     /// Read (disturb) failure probability.
     pub read: f64,
@@ -58,7 +57,7 @@ impl FailureProbs {
 
 /// Margin linearization of one mechanism: nominal value plus per-transistor
 /// sensitivities (in units of margin per 1σ of that transistor's RDF).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginModel {
     /// Margin at zero intra-die deviation.
     pub nominal: f64,
@@ -101,7 +100,7 @@ impl MarginModel {
 /// log-linear single model captures both tails. This mixed model keeps
 /// `ln(droop)` and `allowed` as separate linear models and integrates the
 /// failure probability `P[exp(ln droop) > allowed]` exactly under them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoldFailureModel {
     /// Linear model of `ln(droop)` (dimensionless log-volts).
     pub ln_droop: MarginModel,
@@ -180,7 +179,7 @@ impl HoldFailureModel {
 }
 
 /// Linearized models of all four mechanisms at one corner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellFailureModel {
     /// Read-margin linearization.
     pub read: MarginModel,
@@ -229,8 +228,7 @@ impl FailureAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid sizing, a non-positive `cbl`, `dv_sense` or
-    /// `t_max`, or a `trip_level_frac` outside (0, 1).
+    /// Panics on an invalid sizing or a non-positive `t_max`.
     pub fn new(tech: &Technology, sizing: CellSizing, config: AnalysisConfig) -> Self {
         config.check();
         let base = SramCell::with_sizing(tech, sizing);

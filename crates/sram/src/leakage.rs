@@ -17,7 +17,6 @@
 
 use rand::Rng;
 use rand_distr::StandardNormal;
-use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellSizing, Conditions, SramCell, Xtor};
 use pvtm_device::{thermal_voltage, Bias, LeakageComponents, MosfetAt, Technology};
@@ -31,7 +30,7 @@ pub struct CellLeakageModel {
 }
 
 /// Population mean and standard deviation of per-cell leakage \[A\].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageStats {
     /// Mean cell leakage.
     pub mean: f64,

@@ -4,7 +4,7 @@
 //! leakage histograms of Fig. 3, source-bias and standby-power distributions
 //! of Fig. 9).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A histogram with uniformly sized bins over a closed range.
 ///
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.underflow(), 1);  // -3.0
 /// assert_eq!(h.total(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,7 +1,5 @@
 //! Numerically stable streaming summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / extrema accumulator (Welford's algorithm),
 /// mergeable so it can be used as the reduction state of a parallel
 /// Monte-Carlo loop.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 2.5).abs() < 1e-12);
 /// assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

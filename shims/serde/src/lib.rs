@@ -1,23 +1,18 @@
 //! Offline shim of `serde`: a single-format (JSON) serialization trait
-//! pair that keeps `#[derive(Serialize, Deserialize)]` call sites
-//! compiling and `serde_json::to_writer_pretty` working without crates.io
-//! access.
+//! that keeps `#[derive(Serialize)]` call sites compiling and
+//! `serde_json::to_writer_pretty` working without crates.io access.
 //!
-//! The workspace only ever *writes* JSON (experiment results); nothing
-//! deserializes at runtime, so [`Deserialize`] is a marker trait.
+//! The workspace only ever *writes* JSON (experiment results), so the
+//! shim has no deserialization half.
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A type that can write itself as JSON.
 pub trait Serialize {
     /// Appends this value's JSON representation to the writer.
     fn serialize_json(&self, w: &mut JsonWriter);
 }
-
-/// Marker for types the real serde could deserialize; unused at runtime in
-/// this workspace.
-pub trait Deserialize {}
 
 /// Incremental JSON writer with optional pretty-printing (2-space indent,
 /// matching `serde_json`'s pretty format closely enough for humans and

@@ -1,36 +1,23 @@
-//! Offline shim of `serde_derive`: hand-rolled `#[derive(Serialize)]` /
-//! `#[derive(Deserialize)]` without syn/quote.
+//! Offline shim of `serde_derive`: a hand-rolled `#[derive(Serialize)]`
+//! without syn/quote.
 //!
 //! The parser walks the raw `TokenStream` of the item: enough to handle the
-//! shapes this workspace actually derives — non-generic structs with named
-//! fields, and enums with unit / newtype / tuple / struct variants. The
-//! generated `Serialize` impl targets the JSON-only `serde::Serialize`
-//! trait from the sibling shim; `Deserialize` expands to a marker impl.
+//! two shapes this workspace derives — non-generic structs with named
+//! fields, and non-generic enums whose variants are all units. Any other
+//! shape (a tuple struct, a generic type, a variant carrying data) panics
+//! with the type's name, which fails the build. The generated impl targets
+//! the JSON-only `serde::Serialize` trait from the sibling shim.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-struct Variant {
-    name: String,
-    /// `None` for unit variants; named fields have `Some(name)` per field,
-    /// tuple fields `None` per field (the outer Vec length is the arity).
-    fields: Option<Vec<Option<String>>>,
-}
+use proc_macro::{token_stream, Delimiter, TokenStream, TokenTree};
+use std::iter::Peekable;
 
 enum Item {
-    Struct {
-        name: String,
-        fields: Vec<String>,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+    Struct { name: String, fields: Vec<String> },
+    Enum { name: String, variants: Vec<String> },
 }
 
-/// Extracts the item shape from the derive input tokens.
-fn parse_item(input: TokenStream) -> Item {
-    let mut iter = input.into_iter().peekable();
-    // Skip attributes (`#[...]`) and visibility (`pub`, `pub(crate)`).
+/// Skips attributes (`#[...]`) and visibility (`pub`, `pub(crate)`).
+fn skip_attributes_and_visibility(iter: &mut Peekable<token_stream::IntoIter>) {
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
@@ -48,6 +35,12 @@ fn parse_item(input: TokenStream) -> Item {
             _ => break,
         }
     }
+}
+
+/// Extracts the item shape from the derive input tokens.
+fn parse_item(input: TokenStream) -> Item {
+    let mut iter = input.into_iter().peekable();
+    skip_attributes_and_visibility(&mut iter);
     let kind = match iter.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => panic!("serde_derive shim: expected struct/enum, got {other:?}"),
@@ -72,50 +65,28 @@ fn parse_item(input: TokenStream) -> Item {
     match kind.as_str() {
         "struct" => Item::Struct {
             name,
-            fields: named_fields(body)
-                .into_iter()
-                .map(|f| f.expect("struct fields must be named"))
-                .collect(),
+            fields: named_fields(body),
         },
         "enum" => Item::Enum {
+            variants: unit_variants(&name, body),
             name,
-            variants: parse_variants(body),
         },
         other => panic!("serde_derive shim: cannot derive for `{other}`"),
     }
 }
 
-/// Field names from a brace-delimited field list. Skips attributes and
-/// visibility; tracks `<...>` depth so commas inside generic types don't
-/// split fields. Returns `Some(name)` per named field.
-fn named_fields(body: TokenStream) -> Vec<Option<String>> {
+/// Field names from a brace-delimited field list. Tracks `<...>` depth so
+/// commas inside generic types don't split fields.
+fn named_fields(body: TokenStream) -> Vec<String> {
     let mut fields = Vec::new();
     let mut iter = body.into_iter().peekable();
     loop {
-        // Skip attributes and visibility before the field name.
-        loop {
-            match iter.peek() {
-                Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                    iter.next();
-                    iter.next();
-                }
-                Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                    iter.next();
-                    if let Some(TokenTree::Group(g)) = iter.peek() {
-                        if g.delimiter() == Delimiter::Parenthesis {
-                            iter.next();
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-        let field = match iter.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
+        skip_attributes_and_visibility(&mut iter);
+        match iter.next() {
+            Some(TokenTree::Ident(id)) => fields.push(id.to_string()),
             None => break,
             other => panic!("serde_derive shim: expected field name, got {other:?}"),
-        };
-        fields.push(Some(field));
+        }
         // Consume `: Type,` tracking angle-bracket depth.
         let mut depth = 0i32;
         for tok in iter.by_ref() {
@@ -132,45 +103,24 @@ fn named_fields(body: TokenStream) -> Vec<Option<String>> {
     fields
 }
 
-fn parse_variants(body: TokenStream) -> Vec<Variant> {
+/// Variant names of enum `name`; a variant carrying data is not supported.
+fn unit_variants(name: &str, body: TokenStream) -> Vec<String> {
     let mut variants = Vec::new();
     let mut iter = body.into_iter().peekable();
     loop {
-        // Skip attributes before the variant name.
-        while matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-            iter.next();
-            iter.next();
-        }
-        let name = match iter.next() {
+        skip_attributes_and_visibility(&mut iter);
+        let variant = match iter.next() {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
             other => panic!("serde_derive shim: expected variant name, got {other:?}"),
         };
-        let fields = match iter.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let g = g.stream();
-                iter.next();
-                Some(named_fields(g))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let arity = 1 + g
-                    .stream()
-                    .into_iter()
-                    .fold((0i32, 0usize), |(depth, commas), tok| match tok {
-                        TokenTree::Punct(p) if p.as_char() == '<' => (depth + 1, commas),
-                        TokenTree::Punct(p) if p.as_char() == '>' => (depth - 1, commas),
-                        TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                            (depth, commas + 1)
-                        }
-                        _ => (depth, commas),
-                    })
-                    .1;
-                iter.next();
-                Some(vec![None; arity])
-            }
-            _ => None,
-        };
-        variants.push(Variant { name, fields });
+        if matches!(iter.peek(), Some(TokenTree::Group(_))) {
+            panic!(
+                "serde_derive shim: variant `{variant}` of enum `{name}` carries data; \
+                 only unit variants are supported"
+            );
+        }
+        variants.push(variant);
         // Consume the optional discriminant and trailing comma.
         for tok in iter.by_ref() {
             if matches!(&tok, TokenTree::Punct(p) if p.as_char() == ',') {
@@ -195,55 +145,12 @@ fn struct_impl(name: &str, fields: &[String]) -> String {
     )
 }
 
-fn enum_impl(name: &str, variants: &[Variant]) -> String {
-    let mut arms = String::new();
-    for v in variants {
-        let vn = &v.name;
-        match &v.fields {
-            // Unit variant: "Name"
-            None => arms.push_str(&format!("{name}::{vn} => w.string(\"{vn}\"),\n")),
-            // Newtype variant: {"Name": value}
-            Some(fields) if fields.len() == 1 && fields[0].is_none() => {
-                arms.push_str(&format!(
-                    "{name}::{vn}(v0) => {{\nw.begin_object();\nw.key(\"{vn}\");\n\
-                     serde::Serialize::serialize_json(v0, w);\nw.end_object();\n}}\n"
-                ));
-            }
-            // Tuple variant: {"Name": [v0, v1, ...]}
-            Some(fields) if fields.first().is_some_and(Option::is_none) => {
-                let binds: Vec<String> = (0..fields.len()).map(|i| format!("v{i}")).collect();
-                let mut body = String::from("w.begin_array();\n");
-                for b in &binds {
-                    body.push_str(&format!("serde::Serialize::serialize_json({b}, w);\n"));
-                }
-                body.push_str("w.end_array();");
-                arms.push_str(&format!(
-                    "{name}::{vn}({}) => {{\nw.begin_object();\nw.key(\"{vn}\");\n{body}\nw.end_object();\n}}\n",
-                    binds.join(", ")
-                ));
-            }
-            // Struct variant: {"Name": {"field": value, ...}}
-            Some(fields) => {
-                let names: Vec<&String> =
-                    fields.iter().map(|f| f.as_ref().expect("named")).collect();
-                let mut body = String::from("w.begin_object();\n");
-                for f in &names {
-                    body.push_str(&format!(
-                        "w.key(\"{f}\");\nserde::Serialize::serialize_json({f}, w);\n"
-                    ));
-                }
-                body.push_str("w.end_object();");
-                let binds = names
-                    .iter()
-                    .map(|f| f.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                arms.push_str(&format!(
-                    "{name}::{vn} {{ {binds} }} => {{\nw.begin_object();\nw.key(\"{vn}\");\n{body}\nw.end_object();\n}}\n"
-                ));
-            }
-        }
-    }
+/// A unit variant serializes as its name: `"Name"`.
+fn enum_impl(name: &str, variants: &[String]) -> String {
+    let arms: String = variants
+        .iter()
+        .map(|v| format!("{name}::{v} => w.string(\"{v}\"),\n"))
+        .collect();
     format!(
         "impl serde::Serialize for {name} {{\n\
          fn serialize_json(&self, w: &mut serde::JsonWriter) {{\nmatch self {{\n{arms}}}\n}}\n}}"
@@ -258,17 +165,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Item::Enum { name, variants } => enum_impl(&name, &variants),
     };
     generated
-        .parse()
-        .expect("serde_derive shim generated invalid Rust")
-}
-
-/// Derives the shim's marker `serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let name = match parse_item(input) {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
-    };
-    format!("impl serde::Deserialize for {name} {{}}")
         .parse()
         .expect("serde_derive shim generated invalid Rust")
 }

@@ -44,13 +44,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(w.into_string())
 }
 
-/// Writes `value` as compact JSON into `writer`.
-pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    let s = to_string(value)?;
-    writer.write_all(s.as_bytes())?;
-    Ok(())
-}
-
 /// Writes `value` as pretty-printed JSON into `writer`.
 pub fn to_writer_pretty<W: std::io::Write, T: Serialize + ?Sized>(
     mut writer: W,
